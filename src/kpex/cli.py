@@ -50,7 +50,6 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="mode")
     for mode in ALL_MODES:
         p = sub.add_parser(mode, allow_abbrev=False)
-        p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--train", help="labeled training JSONL")
         p.add_argument("--dev", help="labeled development JSONL")
         p.add_argument("--test", help="JSONL to evaluate or decode")
@@ -60,10 +59,12 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (training) or file")
         p.add_argument("--seed", type=int)
         p.add_argument("--k", type=int, help="ranking cutoff for eval mode")
-        for name in sorted(_CONFIG_FIELDS - {"seed"}):
-            p.add_argument(
-                f"--{name.lower().replace('_', '-')}", dest=name, type=_field_parser(name)
-            )
+        if mode in TRAIN_MODES:
+            p.add_argument("--config", help="JSON config file; flags override it")
+            for name in sorted(_CONFIG_FIELDS - {"seed"}):
+                p.add_argument(
+                    f"--{name.lower().replace('_', '-')}", dest=name, type=_field_parser(name)
+                )
         if mode == "synth":
             p.add_argument("--docs", type=int, default=100)
             p.add_argument("--vocab-size", type=int, default=120)

@@ -292,6 +292,9 @@ def load_jsonl(path, expect_labels: bool) -> Dataset:
                 raise DataError(f"malformed JSON at line {lineno}: {exc.msg}") from exc
             if not isinstance(obj, dict) or "id" not in obj or "tokens" not in obj:
                 raise DataError(f"record at line {lineno} lacks 'id' or 'tokens'")
+            for key in ("tokens", "labels", "keyphrases"):
+                if obj.get(key) is not None and not isinstance(obj[key], list):
+                    raise DataError(f"'{key}' at line {lineno} must be a JSON array")
             try:
                 doc = Document(id=str(obj["id"]), tokens=tuple(obj["tokens"]))
             except DataError as exc:
@@ -299,6 +302,12 @@ def load_jsonl(path, expect_labels: bool) -> Dataset:
 
             raw_labels = obj.get("labels")
             raw_phrases = obj.get("keyphrases")
+            if raw_phrases is not None and not all(
+                isinstance(p, list) and all(isinstance(t, str) for t in p) for p in raw_phrases
+            ):
+                raise DataError(
+                    f"'keyphrases' at line {lineno} must be a JSON array of string arrays"
+                )
             keyphrases = (
                 frozenset(tuple(p) for p in raw_phrases) if raw_phrases is not None else None
             )
@@ -379,17 +388,6 @@ class SyntheticRule:
     continuations: tuple[str, ...]
     fillers: tuple[str, ...]
     templates: dict
-
-    @property
-    def keyword_pick_probability(self) -> float:
-        # tokens are drawn uniformly over keyword + filler types
-        return len(self.keywords) / (len(self.keywords) + len(self.fillers))
-
-    def expected_phrase_token_fraction(self) -> float:
-        """Expected fraction of non-O tokens, ignoring end-of-document truncation."""
-        p = self.keyword_pick_probability
-        mean_len = sum(len(t) for t in self.templates.values()) / len(self.templates)
-        return p * mean_len / (p * mean_len + (1.0 - p))
 
 
 def make_synthetic_rule(seed: int, vocab_size: int, keyword_fraction: float) -> SyntheticRule:

@@ -131,7 +131,7 @@ def nll_and_grad(emissions, crf: CrfParams, gold) -> tuple[float, np.ndarray, Cr
     """
     emissions = _check(emissions)
     y = np.asarray(gold, dtype=np.int64)
-    n, num_labels = emissions.shape
+    n = emissions.shape[0]
     if y.shape[0] != n:
         raise ValueError(f"{y.shape[0]} gold labels for {n} emission rows")
 
@@ -145,10 +145,9 @@ def nll_and_grad(emissions, crf: CrfParams, gold) -> tuple[float, np.ndarray, Cr
     d_emissions = probs.copy()
     d_emissions[np.arange(n), y] -= 1.0
 
-    d_trans = np.zeros((num_labels, num_labels))
-    for t in range(n - 1):
-        pair = alpha[t][:, None] + crf.trans + emissions[t + 1][None, :] + beta[t + 1][None, :]
-        d_trans += np.exp(pair - log_z)
+    # expected transition counts: P(y_t = i, y_{t+1} = j) summed over t
+    pair = alpha[:-1, :, None] + crf.trans + (emissions[1:] + beta[1:])[:, None, :]
+    d_trans = np.exp(pair - log_z).sum(axis=0)
     np.add.at(d_trans, (y[:-1], y[1:]), -1.0)
 
     d_start = probs[0].copy()

@@ -2,8 +2,10 @@
 projection onto the three label scores, with an exact analytic backward pass.
 
 Everything runs in float64. Gate blocks inside the stacked LSTM weight
-matrices are ordered (input, forget, cell, output). The padding embedding
-row (index 0) is kept at zero and receives no gradient.
+matrices are ordered (input, forget, cell, output). Both directions run the
+same left-to-right recurrence: the reverse direction runs on the flipped
+input, and its hidden states and input gradients are flipped back. The
+padding embedding row (index 0) is kept at zero and receives no gradient.
 """
 
 from __future__ import annotations
@@ -112,12 +114,10 @@ def init_params(dims: EncoderDims, seed) -> EncoderParams:
 
 @dataclass
 class _DirectionCache:
-    order: np.ndarray  # document positions in processing order
-    i: np.ndarray  # (n, h) gate activations, indexed by document position
-    f: np.ndarray
-    g: np.ndarray
-    o: np.ndarray
-    c: np.ndarray
+    """One direction's states, row t being the t-th step it processed."""
+
+    gates: np.ndarray  # (n, 4h) activations of the (i, f, g, o) blocks
+    c: np.ndarray  # (n, h)
     tc: np.ndarray  # tanh(c)
     h: np.ndarray
 
@@ -129,44 +129,37 @@ class ForwardCache:
     token_ids: np.ndarray
     x: np.ndarray  # (n, embed_dim)
     fwd: _DirectionCache
-    bwd: _DirectionCache
+    bwd: _DirectionCache  # steps over the flipped sequence
     hidden: np.ndarray  # (n, 2h) concatenated fwd/bwd states
     emissions: np.ndarray  # (n, num_labels)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def _shift_down(states: np.ndarray) -> np.ndarray:
+    """Row t holds the state before step t: a zero row, then rows 0..n-2."""
+    return np.vstack([np.zeros((1, states.shape[1])), states[:-1]])
 
 
-def _run_direction(w: LstmWeights, x: np.ndarray, reverse: bool) -> _DirectionCache:
-    n = x.shape[0]
-    h = w.Wh.shape[1]
-    xw = x @ w.Wx.T  # (n, 4h)
-    cache = _DirectionCache(
-        order=np.arange(n)[::-1] if reverse else np.arange(n),
-        i=np.empty((n, h)), f=np.empty((n, h)), g=np.empty((n, h)),
-        o=np.empty((n, h)), c=np.empty((n, h)), tc=np.empty((n, h)),
-        h=np.empty((n, h)),
-    )
-    h_prev = np.zeros(h)
-    c_prev = np.zeros(h)
-    for t in cache.order:
-        z = xw[t] + w.Wh @ h_prev + w.b
-        gi = _sigmoid(z[:h])
-        gf = _sigmoid(z[h : 2 * h])
-        gg = np.tanh(z[2 * h : 3 * h])
-        go = _sigmoid(z[3 * h :])
-        c = gf * c_prev + gi * gg
-        tc = np.tanh(c)
-        ht = go * tc
-        cache.i[t], cache.f[t], cache.g[t], cache.o[t] = gi, gf, gg, go
-        cache.c[t], cache.tc[t], cache.h[t] = c, tc, ht
-        h_prev, c_prev = ht, c
+def _run_direction(w: LstmWeights, x: np.ndarray) -> _DirectionCache:
+    """Left-to-right LSTM over the rows of ``x``, starting from zero states.
+
+    All four gate blocks share one tanh through sigmoid(z) = 0.5 + 0.5 *
+    tanh(z / 2): the pre-activations are multiplied by ``scale`` (halving,
+    exact in binary) and the activations are ``scale * tanh + 1 - scale``.
+    """
+    n, h = x.shape[0], w.Wh.shape[1]
+    scale = np.repeat([0.5, 0.5, 1.0, 0.5], h)  # sigmoid blocks i, f, o; tanh block g
+    shift = 1.0 - scale
+    xz = (x @ w.Wx.T + w.b) * scale
+    Wh = w.Wh * scale[:, None]
+    cache = _DirectionCache(*(np.empty((n, width)) for width in (4 * h, h, h, h)))
+    h_t = np.zeros(h)
+    c_t = np.zeros(h)
+    for t in range(n):
+        a = scale * np.tanh(xz[t] + Wh @ h_t) + shift
+        c_t = a[h : 2 * h] * c_t + a[:h] * a[2 * h : 3 * h]
+        tc = np.tanh(c_t)
+        h_t = a[3 * h :] * tc
+        cache.gates[t], cache.c[t], cache.tc[t], cache.h[t] = a, c_t, tc, h_t
     return cache
 
 
@@ -185,9 +178,9 @@ def encode_forward(params: EncoderParams, token_ids) -> tuple[np.ndarray, Forwar
             f"{int(ids.min())}..{int(ids.max())}"
         )
     x = params.embed[ids]
-    fwd = _run_direction(params.fwd, x, reverse=False)
-    bwd = _run_direction(params.bwd, x, reverse=True)
-    hidden = np.concatenate([fwd.h, bwd.h], axis=1)
+    fwd = _run_direction(params.fwd, x)
+    bwd = _run_direction(params.bwd, x[::-1])
+    hidden = np.concatenate([fwd.h, bwd.h[::-1]], axis=1)
     emissions = hidden @ params.proj_W.T + params.proj_b
     return emissions, ForwardCache(ids, x, fwd, bwd, hidden, emissions)
 
@@ -195,41 +188,32 @@ def encode_forward(params: EncoderParams, token_ids) -> tuple[np.ndarray, Forwar
 def _direction_backward(
     w: LstmWeights, x: np.ndarray, cache: _DirectionCache, d_h: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    n, h = d_h.shape
-    dWx = np.zeros_like(w.Wx)
-    dWh = np.zeros_like(w.Wh)
-    db = np.zeros_like(w.b)
-    dx = np.zeros_like(x)
+    """Gradients of one left-to-right direction, given dLoss/dh per step.
 
-    order = cache.order
+    The time loop carries only dh and dc and writes one row of ``dz``, the
+    gradient at the gate pre-activations; the weight and input gradients are
+    then one matrix product each over all steps.
+    """
+    n, h = d_h.shape
+    i, f, g, o = np.split(cache.gates, 4, axis=1)
+    c_prev = _shift_down(cache.c)
+    # dz[t] = [dc, dc, dc, dh] * dz_coef[t], the chain rule through each gate
+    dz_coef = np.concatenate(
+        [g * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g * g), cache.tc * o * (1.0 - o)],
+        axis=1,
+    )
+    dc_dh = o * (1.0 - cache.tc**2)
+
+    dz = np.empty((n, 4 * h))
     dh_carry = np.zeros(h)
     dc_carry = np.zeros(h)
-    for step in range(n - 1, -1, -1):
-        t = order[step]
-        prev = order[step - 1] if step > 0 else None
-        h_prev = cache.h[prev] if prev is not None else np.zeros(h)
-        c_prev = cache.c[prev] if prev is not None else np.zeros(h)
-
+    for t in range(n - 1, -1, -1):
         dh = d_h[t] + dh_carry
-        do = dh * cache.tc[t]
-        dc = dc_carry + dh * cache.o[t] * (1.0 - cache.tc[t] ** 2)
-        di = dc * cache.g[t]
-        dg = dc * cache.i[t]
-        df = dc * c_prev
-        dc_carry = dc * cache.f[t]
-
-        dz = np.concatenate([
-            di * cache.i[t] * (1.0 - cache.i[t]),
-            df * cache.f[t] * (1.0 - cache.f[t]),
-            dg * (1.0 - cache.g[t] ** 2),
-            do * cache.o[t] * (1.0 - cache.o[t]),
-        ])
-        dWx += np.outer(dz, x[t])
-        dWh += np.outer(dz, h_prev)
-        db += dz
-        dx[t] += w.Wx.T @ dz
-        dh_carry = w.Wh.T @ dz
-    return dWx, dWh, db, dx
+        dc = dc_carry + dh * dc_dh[t]
+        dz[t] = np.concatenate((dc, dc, dc, dh)) * dz_coef[t]
+        dh_carry = dz[t] @ w.Wh
+        dc_carry = dc * f[t]
+    return dz.T @ x, dz.T @ _shift_down(cache.h), dz.sum(axis=0), dz @ w.Wx
 
 
 def encode_backward(
@@ -257,11 +241,11 @@ def encode_backward(
         params.fwd, cache.x, cache.fwd, d_hidden[:, :h]
     )
     dWx_b, dWh_b, db_b, dx_b = _direction_backward(
-        params.bwd, cache.x, cache.bwd, d_hidden[:, h:]
+        params.bwd, cache.x[::-1], cache.bwd, d_hidden[::-1, h:]
     )
 
     d_embed = np.zeros_like(params.embed)
-    np.add.at(d_embed, cache.token_ids, dx_f + dx_b)
+    np.add.at(d_embed, cache.token_ids, dx_f + dx_b[::-1])
     d_embed[PAD_INDEX] = 0.0
 
     return {

@@ -33,13 +33,6 @@ from .errors import ConfigError, DataError
 from .metrics import dataset_f1
 from .model import Model, init_model, model_tensors
 
-# hyperparameter grids used for tuning; defaults below pick one point of each
-BATCH_SIZE_GRID = (4, 8, 16)
-LR_LOWER_GRID = (2e-5, 3e-5, 4e-5, 5e-5)  # sized for a pretrained contextual encoder
-LR_UPPER_GRID = (1e-4, 2e-4, 5e-4, 1e-3, 5e-3)
-RATIO_GRID = (0.25, 0.5, 1.0, 1.5, 2.0, 4.0)
-
-
 @dataclass
 class JlsdConfig:
     """Shared configuration for all training modes.
@@ -47,9 +40,9 @@ class JlsdConfig:
     ``r`` is the unlabeled-to-labeled sampling ratio: each iteration the
     student sees ``batch_size`` labeled and ``round(r * batch_size)``
     pseudo-labeled documents. ``lr_lower`` applies to the embedding table
-    (default raised to 1e-3: cold-start embeddings need larger steps than
-    the fine-tuning rates in LR_LOWER_GRID), ``lr_upper`` to everything
-    else. ``T = 0`` means evaluate-only, used by degenerate phases.
+    (default 1e-3: cold-start embeddings need larger steps than the 2e-5 to
+    5e-5 fine-tuning rates of a pretrained encoder), ``lr_upper`` to
+    everything else. ``T = 0`` means evaluate-only, used by degenerate phases.
     """
 
     T: int = 2000
@@ -90,7 +83,7 @@ class JlsdConfig:
 
     @property
     def unlabeled_per_batch(self) -> int:
-        # round half up: the ratio grid contains values like 0.25 and 1.5
+        # round half up: ratios like 0.25 and 1.5 can land on a half
         return int(math.floor(self.r * self.batch_size + 0.5))
 
 

@@ -9,6 +9,7 @@ the vocabulary (tokens and sha256), dimensions, and the label-index map.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -97,12 +98,32 @@ def save_checkpoint(model: Model, path) -> None:
 
 
 def load_checkpoint(path) -> Model:
+    """Read a checkpoint; malformed or inconsistent content raises DataError."""
     blob = Path(path).read_bytes()
     if blob[:8] != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: not a checkpoint (bad magic)")
+    if len(blob) < 12:
+        raise DataError(f"{path}: truncated checkpoint header")
     (head_len,) = struct.unpack("<I", blob[8:12])
-    header = json.loads(blob[12 : 12 + head_len].decode("utf-8"))
-    payload = blob[12 + head_len :]
+    try:
+        header = json.loads(blob[12 : 12 + head_len].decode("utf-8"))
+        return _model_from(header, blob[12 + head_len :], path)
+    except (KeyError, TypeError, ValueError) as exc:  # includes JSON and UTF-8 decode errors
+        raise DataError(f"{path}: malformed checkpoint ({exc!r})") from exc
+
+
+def _model_from(header: dict, payload: bytes, path) -> Model:
+    metas = header["tensors"]
+    offset = 0
+    for name in TENSOR_ORDER:
+        meta = metas[name]
+        if meta["dtype"] != "f64":
+            raise DataError(f"{path}: tensor {name} has unsupported dtype {meta['dtype']}")
+        if meta["offset"] != offset or meta["length"] != 8 * math.prod(meta["shape"]):
+            raise DataError(f"{path}: tensor {name} has an inconsistent offset or length")
+        offset += meta["length"]
+    if len(payload) != offset:
+        raise DataError(f"{path}: payload holds {len(payload)} bytes, its tensors {offset}")
 
     vocab = Vocabulary(
         itos=tuple(header["vocab_tokens"]), min_count=header.get("vocab_min_count", 1)
@@ -113,9 +134,7 @@ def load_checkpoint(path) -> Model:
         raise DataError(f"{path}: incompatible label-index map {header['labels']}")
 
     def tensor(name: str) -> np.ndarray:
-        meta = header["tensors"][name]
-        if meta["dtype"] != "f64":
-            raise DataError(f"{path}: tensor {name} has unsupported dtype {meta['dtype']}")
+        meta = metas[name]
         raw = payload[meta["offset"] : meta["offset"] + meta["length"]]
         return np.frombuffer(raw, dtype="<f8").reshape(meta["shape"]).astype(np.float64)
 

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -50,9 +53,6 @@ def test_round_trip_preserves_bytes(model, tmp_path):
 def test_format_layout(model):
     blob = checkpoint_bytes(model)
     assert blob[:8] == CHECKPOINT_MAGIC
-    import json
-    import struct
-
     (head_len,) = struct.unpack("<I", blob[8:12])
     header = json.loads(blob[12 : 12 + head_len])
     assert set(header["tensors"]) == set(TENSOR_ORDER)
@@ -86,3 +86,43 @@ def test_tensor_views_share_memory_with_model(model):
     tensors["crf.trans"][0, 0] = 42.0
     assert model.crf.trans[0, 0] == 42.0
     assert tuple(tensors) == TENSOR_ORDER
+
+
+def _with_header(blob: bytes, edit) -> bytes:
+    """Rewrite a checkpoint's JSON header through ``edit``, keeping the payload."""
+    (head_len,) = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12 : 12 + head_len])
+    edit(header)
+    head = json.dumps(header).encode("utf-8")
+    return blob[:8] + struct.pack("<I", len(head)) + head + blob[12 + head_len :]
+
+
+def _shrink_proj_b(header):
+    # one element fewer, same byte length: the length no longer matches the shape
+    header["tensors"]["proj.b"]["shape"] = [2]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda blob: blob[:10],
+        lambda blob: blob[:-8],
+        lambda blob: blob + bytes(8),
+        lambda blob: blob[:12] + b"\xff" + blob[13:],
+        lambda blob: _with_header(blob, _shrink_proj_b),
+        lambda blob: _with_header(blob, lambda h: h.pop("vocab_tokens")),
+    ],
+    ids=[
+        "short_header",
+        "truncated_payload",
+        "trailing_payload",
+        "non_utf8_header",
+        "length_not_shape",
+        "missing_key",
+    ],
+)
+def test_malformed_checkpoint_is_a_data_error(model, tmp_path, corrupt):
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(corrupt(checkpoint_bytes(model)))
+    with pytest.raises(DataError):
+        load_checkpoint(path)

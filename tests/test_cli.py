@@ -112,6 +112,29 @@ def test_unknown_config_key_is_rejected(data_dir, tmp_path, capsys):
     assert "batch_syze" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["eval", "extract", "rank", "synth"])
+def test_training_flags_are_rejected_outside_training_modes(mode, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([mode, "--ckpt", "m.ckpt", "--test", "d.jsonl", "--out", str(tmp_path / "o"),
+              "--t", "5"])
+    assert exc.value.code == 2
+    assert "--t" in capsys.readouterr().err
+
+
+def test_truncated_checkpoint_is_a_data_error(data_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    main([
+        "train", "--train", str(data_dir / "train.jsonl"),
+        "--dev", str(data_dir / "dev.jsonl"), "--out", str(out), "--t", "0",
+        "--embed-dim", "4", "--hidden-dim", "4",
+    ])
+    ckpt = out / "model.ckpt"
+    ckpt.write_bytes(ckpt.read_bytes()[:-8])
+    rc = main(["eval", "--ckpt", str(ckpt), "--test", str(data_dir / "dev.jsonl")])
+    assert rc == 3
+    assert "error: data" in capsys.readouterr().err
+
+
 def test_missing_dataset_file_is_a_data_error(tmp_path, capsys):
     rc = main([
         "train", "--train", str(tmp_path / "nope.jsonl"),

@@ -247,6 +247,25 @@ def test_load_malformed_json_reports_line(tmp_path):
         load_jsonl(p, expect_labels=True)
 
 
+@pytest.mark.parametrize(
+    "record",
+    [
+        '{"id":"a","tokens":"hello"}',
+        '{"id":"a","tokens":["x","y","z"],"labels":"BIO"}',
+        '{"id":"a","tokens":["x","y"],"keyphrases":"x"}',
+        '{"id":"a","tokens":["x","y"],"keyphrases":["xy"]}',
+        '{"id":"a","tokens":["x","y"],"keyphrases":[["x",3]]}',
+    ],
+    ids=["tokens", "labels", "keyphrases", "keyphrase_string", "keyphrase_number"],
+)
+def test_load_string_in_place_of_array_rejected(tmp_path, record):
+    # a string would otherwise iterate as one-character tokens, labels or phrases
+    p = tmp_path / "d.jsonl"
+    p.write_text(record + "\n")
+    with pytest.raises(DataError, match="at line 1 must be a JSON array"):
+        load_jsonl(p, expect_labels=False)
+
+
 def test_labels_derived_from_keyphrases(tmp_path):
     p = tmp_path / "d.jsonl"
     p.write_text('{"id":"d","tokens":["a","b","c"],"keyphrases":[["b","c"]]}\n')

@@ -145,9 +145,10 @@ def test_peaked_emissions_drive_loss_to_zero():
 
 
 def test_uniform_single_position_loss_and_gradient():
-    loss, d_emissions, _ = nll_and_grad(np.zeros((1, 3)), CrfParams.zeros(), [1])
+    loss, d_emissions, d_crf = nll_and_grad(np.zeros((1, 3)), CrfParams.zeros(), [1])
     assert loss == pytest.approx(math.log(3), abs=1e-12)
     npt.assert_allclose(d_emissions, [[1 / 3, 1 / 3 - 1, 1 / 3]], atol=1e-12)
+    npt.assert_array_equal(d_crf.trans, 0.0)  # no transition in a one-token document
 
 
 def test_loss_is_a_nonnegative_log_probability():

@@ -124,11 +124,13 @@ def test_gradient_shape_mismatch_rejected():
         encode_backward(p, cache, np.zeros((4, 3)))
 
 
-def test_gradients_match_finite_differences():
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_gradients_match_finite_differences(n):
+    # n = 1 and 2 exercise the zero initial-state rows of both directions
     rng = np.random.default_rng(0)
     p = small_params(1)
-    ids = rng.integers(2, DIMS.vocab_size, 5)
-    weight = rng.normal(size=(5, 3))  # random linear functional of the emissions
+    ids = rng.integers(2, DIMS.vocab_size, n)
+    weight = rng.normal(size=(n, 3))  # random linear functional of the emissions
 
     def loss():
         e, _ = encode_forward(p, ids)
