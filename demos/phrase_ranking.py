@@ -13,7 +13,7 @@ Run with::
 
 from kpex import (
     JlsdConfig,
-    dataset_f1_at_k,
+    evaluate,
     gen_synthetic,
     split_dataset,
     train_supervised,
@@ -44,7 +44,7 @@ def main():
 
     print("\ndataset-level ranked evaluation on the test split:")
     for k in (5, 10, 15):
-        rep = dataset_f1_at_k(model, test, k)
+        rep = evaluate(model, test, k)[f"f1@{k}"]
         print(f"  F1@{k:<2}: {rep.f1:.3f}")
 
 

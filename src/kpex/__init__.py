@@ -41,7 +41,7 @@ from .metrics import (
     MetricReport,
     PhrasePrediction,
     dataset_f1,
-    dataset_f1_at_k,
+    evaluate,
     exact_f1,
     extract,
     f1_at_k,

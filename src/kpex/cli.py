@@ -14,6 +14,7 @@ import dataclasses
 import json
 import os
 import sys
+import typing
 from pathlib import Path
 
 from .corpus import gen_synthetic, load_jsonl, save_jsonl
@@ -25,13 +26,13 @@ from .jlsd import (
     train_simple_pretrain,
     train_supervised,
 )
-from .metrics import dataset_f1, dataset_f1_at_k, extract, rank_phrases
+from .metrics import evaluate, extract, rank_phrases
 from .model import load_checkpoint, save_checkpoint
 
 TRAIN_MODES = ("train", "jlsd", "pretrain", "joint")
 ALL_MODES = TRAIN_MODES + ("eval", "extract", "rank", "synth")
 
-_CONFIG_FIELDS = {f.name for f in dataclasses.fields(JlsdConfig)}
+_CONFIG_TYPES = typing.get_type_hints(JlsdConfig)
 
 _REQUIRED = {
     "train": ("train", "dev", "out"),
@@ -44,40 +45,45 @@ _REQUIRED = {
     "synth": ("out",),
 }
 
+_PATH_HELP = {
+    "train": "labeled training JSONL",
+    "dev": "labeled development JSONL",
+    "test": "JSONL to evaluate or decode",
+    "unlabeled": "unlabeled JSONL (jlsd mode)",
+    "source": "labeled source JSONL (pretrain/joint modes)",
+    "ckpt": "checkpoint path to load",
+    "out": "output directory (training) or file",
+}
+
 
 def _parser() -> argparse.ArgumentParser:
+    """Each subcommand registers only the flags it reads."""
     parser = argparse.ArgumentParser(prog="kpex", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="mode")
     for mode in ALL_MODES:
         p = sub.add_parser(mode, allow_abbrev=False)
-        p.add_argument("--train", help="labeled training JSONL")
-        p.add_argument("--dev", help="labeled development JSONL")
-        p.add_argument("--test", help="JSONL to evaluate or decode")
-        p.add_argument("--unlabeled", help="unlabeled JSONL (jlsd mode)")
-        p.add_argument("--source", help="labeled source JSONL (pretrain/joint modes)")
-        p.add_argument("--ckpt", help="checkpoint path to load")
-        p.add_argument("--out", help="output directory (training) or file")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--k", type=int, help="ranking cutoff for eval mode")
+        for name in _REQUIRED[mode] + (("out",) if mode == "eval" else ()):
+            p.add_argument(f"--{name}", help=_PATH_HELP[name])
         if mode in TRAIN_MODES:
             p.add_argument("--config", help="JSON config file; flags override it")
-            for name in sorted(_CONFIG_FIELDS - {"seed"}):
+            for name, t in _CONFIG_TYPES.items():
                 p.add_argument(
-                    f"--{name.lower().replace('_', '-')}", dest=name, type=_field_parser(name)
+                    f"--{name.lower().replace('_', '-')}", dest=name, type=_field_parser(t)
                 )
+        if mode == "eval":
+            p.add_argument("--k", type=int, help="also report F1 of the top-k ranked phrases")
         if mode == "synth":
+            p.add_argument("--seed", type=int, default=0)
             p.add_argument("--docs", type=int, default=100)
             p.add_argument("--vocab-size", type=int, default=120)
             p.add_argument("--keyword-fraction", type=float, default=0.25)
     return parser
 
 
-def _field_parser(name: str):
-    types = {f.name: f.type for f in dataclasses.fields(JlsdConfig)}
-    t = types[name]
-    if "float" in str(t):
-        return float
-    return int
+def _field_parser(t):
+    """The argparse type of a JlsdConfig field: its annotation, ``X | None`` unwrapped."""
+    args = [a for a in typing.get_args(t) if a is not type(None)]
+    return args[0] if args else t
 
 
 def load_config(path: str | None, flags: dict) -> JlsdConfig:
@@ -91,11 +97,11 @@ def load_config(path: str | None, flags: dict) -> JlsdConfig:
             raw = json.loads(p.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path}: invalid JSON ({exc.msg})") from exc
-        unknown = set(raw) - _CONFIG_FIELDS
+        unknown = set(raw) - _CONFIG_TYPES.keys()
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         values.update(raw)
-    for name in _CONFIG_FIELDS:
+    for name in _CONFIG_TYPES:
         if flags.get(name) is not None:
             values[name] = flags[name]
     try:
@@ -113,11 +119,7 @@ def _require(args: dict, mode: str) -> None:
 def _provenance(outdir: Path, mode: str, args: dict, config: JlsdConfig) -> None:
     resolved = {
         "mode": mode,
-        "paths": {
-            k: args.get(k)
-            for k in ("train", "dev", "test", "unlabeled", "source", "ckpt")
-            if args.get(k)
-        },
+        "paths": {k: args[k] for k in _REQUIRED[mode] if k != "out"},
         "config": dataclasses.asdict(config),
     }
     (outdir / "config.json").write_text(
@@ -168,29 +170,18 @@ def _training_run(mode: str, args: dict, config: JlsdConfig) -> int:
         lock.unlink(missing_ok=True)
 
 
-def _metric_json(name: str, rep, n_docs: int) -> str:
-    return json.dumps(
-        {
-            "metric": name,
-            "precision": rep.precision,
-            "recall": rep.recall,
-            "f1": rep.f1,
-            "n_docs": n_docs,
-        }
-    )
-
-
 def _eval_run(args: dict) -> int:
+    k = args["k"]
+    if k is not None and k < 1:
+        raise ConfigError(f"--k must be >= 1, got {k}")
     model = load_checkpoint(args["ckpt"])
     test = load_jsonl(args["test"], expect_labels=True)
-    lines = [_metric_json("f1", dataset_f1(model, test), len(test))]
-    lines.append(_metric_json("f1_macro", dataset_f1(model, test, "macro"), len(test)))
-    if args.get("k"):
-        k = args["k"]
-        lines.append(_metric_json(f"f1@{k}", dataset_f1_at_k(model, test, k), len(test)))
-    out = "\n".join(lines) + "\n"
+    out = ""
+    for name, rep in evaluate(model, test, k).items():
+        scores = {"precision": rep.precision, "recall": rep.recall, "f1": rep.f1}
+        out += json.dumps({"metric": name, **scores, "n_docs": len(test)}) + "\n"
     sys.stdout.write(out)
-    if args.get("out"):
+    if args["out"]:
         Path(args["out"]).write_text(out, encoding="utf-8")
     return 0
 
@@ -218,9 +209,8 @@ def _decode_run(mode: str, args: dict) -> int:
 
 
 def _synth_run(args: dict) -> int:
-    seed = args.get("seed") if args.get("seed") is not None else 0
     dataset = gen_synthetic(
-        seed=seed,
+        seed=args["seed"],
         n_docs=args["docs"],
         vocab_size=args["vocab_size"],
         keyword_fraction=args["keyword_fraction"],

@@ -227,13 +227,12 @@ def build_vocab(dataset, min_count: int = 1) -> Vocabulary:
     """Build a Vocabulary from every case-folded token with frequency >= min_count."""
     if min_count < 1:
         raise DataError(f"min_count must be >= 1, got {min_count}")
-    docs = _documents(dataset)
+    docs = list(dataset)
     if not docs:
         raise DataError("cannot build a vocabulary from an empty dataset")
     counts: Counter = Counter()
     for d in docs:
-        tokens = d.tokens if isinstance(d, Document) else d.doc.tokens
-        counts.update(t.casefold() for t in tokens)
+        counts.update(t.casefold() for t in d.tokens)
     counts.pop(PAD_TOKEN, None)
     counts.pop(UNK_TOKEN, None)
     kept = sorted(
@@ -243,12 +242,6 @@ def build_vocab(dataset, min_count: int = 1) -> Vocabulary:
     return Vocabulary(itos=(PAD_TOKEN, UNK_TOKEN, *kept), min_count=min_count)
 
 
-def _documents(dataset) -> list:
-    if isinstance(dataset, Dataset):
-        return dataset.documents
-    return list(dataset)
-
-
 def sample_batch(dataset, size: int, rng: np.random.Generator) -> list:
     """Draw ``size`` documents uniformly at random.
 
@@ -256,7 +249,7 @@ def sample_batch(dataset, size: int, rng: np.random.Generator) -> list:
     ``size`` does not exceed the dataset, with replacement otherwise.
     Deterministic for a fixed generator state.
     """
-    docs = _documents(dataset)
+    docs = list(dataset)
     if not docs:
         raise DataError("cannot sample from an empty dataset")
     if size < 1:
@@ -340,7 +333,7 @@ def save_jsonl(dataset, path) -> None:
     """Write a dataset as UTF-8 JSONL, one LF-terminated record per line."""
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for d in _documents(dataset):
+        for d in dataset:
             if isinstance(d, LabeledDocument):
                 rec = {
                     "id": d.doc.id,

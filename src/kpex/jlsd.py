@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .corpus import Dataset, LabeledDocument, bio_to_phrases, build_vocab, sample_batch
-from .crf import nll_and_grad, viterbi
+from .crf import crf_tensors, nll_and_grad, viterbi
 from .encoder import OptimizerState, adam_step, encode_backward, encode_forward
 from .errors import ConfigError, DataError
 from .metrics import dataset_f1
@@ -157,9 +157,8 @@ def _batch_gradients(model: Model, batch) -> tuple[float, float, float, dict]:
         loss, d_emissions, d_crf = nll_and_grad(emissions, model.crf, ld.labels)
         for name, g in encode_backward(model.encoder, cache, d_emissions).items():
             grads[name] += g
-        grads["crf.trans"] += d_crf.trans
-        grads["crf.start"] += d_crf.start
-        grads["crf.end"] += d_crf.end
+        for name, g in crf_tensors(d_crf).items():
+            grads[name] += g
         sums[ld.label_source] += loss
         counts[ld.label_source] += 1
     n = len(batch)
@@ -302,11 +301,8 @@ def jlsd_train(
     _require_labeled(dev, "dev")
     if len(unlabeled) == 0:
         raise DataError("unlabeled dataset is empty; use train_supervised instead")
-    unlabeled_docs = [
-        d.doc if isinstance(d, LabeledDocument) else d for d in unlabeled.documents
-    ]
 
-    vocab = build_vocab(list(labeled.documents) + unlabeled_docs, config.min_count)
+    vocab = build_vocab(list(labeled.documents) + list(unlabeled.documents), config.min_count)
     # the teacher phase gets its own seed so the student loop's sampling
     # stream matches what train_supervised would draw under config.seed
     teacher_config = replace(
@@ -326,7 +322,7 @@ def jlsd_train(
     def make_batch(it, rng):
         batch = sample_batch(labeled, config.batch_size, rng)
         if k > 0:
-            batch = batch + pseudo_label(teacher, sample_batch(unlabeled_docs, k, rng))
+            batch = batch + pseudo_label(teacher, sample_batch(unlabeled, k, rng))
         return batch
 
     def swap_teacher(iteration, old_score, new_score):

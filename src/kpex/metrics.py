@@ -1,15 +1,16 @@
 """Prediction post-processing and evaluation metrics.
 
 Phrases are compared as case-folded token tuples, exact match only.
-Dataset-level scores are micro-averaged (supports summed over documents);
-macro averaging is available for reporting.
+Extraction and F1 read only the Viterbi decode; ranking and F1@k add
+marginal-product confidences. Dataset-level scores are micro-averaged
+(supports summed over documents); macro averaging is available for reporting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import Document, LabeledDocument, Phrase, bio_to_phrases, keyphrases_to_bio
+from .corpus import LabeledDocument, Phrase, bio_to_phrases, keyphrases_to_bio
 from .crf import marginals, phrase_confidence, viterbi
 from .encoder import encode_forward
 from .model import Model
@@ -62,30 +63,18 @@ def dedup_predictions(preds) -> list[PhrasePrediction]:
     return sorted(best.values(), key=lambda p: p.span[0])
 
 
-def extract(model: Model, doc) -> tuple[set[Phrase], list[PhrasePrediction]]:
-    """Decode a document and return its predicted phrase set and predictions.
-
-    Pipeline: encode, Viterbi decode, span recovery, then case-folded
-    de-duplication via :func:`dedup_predictions`. Confidence is the marginal
-    product over the decoded span.
-    """
-    tokens = doc.tokens if isinstance(doc, Document) else doc.doc.tokens
-    ids = model.vocab.encode(tokens)
-    emissions, _ = encode_forward(model.encoder, ids)
+def _decode(model: Model, tokens):
+    """Viterbi-decode a token sequence: its emissions, labels and spans."""
+    emissions, _ = encode_forward(model.encoder, model.vocab.encode(tokens))
     labels, _ = viterbi(emissions, model.crf)
-    spans = bio_to_phrases(tokens, labels)
-    if not spans:
-        return set(), []
-    marg = marginals(emissions, model.crf)
-    preds = dedup_predictions(
-        PhrasePrediction(
-            phrase=_fold(phrase),
-            span=(s, e),
-            confidence=phrase_confidence(marg, (s, e), labels[s:e]),
-        )
-        for (s, e), phrase in spans
-    )
-    return {p.phrase for p in preds}, preds
+    return emissions, labels, bio_to_phrases(tokens, labels)
+
+
+def extract(model: Model, doc) -> tuple[set[Phrase], list]:
+    """Viterbi-decode a document: its case-folded phrase set and its decoded
+    spans ``[((start, end), tokens)]``. Computes no marginals."""
+    _, _, spans = _decode(model, doc.tokens)
+    return {_fold(p) for _, p in spans}, spans
 
 
 def exact_f1(pred: set, gold: set) -> MetricReport:
@@ -109,9 +98,17 @@ def rank_predictions(preds) -> list[PhrasePrediction]:
 
 
 def rank_phrases(model: Model, doc) -> list[PhrasePrediction]:
-    """De-duplicated predictions for one document in ranking order."""
-    _, preds = extract(model, doc)
-    return rank_predictions(preds)
+    """De-duplicated predictions for one document in ranking order; each
+    confidence is the marginal product over the decoded span."""
+    emissions, labels, spans = _decode(model, doc.tokens)
+    if not spans:
+        return []
+    marg = marginals(emissions, model.crf)
+    preds = [
+        PhrasePrediction(_fold(p), (s, e), phrase_confidence(marg, (s, e), labels[s:e]))
+        for (s, e), p in spans
+    ]
+    return rank_predictions(dedup_predictions(preds))
 
 
 def f1_at_k(ranked, gold: set, k: int) -> MetricReport:
@@ -122,42 +119,43 @@ def f1_at_k(ranked, gold: set, k: int) -> MetricReport:
     return exact_f1(top, gold)
 
 
-def dataset_f1(model: Model, dataset, average: str = "micro") -> MetricReport:
-    """Exact-match F1 of full extraction over a labeled dataset."""
-    return _aggregate(
-        ((extract(model, d)[0], gold_phrases(d)) for d in dataset), average
+def evaluate(model: Model, dataset, k: int | None = None) -> dict[str, MetricReport]:
+    """Exact-match ``f1`` (micro) and ``f1_macro`` over a labeled dataset, and
+    ``f1@k`` (micro) over confidence-ranked phrases when ``k`` is given.
+    Each document is decoded once; marginals are computed only for ``f1@k``."""
+    full, top = [], []
+    for d in dataset:
+        gold = gold_phrases(d)
+        if k is None:
+            full.append(exact_f1(extract(model, d)[0], gold))
+        else:
+            ranked = rank_phrases(model, d)
+            full.append(exact_f1({p.phrase for p in ranked}, gold))
+            top.append(f1_at_k(ranked, gold, k))
+    reports = {"f1": _micro(full), "f1_macro": _macro(full)}
+    if k is not None:
+        reports[f"f1@{k}"] = _micro(top)
+    return reports
+
+
+def dataset_f1(model: Model, dataset) -> MetricReport:
+    """Micro-averaged exact-match F1 of extraction over a labeled dataset."""
+    return evaluate(model, dataset)["f1"]
+
+
+def _micro(reports: list) -> MetricReport:
+    """Scores of the counts summed over documents."""
+    return _report(
+        sum(r.n_pred for r in reports),
+        sum(r.n_gold for r in reports),
+        sum(r.n_match for r in reports),
     )
 
 
-def dataset_f1_at_k(model: Model, dataset, k: int, average: str = "micro") -> MetricReport:
-    """F1@k over a labeled dataset using confidence-ranked predictions."""
-    pairs = []
-    for d in dataset:
-        ranked = rank_phrases(model, d)
-        pairs.append(({p.phrase for p in ranked[:k]}, gold_phrases(d)))
-    return _aggregate(pairs, average)
-
-
-def _aggregate(pairs, average: str) -> MetricReport:
-    if average == "micro":
-        n_pred = n_gold = n_match = 0
-        for pred, gold in pairs:
-            n_pred += len(pred)
-            n_gold += len(gold)
-            n_match += len(pred & gold)
-        return _report(n_pred, n_gold, n_match)
-    if average == "macro":
-        reports = [exact_f1(pred, gold) for pred, gold in pairs]
-        n = len(reports)
-        if n == 0:
-            return _report(0, 0, 0)
-        rep = _report(
-            sum(r.n_pred for r in reports),
-            sum(r.n_gold for r in reports),
-            sum(r.n_match for r in reports),
-        )
-        rep.precision = sum(r.precision for r in reports) / n
-        rep.recall = sum(r.recall for r in reports) / n
-        rep.f1 = sum(r.f1 for r in reports) / n
-        return rep
-    raise ValueError(f"unknown average {average!r}")
+def _macro(reports: list) -> MetricReport:
+    """Per-document scores averaged; counts summed."""
+    rep, n = _micro(reports), len(reports) or 1
+    rep.precision = sum(r.precision for r in reports) / n
+    rep.recall = sum(r.recall for r in reports) / n
+    rep.f1 = sum(r.f1 for r in reports) / n
+    return rep

@@ -112,13 +112,31 @@ def load_checkpoint(path) -> Model:
         raise DataError(f"{path}: malformed checkpoint ({exc!r})") from exc
 
 
+def _tensor_shapes(dims: dict) -> dict:
+    """Shape of every tensor as :func:`init_model` makes it for ``dims``."""
+    v, e, h, n = dims["vocab_size"], dims["embed_dim"], dims["hidden_dim"], len(LABEL_INDEX)
+    lstm = {"Wx": [4 * h, e], "Wh": [4 * h, h], "b": [4 * h]}
+    return {
+        "embed": [v, e],
+        **{f"lstm_{d}.{k}": shape for d in ("fwd", "bwd") for k, shape in lstm.items()},
+        "proj.W": [n, 2 * h], "proj.b": [n],
+        "crf.trans": [n, n], "crf.start": [n], "crf.end": [n],
+    }
+
+
 def _model_from(header: dict, payload: bytes, path) -> Model:
+    dims = header["dims"]
+    if (dims["num_labels"], dims["vocab_size"]) != (len(LABEL_INDEX), len(header["vocab_tokens"])):
+        raise DataError(f"{path}: dims {dims} disagree with the labels or the vocabulary")
+    shapes = _tensor_shapes(dims)
     metas = header["tensors"]
     offset = 0
     for name in TENSOR_ORDER:
         meta = metas[name]
         if meta["dtype"] != "f64":
             raise DataError(f"{path}: tensor {name} has unsupported dtype {meta['dtype']}")
+        if meta["shape"] != shapes[name]:
+            raise DataError(f"{path}: tensor {name} has shape {meta['shape']}, not {shapes[name]}")
         if meta["offset"] != offset or meta["length"] != 8 * math.prod(meta["shape"]):
             raise DataError(f"{path}: tensor {name} has an inconsistent offset or length")
         offset += meta["length"]

@@ -4,8 +4,18 @@ import struct
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kpex import DataError, Dataset, Document, LabeledDocument, build_vocab, init_model
+from kpex import (
+    DataError,
+    Dataset,
+    Document,
+    EncoderDims,
+    LabeledDocument,
+    build_vocab,
+    init_model,
+)
 from kpex.model import (
     CHECKPOINT_MAGIC,
     TENSOR_ORDER,
@@ -16,8 +26,7 @@ from kpex.model import (
 )
 
 
-@pytest.fixture
-def model():
+def _tiny_model():
     docs = [
         LabeledDocument(doc=Document(id=f"d{i}", tokens=("alpha", "beta", f"tok{i}")),
                         labels=(0, 0, 0))
@@ -27,6 +36,11 @@ def model():
     m = init_model(vocab, embed_dim=6, hidden_dim=4, seed=3)
     m.crf.trans[:] = np.arange(9).reshape(3, 3) * 0.1
     return m
+
+
+@pytest.fixture
+def model():
+    return _tiny_model()
 
 
 def test_round_trip_restores_every_tensor(model, tmp_path):
@@ -102,6 +116,11 @@ def _shrink_proj_b(header):
     header["tensors"]["proj.b"]["shape"] = [2]
 
 
+def _transpose_proj_w(header):
+    # same element count and byte length: only the dims can tell
+    header["tensors"]["proj.W"]["shape"].reverse()
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -111,6 +130,8 @@ def _shrink_proj_b(header):
         lambda blob: blob[:12] + b"\xff" + blob[13:],
         lambda blob: _with_header(blob, _shrink_proj_b),
         lambda blob: _with_header(blob, lambda h: h.pop("vocab_tokens")),
+        lambda blob: _with_header(blob, _transpose_proj_w),
+        lambda blob: _with_header(blob, lambda h: h["dims"].update(vocab_size=99)),
     ],
     ids=[
         "short_header",
@@ -119,6 +140,8 @@ def _shrink_proj_b(header):
         "non_utf8_header",
         "length_not_shape",
         "missing_key",
+        "shape_not_dims",
+        "dims_not_vocab",
     ],
 )
 def test_malformed_checkpoint_is_a_data_error(model, tmp_path, corrupt):
@@ -126,3 +149,60 @@ def test_malformed_checkpoint_is_a_data_error(model, tmp_path, corrupt):
     path.write_bytes(corrupt(checkpoint_bytes(model)))
     with pytest.raises(DataError):
         load_checkpoint(path)
+
+
+# -- property: only DataError escapes, or the model matches its dims ---------
+
+_TINY = _tiny_model()
+_BLOB = checkpoint_bytes(_TINY)
+_RANKS = {name: arr.ndim for name, arr in model_tensors(_TINY).items()}
+
+
+def _permute_shape(name, order):
+    def edit(header):
+        shape = header["tensors"][name]["shape"]
+        header["tensors"][name]["shape"] = [shape[i] for i in order]
+
+    return edit
+
+
+def _set_dim(field, value):
+    return lambda header: header["dims"].update({field: value})
+
+
+_mutated_blobs = st.one_of(
+    st.binary(max_size=600).map(lambda tail: CHECKPOINT_MAGIC + tail),
+    st.sampled_from(TENSOR_ORDER).flatmap(
+        lambda name: st.permutations(range(_RANKS[name])).map(
+            lambda order: _with_header(_BLOB, _permute_shape(name, order))
+        )
+    ),
+    st.tuples(
+        st.sampled_from(["vocab_size", "embed_dim", "hidden_dim", "num_labels"]),
+        st.one_of(
+            st.integers(-3, 40), st.sampled_from([4.0, 6.0, None, "4", [4]]), st.floats(0, 10)
+        ),
+    ).map(lambda fv: _with_header(_BLOB, _set_dim(*fv))),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "m.ckpt"
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(blob=_mutated_blobs)
+def test_loading_any_blob_yields_a_consistent_model_or_a_data_error(fuzz_path, blob):
+    fuzz_path.write_bytes(blob)
+    try:
+        loaded = load_checkpoint(fuzz_path)
+    except DataError:
+        return
+    (head_len,) = struct.unpack("<I", blob[8:12])
+    dims = json.loads(blob[12 : 12 + head_len])["dims"]
+    assert EncoderDims(**dims) == loaded.dims
+    assert dims["vocab_size"] == len(loaded.vocab)
+    reference = init_model(loaded.vocab, loaded.dims.embed_dim, loaded.dims.hidden_dim, seed=0)
+    for name, arr in model_tensors(loaded).items():
+        assert arr.shape == model_tensors(reference)[name].shape

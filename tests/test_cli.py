@@ -1,4 +1,5 @@
 import json
+import struct
 
 import pytest
 
@@ -121,14 +122,54 @@ def test_training_flags_are_rejected_outside_training_modes(mode, tmp_path, caps
     assert "--t" in capsys.readouterr().err
 
 
-def test_truncated_checkpoint_is_a_data_error(data_dir, tmp_path, capsys):
-    out = tmp_path / "run"
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--ckpt", "m.ckpt", "--test", "d.jsonl", "--seed", "5"],
+        ["extract", "--ckpt", "m.ckpt", "--test", "d.jsonl", "--out", "o.jsonl", "--seed", "5"],
+        ["rank", "--ckpt", "m.ckpt", "--test", "d.jsonl", "--out", "o.jsonl", "--seed", "5"],
+        ["train", "--train", "t.jsonl", "--dev", "d.jsonl", "--out", "o", "--k", "5"],
+        ["eval", "--ckpt", "m.ckpt", "--test", "d.jsonl", "--unlabeled", "u.jsonl"],
+    ],
+    ids=["seed-eval", "seed-extract", "seed-rank", "k-train", "unlabeled-eval"],
+)
+def test_flags_a_mode_does_not_read_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert argv[-2] in capsys.readouterr().err
+
+
+def test_eval_cutoff_below_one_is_a_config_error(tmp_path, capsys):
+    rc = main(["eval", "--ckpt", str(tmp_path / "m.ckpt"), "--test", "d.jsonl", "--k", "0"])
+    assert rc == 2
+    assert "--k" in capsys.readouterr().err
+
+
+def _train_tiny(data_dir, out):
     main([
         "train", "--train", str(data_dir / "train.jsonl"),
         "--dev", str(data_dir / "dev.jsonl"), "--out", str(out), "--t", "0",
         "--embed-dim", "4", "--hidden-dim", "4",
     ])
-    ckpt = out / "model.ckpt"
+    return out / "model.ckpt"
+
+
+def test_checkpoint_with_shapes_not_matching_dims_is_a_data_error(data_dir, tmp_path, capsys):
+    ckpt = _train_tiny(data_dir, tmp_path / "run")
+    blob = ckpt.read_bytes()
+    (head_len,) = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12 : 12 + head_len])
+    header["tensors"]["proj.W"]["shape"].reverse()  # [3, 8] -> [8, 3], same length
+    head = json.dumps(header).encode("utf-8")
+    ckpt.write_bytes(blob[:8] + struct.pack("<I", len(head)) + head + blob[12 + head_len :])
+    rc = main(["eval", "--ckpt", str(ckpt), "--test", str(data_dir / "dev.jsonl")])
+    assert rc == 3
+    assert "proj.W" in capsys.readouterr().err
+
+
+def test_truncated_checkpoint_is_a_data_error(data_dir, tmp_path, capsys):
+    ckpt = _train_tiny(data_dir, tmp_path / "run")
     ckpt.write_bytes(ckpt.read_bytes()[:-8])
     rc = main(["eval", "--ckpt", str(ckpt), "--test", str(data_dir / "dev.jsonl")])
     assert rc == 3

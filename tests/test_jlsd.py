@@ -167,7 +167,7 @@ def test_swap_happens_only_on_strict_improvement(tiny_corpus, monkeypatch):
     # scoring 0.50, 0.50, 0.52: only the last strictly improves
     scripted = iter([0.50, 0.50, 0.50, 0.50, 0.52])
 
-    def fake_f1(model, dataset, average="micro"):
+    def fake_f1(model, dataset):
         return MetricReport(0, 0, next(scripted, 0.52), 0, 0, 0)
 
     monkeypatch.setattr(kpex.jlsd, "dataset_f1", fake_f1)

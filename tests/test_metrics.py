@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from kpex import dataset_f1, exact_f1, extract, f1_at_k, gold_phrases, present_phrases
+import kpex.metrics
+from kpex import (
+    dataset_f1,
+    evaluate,
+    exact_f1,
+    extract,
+    f1_at_k,
+    gold_phrases,
+    present_phrases,
+    rank_phrases,
+)
 from kpex.metrics import MetricReport, PhrasePrediction, dedup_predictions, rank_predictions
 
 from oracles import f1_reference
@@ -151,8 +161,8 @@ def test_zero_model_extracts_nothing(standard_corpus):
     model = init_model(build_vocab(train), 16, 16, 0)
     for arr in encoder_tensors(model.encoder).values():
         arr[...] = 0.0
-    phrases, preds = extract(model, train[0])
-    assert phrases == set() and preds == []
+    phrases, spans = extract(model, train[0])
+    assert phrases == set() and spans == []
 
 
 def test_trained_model_recovers_planted_phrases(trained_standard):
@@ -173,7 +183,56 @@ def test_present_phrases_filters_to_matchable_subset():
 
 
 def test_micro_and_macro_dataset_scores(trained_standard):
-    micro = dataset_f1(trained_standard.model, trained_standard.test)
-    macro = dataset_f1(trained_standard.model, trained_standard.test, average="macro")
+    reports = evaluate(trained_standard.model, trained_standard.test)
+    assert list(reports) == ["f1", "f1_macro"]
+    micro, macro = reports["f1"], reports["f1_macro"]
     assert isinstance(micro, MetricReport) and isinstance(macro, MetricReport)
     assert micro.f1 >= 0.9 and macro.f1 >= 0.9
+    assert micro == dataset_f1(trained_standard.model, trained_standard.test)
+
+
+# -- one Viterbi decode per document -----------------------------------------
+
+
+def test_extract_and_rank_agree_on_the_phrase_set(trained_standard):
+    model = trained_standard.model
+    for d in trained_standard.test:
+        phrases, spans = extract(model, d)
+        assert phrases == {p.phrase for p in rank_phrases(model, d)}
+        assert [span for span, _ in spans] == sorted(span for span, _ in spans)
+
+
+def test_only_ranking_computes_marginals(trained_standard, monkeypatch):
+    def no_marginals(*args, **kwargs):
+        raise AssertionError("marginals computed outside ranking")
+
+    model, test = trained_standard.model, trained_standard.test
+    monkeypatch.setattr(kpex.metrics, "marginals", no_marginals)
+    extract(model, test[0])
+    dataset_f1(model, test)
+    evaluate(model, test)
+    with pytest.raises(AssertionError, match="outside ranking"):
+        rank_phrases(model, test[0])
+
+
+def test_evaluate_decodes_each_document_once(trained_standard, monkeypatch):
+    model, test = trained_standard.model, trained_standard.test
+    plain = evaluate(model, test)
+    calls = []
+    forward = kpex.metrics.encode_forward
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(kpex.metrics, "encode_forward", counting)
+    ranked = evaluate(model, test, k=5)
+    assert len(calls) == len(test)
+    assert list(ranked) == ["f1", "f1_macro", "f1@5"]
+    assert ranked["f1"] == plain["f1"] and ranked["f1_macro"] == plain["f1_macro"]
+    assert ranked["f1@5"].n_pred <= ranked["f1"].n_pred
+
+
+def test_evaluate_rejects_a_cutoff_below_one(trained_standard):
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        evaluate(trained_standard.model, trained_standard.test, k=0)
