@@ -1,8 +1,9 @@
 """Finite-difference verification of the full analytic backward pass.
 
-The training loss is the CRF negative log-likelihood of a gold label
-sequence, differentiated through the CRF, the dense projection, both LSTM
-directions, and the embedding table. This script perturbs every parameter
+The training loss is the CRF negative log-likelihood of gold label
+sequences, summed over a padded batch of two documents, differentiated
+through the CRF, the dense projection, both LSTM directions, and the
+embedding table. This script perturbs every parameter
 coordinate and compares central differences against the analytic gradient,
 tensor by tensor.
 
@@ -41,15 +42,18 @@ def main():
         start=rng.normal(size=3) * 0.3,
         end=rng.normal(size=3) * 0.3,
     )
-    token_ids = rng.integers(1, dims.vocab_size, 5)
-    gold = rng.integers(0, 3, 5)
+    # a time-major batch of two documents, 5 and 3 tokens; the second is padded
+    lengths = np.array([5, 3])
+    token_ids = rng.integers(1, dims.vocab_size, (5, 2))
+    gold = rng.integers(0, 3, (5, 2))
 
     def loss():
-        emissions, _ = encode_forward(encoder, token_ids)
-        return nll_and_grad(emissions, crf, gold)[0]
+        emissions, _ = encode_forward(encoder, token_ids, lengths)
+        return nll_and_grad(emissions, crf, gold, lengths)[0].sum()
 
-    emissions, cache = encode_forward(encoder, token_ids)
-    value, d_emissions, d_crf = nll_and_grad(emissions, crf, gold)
+    emissions, cache = encode_forward(encoder, token_ids, lengths)
+    losses, d_emissions, d_crf = nll_and_grad(emissions, crf, gold, lengths)
+    value = losses.sum()
     analytic = encode_backward(encoder, cache, d_emissions)
     analytic.update({"crf.trans": d_crf.trans, "crf.start": d_crf.start, "crf.end": d_crf.end})
     tensors = {
@@ -58,7 +62,7 @@ def main():
     }
 
     print("=" * 64)
-    print(f"loss = {value:.6f} on a {len(token_ids)}-token document "
+    print(f"loss = {value:.6f} summed over documents of {lengths.tolist()} tokens "
           f"({sum(a.size for a in tensors.values())} parameters)")
     print("=" * 64)
     print(f"{'tensor':<14} {'shape':<10} {'|analytic|':>12} {'max diff':>12} {'rel err':>10}")

@@ -27,7 +27,7 @@ from .jlsd import (
     train_supervised,
 )
 from .metrics import evaluate, extract, rank_phrases
-from .model import load_checkpoint, save_checkpoint
+from .model import load_checkpoint, save_checkpoint, write_atomic
 
 TRAIN_MODES = ("train", "jlsd", "pretrain", "joint")
 ALL_MODES = TRAIN_MODES + ("eval", "extract", "rank", "synth")
@@ -122,9 +122,8 @@ def _provenance(outdir: Path, mode: str, args: dict, config: JlsdConfig) -> None
         "paths": {k: args[k] for k in _REQUIRED[mode] if k != "out"},
         "config": dataclasses.asdict(config),
     }
-    (outdir / "config.json").write_text(
-        json.dumps(resolved, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    text = json.dumps(resolved, indent=2, sort_keys=True) + "\n"
+    write_atomic(outdir / "config.json", text.encode("utf-8"))
 
 
 def _training_run(mode: str, args: dict, config: JlsdConfig) -> int:
@@ -134,7 +133,14 @@ def _training_run(mode: str, args: dict, config: JlsdConfig) -> int:
     try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
-        raise ConfigError(f"output directory {outdir} is locked by another run") from None
+        try:
+            holder = lock.read_text(encoding="utf-8", errors="replace").strip()
+        except OSError:  # released meanwhile
+            holder = ""
+        raise ConfigError(
+            f"output directory {outdir} is locked by another run (pid {holder or 'unknown'})"
+        ) from None
+    os.write(fd, f"{os.getpid()}\n".encode("ascii"))
     os.close(fd)
     try:
         _provenance(outdir, mode, args, config)
@@ -154,7 +160,7 @@ def _training_run(mode: str, args: dict, config: JlsdConfig) -> int:
         ckpt = outdir / "model.ckpt"
         save_checkpoint(model, ckpt)
         report.checkpoint_path = str(ckpt)
-        (outdir / "events.jsonl").write_text(report.to_jsonl(), encoding="utf-8")
+        write_atomic(outdir / "events.jsonl", report.to_jsonl().encode("utf-8"))
         print(
             json.dumps(
                 {

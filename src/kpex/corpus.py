@@ -128,7 +128,8 @@ class Vocabulary:
     """Token-to-index mapping with reserved PAD (0) and UNK (1) entries.
 
     Indices are deterministic: descending frequency, ties broken by the
-    case-folded token string. Lookup of an unseen token returns UNK.
+    case-folded token string. Lookup of an unseen token, or of the PAD token
+    itself, returns UNK.
     """
 
     itos: tuple[str, ...]
@@ -140,6 +141,9 @@ class Vocabulary:
         if len(self.itos) < 2 or self.itos[0] != PAD_TOKEN or self.itos[1] != UNK_TOKEN:
             raise DataError("vocabulary must start with the PAD and UNK tokens")
         self.stoi = {tok: i for i, tok in enumerate(self.itos)}
+        if len(self.stoi) != len(self.itos):
+            raise DataError("vocabulary tokens must be unique")
+        self.stoi[PAD_TOKEN] = UNK_INDEX  # index 0 is padding only: a literal "<pad>" is unknown
 
     def __len__(self) -> int:
         return len(self.itos)

@@ -3,9 +3,13 @@ projection onto the three label scores, with an exact analytic backward pass.
 
 Everything runs in float64. Gate blocks inside the stacked LSTM weight
 matrices are ordered (input, forget, cell, output). Both directions run the
-same left-to-right recurrence: the reverse direction runs on the flipped
-input, and its hidden states and input gradients are flipped back. The
-padding embedding row (index 0) is kept at zero and receives no gradient.
+same left-to-right recurrence over a time-major batch: token ids are
+``(n_max, B)``, one document per column with its padding at the tail, and
+an explicit ``lengths`` vector says where each column ends. The reverse
+direction runs on each column reversed within its length, so its padding
+also comes last, and its hidden states and input gradients are gathered
+back. No time loop needs a mask. The padding embedding row (index 0) is
+kept at zero and receives no gradient.
 """
 
 from __future__ import annotations
@@ -112,108 +116,163 @@ def init_params(dims: EncoderDims, seed) -> EncoderParams:
     return EncoderParams(embed, fwd, bwd, proj_W, proj_b)
 
 
+def time_major(seqs) -> tuple[np.ndarray, np.ndarray]:
+    """Stack integer sequences as the columns of an ``(n_max, B)`` array,
+    zero past each sequence's end, and return it with their lengths."""
+    lengths = np.array([len(s) for s in seqs], dtype=np.int64)
+    out = np.zeros((lengths.max(), len(seqs)), dtype=np.int64)
+    for b, s in enumerate(seqs):
+        out[: len(s), b] = s
+    return out, lengths
+
+
+def check_lengths(lengths, n_max: int, batch: int) -> np.ndarray:
+    """The ``(B,)`` lengths of a batch of ``n_max`` rows, each in [1, n_max]."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.shape != (batch,) or batch < 1 or not np.all((lengths >= 1) & (lengths <= n_max)):
+        raise ValueError(f"need {batch} >= 1 lengths in [1, {n_max}], got {lengths.tolist()}")
+    return lengths
+
+
+def real_positions(lengths: np.ndarray, n_max: int) -> np.ndarray:
+    """``(n_max, B)`` mask, true where row t lies inside column b."""
+    return np.arange(n_max)[:, None] < lengths
+
+
+def reversal(lengths: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather indices ``(rows, cols)`` that reverse each column's first ``lengths[b]``
+    rows and keep its padding at the tail; the gather is its own inverse."""
+    t = np.arange(n_max)[:, None]
+    return np.where(t < lengths, lengths - 1 - t, t), np.arange(len(lengths))
+
+
 @dataclass
 class _DirectionCache:
     """One direction's states, row t being the t-th step it processed."""
 
-    gates: np.ndarray  # (n, 4h) activations of the (i, f, g, o) blocks
-    c: np.ndarray  # (n, h)
-    tc: np.ndarray  # tanh(c)
-    h: np.ndarray
+    gates: np.ndarray  # (n, B, 4h) activations of the (i, f, g, o) blocks
+    c: np.ndarray  # (n, B, h)
+    h: np.ndarray  # (n, B, h)
 
 
 @dataclass
 class ForwardCache:
-    """Every intermediate needed to rerun the backward pass exactly."""
+    """What the backward pass needs beyond the parameters. One backward pass
+    consumes it: the gate arrays become its workspace and are released."""
 
-    token_ids: np.ndarray
-    x: np.ndarray  # (n, embed_dim)
-    fwd: _DirectionCache
-    bwd: _DirectionCache  # steps over the flipped sequence
-    hidden: np.ndarray  # (n, 2h) concatenated fwd/bwd states
-    emissions: np.ndarray  # (n, num_labels)
+    token_ids: np.ndarray  # (n_max, B)
+    lengths: np.ndarray  # (B,)
+    fwd: _DirectionCache | None
+    bwd: _DirectionCache | None  # steps over each column reversed, padding still last
+    emissions: np.ndarray  # (n_max, B, num_labels)
 
 
-def _shift_down(states: np.ndarray) -> np.ndarray:
-    """Row t holds the state before step t: a zero row, then rows 0..n-2."""
-    return np.vstack([np.zeros((1, states.shape[1])), states[:-1]])
+def _dense(a: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """``a @ W`` over the last axis of ``a``, as one 2-d matrix product."""
+    return (a.reshape(-1, a.shape[-1]) @ W).reshape(*a.shape[:-1], W.shape[1])
 
 
 def _run_direction(w: LstmWeights, x: np.ndarray) -> _DirectionCache:
-    """Left-to-right LSTM over the rows of ``x``, starting from zero states.
+    """Left-to-right LSTM over the rows of ``x`` (n, B, e), from zero states.
 
     All four gate blocks share one tanh through sigmoid(z) = 0.5 + 0.5 *
-    tanh(z / 2): the pre-activations are multiplied by ``scale`` (halving,
-    exact in binary) and the activations are ``scale * tanh + 1 - scale``.
+    tanh(z / 2): the weight and bias rows are multiplied by ``scale``
+    (halving, exact in binary) and the activations are ``scale * tanh + 1 -
+    scale``. Row t of the hoisted input product is overwritten by step t's
+    gates.
     """
-    n, h = x.shape[0], w.Wh.shape[1]
+    n, batch, h = x.shape[0], x.shape[1], w.Wh.shape[1]
     scale = np.repeat([0.5, 0.5, 1.0, 0.5], h)  # sigmoid blocks i, f, o; tanh block g
     shift = 1.0 - scale
-    xz = (x @ w.Wx.T + w.b) * scale
-    Wh = w.Wh * scale[:, None]
-    cache = _DirectionCache(*(np.empty((n, width)) for width in (4 * h, h, h, h)))
-    h_t = np.zeros(h)
-    c_t = np.zeros(h)
+    gates = _dense(x, (w.Wx * scale[:, None]).T)
+    gates += w.b * scale
+    WhT = (w.Wh * scale[:, None]).T.copy()
+    cache = _DirectionCache(gates, np.empty((n, batch, h)), np.empty((n, batch, h)))
+    i, f, g, o = np.split(gates, 4, axis=2)
+    h_t = np.zeros((batch, h))
+    c_t = np.zeros((batch, h))
     for t in range(n):
-        a = scale * np.tanh(xz[t] + Wh @ h_t) + shift
-        c_t = a[h : 2 * h] * c_t + a[:h] * a[2 * h : 3 * h]
-        tc = np.tanh(c_t)
-        h_t = a[3 * h :] * tc
-        cache.gates[t], cache.c[t], cache.tc[t], cache.h[t] = a, c_t, tc, h_t
+        a = gates[t]
+        np.tanh(a + h_t @ WhT, out=a)
+        a *= scale
+        a += shift
+        c_t = cache.c[t] = f[t] * c_t + i[t] * g[t]
+        h_t = cache.h[t] = o[t] * np.tanh(c_t)
     return cache
 
 
-def encode_forward(params: EncoderParams, token_ids) -> tuple[np.ndarray, ForwardCache]:
-    """Compute per-token emission scores.
+def encode_forward(
+    params: EncoderParams, token_ids, lengths
+) -> tuple[np.ndarray, ForwardCache]:
+    """Emission scores ``(n_max, B, num_labels)`` for a time-major batch.
 
-    Both LSTM directions start from zero states; emission row t is
-    ``proj_W @ concat(h_fwd[t], h_bwd[t]) + proj_b``.
+    ``token_ids`` is ``(n_max, B)``; column b holds a document in its first
+    ``lengths[b]`` rows and padding, which may hold any valid id, after them.
+    Both LSTM directions start from zero states at each document's own ends,
+    so real rows never see the padding; emission row t of column b is
+    ``proj_W @ concat(h_fwd[t, b], h_bwd[t, b]) + proj_b``. Rows past a
+    column's length hold finite values that carry no meaning.
     """
     ids = np.asarray(token_ids, dtype=np.int64)
-    if ids.ndim != 1 or ids.size == 0:
-        raise ValueError("token_ids must be a non-empty 1-d sequence")
+    if ids.ndim != 2:
+        raise ValueError(f"token_ids must be (n_max, B), got shape {ids.shape}")
+    lengths = check_lengths(lengths, *ids.shape)
     if ids.min() < 0 or ids.max() >= params.embed.shape[0]:
         raise ValueError(
             f"token id out of range [0, {params.embed.shape[0]}): "
             f"{int(ids.min())}..{int(ids.max())}"
         )
+    rev = reversal(lengths, ids.shape[0])
     x = params.embed[ids]
     fwd = _run_direction(params.fwd, x)
-    bwd = _run_direction(params.bwd, x[::-1])
-    hidden = np.concatenate([fwd.h, bwd.h[::-1]], axis=1)
-    emissions = hidden @ params.proj_W.T + params.proj_b
-    return emissions, ForwardCache(ids, x, fwd, bwd, hidden, emissions)
+    bwd = _run_direction(params.bwd, x[rev])
+    hidden = np.concatenate([fwd.h, bwd.h[rev]], axis=2)
+    emissions = _dense(hidden, params.proj_W.T) + params.proj_b
+    return emissions, ForwardCache(ids, lengths, fwd, bwd, emissions)
 
 
 def _direction_backward(
-    w: LstmWeights, x: np.ndarray, cache: _DirectionCache, d_h: np.ndarray
+    w: LstmWeights, embed: np.ndarray, ids: np.ndarray, cache: _DirectionCache, d_h: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of one left-to-right direction, given dLoss/dh per step.
+    """Gradients of one left-to-right direction over inputs ``embed[ids]``,
+    given dLoss/dh per step.
 
-    The time loop carries only dh and dc and writes one row of ``dz``, the
-    gradient at the gate pre-activations; the weight and input gradients are
-    then one matrix product each over all steps.
+    The gate activations are overwritten, block by block, with ``dz``, the
+    gradient at the gate pre-activations: first with each gate's chain-rule
+    coefficient, then, in the time loop, which carries only dh and dc, row t
+    is scaled by ``[dc, dc, dc, dh]``. The weight and input gradients are
+    one matrix product each. Padding rows, last and with zero ``d_h``, stay
+    exactly zero.
     """
-    n, h = d_h.shape
-    i, f, g, o = np.split(cache.gates, 4, axis=1)
-    c_prev = _shift_down(cache.c)
-    # dz[t] = [dc, dc, dc, dh] * dz_coef[t], the chain rule through each gate
-    dz_coef = np.concatenate(
-        [g * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g * g), cache.tc * o * (1.0 - o)],
-        axis=1,
-    )
-    dc_dh = o * (1.0 - cache.tc**2)
+    n, batch, h = d_h.shape
+    dz = cache.gates
+    i, f, g, o = np.split(dz, 4, axis=2)
+    f_gate = f.copy()
+    f *= (1.0 - f) * np.concatenate([np.zeros_like(f[:1]), cache.c[:-1]])  # c before each step
+    tc = np.tanh(cache.c)
+    dc_dh = o * (1.0 - tc * tc)
+    o *= (1.0 - o) * tc
+    del tc
+    g_coef = i * (1.0 - g * g)
+    i *= (1.0 - i) * g
+    g[...] = g_coef
 
-    dz = np.empty((n, 4 * h))
-    dh_carry = np.zeros(h)
-    dc_carry = np.zeros(h)
+    dh_carry = np.zeros((batch, h))
+    dc_carry = np.zeros((batch, h))
     for t in range(n - 1, -1, -1):
         dh = d_h[t] + dh_carry
         dc = dc_carry + dh * dc_dh[t]
-        dz[t] = np.concatenate((dc, dc, dc, dh)) * dz_coef[t]
+        dz[t] *= np.concatenate((dc, dc, dc, dh), axis=1)
         dh_carry = dz[t] @ w.Wh
-        dc_carry = dc * f[t]
-    return dz.T @ x, dz.T @ _shift_down(cache.h), dz.sum(axis=0), dz @ w.Wx
+        dc_carry = dc * f_gate[t]
+    del f_gate, dc_dh, g_coef
+    flat = dz.reshape(n * batch, 4 * h)
+    return (
+        flat.T @ embed[ids].reshape(n * batch, -1),
+        flat[batch:].T @ cache.h[:-1].reshape(-1, h),  # the state before step 0 is zero
+        flat.sum(axis=0),
+        _dense(dz, w.Wx),
+    )
 
 
 def encode_backward(
@@ -221,9 +280,11 @@ def encode_backward(
 ) -> dict:
     """Exact gradients of a scalar loss w.r.t. every encoder tensor.
 
-    ``d_emissions`` is the loss gradient at the emission matrix produced by
-    the matching :func:`encode_forward` call. Embedding gradients accumulate
-    over repeated token occurrences; the PAD row gradient is forced to zero.
+    ``d_emissions`` is the loss gradient at the emission tensor produced by
+    the matching :func:`encode_forward` call, with the same ``params``; its
+    padding rows are ignored. The gradients are summed over the batch.
+    Embedding gradients accumulate over repeated token occurrences; the PAD
+    row gradient is forced to zero. A cache serves one backward pass.
     """
     d_emissions = np.asarray(d_emissions, dtype=np.float64)
     if d_emissions.shape != cache.emissions.shape:
@@ -231,21 +292,24 @@ def encode_backward(
             f"d_emissions shape {d_emissions.shape} does not match "
             f"emissions shape {cache.emissions.shape}"
         )
+    fwd, bwd, cache.fwd, cache.bwd = cache.fwd, cache.bwd, None, None  # gates become workspace
     h = params.fwd.Wh.shape[1]
-
-    d_proj_W = d_emissions.T @ cache.hidden
-    d_proj_b = d_emissions.sum(axis=0)
-    d_hidden = d_emissions @ params.proj_W
-
-    dWx_f, dWh_f, db_f, dx_f = _direction_backward(
-        params.fwd, cache.x, cache.fwd, d_hidden[:, :h]
-    )
-    dWx_b, dWh_b, db_b, dx_b = _direction_backward(
-        params.bwd, cache.x[::-1], cache.bwd, d_hidden[::-1, h:]
-    )
+    ids, (n, batch) = cache.token_ids, cache.token_ids.shape
+    real = real_positions(cache.lengths, n)
+    rev = reversal(cache.lengths, n)
+    d_emissions = np.where(real[:, :, None], d_emissions, 0.0)
+    d_flat = d_emissions.reshape(n * batch, -1)
+    d_proj_W = np.hstack([d_flat.T @ s.reshape(n * batch, h) for s in (fwd.h, bwd.h[rev])])
+    d_proj_b = d_flat.sum(axis=0)
+    d_h = _dense(d_emissions, params.proj_W[:, :h])
+    dWx_f, dWh_f, db_f, dx = _direction_backward(params.fwd, params.embed, ids, fwd, d_h)
+    del fwd
+    d_h = _dense(d_emissions, params.proj_W[:, h:])[rev]
+    dWx_b, dWh_b, db_b, dx_b = _direction_backward(params.bwd, params.embed, ids[rev], bwd, d_h)
+    dx += dx_b[rev]
 
     d_embed = np.zeros_like(params.embed)
-    np.add.at(d_embed, cache.token_ids, dx_f + dx_b[::-1])
+    np.add.at(d_embed, ids[real], dx[real])
     d_embed[PAD_INDEX] = 0.0
 
     return {

@@ -28,7 +28,7 @@ import numpy as np
 
 from .corpus import Dataset, LabeledDocument, bio_to_phrases, build_vocab, sample_batch
 from .crf import crf_tensors, nll_and_grad, viterbi
-from .encoder import OptimizerState, adam_step, encode_backward, encode_forward
+from .encoder import OptimizerState, adam_step, encode_backward, encode_forward, time_major
 from .errors import ConfigError, DataError
 from .metrics import dataset_f1
 from .model import Model, init_model, model_tensors
@@ -147,23 +147,21 @@ def _require_labeled(dataset: Dataset, role: str) -> None:
 
 
 def _batch_gradients(model: Model, batch) -> tuple[float, float, float, dict]:
-    """Mean-per-document NLL and gradients over a mixed gold/pseudo batch."""
-    grads = {name: np.zeros_like(arr) for name, arr in model_tensors(model).items()}
-    sums = {"gold": 0.0, "pseudo": 0.0}
-    counts = {"gold": 0, "pseudo": 0}
-    for ld in batch:
-        ids = model.vocab.encode(ld.doc.tokens)
-        emissions, cache = encode_forward(model.encoder, ids)
-        loss, d_emissions, d_crf = nll_and_grad(emissions, model.crf, ld.labels)
-        for name, g in encode_backward(model.encoder, cache, d_emissions).items():
-            grads[name] += g
-        for name, g in crf_tensors(d_crf).items():
-            grads[name] += g
-        sums[ld.label_source] += loss
-        counts[ld.label_source] += 1
+    """Mean-per-document NLL and gradients over a mixed gold/pseudo batch,
+    computed as one padded time-major batch."""
+    ids, lengths = time_major([model.vocab.encode(ld.doc.tokens) for ld in batch])
+    gold, _ = time_major([ld.labels for ld in batch])
+    emissions, cache = encode_forward(model.encoder, ids, lengths)
+    losses, d_emissions, d_crf = nll_and_grad(emissions, model.crf, gold, lengths)
+    grads = {**encode_backward(model.encoder, cache, d_emissions), **crf_tensors(d_crf)}
     n = len(batch)
     for g in grads.values():
         g /= n
+    sums = {"gold": 0.0, "pseudo": 0.0}
+    counts = {"gold": 0, "pseudo": 0}
+    for ld, loss in zip(batch, losses.tolist()):
+        sums[ld.label_source] += loss
+        counts[ld.label_source] += 1
     loss_labeled = sums["gold"] / counts["gold"] if counts["gold"] else 0.0
     loss_pseudo = sums["pseudo"] / counts["pseudo"] if counts["pseudo"] else 0.0
     total = (sums["gold"] + sums["pseudo"]) / n
@@ -262,22 +260,24 @@ def train_supervised(
 
 
 def pseudo_label(teacher: Model, docs) -> list[LabeledDocument]:
-    """Hard pseudo-labels: Viterbi-decode each document with the teacher.
+    """Hard pseudo-labels: Viterbi-decode the documents with the teacher, as
+    one batch.
 
     Accepts Documents or LabeledDocuments (existing labels are ignored);
     unknown tokens map to UNK through the teacher's vocabulary.
     """
+    docs = [d.doc if isinstance(d, LabeledDocument) else d for d in docs]
+    if not docs:
+        return []
+    ids, lengths = time_major([teacher.vocab.encode(doc.tokens) for doc in docs])
+    emissions, _ = encode_forward(teacher.encoder, ids, lengths)
+    paths, _ = viterbi(emissions, teacher.crf, lengths)
     out = []
-    for d in docs:
-        doc = d.doc if isinstance(d, LabeledDocument) else d
-        emissions, _ = encode_forward(teacher.encoder, teacher.vocab.encode(doc.tokens))
-        labels, _ = viterbi(emissions, teacher.crf)
+    for b, doc in enumerate(docs):
+        labels = tuple(paths[: lengths[b], b].tolist())
         phrases = frozenset(p for _, p in bio_to_phrases(doc.tokens, labels))
         out.append(
-            LabeledDocument(
-                doc=doc, labels=tuple(int(l) for l in labels),
-                keyphrases=phrases, label_source="pseudo",
-            )
+            LabeledDocument(doc=doc, labels=labels, keyphrases=phrases, label_source="pseudo")
         )
     return out
 

@@ -12,8 +12,10 @@ from dataclasses import dataclass
 
 from .corpus import LabeledDocument, Phrase, bio_to_phrases, keyphrases_to_bio
 from .crf import marginals, phrase_confidence, viterbi
-from .encoder import encode_forward
+from .encoder import encode_forward, time_major
 from .model import Model
+
+EVAL_CHUNK = 8  # documents per batched decode in evaluate, grouped by length
 
 
 @dataclass
@@ -63,17 +65,20 @@ def dedup_predictions(preds) -> list[PhrasePrediction]:
     return sorted(best.values(), key=lambda p: p.span[0])
 
 
-def _decode(model: Model, tokens):
-    """Viterbi-decode a token sequence: its emissions, labels and spans."""
-    emissions, _ = encode_forward(model.encoder, model.vocab.encode(tokens))
-    labels, _ = viterbi(emissions, model.crf)
-    return emissions, labels, bio_to_phrases(tokens, labels)
+def _decode(model: Model, docs):
+    """Viterbi-decode documents as one batch: the emissions and lengths, and
+    per document its labels and spans."""
+    ids, lengths = time_major([model.vocab.encode(d.tokens) for d in docs])
+    emissions, _ = encode_forward(model.encoder, ids, lengths)
+    paths, _ = viterbi(emissions, model.crf, lengths)
+    labels = [paths[:n, b] for b, n in enumerate(lengths)]
+    return emissions, lengths, [(y, bio_to_phrases(d.tokens, y)) for d, y in zip(docs, labels)]
 
 
 def extract(model: Model, doc) -> tuple[set[Phrase], list]:
     """Viterbi-decode a document: its case-folded phrase set and its decoded
     spans ``[((start, end), tokens)]``. Computes no marginals."""
-    _, _, spans = _decode(model, doc.tokens)
+    [(_, spans)] = _decode(model, [doc])[2]
     return {_fold(p) for _, p in spans}, spans
 
 
@@ -97,18 +102,23 @@ def rank_predictions(preds) -> list[PhrasePrediction]:
     return sorted(preds, key=lambda p: (-p.confidence, p.span[0], len(p.phrase)))
 
 
-def rank_phrases(model: Model, doc) -> list[PhrasePrediction]:
-    """De-duplicated predictions for one document in ranking order; each
+def _rank(model: Model, docs) -> list[list[PhrasePrediction]]:
+    """Per document, its de-duplicated predictions in ranking order; each
     confidence is the marginal product over the decoded span."""
-    emissions, labels, spans = _decode(model, doc.tokens)
-    if not spans:
-        return []
-    marg = marginals(emissions, model.crf)
-    preds = [
-        PhrasePrediction(_fold(p), (s, e), phrase_confidence(marg, (s, e), labels[s:e]))
-        for (s, e), p in spans
+    emissions, lengths, decoded = _decode(model, docs)
+    marg = marginals(emissions, model.crf, lengths)
+    return [
+        rank_predictions(dedup_predictions(
+            PhrasePrediction(_fold(p), (s, e), phrase_confidence(marg[:, b], (s, e), labels[s:e]))
+            for (s, e), p in spans
+        ))
+        for b, (labels, spans) in enumerate(decoded)
     ]
-    return rank_predictions(dedup_predictions(preds))
+
+
+def rank_phrases(model: Model, doc) -> list[PhrasePrediction]:
+    """De-duplicated predictions for one document in ranking order."""
+    return _rank(model, [doc])[0]
 
 
 def f1_at_k(ranked, gold: set, k: int) -> MetricReport:
@@ -122,16 +132,27 @@ def f1_at_k(ranked, gold: set, k: int) -> MetricReport:
 def evaluate(model: Model, dataset, k: int | None = None) -> dict[str, MetricReport]:
     """Exact-match ``f1`` (micro) and ``f1_macro`` over a labeled dataset, and
     ``f1@k`` (micro) over confidence-ranked phrases when ``k`` is given.
-    Each document is decoded once; marginals are computed only for ``f1@k``."""
+
+    Documents are decoded once each, in length-sorted chunks of
+    ``EVAL_CHUNK``, and scored in input order; marginals are computed only
+    for ``f1@k``.
+    """
+    docs = list(dataset)
+    order = sorted(range(len(docs)), key=lambda i: len(docs[i].tokens))
+    decoded = [None] * len(docs)
+    for s in range(0, len(docs), EVAL_CHUNK):
+        chunk = order[s : s + EVAL_CHUNK]
+        batch = [docs[i] for i in chunk]
+        for i, result in zip(chunk, _decode(model, batch)[2] if k is None else _rank(model, batch)):
+            decoded[i] = result
     full, top = [], []
-    for d in dataset:
+    for d, result in zip(docs, decoded):
         gold = gold_phrases(d)
         if k is None:
-            full.append(exact_f1(extract(model, d)[0], gold))
+            full.append(exact_f1({_fold(p) for _, p in result[1]}, gold))
         else:
-            ranked = rank_phrases(model, d)
-            full.append(exact_f1({p.phrase for p in ranked}, gold))
-            top.append(f1_at_k(ranked, gold, k))
+            full.append(exact_f1({p.phrase for p in result}, gold))
+            top.append(f1_at_k(result, gold, k))
     reports = {"f1": _micro(full), "f1_macro": _macro(full)}
     if k is not None:
         reports[f"f1@{k}"] = _micro(top)

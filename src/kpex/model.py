@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -93,8 +94,21 @@ def checkpoint_bytes(model: Model) -> bytes:
     return CHECKPOINT_MAGIC + struct.pack("<I", len(head)) + head + b"".join(chunks)
 
 
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to a temporary file beside ``path``, then rename it
+    over ``path``: the file holds its old bytes or all of the new ones,
+    never part of them, and a failed write leaves no temporary file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_checkpoint(model: Model, path) -> None:
-    Path(path).write_bytes(checkpoint_bytes(model))
+    write_atomic(path, checkpoint_bytes(model))
 
 
 def load_checkpoint(path) -> Model:
@@ -142,6 +156,8 @@ def _model_from(header: dict, payload: bytes, path) -> Model:
         offset += meta["length"]
     if len(payload) != offset:
         raise DataError(f"{path}: payload holds {len(payload)} bytes, its tensors {offset}")
+    if not np.isfinite(np.frombuffer(payload, dtype="<f8")).all():
+        raise DataError(f"{path}: checkpoint holds non-finite tensor values")
 
     vocab = Vocabulary(
         itos=tuple(header["vocab_tokens"]), min_count=header.get("vocab_min_count", 1)

@@ -22,11 +22,12 @@ from kpex import (
     train_supervised,
 )
 from kpex.corpus import bio_to_phrases, keyphrases_to_bio
-from kpex.crf import CrfParams, log_partition, marginals, nll_and_grad, viterbi
-from kpex.encoder import EncoderDims, encode_backward, encode_forward, encoder_tensors, init_params
+from kpex.crf import CrfParams
+from kpex.encoder import EncoderDims, encoder_tensors, init_params
 from kpex.metrics import PhrasePrediction, rank_predictions
 from kpex.model import checkpoint_bytes
 
+from one_doc import encode_backward, encode_forward, log_partition, marginals, nll_and_grad, viterbi
 from oracles import (
     brute_force_crf,
     central_difference_grad,

@@ -1,5 +1,8 @@
+import hashlib
 import json
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -64,6 +67,36 @@ def test_round_trip_preserves_bytes(model, tmp_path):
     assert checkpoint_bytes(load_checkpoint(path)) == path.read_bytes()
 
 
+def _fail_part_way_through_the_write(monkeypatch):
+    write_bytes = Path.write_bytes
+
+    def half_then_full_disk(self, data):
+        write_bytes(self, data[: len(data) // 2])
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(Path, "write_bytes", half_then_full_disk)
+
+
+def _fail_at_the_rename(monkeypatch):
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+
+
+@pytest.mark.parametrize("fail", [_fail_part_way_through_the_write, _fail_at_the_rename])
+def test_a_failed_save_keeps_the_previous_checkpoint(model, tmp_path, monkeypatch, fail):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    before = path.read_bytes()
+    model.crf.trans += 1.0
+    fail(monkeypatch)
+    with pytest.raises(OSError):
+        save_checkpoint(model, path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_format_layout(model):
     blob = checkpoint_bytes(model)
     assert blob[:8] == CHECKPOINT_MAGIC
@@ -121,6 +154,13 @@ def _transpose_proj_w(header):
     header["tensors"]["proj.W"]["shape"].reverse()
 
 
+def _duplicate_vocab_token(header):
+    # the hash still matches: only the uniqueness check can tell
+    tokens = header["vocab_tokens"]
+    tokens[-1] = tokens[2]
+    header["vocab_sha256"] = hashlib.sha256("\n".join(tokens).encode("utf-8")).hexdigest()
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -132,6 +172,8 @@ def _transpose_proj_w(header):
         lambda blob: _with_header(blob, lambda h: h.pop("vocab_tokens")),
         lambda blob: _with_header(blob, _transpose_proj_w),
         lambda blob: _with_header(blob, lambda h: h["dims"].update(vocab_size=99)),
+        lambda blob: blob[:-8] + struct.pack("<d", float("nan")),
+        lambda blob: _with_header(blob, _duplicate_vocab_token),
     ],
     ids=[
         "short_header",
@@ -142,6 +184,8 @@ def _transpose_proj_w(header):
         "missing_key",
         "shape_not_dims",
         "dims_not_vocab",
+        "non_finite_value",
+        "duplicate_vocab_token",
     ],
 )
 def test_malformed_checkpoint_is_a_data_error(model, tmp_path, corrupt):

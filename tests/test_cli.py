@@ -1,9 +1,11 @@
 import json
+import os
 import struct
 
 import pytest
 
-from kpex import gen_synthetic, save_jsonl, split_dataset
+import kpex.cli
+from kpex import DataError, gen_synthetic, save_jsonl, split_dataset
 from kpex.cli import main
 
 
@@ -188,13 +190,40 @@ def test_missing_dataset_file_is_a_data_error(tmp_path, capsys):
 def test_locked_output_directory_is_rejected(data_dir, tmp_path, capsys):
     out = tmp_path / "run"
     out.mkdir()
-    (out / ".lock").touch()
+    (out / ".lock").write_text("12345\n")
     rc = main([
         "train", "--train", str(data_dir / "train.jsonl"),
         "--dev", str(data_dir / "dev.jsonl"), "--out", str(out),
     ])
     assert rc == 2
-    assert "locked" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "locked" in err and "pid 12345" in err
+
+
+def test_lock_records_the_pid_of_the_run_holding_it(data_dir, tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    seen = []
+
+    def stop(*args, **kwargs):
+        seen.append((out / ".lock").read_text())
+        raise DataError("stopped")
+
+    monkeypatch.setattr(kpex.cli, "train_supervised", stop)
+    rc = main([
+        "train", "--train", str(data_dir / "train.jsonl"),
+        "--dev", str(data_dir / "dev.jsonl"), "--out", str(out),
+    ])
+    assert rc == 3
+    assert seen == [f"{os.getpid()}\n"]
+    assert not (out / ".lock").exists()
+
+
+def test_non_finite_checkpoint_is_a_data_error(data_dir, tmp_path, capsys):
+    ckpt = _train_tiny(data_dir, tmp_path / "run")
+    ckpt.write_bytes(ckpt.read_bytes()[:-8] + struct.pack("<d", float("nan")))
+    rc = main(["eval", "--ckpt", str(ckpt), "--test", str(data_dir / "dev.jsonl")])
+    assert rc == 3
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_extract_and_rank_write_jsonl(data_dir, tmp_path, capsys):

@@ -6,6 +6,7 @@ from kpex import (
     Dataset,
     Document,
     LabeledDocument,
+    Vocabulary,
     bio_to_phrases,
     build_vocab,
     gen_synthetic,
@@ -156,6 +157,16 @@ def test_vocab_is_case_folded():
     ds = Dataset("t", [_labeled(["Foo", "foo"])])
     vocab = build_vocab(ds, min_count=2)
     assert vocab.lookup("FOO") == 2
+
+
+def test_literal_pad_token_encodes_to_unk():
+    vocab = build_vocab(Dataset("t", [_labeled(["<pad>", "a"])]), min_count=1)
+    assert vocab.encode(["<pad>", "<PAD>", "<unk>", "a"]).tolist() == [UNK_INDEX] * 3 + [2]
+
+
+def test_vocab_rejects_duplicate_tokens():
+    with pytest.raises(DataError, match="unique"):
+        Vocabulary(itos=("<pad>", "<unk>", "a", "b", "a"))
 
 
 def test_vocab_min_count_validated():

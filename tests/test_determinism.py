@@ -1,0 +1,52 @@
+"""Byte-identical reruns under both BLAS thread settings.
+
+Batched training runs matrix products large enough for a multi-threaded
+BLAS to split, so the criterion-7 configuration is rerun in fresh
+processes, twice with ``OPENBLAS_NUM_THREADS=1`` and twice with the thread
+count left to the library.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+RUN = """
+import hashlib
+from kpex import JlsdConfig, gen_synthetic, jlsd_train, split_dataset, train_supervised
+from kpex.model import checkpoint_bytes
+
+ds = gen_synthetic(8, 260, vocab_size=60, keyword_fraction=0.25)
+labeled, unlabeled, dev = split_dataset(ds, [40, 180, 40])
+cfg = JlsdConfig(
+    T=30, teacher_T=20, eval_every=10, batch_size=4, seed=13, embed_dim=8, hidden_dim=8,
+)
+runs = (train_supervised(labeled, dev, cfg), jlsd_train(labeled, unlabeled, dev, cfg))
+for model, report in runs:
+    print(hashlib.sha256(checkpoint_bytes(model)).hexdigest())
+    print(hashlib.sha256(report.to_jsonl().encode("utf-8")).hexdigest())
+"""
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")
+
+
+def _digests(threads: str | None) -> str:
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), env.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-c", RUN], env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout
+
+
+@pytest.mark.parametrize("threads", ["1", None], ids=["one_thread", "library_default"])
+def test_reruns_are_byte_identical_under_a_blas_setting(threads):
+    first = _digests(threads)
+    assert len(first.split()) == 4
+    assert _digests(threads) == first

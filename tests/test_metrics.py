@@ -218,16 +218,19 @@ def test_only_ranking_computes_marginals(trained_standard, monkeypatch):
 def test_evaluate_decodes_each_document_once(trained_standard, monkeypatch):
     model, test = trained_standard.model, trained_standard.test
     plain = evaluate(model, test)
-    calls = []
+    batch_sizes, columns = [], []
     forward = kpex.metrics.encode_forward
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return forward(*args, **kwargs)
+    def counting(params, token_ids, lengths):
+        batch_sizes.append(len(lengths))
+        columns.extend(tuple(token_ids[:n, b].tolist()) for b, n in enumerate(lengths))
+        return forward(params, token_ids, lengths)
 
     monkeypatch.setattr(kpex.metrics, "encode_forward", counting)
     ranked = evaluate(model, test, k=5)
-    assert len(calls) == len(test)
+    assert sum(batch_sizes) == len(test)
+    assert max(batch_sizes) == kpex.metrics.EVAL_CHUNK
+    assert sorted(columns) == sorted(tuple(model.vocab.encode(d.tokens).tolist()) for d in test)
     assert list(ranked) == ["f1", "f1_macro", "f1@5"]
     assert ranked["f1"] == plain["f1"] and ranked["f1_macro"] == plain["f1_macro"]
     assert ranked["f1@5"].n_pred <= ranked["f1"].n_pred
