@@ -17,7 +17,7 @@ import sys
 import typing
 from pathlib import Path
 
-from .corpus import gen_synthetic, load_jsonl, save_jsonl
+from .corpus import gen_synthetic, load_jsonl, save_jsonl, write_atomic
 from .errors import ConfigError, DataError, NumericError
 from .jlsd import (
     JlsdConfig,
@@ -27,7 +27,7 @@ from .jlsd import (
     train_supervised,
 )
 from .metrics import evaluate, extract, rank_phrases
-from .model import load_checkpoint, save_checkpoint, write_atomic
+from .model import load_checkpoint, save_checkpoint
 
 TRAIN_MODES = ("train", "jlsd", "pretrain", "joint")
 ALL_MODES = TRAIN_MODES + ("eval", "extract", "rank", "synth")
@@ -97,6 +97,8 @@ def load_config(path: str | None, flags: dict) -> JlsdConfig:
             raw = json.loads(p.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path}: invalid JSON ({exc.msg})") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config file {path}: not a JSON object ({type(raw).__name__})")
         unknown = set(raw) - _CONFIG_TYPES.keys()
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -188,28 +190,29 @@ def _eval_run(args: dict) -> int:
         out += json.dumps({"metric": name, **scores, "n_docs": len(test)}) + "\n"
     sys.stdout.write(out)
     if args["out"]:
-        Path(args["out"]).write_text(out, encoding="utf-8")
+        write_atomic(args["out"], out.encode("utf-8"))
     return 0
 
 
 def _decode_run(mode: str, args: dict) -> int:
     model = load_checkpoint(args["ckpt"])
     test = load_jsonl(args["test"], expect_labels=False)
-    with Path(args["out"]).open("w", encoding="utf-8", newline="\n") as fh:
-        for doc in test:
-            if mode == "extract":
-                phrases, _ = extract(model, doc)
-                rec = {"id": doc.id, "phrases": sorted(list(p) for p in phrases)}
-            else:
-                ranked = rank_phrases(model, doc)
-                rec = {
-                    "id": doc.id,
-                    "ranked": [
-                        {"phrase": list(p.phrase), "span": list(p.span), "confidence": p.confidence}
-                        for p in ranked
-                    ],
-                }
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+    lines = []
+    for doc in test:
+        if mode == "extract":
+            phrases, _ = extract(model, doc)
+            rec = {"id": doc.id, "phrases": sorted(list(p) for p in phrases)}
+        else:
+            ranked = rank_phrases(model, doc)
+            rec = {
+                "id": doc.id,
+                "ranked": [
+                    {"phrase": list(p.phrase), "span": list(p.span), "confidence": p.confidence}
+                    for p in ranked
+                ],
+            }
+        lines.append(json.dumps(rec, ensure_ascii=False) + "\n")
+    write_atomic(args["out"], "".join(lines).encode("utf-8"))
     print(json.dumps({"mode": mode, "n_docs": len(test), "out": args["out"]}))
     return 0
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -128,8 +129,9 @@ class Vocabulary:
     """Token-to-index mapping with reserved PAD (0) and UNK (1) entries.
 
     Indices are deterministic: descending frequency, ties broken by the
-    case-folded token string. Lookup of an unseen token, or of the PAD token
-    itself, returns UNK.
+    case-folded token string. Lookup case-folds its argument, so every entry
+    must be case-folded itself. Lookup of an unseen token, or of the PAD
+    token itself, returns UNK.
     """
 
     itos: tuple[str, ...]
@@ -143,6 +145,11 @@ class Vocabulary:
         self.stoi = {tok: i for i, tok in enumerate(self.itos)}
         if len(self.stoi) != len(self.itos):
             raise DataError("vocabulary tokens must be unique")
+        for tok in self.itos:
+            if tok != tok.casefold():
+                raise DataError(
+                    f"vocabulary token {tok!r} is not case-folded, so lookup never reaches it"
+                )
         self.stoi[PAD_TOKEN] = UNK_INDEX  # index 0 is padding only: a literal "<pad>" is unknown
 
     def __len__(self) -> int:
@@ -279,8 +286,12 @@ def load_jsonl(path, expect_labels: bool) -> Dataset:
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
     documents = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with path.open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DataError(f"line {lineno} is not valid UTF-8 ({exc.reason})") from exc
             if not line.strip():
                 continue
             try:
@@ -334,20 +345,34 @@ def load_jsonl(path, expect_labels: bool) -> Dataset:
 
 
 def save_jsonl(dataset, path) -> None:
-    """Write a dataset as UTF-8 JSONL, one LF-terminated record per line."""
+    """Write a dataset as UTF-8 JSONL, one LF-terminated record per line,
+    through :func:`write_atomic`."""
+    lines = []
+    for d in dataset:
+        if isinstance(d, LabeledDocument):
+            rec = {
+                "id": d.doc.id,
+                "tokens": list(d.doc.tokens),
+                "labels": [LABEL_NAMES[l] for l in d.labels],
+                "keyphrases": sorted(list(p) for p in d.keyphrases),
+            }
+        else:
+            rec = {"id": d.id, "tokens": list(d.tokens)}
+        lines.append(json.dumps(rec, ensure_ascii=False) + "\n")
+    write_atomic(path, "".join(lines).encode("utf-8"))
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to a temporary file beside ``path``, then rename it
+    over ``path``: the file holds its old bytes or all of the new ones,
+    never part of them, and a failed write leaves no temporary file."""
     path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for d in dataset:
-            if isinstance(d, LabeledDocument):
-                rec = {
-                    "id": d.doc.id,
-                    "tokens": list(d.doc.tokens),
-                    "labels": [LABEL_NAMES[l] for l in d.labels],
-                    "keyphrases": sorted(list(p) for p in d.keyphrases),
-                }
-            else:
-                rec = {"id": d.id, "tokens": list(d.tokens)}
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def split_dataset(dataset: Dataset, sizes: Sequence[int], names: Sequence[str] | None = None):

@@ -1,15 +1,16 @@
 """Token encoder: trainable embeddings, a single-layer BiLSTM, and a dense
 projection onto the three label scores, with an exact analytic backward pass.
 
-Everything runs in float64. Gate blocks inside the stacked LSTM weight
-matrices are ordered (input, forget, cell, output). Both directions run the
-same left-to-right recurrence over a time-major batch: token ids are
-``(n_max, B)``, one document per column with its padding at the tail, and
-an explicit ``lengths`` vector says where each column ends. The reverse
-direction runs on each column reversed within its length, so its padding
-also comes last, and its hidden states and input gradients are gathered
-back. No time loop needs a mask. The padding embedding row (index 0) is
-kept at zero and receives no gradient.
+Everything runs in float64. Batches are time-major: token ids are
+``(n_max, B)``, one document per column with its padding at the tail, and an
+explicit ``lengths`` vector says where each column ends. The LSTM tensors
+carry a leading direction axis: direction 0 reads each column left to right,
+direction 1 reads it reversed within its length, so its padding also comes
+last, and both run as one recurrence over that axis. They meet only at the
+projection, where direction 1's states are gathered back into reading order
+and the emission gradient into its step order. Gate blocks are ordered
+(input, forget, cell, output). No time loop needs a mask. The padding
+embedding row (index 0) is kept at zero and receives no gradient.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .corpus import PAD_INDEX
 from .errors import NumericError
 
 NUM_LABELS = 3
+DIRECTIONS = ("fwd", "bwd")  # the checkpoint names of LSTM directions 0 and 1
 
 
 @dataclass(frozen=True)
@@ -34,21 +36,12 @@ class EncoderDims:
 
 
 @dataclass
-class LstmWeights:
-    Wx: np.ndarray  # (4h, embed_dim)
-    Wh: np.ndarray  # (4h, h)
-    b: np.ndarray  # (4h,)
-
-    def copy(self) -> "LstmWeights":
-        return LstmWeights(self.Wx.copy(), self.Wh.copy(), self.b.copy())
-
-
-@dataclass
 class EncoderParams:
     embed: np.ndarray  # (V, embed_dim), row PAD_INDEX frozen at zero
-    fwd: LstmWeights
-    bwd: LstmWeights
-    proj_W: np.ndarray  # (num_labels, 2h)
+    lstm_Wx: np.ndarray  # (2, 4h, embed_dim), one matrix per direction
+    lstm_Wh: np.ndarray  # (2, 4h, h)
+    lstm_b: np.ndarray  # (2, 4h)
+    proj_W: np.ndarray  # (num_labels, 2h): columns :h read direction 0, h: direction 1
     proj_b: np.ndarray  # (num_labels,)
 
     @property
@@ -56,27 +49,28 @@ class EncoderParams:
         return EncoderDims(
             vocab_size=self.embed.shape[0],
             embed_dim=self.embed.shape[1],
-            hidden_dim=self.fwd.Wh.shape[1],
+            hidden_dim=self.lstm_Wh.shape[2],
             num_labels=self.proj_W.shape[0],
         )
 
     def copy(self) -> "EncoderParams":
         return EncoderParams(
-            self.embed.copy(), self.fwd.copy(), self.bwd.copy(),
+            self.embed.copy(), self.lstm_Wx.copy(), self.lstm_Wh.copy(), self.lstm_b.copy(),
             self.proj_W.copy(), self.proj_b.copy(),
         )
+
+
+def _by_direction(lstm: dict) -> dict:
+    """``lstm_fwd.<name>``/``lstm_bwd.<name>`` -> row 0/1 of each stacked tensor,
+    as views, so that in-place updates of the named tensors reach the stack."""
+    return {f"lstm_{d}.{name}": a[i] for i, d in enumerate(DIRECTIONS) for name, a in lstm.items()}
 
 
 def encoder_tensors(params: EncoderParams) -> dict:
     """Canonical name -> array view of every encoder tensor."""
     return {
         "embed": params.embed,
-        "lstm_fwd.Wx": params.fwd.Wx,
-        "lstm_fwd.Wh": params.fwd.Wh,
-        "lstm_fwd.b": params.fwd.b,
-        "lstm_bwd.Wx": params.bwd.Wx,
-        "lstm_bwd.Wh": params.bwd.Wh,
-        "lstm_bwd.b": params.bwd.b,
+        **_by_direction({"Wx": params.lstm_Wx, "Wh": params.lstm_Wh, "b": params.lstm_b}),
         "proj.W": params.proj_W,
         "proj.b": params.proj_b,
     }
@@ -101,19 +95,15 @@ def init_params(dims: EncoderDims, seed) -> EncoderParams:
 
     embed = rng.uniform(-0.1, 0.1, (dims.vocab_size, d_e))
     embed[PAD_INDEX] = 0.0
-
-    def lstm() -> LstmWeights:
-        Wx = _xavier(rng, (4 * h, d_e))
-        Wh = _xavier(rng, (4 * h, h))
-        b = np.zeros(4 * h)
-        b[h : 2 * h] = 1.0  # forget gate
-        return LstmWeights(Wx, Wh, b)
-
-    fwd = lstm()
-    bwd = lstm()
+    Wx, Wh = np.empty((2, 4 * h, d_e)), np.empty((2, 4 * h, h))
+    for d in range(2):  # the draws run Wx, Wh of direction 0, then of direction 1
+        Wx[d] = _xavier(rng, Wx.shape[1:])
+        Wh[d] = _xavier(rng, Wh.shape[1:])
+    b = np.zeros((2, 4 * h))
+    b[:, h : 2 * h] = 1.0  # forget gate
     proj_W = _xavier(rng, (dims.num_labels, 2 * h))
     proj_b = np.zeros(dims.num_labels)
-    return EncoderParams(embed, fwd, bwd, proj_W, proj_b)
+    return EncoderParams(embed, Wx, Wh, b, proj_W, proj_b)
 
 
 def time_major(seqs) -> tuple[np.ndarray, np.ndarray]:
@@ -147,58 +137,19 @@ def reversal(lengths: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass
-class _DirectionCache:
-    """One direction's states, row t being the t-th step it processed."""
-
-    gates: np.ndarray  # (n, B, 4h) activations of the (i, f, g, o) blocks
-    c: np.ndarray  # (n, B, h)
-    h: np.ndarray  # (n, B, h)
-
-
-@dataclass
 class ForwardCache:
-    """What the backward pass needs beyond the parameters. One backward pass
-    consumes it: the gate arrays become its workspace and are released."""
+    """What the backward pass needs beyond the parameters. Axis 0 of
+    ``gates``, ``c`` and ``h`` is the direction and axis 1 the step that
+    direction took, so row t of direction 1 is row ``lengths - 1 - t`` of
+    its column. One backward pass consumes the cache: the gate and cell
+    arrays become its workspace and are released."""
 
     token_ids: np.ndarray  # (n_max, B)
     lengths: np.ndarray  # (B,)
-    fwd: _DirectionCache | None
-    bwd: _DirectionCache | None  # steps over each column reversed, padding still last
+    gates: np.ndarray | None  # (2, n_max, B, 4h) activations of the (i, f, g, o) blocks
+    c: np.ndarray | None  # (2, n_max, B, h)
+    h: np.ndarray  # (2, n_max, B, h)
     emissions: np.ndarray  # (n_max, B, num_labels)
-
-
-def _dense(a: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """``a @ W`` over the last axis of ``a``, as one 2-d matrix product."""
-    return (a.reshape(-1, a.shape[-1]) @ W).reshape(*a.shape[:-1], W.shape[1])
-
-
-def _run_direction(w: LstmWeights, x: np.ndarray) -> _DirectionCache:
-    """Left-to-right LSTM over the rows of ``x`` (n, B, e), from zero states.
-
-    All four gate blocks share one tanh through sigmoid(z) = 0.5 + 0.5 *
-    tanh(z / 2): the weight and bias rows are multiplied by ``scale``
-    (halving, exact in binary) and the activations are ``scale * tanh + 1 -
-    scale``. Row t of the hoisted input product is overwritten by step t's
-    gates.
-    """
-    n, batch, h = x.shape[0], x.shape[1], w.Wh.shape[1]
-    scale = np.repeat([0.5, 0.5, 1.0, 0.5], h)  # sigmoid blocks i, f, o; tanh block g
-    shift = 1.0 - scale
-    gates = _dense(x, (w.Wx * scale[:, None]).T)
-    gates += w.b * scale
-    WhT = (w.Wh * scale[:, None]).T.copy()
-    cache = _DirectionCache(gates, np.empty((n, batch, h)), np.empty((n, batch, h)))
-    i, f, g, o = np.split(gates, 4, axis=2)
-    h_t = np.zeros((batch, h))
-    c_t = np.zeros((batch, h))
-    for t in range(n):
-        a = gates[t]
-        np.tanh(a + h_t @ WhT, out=a)
-        a *= scale
-        a += shift
-        c_t = cache.c[t] = f[t] * c_t + i[t] * g[t]
-        h_t = cache.h[t] = o[t] * np.tanh(c_t)
-    return cache
 
 
 def encode_forward(
@@ -212,6 +163,12 @@ def encode_forward(
     so real rows never see the padding; emission row t of column b is
     ``proj_W @ concat(h_fwd[t, b], h_bwd[t, b]) + proj_b``. Rows past a
     column's length hold finite values that carry no meaning.
+
+    Each time step is one batched ``(2, B, h) @ (2, h, 4h)`` product for both
+    directions. All four gate blocks share one tanh through sigmoid(z) = 0.5
+    + 0.5 * tanh(z / 2): the weight and bias rows are multiplied by ``scale``
+    (halving, exact in binary) and the activations are ``scale * tanh + 1 -
+    scale``. Step t's gates overwrite row t of the hoisted input product.
     """
     ids = np.asarray(token_ids, dtype=np.int64)
     if ids.ndim != 2:
@@ -222,57 +179,29 @@ def encode_forward(
             f"token id out of range [0, {params.embed.shape[0]}): "
             f"{int(ids.min())}..{int(ids.max())}"
         )
-    rev = reversal(lengths, ids.shape[0])
-    x = params.embed[ids]
-    fwd = _run_direction(params.fwd, x)
-    bwd = _run_direction(params.bwd, x[rev])
-    hidden = np.concatenate([fwd.h, bwd.h[rev]], axis=2)
-    emissions = _dense(hidden, params.proj_W.T) + params.proj_b
-    return emissions, ForwardCache(ids, lengths, fwd, bwd, emissions)
-
-
-def _direction_backward(
-    w: LstmWeights, embed: np.ndarray, ids: np.ndarray, cache: _DirectionCache, d_h: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of one left-to-right direction over inputs ``embed[ids]``,
-    given dLoss/dh per step.
-
-    The gate activations are overwritten, block by block, with ``dz``, the
-    gradient at the gate pre-activations: first with each gate's chain-rule
-    coefficient, then, in the time loop, which carries only dh and dc, row t
-    is scaled by ``[dc, dc, dc, dh]``. The weight and input gradients are
-    one matrix product each. Padding rows, last and with zero ``d_h``, stay
-    exactly zero.
-    """
-    n, batch, h = d_h.shape
-    dz = cache.gates
-    i, f, g, o = np.split(dz, 4, axis=2)
-    f_gate = f.copy()
-    f *= (1.0 - f) * np.concatenate([np.zeros_like(f[:1]), cache.c[:-1]])  # c before each step
-    tc = np.tanh(cache.c)
-    dc_dh = o * (1.0 - tc * tc)
-    o *= (1.0 - o) * tc
-    del tc
-    g_coef = i * (1.0 - g * g)
-    i *= (1.0 - i) * g
-    g[...] = g_coef
-
-    dh_carry = np.zeros((batch, h))
-    dc_carry = np.zeros((batch, h))
-    for t in range(n - 1, -1, -1):
-        dh = d_h[t] + dh_carry
-        dc = dc_carry + dh * dc_dh[t]
-        dz[t] *= np.concatenate((dc, dc, dc, dh), axis=1)
-        dh_carry = dz[t] @ w.Wh
-        dc_carry = dc * f_gate[t]
-    del f_gate, dc_dh, g_coef
-    flat = dz.reshape(n * batch, 4 * h)
-    return (
-        flat.T @ embed[ids].reshape(n * batch, -1),
-        flat[batch:].T @ cache.h[:-1].reshape(-1, h),  # the state before step 0 is zero
-        flat.sum(axis=0),
-        _dense(dz, w.Wx),
-    )
+    (n, batch), h = ids.shape, params.lstm_Wh.shape[2]
+    rev = reversal(lengths, n)
+    x = params.embed[np.stack((ids, ids[rev]))].reshape(2, n * batch, -1)
+    scale = np.repeat([0.5, 0.5, 1.0, 0.5], h)  # sigmoid blocks i, f, o; tanh block g
+    shift = 1.0 - scale
+    gates = (x @ (params.lstm_Wx * scale[:, None]).transpose(0, 2, 1)).reshape(2, n, batch, 4 * h)
+    del x
+    gates += (params.lstm_b * scale)[:, None, None]
+    WhT = (params.lstm_Wh * scale[:, None]).transpose(0, 2, 1).copy()
+    c, hs = np.empty((2, n, batch, h)), np.empty((2, n, batch, h))
+    i, f, g, o = np.split(gates, 4, axis=3)
+    h_t = np.zeros((2, batch, h))
+    c_t = np.zeros((2, batch, h))
+    for t in range(n):
+        a = gates[:, t]
+        np.tanh(a + h_t @ WhT, out=a)
+        a *= scale
+        a += shift
+        c_t = c[:, t] = f[:, t] * c_t + i[:, t] * g[:, t]
+        h_t = hs[:, t] = o[:, t] * np.tanh(c_t)
+    hidden = np.concatenate([hs[0], hs[1][rev]], axis=2).reshape(n * batch, 2 * h)
+    emissions = (hidden @ params.proj_W.T + params.proj_b).reshape(n, batch, -1)
+    return emissions, ForwardCache(ids, lengths, gates, c, hs, emissions)
 
 
 def encode_backward(
@@ -285,6 +214,14 @@ def encode_backward(
     padding rows are ignored. The gradients are summed over the batch.
     Embedding gradients accumulate over repeated token occurrences; the PAD
     row gradient is forced to zero. A cache serves one backward pass.
+
+    Both directions run back through one time loop, each over its own step
+    order. The gate activations are overwritten, block by block, with
+    ``dz``, the gradient at the gate pre-activations: first with each gate's
+    chain-rule coefficient, then, in the time loop, which carries only dh and
+    dc, step t is scaled by ``[dc, dc, dc, dh]``. The weight and input
+    gradients are one batched matrix product each. Padding rows, last and
+    with zero ``d_h``, stay exactly zero.
     """
     d_emissions = np.asarray(d_emissions, dtype=np.float64)
     if d_emissions.shape != cache.emissions.shape:
@@ -292,32 +229,54 @@ def encode_backward(
             f"d_emissions shape {d_emissions.shape} does not match "
             f"emissions shape {cache.emissions.shape}"
         )
-    fwd, bwd, cache.fwd, cache.bwd = cache.fwd, cache.bwd, None, None  # gates become workspace
-    h = params.fwd.Wh.shape[1]
-    ids, (n, batch) = cache.token_ids, cache.token_ids.shape
+    dz, c, cache.gates, cache.c = cache.gates, cache.c, None, None  # they become workspace
+    (n, batch), h = cache.token_ids.shape, params.lstm_Wh.shape[2]
     real = real_positions(cache.lengths, n)
     rev = reversal(cache.lengths, n)
     d_emissions = np.where(real[:, :, None], d_emissions, 0.0)
-    d_flat = d_emissions.reshape(n * batch, -1)
-    d_proj_W = np.hstack([d_flat.T @ s.reshape(n * batch, h) for s in (fwd.h, bwd.h[rev])])
-    d_proj_b = d_flat.sum(axis=0)
-    d_h = _dense(d_emissions, params.proj_W[:, :h])
-    dWx_f, dWh_f, db_f, dx = _direction_backward(params.fwd, params.embed, ids, fwd, d_h)
-    del fwd
-    d_h = _dense(d_emissions, params.proj_W[:, h:])[rev]
-    dWx_b, dWh_b, db_b, dx_b = _direction_backward(params.bwd, params.embed, ids[rev], bwd, d_h)
-    dx += dx_b[rev]
+    d_steps = np.stack((d_emissions, d_emissions[rev])).reshape(2, n * batch, -1)
+    hs = cache.h.reshape(2, n * batch, h)
+    d_proj_W = (d_steps.transpose(0, 2, 1) @ hs).transpose(1, 0, 2).reshape(-1, 2 * h)
+    d_proj_b = d_emissions.reshape(n * batch, -1).sum(axis=0)
 
+    i, f, g, o = np.split(dz, 4, axis=3)
+    f_gate = f.copy()
+    f *= (1.0 - f) * np.concatenate([np.zeros_like(c[:, :1]), c[:, :-1]], axis=1)  # c before step t
+    tc = np.tanh(c, out=c)  # the cell states are not read after this
+    dc_dh = o * (1.0 - tc * tc)
+    o *= (1.0 - o) * tc
+    del tc, c
+    g_coef = i * (1.0 - g * g)
+    i *= (1.0 - i) * g
+    g[...] = g_coef
+    del g_coef, i, f, g, o
+
+    # each direction's columns of proj_W, applied in that direction's step order
+    d_h = (d_steps @ params.proj_W.reshape(-1, 2, h).transpose(1, 0, 2)).reshape(2, n, batch, h)
+    dh_carry = np.zeros((2, batch, h))
+    dc_carry = np.zeros((2, batch, h))
+    for t in range(n - 1, -1, -1):
+        dh = d_h[:, t] + dh_carry
+        dc = dc_carry + dh * dc_dh[:, t]
+        dz[:, t] *= np.concatenate((dc, dc, dc, dh), axis=2)
+        dh_carry = dz[:, t] @ params.lstm_Wh
+        dc_carry = dc * f_gate[:, t]
+    del f_gate, dc_dh, d_h
+
+    steps = np.stack((cache.token_ids, cache.token_ids[rev]))  # the ids each direction read
+    dz = dz.reshape(2, n * batch, 4 * h)
+    d_lstm = {
+        "Wx": dz.transpose(0, 2, 1) @ params.embed[steps].reshape(2, n * batch, -1),
+        "Wh": dz[:, batch:].transpose(0, 2, 1) @ hs[:, :-batch],  # the state before step 0 is 0
+        "b": dz.sum(axis=1),
+    }
+    dx = (dz @ params.lstm_Wx).reshape(2, n, batch, -1)
+    del dz
     d_embed = np.zeros_like(params.embed)
-    np.add.at(d_embed, ids[real], dx[real])
+    np.add.at(d_embed, steps[:, real], dx[:, real])
     d_embed[PAD_INDEX] = 0.0
 
-    return {
-        "embed": d_embed,
-        "lstm_fwd.Wx": dWx_f, "lstm_fwd.Wh": dWh_f, "lstm_fwd.b": db_f,
-        "lstm_bwd.Wx": dWx_b, "lstm_bwd.Wh": dWh_b, "lstm_bwd.b": db_b,
-        "proj.W": d_proj_W, "proj.b": d_proj_b,
-    }
+    return {"embed": d_embed, **_by_direction(d_lstm), "proj.W": d_proj_W, "proj.b": d_proj_b}
 
 
 # ---------------------------------------------------------------------------

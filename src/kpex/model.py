@@ -10,16 +10,15 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import LABEL_INDEX, Vocabulary
+from .corpus import LABEL_INDEX, Vocabulary, write_atomic
 from .crf import CrfParams, crf_tensors
-from .encoder import EncoderDims, EncoderParams, LstmWeights, encoder_tensors, init_params
+from .encoder import DIRECTIONS, EncoderDims, EncoderParams, encoder_tensors, init_params
 from .errors import DataError
 
 CHECKPOINT_MAGIC = b"KFCKPT01"
@@ -94,26 +93,17 @@ def checkpoint_bytes(model: Model) -> bytes:
     return CHECKPOINT_MAGIC + struct.pack("<I", len(head)) + head + b"".join(chunks)
 
 
-def write_atomic(path, data: bytes) -> None:
-    """Write ``data`` to a temporary file beside ``path``, then rename it
-    over ``path``: the file holds its old bytes or all of the new ones,
-    never part of them, and a failed write leaves no temporary file."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def save_checkpoint(model: Model, path) -> None:
     write_atomic(path, checkpoint_bytes(model))
 
 
 def load_checkpoint(path) -> Model:
-    """Read a checkpoint; malformed or inconsistent content raises DataError."""
-    blob = Path(path).read_bytes()
+    """Read a checkpoint; an unreadable file or malformed or inconsistent
+    content raises DataError."""
+    try:
+        blob = Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read checkpoint {path}: {exc.strerror or exc}") from exc
     if blob[:8] != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: not a checkpoint (bad magic)")
     if len(blob) < 12:
@@ -132,7 +122,7 @@ def _tensor_shapes(dims: dict) -> dict:
     lstm = {"Wx": [4 * h, e], "Wh": [4 * h, h], "b": [4 * h]}
     return {
         "embed": [v, e],
-        **{f"lstm_{d}.{k}": shape for d in ("fwd", "bwd") for k, shape in lstm.items()},
+        **{f"lstm_{d}.{k}": shape for d in DIRECTIONS for k, shape in lstm.items()},
         "proj.W": [n, 2 * h], "proj.b": [n],
         "crf.trans": [n, n], "crf.start": [n], "crf.end": [n],
     }
@@ -172,10 +162,10 @@ def _model_from(header: dict, payload: bytes, path) -> Model:
         raw = payload[meta["offset"] : meta["offset"] + meta["length"]]
         return np.frombuffer(raw, dtype="<f8").reshape(meta["shape"]).astype(np.float64)
 
+    lstm = {k: np.stack([tensor(f"lstm_{d}.{k}") for d in DIRECTIONS]) for k in ("Wx", "Wh", "b")}
     encoder = EncoderParams(
         embed=tensor("embed"),
-        fwd=LstmWeights(tensor("lstm_fwd.Wx"), tensor("lstm_fwd.Wh"), tensor("lstm_fwd.b")),
-        bwd=LstmWeights(tensor("lstm_bwd.Wx"), tensor("lstm_bwd.Wh"), tensor("lstm_bwd.b")),
+        lstm_Wx=lstm["Wx"], lstm_Wh=lstm["Wh"], lstm_b=lstm["b"],
         proj_W=tensor("proj.W"),
         proj_b=tensor("proj.b"),
     )

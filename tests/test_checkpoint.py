@@ -16,6 +16,8 @@ from kpex import (
     Document,
     EncoderDims,
     LabeledDocument,
+    OptimizerState,
+    adam_step,
     build_vocab,
     init_model,
 )
@@ -29,14 +31,17 @@ from kpex.model import (
 )
 
 
-def _tiny_model():
+def _tiny_vocab():
     docs = [
         LabeledDocument(doc=Document(id=f"d{i}", tokens=("alpha", "beta", f"tok{i}")),
                         labels=(0, 0, 0))
         for i in range(5)
     ]
-    vocab = build_vocab(Dataset("t", docs))
-    m = init_model(vocab, embed_dim=6, hidden_dim=4, seed=3)
+    return build_vocab(Dataset("t", docs))
+
+
+def _tiny_model():
+    m = init_model(_tiny_vocab(), embed_dim=6, hidden_dim=4, seed=3)
     m.crf.trans[:] = np.arange(9).reshape(3, 3) * 0.1
     return m
 
@@ -135,6 +140,35 @@ def test_tensor_views_share_memory_with_model(model):
     assert tuple(tensors) == TENSOR_ORDER
 
 
+def test_initial_checkpoint_bytes_are_pinned():
+    # a change to the initial draws, their order or the checkpoint layout changes this digest
+    blob = checkpoint_bytes(init_model(_tiny_vocab(), 8, 4, seed=0))
+    assert hashlib.sha256(blob).hexdigest() == (
+        "336bf694cd7e53eddb7c8c945db29cd253bdc7b49d5b3057702416d29d3fb8d5"
+    )
+
+
+def test_named_lstm_tensors_are_views_of_the_stacked_directions(model):
+    enc = model.encoder
+    stacks = {"Wx": enc.lstm_Wx, "Wh": enc.lstm_Wh, "b": enc.lstm_b}
+    named = {
+        (d, name): f"lstm_{direction}.{name}"
+        for d, direction in enumerate(("fwd", "bwd"))
+        for name in stacks
+    }
+    tensors = model_tensors(model)
+    for (d, name), key in named.items():
+        assert np.shares_memory(tensors[key], stacks[name])
+        npt.assert_array_equal(tensors[key], stacks[name][d])
+
+    before = {name: arr.copy() for name, arr in stacks.items()}
+    grads = {key: np.ones_like(arr) for key, arr in tensors.items()}
+    adam_step(tensors, grads, OptimizerState(lr_lower=0.1, lr_upper=0.1))
+    for d, name in named:
+        # Adam's first step moves each coordinate by lr against the gradient's sign
+        npt.assert_allclose(stacks[name][d], before[name][d] - 0.1, rtol=0, atol=1e-6)
+
+
 def _with_header(blob: bytes, edit) -> bytes:
     """Rewrite a checkpoint's JSON header through ``edit``, keeping the payload."""
     (head_len,) = struct.unpack("<I", blob[8:12])
@@ -161,6 +195,13 @@ def _duplicate_vocab_token(header):
     header["vocab_sha256"] = hashlib.sha256("\n".join(tokens).encode("utf-8")).hexdigest()
 
 
+def _uncased_vocab_token(header):
+    # unique and hashed: only the case-folding check can tell that lookup never reaches it
+    tokens = header["vocab_tokens"]
+    tokens[-1] = tokens[-1].upper()
+    header["vocab_sha256"] = hashlib.sha256("\n".join(tokens).encode("utf-8")).hexdigest()
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -174,6 +215,7 @@ def _duplicate_vocab_token(header):
         lambda blob: _with_header(blob, lambda h: h["dims"].update(vocab_size=99)),
         lambda blob: blob[:-8] + struct.pack("<d", float("nan")),
         lambda blob: _with_header(blob, _duplicate_vocab_token),
+        lambda blob: _with_header(blob, _uncased_vocab_token),
     ],
     ids=[
         "short_header",
@@ -186,6 +228,7 @@ def _duplicate_vocab_token(header):
         "dims_not_vocab",
         "non_finite_value",
         "duplicate_vocab_token",
+        "uncased_vocab_token",
     ],
 )
 def test_malformed_checkpoint_is_a_data_error(model, tmp_path, corrupt):

@@ -5,7 +5,7 @@ import struct
 import pytest
 
 import kpex.cli
-from kpex import DataError, gen_synthetic, save_jsonl, split_dataset
+from kpex import DataError, NumericError, gen_synthetic, save_jsonl, split_dataset
 from kpex.cli import main
 
 
@@ -178,6 +178,34 @@ def test_truncated_checkpoint_is_a_data_error(data_dir, tmp_path, capsys):
     assert "error: data" in capsys.readouterr().err
 
 
+TRAIN_PATHS = ["--dev", "{data}/dev.jsonl", "--out", "{tmp}/run"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["eval", "--ckpt", "{tmp}/missing.ckpt", "--test", "{data}/dev.jsonl"],
+         3, "cannot read checkpoint"),
+        (["train", "--train", "{tmp}/latin1.jsonl", *TRAIN_PATHS],
+         3, "line 2 is not valid UTF-8"),
+        (["train", "--train", "{data}/train.jsonl", *TRAIN_PATHS, "--config", "{tmp}/five.json"],
+         2, "not a JSON object"),
+    ],
+    ids=["missing-checkpoint", "non-utf8-jsonl", "config-not-object"],
+)
+def test_unreadable_input_exits_with_its_error_class(
+    data_dir, tmp_path, capsys, argv, code, message
+):
+    (tmp_path / "latin1.jsonl").write_bytes(
+        b'{"id":"a","tokens":["x"],"labels":["O"]}\n'
+        b'{"id":"b","tokens":["caf\xe9"],"labels":["O"]}\n'
+    )
+    (tmp_path / "five.json").write_text("5")
+    rc = main([arg.format(tmp=tmp_path, data=data_dir) for arg in argv])
+    assert rc == code
+    assert message in capsys.readouterr().err
+
+
 def test_missing_dataset_file_is_a_data_error(tmp_path, capsys):
     rc = main([
         "train", "--train", str(tmp_path / "nope.jsonl"),
@@ -253,6 +281,29 @@ def test_extract_and_rank_write_jsonl(data_dir, tmp_path, capsys):
     for r in recs:
         confs = [p["confidence"] for p in r["ranked"]]
         assert confs == sorted(confs, reverse=True)
+
+
+def test_failed_extract_keeps_the_previous_output(data_dir, tmp_path, monkeypatch):
+    ckpt = _train_tiny(data_dir, tmp_path / "run")
+    out = tmp_path / "phrases.jsonl"
+    out.write_bytes(b"previous output\n")
+    decoded = []
+
+    def fail_on_second(model, doc):
+        decoded.append(doc.id)
+        if len(decoded) == 2:
+            raise NumericError("non-finite emissions")
+        return frozenset(), []
+
+    monkeypatch.setattr(kpex.cli, "extract", fail_on_second)
+    rc = main([
+        "extract", "--ckpt", str(ckpt),
+        "--test", str(data_dir / "unlabeled.jsonl"), "--out", str(out),
+    ])
+    assert rc == 4
+    assert len(decoded) == 2
+    assert out.read_bytes() == b"previous output\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["phrases.jsonl", "run"]
 
 
 def test_input_datasets_are_never_mutated(data_dir, tmp_path):

@@ -258,6 +258,13 @@ def test_load_malformed_json_reports_line(tmp_path):
         load_jsonl(p, expect_labels=True)
 
 
+def test_load_non_utf8_reports_line(tmp_path):
+    p = tmp_path / "d.jsonl"
+    p.write_bytes(b'{"id":"a","tokens":["x"]}\n{"id":"b","tokens":["\xff"]}\n')
+    with pytest.raises(DataError, match="line 2 is not valid UTF-8"):
+        load_jsonl(p, expect_labels=False)
+
+
 @pytest.mark.parametrize(
     "record",
     [

@@ -28,10 +28,10 @@ def test_init_is_deterministic():
 def test_forget_gate_bias_is_one():
     p = small_params()
     h = DIMS.hidden_dim
-    for w in (p.fwd, p.bwd):
-        npt.assert_array_equal(w.b[h : 2 * h], 1.0)
-        npt.assert_array_equal(w.b[:h], 0.0)
-        npt.assert_array_equal(w.b[2 * h :], 0.0)
+    assert p.lstm_b.shape == (2, 4 * h)
+    npt.assert_array_equal(p.lstm_b[:, h : 2 * h], 1.0)
+    npt.assert_array_equal(p.lstm_b[:, :h], 0.0)
+    npt.assert_array_equal(p.lstm_b[:, 2 * h :], 0.0)
 
 
 def test_pad_row_zero_and_other_rows_bounded():
@@ -43,8 +43,10 @@ def test_pad_row_zero_and_other_rows_bounded():
 def test_xavier_bound_respected():
     p = small_params()
     h, d = DIMS.hidden_dim, DIMS.embed_dim
-    assert np.abs(p.fwd.Wx).max() <= np.sqrt(6.0 / (4 * h + d))
-    assert np.abs(p.fwd.Wh).max() <= np.sqrt(6.0 / (4 * h + h))
+    assert p.lstm_Wx.shape == (2, 4 * h, d) and p.lstm_Wh.shape == (2, 4 * h, h)
+    for direction in range(2):
+        assert np.abs(p.lstm_Wx[direction]).max() <= np.sqrt(6.0 / (4 * h + d))
+        assert np.abs(p.lstm_Wh[direction]).max() <= np.sqrt(6.0 / (4 * h + h))
 
 
 # -- forward -----------------------------------------------------------------
@@ -84,14 +86,16 @@ def test_reversed_input_with_swapped_directions_mirrors_states():
     p = small_params(11)
     ids = np.array([2, 3, 4, 5, 6, 7])
     swapped = small_params(11)
-    swapped.fwd, swapped.bwd = p.bwd.copy(), p.fwd.copy()
+    swapped.lstm_Wx, swapped.lstm_Wh, swapped.lstm_b = (
+        p.lstm_Wx[::-1].copy(), p.lstm_Wh[::-1].copy(), p.lstm_b[::-1].copy()
+    )
 
     _, cache = encode_forward(p, ids)
     _, cache_swapped = encode_forward(swapped, ids[::-1])
 
     # each direction caches its states in the order it stepped through them
-    npt.assert_allclose(cache_swapped.fwd.h, cache.bwd.h, atol=1e-12)
-    npt.assert_allclose(cache_swapped.bwd.h, cache.fwd.h, atol=1e-12)
+    npt.assert_allclose(cache_swapped.h[0], cache.h[1], atol=1e-12)
+    npt.assert_allclose(cache_swapped.h[1], cache.h[0], atol=1e-12)
 
 
 def test_emissions_depend_on_the_whole_sequence():
