@@ -46,7 +46,6 @@ from .metrics import (
     extract,
     f1_at_k,
     gold_phrases,
-    present_phrases,
     rank_phrases,
     rank_predictions,
 )

@@ -29,10 +29,20 @@ from .jlsd import (
 from .metrics import evaluate, extract, rank_phrases
 from .model import load_checkpoint, save_checkpoint
 
-TRAIN_MODES = ("train", "jlsd", "pretrain", "joint")
+_TRAINERS = {
+    "train": train_supervised,
+    "jlsd": jlsd_train,
+    "pretrain": train_simple_pretrain,
+    "joint": train_simple_joint,
+}
+TRAIN_MODES = tuple(_TRAINERS)
 ALL_MODES = TRAIN_MODES + ("eval", "extract", "rank", "synth")
 
-_CONFIG_TYPES = typing.get_type_hints(JlsdConfig)
+# JlsdConfig field -> the types its value may have (``X | None`` unpacked); the first one
+# parses the field's flag
+_CONFIG_TYPES = {
+    name: typing.get_args(t) or (t,) for name, t in typing.get_type_hints(JlsdConfig).items()
+}
 
 _REQUIRED = {
     "train": ("train", "dev", "out"),
@@ -66,10 +76,8 @@ def _parser() -> argparse.ArgumentParser:
             p.add_argument(f"--{name}", help=_PATH_HELP[name])
         if mode in TRAIN_MODES:
             p.add_argument("--config", help="JSON config file; flags override it")
-            for name, t in _CONFIG_TYPES.items():
-                p.add_argument(
-                    f"--{name.lower().replace('_', '-')}", dest=name, type=_field_parser(t)
-                )
+            for name, types in _CONFIG_TYPES.items():
+                p.add_argument(f"--{name.lower().replace('_', '-')}", dest=name, type=types[0])
         if mode == "eval":
             p.add_argument("--k", type=int, help="also report F1 of the top-k ranked phrases")
         if mode == "synth":
@@ -80,19 +88,13 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _field_parser(t):
-    """The argparse type of a JlsdConfig field: its annotation, ``X | None`` unwrapped."""
-    args = [a for a in typing.get_args(t) if a is not type(None)]
-    return args[0] if args else t
-
-
 def load_config(path: str | None, flags: dict) -> JlsdConfig:
     """Resolve a JlsdConfig from defaults, then config file, then flags."""
     values: dict = {}
     if path:
         p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"config file not found: {path}")
+        if not p.is_file():
+            raise ConfigError(f"config file not found (or not a file): {path}")
         try:
             raw = json.loads(p.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
@@ -102,14 +104,17 @@ def load_config(path: str | None, flags: dict) -> JlsdConfig:
         unknown = set(raw) - _CONFIG_TYPES.keys()
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for name, value in raw.items():
+            types = _CONFIG_TYPES[name]
+            # a bool is no number, an int is also a float, and null fits only X | None
+            if type(value) not in types and not (type(value) is int and float in types):
+                want = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+                raise ConfigError(f"config key {name} must be {want}, not {json.dumps(value)}")
         values.update(raw)
     for name in _CONFIG_TYPES:
         if flags.get(name) is not None:
             values[name] = flags[name]
-    try:
-        return JlsdConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return JlsdConfig(**values)
 
 
 def _require(args: dict, mode: str) -> None:
@@ -146,19 +151,9 @@ def _training_run(mode: str, args: dict, config: JlsdConfig) -> int:
     os.close(fd)
     try:
         _provenance(outdir, mode, args, config)
-        train = load_jsonl(args["train"], expect_labels=True)
-        dev = load_jsonl(args["dev"], expect_labels=True)
-        if mode == "train":
-            model, report = train_supervised(train, dev, config)
-        elif mode == "jlsd":
-            unlabeled = load_jsonl(args["unlabeled"], expect_labels=False)
-            model, report = jlsd_train(train, unlabeled, dev, config)
-        elif mode == "pretrain":
-            source = load_jsonl(args["source"], expect_labels=True)
-            model, report = train_simple_pretrain(source, train, dev, config)
-        else:
-            source = load_jsonl(args["source"], expect_labels=True)
-            model, report = train_simple_joint(source, train, dev, config)
+        names = _REQUIRED[mode][:-1]  # the trainer's datasets in argument order
+        datasets = [load_jsonl(args[n], expect_labels=n != "unlabeled") for n in names]
+        model, report = _TRAINERS[mode](*datasets, config)
         ckpt = outdir / "model.ckpt"
         save_checkpoint(model, ckpt)
         report.checkpoint_path = str(ckpt)

@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 LABEL_O = 0
 LABEL_B = 1
@@ -283,8 +283,8 @@ def load_jsonl(path, expect_labels: bool) -> Dataset:
     ``expect_labels`` is set. Line order is preserved.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"dataset file not found: {path}")
+    if not path.is_file():
+        raise DataError(f"dataset file not found (or not a file): {path}")
     documents = []
     with path.open("rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -367,6 +367,8 @@ def write_atomic(path, data: bytes) -> None:
     over ``path``: the file holds its old bytes or all of the new ones,
     never part of them, and a failed write leaves no temporary file."""
     path = Path(path)
+    if path.is_dir():
+        raise ConfigError(f"output path is a directory: {path}")
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_bytes(data)

@@ -74,7 +74,8 @@ def _forward_backward(emissions, lengths, crf: CrfParams):
     beta_e = _alphas(emissions[rev], crf.trans.T, crf.end)[rev]
     log_z = np.logaddexp.reduce(alpha[lengths - 1, np.arange(len(lengths))] + crf.end, axis=1)
     real = real_positions(lengths, emissions.shape[0])[:, :, None]
-    probs = np.where(real, np.exp(alpha + beta_e - emissions - log_z[:, None]), 0.0)
+    # padding rows are masked before exp: their scores carry no meaning and can overflow
+    probs = np.exp(np.where(real, alpha + beta_e - emissions - log_z[:, None], -np.inf))
     return alpha, beta_e, log_z, probs
 
 
@@ -146,15 +147,13 @@ def nll_and_grad(
     """
     emissions, lengths = _check(emissions, lengths)
     y = np.asarray(gold, dtype=np.int64)
-    if y.shape != emissions.shape[:2]:
-        raise ValueError(f"gold labels of shape {y.shape} for emissions of shape {emissions.shape}")
     n, batch, num_labels = emissions.shape
     cols = np.arange(batch)
     last = lengths - 1
     real = real_positions(lengths, n)
 
     alpha, beta_e, log_z, probs = _forward_backward(emissions, lengths, crf)
-    losses = log_z - sequence_score(emissions, crf, y, lengths)
+    losses = log_z - sequence_score(emissions, crf, y, lengths)  # checks the shape of y
 
     d_start = probs[0].sum(axis=0) - np.bincount(y[0], minlength=num_labels)
     d_end = probs[last, cols].sum(axis=0) - np.bincount(y[last, cols], minlength=num_labels)
@@ -164,7 +163,7 @@ def nll_and_grad(
 
     # expected transition counts: P(y_t = i, y_{t+1} = j) summed over t and columns
     pair = alpha[:-1, :, :, None] + crf.trans + beta_e[1:, :, None, :] - log_z[:, None, None]
-    d_trans = np.where(real[1:, :, None, None], np.exp(pair), 0.0).sum(axis=(0, 1))
+    d_trans = np.exp(np.where(real[1:, :, None, None], pair, -np.inf)).sum(axis=(0, 1))
     moves = real[1:]
     np.add.at(d_trans, (y[:-1][moves], y[1:][moves]), -1.0)
     return losses, d_emissions, CrfParams(trans=d_trans, start=d_start, end=d_end)

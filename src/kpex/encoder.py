@@ -44,6 +44,13 @@ class EncoderParams:
     proj_W: np.ndarray  # (num_labels, 2h): columns :h read direction 0, h: direction 1
     proj_b: np.ndarray  # (num_labels,)
 
+    @classmethod
+    def zeros(cls, dims: EncoderDims, fill=np.zeros) -> "EncoderParams":
+        """The tensors of ``dims``, each made by ``fill(shape)``: all zero by default."""
+        h, e, n = dims.hidden_dim, dims.embed_dim, dims.num_labels
+        shapes = [(dims.vocab_size, e), (2, 4 * h, e), (2, 4 * h, h), (2, 4 * h), (n, 2 * h), (n,)]
+        return cls(*map(fill, shapes))
+
     @property
     def dims(self) -> EncoderDims:
         return EncoderDims(
@@ -91,19 +98,15 @@ def init_params(dims: EncoderDims, seed) -> EncoderParams:
     or a ``numpy.random.Generator``; identical seeds give identical bytes.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    h, d_e = dims.hidden_dim, dims.embed_dim
-
-    embed = rng.uniform(-0.1, 0.1, (dims.vocab_size, d_e))
-    embed[PAD_INDEX] = 0.0
-    Wx, Wh = np.empty((2, 4 * h, d_e)), np.empty((2, 4 * h, h))
+    params = EncoderParams.zeros(dims)
+    params.embed[:] = rng.uniform(-0.1, 0.1, params.embed.shape)
+    params.embed[PAD_INDEX] = 0.0
     for d in range(2):  # the draws run Wx, Wh of direction 0, then of direction 1
-        Wx[d] = _xavier(rng, Wx.shape[1:])
-        Wh[d] = _xavier(rng, Wh.shape[1:])
-    b = np.zeros((2, 4 * h))
-    b[:, h : 2 * h] = 1.0  # forget gate
-    proj_W = _xavier(rng, (dims.num_labels, 2 * h))
-    proj_b = np.zeros(dims.num_labels)
-    return EncoderParams(embed, Wx, Wh, b, proj_W, proj_b)
+        params.lstm_Wx[d] = _xavier(rng, params.lstm_Wx.shape[1:])
+        params.lstm_Wh[d] = _xavier(rng, params.lstm_Wh.shape[1:])
+    params.lstm_b[:, dims.hidden_dim : 2 * dims.hidden_dim] = 1.0  # forget gate
+    params.proj_W[:] = _xavier(rng, params.proj_W.shape)
+    return params
 
 
 def time_major(seqs) -> tuple[np.ndarray, np.ndarray]:

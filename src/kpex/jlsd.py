@@ -157,29 +157,37 @@ def _batch_gradients(model: Model, batch) -> tuple[float, float, float, dict]:
     n = len(batch)
     for g in grads.values():
         g /= n
-    sums = {"gold": 0.0, "pseudo": 0.0}
-    counts = {"gold": 0, "pseudo": 0}
+    sums = {"gold": [0.0, 0], "pseudo": [0.0, 0]}  # label source -> [loss sum, documents]
     for ld, loss in zip(batch, losses.tolist()):
-        sums[ld.label_source] += loss
-        counts[ld.label_source] += 1
-    loss_labeled = sums["gold"] / counts["gold"] if counts["gold"] else 0.0
-    loss_pseudo = sums["pseudo"] / counts["pseudo"] if counts["pseudo"] else 0.0
-    total = (sums["gold"] + sums["pseudo"]) / n
-    return loss_labeled, loss_pseudo, total, grads
+        sums[ld.label_source][0] += loss
+        sums[ld.label_source][1] += 1
+    means = [total / count if count else 0.0 for total, count in sums.values()]
+    return *means, (sums["gold"][0] + sums["pseudo"][0]) / n, grads
+
+
+def _seed_stream(config: JlsdConfig, index: int) -> np.random.Generator:
+    """Child ``index`` of the run's seed: 0 initializes a fresh model, 1 draws
+    the batches."""
+    return np.random.default_rng(np.random.SeedSequence(config.seed).spawn(2)[index])
+
+
+def _fresh_model(vocab, config: JlsdConfig) -> Model:
+    return init_model(vocab, config.embed_dim, config.hidden_dim, _seed_stream(config, 0))
 
 
 def _train_loop(
     model: Model,
     dev: Dataset,
     config: JlsdConfig,
-    data_rng: np.random.Generator,
     make_batch,
     events: list,
     on_new_best=None,
 ) -> tuple[Model, float, int]:
     """The shared loop: evaluate at iteration 0, then Adam steps with
     periodic dev evaluation, best-checkpoint tracking, and patience-based
-    early stopping on strict improvement."""
+    early stopping on strict improvement. ``make_batch(it, rng)`` draws
+    from the seed's data stream."""
+    data_rng = _seed_stream(config, 1)
     opt = OptimizerState(lr_lower=config.lr_lower, lr_upper=config.lr_upper)
     params = model_tensors(model)
 
@@ -239,22 +247,13 @@ def train_supervised(
     """
     _require_labeled(train, "train")
     _require_labeled(dev, "dev")
-    init_ss, data_ss = np.random.SeedSequence(config.seed).spawn(2)
-    if init is not None:
-        model = init.copy()
-    else:
-        if vocab is None:
-            vocab = build_vocab(train, config.min_count)
-        model = init_model(vocab, config.embed_dim, config.hidden_dim, np.random.default_rng(init_ss))
+    if init is None and vocab is None:
+        vocab = build_vocab(train, config.min_count)
+    model = init.copy() if init is not None else _fresh_model(vocab, config)
 
     events: list = []
     best_model, best_score, best_iteration = _train_loop(
-        model,
-        dev,
-        config,
-        np.random.default_rng(data_ss),
-        lambda it, rng: sample_batch(train, config.batch_size, rng),
-        events,
+        model, dev, config, lambda it, rng: sample_batch(train, config.batch_size, rng), events
     )
     return best_model, TrainReport(events, best_score, best_iteration)
 
@@ -337,13 +336,20 @@ def jlsd_train(
             }
         )
 
-    _, data_ss = np.random.SeedSequence(config.seed).spawn(2)
     best_model, best_score, best_iteration = _train_loop(
-        student, dev, config, np.random.default_rng(data_ss), make_batch, events,
-        on_new_best=swap_teacher,
+        student, dev, config, make_batch, events, on_new_best=swap_teacher
     )
     report = TrainReport(events, best_score, best_iteration, prior_phase=teacher_report)
     return best_model, report
+
+
+def _transfer_vocab(source, target_train, target_dev, config: JlsdConfig):
+    """Check a transfer mode's three labeled datasets; one vocabulary covers
+    source and target, so the embedding table carries over."""
+    _require_labeled(source, "source")
+    _require_labeled(target_train, "target_train")
+    _require_labeled(target_dev, "target_dev")
+    return build_vocab(list(source.documents) + list(target_train.documents), config.min_count)
 
 
 def train_simple_pretrain(
@@ -356,12 +362,7 @@ def train_simple_pretrain(
     target so the embedding table carries over. ``config.source_T`` bounds
     the source phase (0 skips it entirely).
     """
-    _require_labeled(source, "source")
-    _require_labeled(target_train, "target_train")
-    _require_labeled(target_dev, "target_dev")
-    vocab = build_vocab(
-        list(source.documents) + list(target_train.documents), config.min_count
-    )
+    vocab = _transfer_vocab(source, target_train, target_dev, config)
     source_config = replace(
         config, T=config.source_T if config.source_T is not None else config.T
     )
@@ -383,12 +384,7 @@ def train_simple_joint(
     early stopping behave exactly as in :func:`train_supervised`; with a
     source draw of zero the run is identical to it.
     """
-    _require_labeled(source, "source")
-    _require_labeled(target_train, "target_train")
-    _require_labeled(target_dev, "target_dev")
-    vocab = build_vocab(
-        list(source.documents) + list(target_train.documents), config.min_count
-    )
+    vocab = _transfer_vocab(source, target_train, target_dev, config)
     draw = (
         config.source_pool_size
         if config.source_pool_size is not None
@@ -408,11 +404,7 @@ def train_simple_joint(
             )
         return sample_batch(pool, config.batch_size, rng)
 
-    init_ss, data_ss = np.random.SeedSequence(config.seed).spawn(2)
-    model = init_model(
-        vocab, config.embed_dim, config.hidden_dim, np.random.default_rng(init_ss)
-    )
     best_model, best_score, best_iteration = _train_loop(
-        model, target_dev, config, np.random.default_rng(data_ss), make_batch, events
+        _fresh_model(vocab, config), target_dev, config, make_batch, events
     )
     return best_model, TrainReport(events, best_score, best_iteration)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import LabeledDocument, Phrase, bio_to_phrases, keyphrases_to_bio
+from .corpus import LabeledDocument, Phrase, bio_to_phrases
 from .crf import marginals, phrase_confidence, viterbi
 from .encoder import encode_forward, time_major
 from .model import Model
@@ -37,16 +37,6 @@ class MetricReport:
 
 def _fold(phrase) -> Phrase:
     return tuple(t.casefold() for t in phrase)
-
-
-def present_phrases(tokens, phrases) -> set[Phrase]:
-    """The subset of ``phrases`` actually matchable in ``tokens``.
-
-    Runs the same leftmost-longest matcher used to build training labels,
-    so evaluation targets and training supervision can never disagree.
-    """
-    labels = keyphrases_to_bio(tokens, phrases)
-    return {_fold(p) for _, p in bio_to_phrases(tokens, labels)}
 
 
 def gold_phrases(doc: LabeledDocument) -> set[Phrase]:

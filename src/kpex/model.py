@@ -18,7 +18,7 @@ import numpy as np
 
 from .corpus import LABEL_INDEX, Vocabulary, write_atomic
 from .crf import CrfParams, crf_tensors
-from .encoder import DIRECTIONS, EncoderDims, EncoderParams, encoder_tensors, init_params
+from .encoder import EncoderDims, EncoderParams, encoder_tensors, init_params
 from .errors import DataError
 
 CHECKPOINT_MAGIC = b"KFCKPT01"
@@ -116,23 +116,19 @@ def load_checkpoint(path) -> Model:
         raise DataError(f"{path}: malformed checkpoint ({exc!r})") from exc
 
 
-def _tensor_shapes(dims: dict) -> dict:
-    """Shape of every tensor as :func:`init_model` makes it for ``dims``."""
-    v, e, h, n = dims["vocab_size"], dims["embed_dim"], dims["hidden_dim"], len(LABEL_INDEX)
-    lstm = {"Wx": [4 * h, e], "Wh": [4 * h, h], "b": [4 * h]}
-    return {
-        "embed": [v, e],
-        **{f"lstm_{d}.{k}": shape for d in DIRECTIONS for k, shape in lstm.items()},
-        "proj.W": [n, 2 * h], "proj.b": [n],
-        "crf.trans": [n, n], "crf.start": [n], "crf.end": [n],
-    }
+def _tensor_shapes(dims: EncoderDims) -> dict:
+    """Shape of every tensor of a model of ``dims``, found without allocating its arrays."""
+    encoder = EncoderParams.zeros(dims, fill=lambda shape: np.broadcast_to(0.0, shape))
+    tensors = model_tensors(Model(encoder, CrfParams.zeros(), vocab=None))
+    return {name: list(a.shape) for name, a in tensors.items()}
 
 
 def _model_from(header: dict, payload: bytes, path) -> Model:
     dims = header["dims"]
     if (dims["num_labels"], dims["vocab_size"]) != (len(LABEL_INDEX), len(header["vocab_tokens"])):
         raise DataError(f"{path}: dims {dims} disagree with the labels or the vocabulary")
-    shapes = _tensor_shapes(dims)
+    sizes = EncoderDims(dims["vocab_size"], dims["embed_dim"], dims["hidden_dim"])
+    shapes = _tensor_shapes(sizes)
     metas = header["tensors"]
     offset = 0
     for name in TENSOR_ORDER:
@@ -146,7 +142,8 @@ def _model_from(header: dict, payload: bytes, path) -> Model:
         offset += meta["length"]
     if len(payload) != offset:
         raise DataError(f"{path}: payload holds {len(payload)} bytes, its tensors {offset}")
-    if not np.isfinite(np.frombuffer(payload, dtype="<f8")).all():
+    values = np.frombuffer(payload, dtype="<f8")
+    if not np.isfinite(values).all():
         raise DataError(f"{path}: checkpoint holds non-finite tensor values")
 
     vocab = Vocabulary(
@@ -157,17 +154,9 @@ def _model_from(header: dict, payload: bytes, path) -> Model:
     if header["labels"] != LABEL_INDEX:
         raise DataError(f"{path}: incompatible label-index map {header['labels']}")
 
-    def tensor(name: str) -> np.ndarray:
-        meta = metas[name]
-        raw = payload[meta["offset"] : meta["offset"] + meta["length"]]
-        return np.frombuffer(raw, dtype="<f8").reshape(meta["shape"]).astype(np.float64)
-
-    lstm = {k: np.stack([tensor(f"lstm_{d}.{k}") for d in DIRECTIONS]) for k in ("Wx", "Wh", "b")}
-    encoder = EncoderParams(
-        embed=tensor("embed"),
-        lstm_Wx=lstm["Wx"], lstm_Wh=lstm["Wh"], lstm_b=lstm["b"],
-        proj_W=tensor("proj.W"),
-        proj_b=tensor("proj.b"),
-    )
-    crf = CrfParams(trans=tensor("crf.trans"), start=tensor("crf.start"), end=tensor("crf.end"))
-    return Model(encoder=encoder, crf=crf, vocab=vocab)
+    # every tensor checked against dims and the payload: fill a zero model of dims
+    model = Model(encoder=EncoderParams.zeros(sizes), crf=CrfParams.zeros(), vocab=vocab)
+    for name, arr in model_tensors(model).items():
+        start = metas[name]["offset"] // 8
+        arr[...] = values[start : start + arr.size].reshape(arr.shape)
+    return model

@@ -115,6 +115,37 @@ def test_unknown_config_key_is_rejected(data_dir, tmp_path, capsys):
     assert "batch_syze" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "entry, accepted",
+    [
+        ({"T": 1.5}, False),
+        ({"T": True}, False),
+        ({"T": "8"}, False),
+        ({"T": None}, False),
+        ({"r": 1}, True),
+        ({"teacher_T": None}, True),
+    ],
+    ids=["float-for-int", "bool-for-int", "string-for-int", "null-for-int", "int-for-float",
+         "null-for-optional"],
+)
+def test_config_values_must_have_their_field_type(data_dir, tmp_path, capsys, entry, accepted):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"T": 0, "embed_dim": 4, "hidden_dim": 4, **entry}))
+    out = tmp_path / "run"
+    rc = main([
+        "train", "--train", str(data_dir / "train.jsonl"),
+        "--dev", str(data_dir / "dev.jsonl"), "--out", str(out), "--config", str(cfg),
+    ])
+    [(name, value)] = entry.items()
+    if accepted:
+        assert rc == 0
+        assert json.loads((out / "config.json").read_text())["config"][name] == value
+    else:
+        assert rc == 2
+        assert f"config key {name} must be int" in capsys.readouterr().err
+        assert not (out / "config.json").exists()
+
+
 @pytest.mark.parametrize("mode", ["eval", "extract", "rank", "synth"])
 def test_training_flags_are_rejected_outside_training_modes(mode, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -215,6 +246,30 @@ def test_missing_dataset_file_is_a_data_error(tmp_path, capsys):
     assert "error: data" in capsys.readouterr().err
 
 
+def test_a_directory_given_as_a_dataset_is_a_data_error(data_dir, tmp_path, capsys):
+    (tmp_path / "train.jsonl").mkdir()
+    rc = main([
+        "train", "--train", str(tmp_path / "train.jsonl"),
+        "--dev", str(data_dir / "dev.jsonl"), "--out", str(tmp_path / "run"),
+    ])
+    assert rc == 3
+    assert "not a file" in capsys.readouterr().err
+
+
+def test_a_directory_given_as_an_output_file_is_a_config_error(data_dir, tmp_path, capsys):
+    ckpt = _train_tiny(data_dir, tmp_path / "run")
+    out = tmp_path / "phrases.jsonl"
+    out.mkdir()
+    rc = main([
+        "extract", "--ckpt", str(ckpt),
+        "--test", str(data_dir / "unlabeled.jsonl"), "--out", str(out),
+    ])
+    assert rc == 2
+    assert "is a directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["phrases.jsonl", "run"]
+    assert list(out.iterdir()) == []
+
+
 def test_locked_output_directory_is_rejected(data_dir, tmp_path, capsys):
     out = tmp_path / "run"
     out.mkdir()
@@ -236,7 +291,7 @@ def test_lock_records_the_pid_of_the_run_holding_it(data_dir, tmp_path, monkeypa
         seen.append((out / ".lock").read_text())
         raise DataError("stopped")
 
-    monkeypatch.setattr(kpex.cli, "train_supervised", stop)
+    monkeypatch.setitem(kpex.cli._TRAINERS, "train", stop)
     rc = main([
         "train", "--train", str(data_dir / "train.jsonl"),
         "--dev", str(data_dir / "dev.jsonl"), "--out", str(out),

@@ -9,7 +9,6 @@ from kpex import (
     extract,
     f1_at_k,
     gold_phrases,
-    present_phrases,
     rank_phrases,
 )
 from kpex.metrics import MetricReport, PhrasePrediction, dedup_predictions, rank_predictions
@@ -173,13 +172,6 @@ def test_trained_model_recovers_planted_phrases(trained_standard):
         if phrases == gold_phrases(d):
             exact += 1
     assert exact >= 0.9 * len(test)
-
-
-def test_present_phrases_filters_to_matchable_subset():
-    tokens = ["a", "b", "c", "a"]
-    got = present_phrases(tokens, {("a",), ("b", "c"), ("z",), ("c", "a")})
-    # leftmost-longest consumes b,c before c,a can match
-    assert got == {("a",), ("b", "c")}
 
 
 def test_micro_and_macro_dataset_scores(trained_standard):
