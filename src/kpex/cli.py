@@ -97,6 +97,8 @@ def load_config(path: str | None, flags: dict) -> JlsdConfig:
             raise ConfigError(f"config file not found (or not a file): {path}")
         try:
             raw = json.loads(p.read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path}: not valid UTF-8 ({exc.reason})") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path}: invalid JSON ({exc.msg})") from exc
         if not isinstance(raw, dict):
@@ -135,7 +137,10 @@ def _provenance(outdir: Path, mode: str, args: dict, config: JlsdConfig) -> None
 
 def _training_run(mode: str, args: dict, config: JlsdConfig) -> int:
     outdir = Path(args["out"])
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. the path, or one of its parents, is a file
+        raise ConfigError(f"cannot make output directory {outdir}: {exc.strerror}") from None
     lock = outdir / ".lock"
     try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)

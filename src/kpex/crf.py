@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import NUM_LABELS, check_lengths, real_positions, reversal
+from .encoder import NUM_LABELS, check_lengths
 from .errors import NumericError
 
 
@@ -43,6 +43,18 @@ class CrfParams:
 
 def crf_tensors(crf: CrfParams) -> dict:
     return {"crf.trans": crf.trans, "crf.start": crf.start, "crf.end": crf.end}
+
+
+def real_positions(lengths: np.ndarray, n_max: int) -> np.ndarray:
+    """``(n_max, B)`` mask, true where row t lies inside column b."""
+    return np.arange(n_max)[:, None] < lengths
+
+
+def reversal(lengths: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather indices ``(rows, cols)`` that reverse each column's first ``lengths[b]``
+    rows and keep its padding at the tail; the gather is its own inverse."""
+    t = np.arange(n_max)[:, None]
+    return np.where(t < lengths, lengths - 1 - t, t), np.arange(len(lengths))
 
 
 def _check(emissions, lengths) -> tuple[np.ndarray, np.ndarray]:

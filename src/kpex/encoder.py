@@ -3,14 +3,16 @@ projection onto the three label scores, with an exact analytic backward pass.
 
 Everything runs in float64. Batches are time-major: token ids are
 ``(n_max, B)``, one document per column with its padding at the tail, and an
-explicit ``lengths`` vector says where each column ends. The LSTM tensors
-carry a leading direction axis: direction 0 reads each column left to right,
-direction 1 reads it reversed within its length, so its padding also comes
-last, and both run as one recurrence over that axis. They meet only at the
-projection, where direction 1's states are gathered back into reading order
-and the emission gradient into its step order. Gate blocks are ordered
-(input, forget, cell, output). No time loop needs a mask. The padding
-embedding row (index 0) is kept at zero and receives no gradient.
+explicit ``lengths`` vector says where each column ends. The LSTM runs on
+packed sequences: columns are ranked longest first, and packed step s holds
+those still inside their documents as consecutive rows of ``(2, N, ...)``
+arrays, N = ``lengths.sum()``, so padding is never computed. The leading axis
+is the direction: direction 0 reads each column left to right, direction 1
+reads it reversed within its length, so both share each step's columns and
+run as one recurrence. They meet only at the projection, where direction 1's
+states are gathered back into reading order and the emission gradient into
+its step order. Gate blocks are ordered (input, forget, cell, output). The
+padding embedding row (index 0) is kept at zero and receives no gradient.
 """
 
 from __future__ import annotations
@@ -127,31 +129,35 @@ def check_lengths(lengths, n_max: int, batch: int) -> np.ndarray:
     return lengths
 
 
-def real_positions(lengths: np.ndarray, n_max: int) -> np.ndarray:
-    """``(n_max, B)`` mask, true where row t lies inside column b."""
-    return np.arange(n_max)[:, None] < lengths
-
-
-def reversal(lengths: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gather indices ``(rows, cols)`` that reverse each column's first ``lengths[b]``
-    rows and keep its padding at the tail; the gather is its own inverse."""
-    t = np.arange(n_max)[:, None]
-    return np.where(t < lengths, lengths - 1 - t, t), np.arange(len(lengths))
+def _pack(lengths: np.ndarray, n_max: int):
+    """The packed layout: per packed row, the position direction 0 reads, its
+    column and the row at which direction 1 reads that position; per step, its
+    row slice and the number of columns ending there, which are ranked last."""
+    order = np.argsort(-lengths, kind="stable")
+    ranked = lengths[order]
+    t, k = np.nonzero(np.arange(n_max)[:, None] < ranked)  # step-major, by rank inside
+    off = np.searchsorted(t, np.arange(n_max + 1))  # each step's first row, then N
+    bounds, ends = off.tolist(), np.bincount(lengths - 1, minlength=n_max).tolist()
+    steps = list(zip(map(slice, bounds, bounds[1:]), ends))
+    return t, order[k], off[ranked[k] - 1 - t] + k, steps
 
 
 @dataclass
 class ForwardCache:
-    """What the backward pass needs beyond the parameters. Axis 0 of
-    ``gates``, ``c`` and ``h`` is the direction and axis 1 the step that
-    direction took, so row t of direction 1 is row ``lengths - 1 - t`` of
-    its column. One backward pass consumes the cache: the gate and cell
+    """What the backward pass needs: the batch, its packed layout (``_pack``)
+    and per direction the gates, cells and states of its packed rows in the
+    order it stepped. One backward pass consumes the cache: the gate and cell
     arrays become its workspace and are released."""
 
     token_ids: np.ndarray  # (n_max, B)
     lengths: np.ndarray  # (B,)
-    gates: np.ndarray | None  # (2, n_max, B, 4h) activations of the (i, f, g, o) blocks
-    c: np.ndarray | None  # (2, n_max, B, h)
-    h: np.ndarray  # (2, n_max, B, h)
+    t: np.ndarray  # (N,)
+    col: np.ndarray  # (N,)
+    mirror: np.ndarray  # (N,), an involution
+    steps: list  # (rows, ends) per step
+    gates: np.ndarray | None  # (2, N, 4h) activations of the (i, f, g, o) blocks
+    c: np.ndarray | None  # (2, N, h)
+    h: np.ndarray  # (2, N, h)
     emissions: np.ndarray  # (n_max, B, num_labels)
 
 
@@ -162,16 +168,17 @@ def encode_forward(
 
     ``token_ids`` is ``(n_max, B)``; column b holds a document in its first
     ``lengths[b]`` rows and padding, which may hold any valid id, after them.
-    Both LSTM directions start from zero states at each document's own ends,
-    so real rows never see the padding; emission row t of column b is
-    ``proj_W @ concat(h_fwd[t, b], h_bwd[t, b]) + proj_b``. Rows past a
-    column's length hold finite values that carry no meaning.
+    Both LSTM directions start from zero states at each document's own ends
+    and run over real positions only; emission row t of column b is
+    ``proj_W @ concat(h_fwd[t, b], h_bwd[t, b]) + proj_b``, and rows past a
+    column's length are zero.
 
-    Each time step is one batched ``(2, B, h) @ (2, h, 4h)`` product for both
-    directions. All four gate blocks share one tanh through sigmoid(z) = 0.5
-    + 0.5 * tanh(z / 2): the weight and bias rows are multiplied by ``scale``
-    (halving, exact in binary) and the activations are ``scale * tanh + 1 -
-    scale``. Step t's gates overwrite row t of the hoisted input product.
+    Each step is one batched ``(2, active, h) @ (2, h, 4h)`` product for both
+    directions; the carried states drop the columns that have ended. All four
+    gate blocks share one tanh through sigmoid(z) = 0.5 + 0.5 * tanh(z / 2):
+    the hoisted input product and ``Wh`` are multiplied by ``scale`` (halving,
+    exact in binary) and the activations are ``scale * tanh + 1 - scale``.
+    Step s's gates overwrite its rows of the input product.
     """
     ids = np.asarray(token_ids, dtype=np.int64)
     if ids.ndim != 2:
@@ -183,28 +190,31 @@ def encode_forward(
             f"{int(ids.min())}..{int(ids.max())}"
         )
     (n, batch), h = ids.shape, params.lstm_Wh.shape[2]
-    rev = reversal(lengths, n)
-    x = params.embed[np.stack((ids, ids[rev]))].reshape(2, n * batch, -1)
+    layout = t, col, mirror, steps = _pack(lengths, n)
+    read = ids[t, col]
     scale = np.repeat([0.5, 0.5, 1.0, 0.5], h)  # sigmoid blocks i, f, o; tanh block g
     shift = 1.0 - scale
-    gates = (x @ (params.lstm_Wx * scale[:, None]).transpose(0, 2, 1)).reshape(2, n, batch, 4 * h)
-    del x
-    gates += (params.lstm_b * scale)[:, None, None]
-    WhT = (params.lstm_Wh * scale[:, None]).transpose(0, 2, 1).copy()
-    c, hs = np.empty((2, n, batch, h)), np.empty((2, n, batch, h))
-    i, f, g, o = np.split(gates, 4, axis=3)
-    h_t = np.zeros((2, batch, h))
-    c_t = np.zeros((2, batch, h))
-    for t in range(n):
-        a = gates[:, t]
+    gates = params.embed[np.stack((read, read[mirror]))] @ params.lstm_Wx.transpose(0, 2, 1)
+    gates += params.lstm_b[:, None]
+    gates *= scale
+    WhT = params.lstm_Wh.transpose(0, 2, 1).copy()
+    WhT *= scale
+    c, hs = np.empty((2, len(read), h)), np.empty((2, len(read), h))
+    i, f, g, o = gates.reshape(2, -1, 4, h).transpose(2, 0, 1, 3)  # views of the blocks
+    h_t = c_t = np.zeros((2, batch, h))
+    for rows, ends in steps:
+        a = gates[:, rows]
         np.tanh(a + h_t @ WhT, out=a)
         a *= scale
         a += shift
-        c_t = c[:, t] = f[:, t] * c_t + i[:, t] * g[:, t]
-        h_t = hs[:, t] = o[:, t] * np.tanh(c_t)
-    hidden = np.concatenate([hs[0], hs[1][rev]], axis=2).reshape(n * batch, 2 * h)
-    emissions = (hidden @ params.proj_W.T + params.proj_b).reshape(n, batch, -1)
-    return emissions, ForwardCache(ids, lengths, gates, c, hs, emissions)
+        c_t = c[:, rows] = f[:, rows] * c_t + i[:, rows] * g[:, rows]
+        h_t = hs[:, rows] = o[:, rows] * np.tanh(c_t)
+        if ends:  # the columns that took their last step drop out, ranked last
+            h_t, c_t = h_t[:, :-ends], c_t[:, :-ends]
+    hidden = np.concatenate([hs[0], hs[1][mirror]], axis=1)
+    emissions = np.zeros((n, batch, params.proj_W.shape[0]))
+    emissions[t, col] = hidden @ params.proj_W.T + params.proj_b
+    return emissions, ForwardCache(ids, lengths, *layout, gates, c, hs, emissions)
 
 
 def encode_backward(
@@ -218,13 +228,13 @@ def encode_backward(
     Embedding gradients accumulate over repeated token occurrences; the PAD
     row gradient is forced to zero. A cache serves one backward pass.
 
-    Both directions run back through one time loop, each over its own step
-    order. The gate activations are overwritten, block by block, with
-    ``dz``, the gradient at the gate pre-activations: first with each gate's
-    chain-rule coefficient, then, in the time loop, which carries only dh and
-    dc, step t is scaled by ``[dc, dc, dc, dh]``. The weight and input
-    gradients are one batched matrix product each. Padding rows, last and
-    with zero ``d_h``, stay exactly zero.
+    Both directions run back through one loop over the packed steps, each in
+    its own step order. The gate activations are overwritten, block by
+    block, with ``dz``, the gradient at the gate pre-activations: first with
+    each gate's chain-rule coefficient, then, in the step loop, which carries
+    only dh and dc, step s is scaled by ``[dc, dc, dc, dh]``. A column's
+    carries start at zero at its last step. The weight and input gradients
+    are one batched matrix product each, over real rows only.
     """
     d_emissions = np.asarray(d_emissions, dtype=np.float64)
     if d_emissions.shape != cache.emissions.shape:
@@ -233,18 +243,16 @@ def encode_backward(
             f"emissions shape {cache.emissions.shape}"
         )
     dz, c, cache.gates, cache.c = cache.gates, cache.c, None, None  # they become workspace
-    (n, batch), h = cache.token_ids.shape, params.lstm_Wh.shape[2]
-    real = real_positions(cache.lengths, n)
-    rev = reversal(cache.lengths, n)
-    d_emissions = np.where(real[:, :, None], d_emissions, 0.0)
-    d_steps = np.stack((d_emissions, d_emissions[rev])).reshape(2, n * batch, -1)
-    hs = cache.h.reshape(2, n * batch, h)
+    hs, mirror, h, batch = cache.h, cache.mirror, params.lstm_Wh.shape[2], len(cache.lengths)
+    prev = np.arange(batch, len(mirror)) - np.bincount(cache.t)[cache.t[batch:] - 1]  # row at s-1
+    d_read = d_emissions[cache.t, cache.col]
+    d_steps = np.stack((d_read, d_read[mirror]))
     d_proj_W = (d_steps.transpose(0, 2, 1) @ hs).transpose(1, 0, 2).reshape(-1, 2 * h)
-    d_proj_b = d_emissions.reshape(n * batch, -1).sum(axis=0)
+    d_proj_b = d_read.sum(axis=0)
 
-    i, f, g, o = np.split(dz, 4, axis=3)
+    i, f, g, o = dz.reshape(2, -1, 4, h).transpose(2, 0, 1, 3)
     f_gate = f.copy()
-    f *= (1.0 - f) * np.concatenate([np.zeros_like(c[:, :1]), c[:, :-1]], axis=1)  # c before step t
+    f *= (1.0 - f) * np.concatenate([np.zeros_like(c[:, :batch]), c[:, prev]], axis=1)
     tc = np.tanh(c, out=c)  # the cell states are not read after this
     dc_dh = o * (1.0 - tc * tc)
     o *= (1.0 - o) * tc
@@ -255,28 +263,29 @@ def encode_backward(
     del g_coef, i, f, g, o
 
     # each direction's columns of proj_W, applied in that direction's step order
-    d_h = (d_steps @ params.proj_W.reshape(-1, 2, h).transpose(1, 0, 2)).reshape(2, n, batch, h)
-    dh_carry = np.zeros((2, batch, h))
-    dc_carry = np.zeros((2, batch, h))
-    for t in range(n - 1, -1, -1):
-        dh = d_h[:, t] + dh_carry
-        dc = dc_carry + dh * dc_dh[:, t]
-        dz[:, t] *= np.concatenate((dc, dc, dc, dh), axis=2)
-        dh_carry = dz[:, t] @ params.lstm_Wh
-        dc_carry = dc * f_gate[:, t]
+    d_h = d_steps @ params.proj_W.reshape(-1, 2, h).transpose(1, 0, 2)
+    dh_carry = dc_carry = np.zeros((2, 0, h))
+    for rows, ends in reversed(cache.steps):
+        if ends:  # the columns that take their last step here join with zero carries
+            zero = np.zeros((2, ends, h))
+            dh_carry, dc_carry = (np.concatenate((a, zero), axis=1) for a in (dh_carry, dc_carry))
+        dh = d_h[:, rows] + dh_carry
+        dc = dc_carry + dh * dc_dh[:, rows]
+        dz[:, rows] *= np.concatenate((dc, dc, dc, dh), axis=2)
+        dh_carry = dz[:, rows] @ params.lstm_Wh
+        dc_carry = dc * f_gate[:, rows]
     del f_gate, dc_dh, d_h
 
-    steps = np.stack((cache.token_ids, cache.token_ids[rev]))  # the ids each direction read
-    dz = dz.reshape(2, n * batch, 4 * h)
+    read = cache.token_ids[cache.t, cache.col]  # direction 1 reads them at the mirror rows
     d_lstm = {
-        "Wx": dz.transpose(0, 2, 1) @ params.embed[steps].reshape(2, n * batch, -1),
-        "Wh": dz[:, batch:].transpose(0, 2, 1) @ hs[:, :-batch],  # the state before step 0 is 0
+        "Wx": dz.transpose(0, 2, 1) @ params.embed[np.stack((read, read[mirror]))],
+        "Wh": dz[:, batch:].transpose(0, 2, 1) @ hs[:, prev],  # the state before step 0 is 0
         "b": dz.sum(axis=1),
     }
-    dx = (dz @ params.lstm_Wx).reshape(2, n, batch, -1)
+    dx = dz @ params.lstm_Wx
     del dz
     d_embed = np.zeros_like(params.embed)
-    np.add.at(d_embed, steps[:, real], dx[:, real])
+    np.add.at(d_embed, read, dx[0] + dx[1][mirror])  # both directions read each position
     d_embed[PAD_INDEX] = 0.0
 
     return {"embed": d_embed, **_by_direction(d_lstm), "proj.W": d_proj_W, "proj.b": d_proj_b}
@@ -320,13 +329,16 @@ def adam_step(params: dict, grads: dict, opt: OptimizerState):
         if name not in opt.m:
             opt.m[name] = np.zeros_like(params[name])
             opt.v[name] = np.zeros_like(params[name])
-        m, v = opt.m[name], opt.v[name]
+        m, v, scratch = opt.m[name], opt.v[name], np.empty_like(g)
         m *= opt.beta1
-        m += (1.0 - opt.beta1) * g
+        m += np.multiply(1.0 - opt.beta1, g, out=scratch)
         v *= opt.beta2
-        v += (1.0 - opt.beta2) * g * g
+        v += np.multiply(np.multiply(1.0 - opt.beta2, g, out=scratch), g, out=scratch)
+        denom = np.divide(v, 1.0 - opt.beta2**t, out=scratch)  # v_hat, then its root + eps
+        np.sqrt(denom, out=denom)
+        denom += opt.eps
         m_hat = m / (1.0 - opt.beta1**t)
-        v_hat = v / (1.0 - opt.beta2**t)
-        lr = opt.lr_lower if name == "embed" else opt.lr_upper
-        params[name] -= lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+        m_hat *= opt.lr_lower if name == "embed" else opt.lr_upper
+        m_hat /= denom
+        params[name] -= m_hat
     return params, opt

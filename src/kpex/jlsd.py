@@ -182,16 +182,17 @@ def _train_loop(
     make_batch,
     events: list,
     on_new_best=None,
+    initial_score: float | None = None,
 ) -> tuple[Model, float, int]:
-    """The shared loop: evaluate at iteration 0, then Adam steps with
-    periodic dev evaluation, best-checkpoint tracking, and patience-based
-    early stopping on strict improvement. ``make_batch(it, rng)`` draws
-    from the seed's data stream."""
+    """The shared loop: evaluate at iteration 0 (unless the model's dev F1 is
+    given), then Adam steps with periodic dev evaluation, best-checkpoint
+    tracking, and patience-based early stopping on strict improvement.
+    ``make_batch(it, rng)`` draws from the seed's data stream."""
     data_rng = _seed_stream(config, 1)
     opt = OptimizerState(lr_lower=config.lr_lower, lr_upper=config.lr_upper)
     params = model_tensors(model)
 
-    best_score = dataset_f1(model, dev).f1
+    best_score = dataset_f1(model, dev).f1 if initial_score is None else initial_score
     best_model = model.copy()
     best_iteration = 0
     events.append({"event": "eval", "iteration": 0, "dev_f1": best_score, "improved": True})
@@ -337,7 +338,7 @@ def jlsd_train(
         )
 
     best_model, best_score, best_iteration = _train_loop(
-        student, dev, config, make_batch, events, on_new_best=swap_teacher
+        student, dev, config, make_batch, events, swap_teacher, teacher_report.best_score
     )
     report = TrainReport(events, best_score, best_iteration, prior_phase=teacher_report)
     return best_model, report

@@ -12,13 +12,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import one_doc
-from kpex.crf import CrfParams, crf_tensors, log_partition, marginals, nll_and_grad, viterbi
+from kpex.crf import (
+    CrfParams,
+    crf_tensors,
+    log_partition,
+    marginals,
+    nll_and_grad,
+    real_positions,
+    viterbi,
+)
 from kpex.encoder import (
     EncoderDims,
     encode_backward,
     encode_forward,
     init_params,
-    real_positions,
     time_major,
 )
 
@@ -33,14 +40,19 @@ def _random_crf(rng):
     return CrfParams(rng.normal(size=(3, 3)), rng.normal(size=3), rng.normal(size=3))
 
 
+def _columns(docs, golds):
+    """Token ids with UNUSED in every padding slot, gold labels and lengths."""
+    ids, lengths = time_major(docs)
+    ids[~real_positions(lengths, ids.shape[0])] = UNUSED
+    gold, _ = time_major(golds)
+    return ids, gold, lengths
+
+
 def _batch(seed=0):
     rng = np.random.default_rng(seed)
     docs = [rng.integers(1, UNUSED, n) for n in LENGTHS]
     golds = [rng.integers(0, 3, n) for n in LENGTHS]
-    ids, lengths = time_major(docs)
-    ids[~real_positions(lengths, ids.shape[0])] = UNUSED
-    gold, _ = time_major(golds)
-    return init_params(DIMS, seed), _random_crf(rng), docs, golds, ids, gold, lengths
+    return init_params(DIMS, seed), _random_crf(rng), docs, golds, *_columns(docs, golds)
 
 
 def _gradients(params, crf, ids, gold, lengths, junk=None):
@@ -83,7 +95,21 @@ def _assert_viterbi_matches_single_documents(emissions, crf, lengths):
 
 
 def test_batched_gradients_equal_the_sum_of_single_document_gradients():
-    _assert_gradients_are_single_document_sums(*_batch())
+    params, crf, docs, golds, *_ = _batch()
+    ascending = np.argsort(LENGTHS, kind="stable")
+    shuffled = np.random.default_rng(9).permutation(len(LENGTHS))
+    # the encoder ranks columns by length inside; no order may leak out
+    for order in (range(len(LENGTHS)), ascending, ascending[::-1], shuffled):
+        picked = [docs[b] for b in order], [golds[b] for b in order]
+        _assert_gradients_are_single_document_sums(params, crf, *picked, *_columns(*picked))
+
+
+def test_the_cache_holds_real_positions_only():
+    params, _, _, _, ids, _, lengths = _batch()
+    _, cache = encode_forward(params, ids, lengths)
+    rows, h = sum(LENGTHS), DIMS.hidden_dim
+    assert cache.gates.shape == (2, rows, 4 * h)
+    assert cache.c.shape == cache.h.shape == (2, rows, h)
 
 
 def test_padding_receives_exactly_zero_gradient():

@@ -221,8 +221,10 @@ TRAIN_PATHS = ["--dev", "{data}/dev.jsonl", "--out", "{tmp}/run"]
          3, "line 2 is not valid UTF-8"),
         (["train", "--train", "{data}/train.jsonl", *TRAIN_PATHS, "--config", "{tmp}/five.json"],
          2, "not a JSON object"),
+        (["train", "--train", "{data}/train.jsonl", *TRAIN_PATHS, "--config", "{tmp}/utf16.json"],
+         2, "not valid UTF-8"),
     ],
-    ids=["missing-checkpoint", "non-utf8-jsonl", "config-not-object"],
+    ids=["missing-checkpoint", "non-utf8-jsonl", "config-not-object", "non-utf8-config"],
 )
 def test_unreadable_input_exits_with_its_error_class(
     data_dir, tmp_path, capsys, argv, code, message
@@ -232,6 +234,7 @@ def test_unreadable_input_exits_with_its_error_class(
         b'{"id":"b","tokens":["caf\xe9"],"labels":["O"]}\n'
     )
     (tmp_path / "five.json").write_text("5")
+    (tmp_path / "utf16.json").write_bytes(b"\xff\xfe" + '{"T": 5}'.encode("utf-16-le"))
     rc = main([arg.format(tmp=tmp_path, data=data_dir) for arg in argv])
     assert rc == code
     assert message in capsys.readouterr().err
@@ -268,6 +271,21 @@ def test_a_directory_given_as_an_output_file_is_a_config_error(data_dir, tmp_pat
     assert "is a directory" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["phrases.jsonl", "run"]
     assert list(out.iterdir()) == []
+
+
+def test_a_file_given_as_the_training_output_directory_is_a_config_error(
+    data_dir, tmp_path, capsys
+):
+    out = tmp_path / "run"
+    out.write_text("keep me\n")
+    rc = main([
+        "train", "--train", str(data_dir / "train.jsonl"),
+        "--dev", str(data_dir / "dev.jsonl"), "--out", str(out),
+    ])
+    assert rc == 2
+    assert "cannot make output directory" in capsys.readouterr().err
+    assert out.read_text() == "keep me\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]
 
 
 def test_locked_output_directory_is_rejected(data_dir, tmp_path, capsys):

@@ -163,9 +163,9 @@ def test_student_starts_as_an_exact_teacher_copy(tiny_corpus):
 
 def test_swap_happens_only_on_strict_improvement(tiny_corpus, monkeypatch):
     labeled, unlabeled, dev = tiny_corpus
-    # teacher-phase init eval, student baseline eval, then three student evals
-    # scoring 0.50, 0.50, 0.52: only the last strictly improves
-    scripted = iter([0.50, 0.50, 0.50, 0.50, 0.52])
+    # teacher-phase init eval (also the student's baseline), then three
+    # student evals scoring 0.50, 0.50, 0.52: only the last strictly improves
+    scripted = iter([0.50, 0.50, 0.50, 0.52])
 
     def fake_f1(model, dataset):
         return MetricReport(0, 0, next(scripted, 0.52), 0, 0, 0)
@@ -174,6 +174,21 @@ def test_swap_happens_only_on_strict_improvement(tiny_corpus, monkeypatch):
     cfg = tiny_config(T=30, eval_every=10, teacher_T=0, patience=10)
     _, report = jlsd_train(labeled, unlabeled, dev, cfg)
     assert report.swap_events == [(30, 0.50, 0.52)]
+
+
+def test_student_baseline_is_the_teacher_best_score_without_a_dev_eval(
+    tiny_corpus, monkeypatch
+):
+    labeled, unlabeled, dev = tiny_corpus
+    calls = []
+    monkeypatch.setattr(
+        kpex.jlsd, "dataset_f1", lambda model, data: calls.append(data) or dataset_f1(model, data)
+    )
+    cfg = tiny_config(T=0, teacher_T=20, eval_every=10)
+    student, report = jlsd_train(labeled, unlabeled, dev, cfg)
+    assert len(calls) == 3  # the teacher's evals at iterations 0, 10 and 20
+    [baseline] = [e for e in report.events if e["event"] == "eval"]
+    assert baseline["dev_f1"] == report.prior_phase.best_score == dataset_f1(student, dev).f1
 
 
 def test_swap_scores_strictly_increase(tiny_corpus):
