@@ -26,7 +26,7 @@ from .jlsd import (
     train_simple_pretrain,
     train_supervised,
 )
-from .metrics import evaluate, extract, rank_phrases
+from .metrics import decode_batches, evaluate, extract  # noqa: F401 (bench traces cli.extract)
 from .model import load_checkpoint, save_checkpoint
 
 _TRAINERS = {
@@ -135,6 +135,18 @@ def _provenance(outdir: Path, mode: str, args: dict, config: JlsdConfig) -> None
     write_atomic(outdir / "config.json", text.encode("utf-8"))
 
 
+def _holder_is_gone(holder: str) -> bool:
+    """Whether a lock's text is a positive PID that no process has."""
+    if holder.isascii() and holder.isdigit() and int(holder) > 0:  # 0 and -1 name groups
+        try:
+            os.kill(int(holder), 0)
+        except ProcessLookupError:
+            return True
+        except (OSError, OverflowError):  # PermissionError: alive under another user
+            pass
+    return False
+
+
 def _training_run(mode: str, args: dict, config: JlsdConfig) -> int:
     outdir = Path(args["out"])
     try:
@@ -142,16 +154,20 @@ def _training_run(mode: str, args: dict, config: JlsdConfig) -> int:
     except OSError as exc:  # e.g. the path, or one of its parents, is a file
         raise ConfigError(f"cannot make output directory {outdir}: {exc.strerror}") from None
     lock = outdir / ".lock"
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
+    for retry in (False, True):
         try:
-            holder = lock.read_text(encoding="utf-8", errors="replace").strip()
-        except OSError:  # released meanwhile
-            holder = ""
-        raise ConfigError(
-            f"output directory {outdir} is locked by another run (pid {holder or 'unknown'})"
-        ) from None
+            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            break
+        except FileExistsError:
+            try:
+                holder = lock.read_text(encoding="utf-8", errors="replace").strip() or "unknown"
+            except OSError:  # released meanwhile
+                holder = "unknown"
+            if retry or not _holder_is_gone(holder):
+                raise ConfigError(
+                    f"output directory {outdir} is locked by another run (pid {holder})"
+                ) from None
+            lock.unlink(missing_ok=True)  # left by a run that was killed: take it over
     os.write(fd, f"{os.getpid()}\n".encode("ascii"))
     os.close(fd)
     try:
@@ -198,19 +214,11 @@ def _decode_run(mode: str, args: dict) -> int:
     model = load_checkpoint(args["ckpt"])
     test = load_jsonl(args["test"], expect_labels=False)
     lines = []
-    for doc in test:
+    for doc, result in zip(test, decode_batches(model, test, rank=mode == "rank")):
         if mode == "extract":
-            phrases, _ = extract(model, doc)
-            rec = {"id": doc.id, "phrases": sorted(list(p) for p in phrases)}
+            rec = {"id": doc.id, "phrases": sorted(list(p) for p in result[0])}
         else:
-            ranked = rank_phrases(model, doc)
-            rec = {
-                "id": doc.id,
-                "ranked": [
-                    {"phrase": list(p.phrase), "span": list(p.span), "confidence": p.confidence}
-                    for p in ranked
-                ],
-            }
+            rec = {"id": doc.id, "ranked": [dataclasses.asdict(p) for p in result]}
         lines.append(json.dumps(rec, ensure_ascii=False) + "\n")
     write_atomic(args["out"], "".join(lines).encode("utf-8"))
     print(json.dumps({"mode": mode, "n_docs": len(test), "out": args["out"]}))

@@ -15,7 +15,7 @@ from .crf import marginals, phrase_confidence, viterbi
 from .encoder import encode_forward, time_major
 from .model import Model
 
-EVAL_CHUNK = 8  # documents per batched decode in evaluate, grouped by length
+TOKEN_BUDGET = 512  # padded tokens n_max × B per batched decode; a longer document decodes alone
 
 
 @dataclass
@@ -55,21 +55,47 @@ def dedup_predictions(preds) -> list[PhrasePrediction]:
     return sorted(best.values(), key=lambda p: p.span[0])
 
 
-def _decode(model: Model, docs):
-    """Viterbi-decode documents as one batch: the emissions and lengths, and
-    per document its labels and spans."""
+def _decode(model: Model, docs, rank: bool) -> list:
+    """Viterbi-decode documents as one batch: per document what ``extract``
+    returns or, with ``rank``, what ``rank_phrases`` returns."""
     ids, lengths = time_major([model.vocab.encode(d.tokens) for d in docs])
     emissions, _ = encode_forward(model.encoder, ids, lengths)
     paths, _ = viterbi(emissions, model.crf, lengths)
-    labels = [paths[:n, b] for b, n in enumerate(lengths)]
-    return emissions, lengths, [(y, bio_to_phrases(d.tokens, y)) for d, y in zip(docs, labels)]
+    spans = [bio_to_phrases(d.tokens, paths[: len(d.tokens), b]) for b, d in enumerate(docs)]
+    if not rank:
+        return [({_fold(p) for _, p in doc_spans}, doc_spans) for doc_spans in spans]
+    marg = marginals(emissions, model.crf, lengths)
+    return [
+        rank_predictions(dedup_predictions(
+            PhrasePrediction(_fold(p), (s, e), phrase_confidence(marg[:, b], (s, e), paths[s:e, b]))
+            for (s, e), p in doc_spans
+        ))
+        for b, doc_spans in enumerate(spans)
+    ]
+
+
+def decode_batches(model: Model, docs, rank: bool = False):
+    """Per document, in input order, what ``extract`` (or with ``rank``,
+    ``rank_phrases``) returns for it. Documents are decoded in groups of
+    ascending length (a stable sort) whose padded size ``n_max × B`` stays
+    within ``TOKEN_BUDGET``; a longer document is decoded alone."""
+    docs, groups, decoded = list(docs), [], {}
+    for i in sorted(range(len(docs)), key=lambda i: len(docs[i].tokens)):
+        if not groups or len(docs[i].tokens) * (len(groups[-1]) + 1) > TOKEN_BUDGET:
+            groups.append([])
+        groups[-1].append(i)
+    pending = iter(groups)
+    for i in range(len(docs)):
+        while i not in decoded:  # decode groups, shortest first, until document i's
+            group = next(pending)
+            decoded.update(zip(group, _decode(model, [docs[j] for j in group], rank)))
+        yield decoded.pop(i)
 
 
 def extract(model: Model, doc) -> tuple[set[Phrase], list]:
     """Viterbi-decode a document: its case-folded phrase set and its decoded
     spans ``[((start, end), tokens)]``. Computes no marginals."""
-    [(_, spans)] = _decode(model, [doc])[2]
-    return {_fold(p) for _, p in spans}, spans
+    return next(decode_batches(model, [doc]))
 
 
 def exact_f1(pred: set, gold: set) -> MetricReport:
@@ -92,23 +118,9 @@ def rank_predictions(preds) -> list[PhrasePrediction]:
     return sorted(preds, key=lambda p: (-p.confidence, p.span[0], len(p.phrase)))
 
 
-def _rank(model: Model, docs) -> list[list[PhrasePrediction]]:
-    """Per document, its de-duplicated predictions in ranking order; each
-    confidence is the marginal product over the decoded span."""
-    emissions, lengths, decoded = _decode(model, docs)
-    marg = marginals(emissions, model.crf, lengths)
-    return [
-        rank_predictions(dedup_predictions(
-            PhrasePrediction(_fold(p), (s, e), phrase_confidence(marg[:, b], (s, e), labels[s:e]))
-            for (s, e), p in spans
-        ))
-        for b, (labels, spans) in enumerate(decoded)
-    ]
-
-
 def rank_phrases(model: Model, doc) -> list[PhrasePrediction]:
     """De-duplicated predictions for one document in ranking order."""
-    return _rank(model, [doc])[0]
+    return next(decode_batches(model, [doc], rank=True))
 
 
 def f1_at_k(ranked, gold: set, k: int) -> MetricReport:
@@ -123,25 +135,15 @@ def evaluate(model: Model, dataset, k: int | None = None) -> dict[str, MetricRep
     """Exact-match ``f1`` (micro) and ``f1_macro`` over a labeled dataset, and
     ``f1@k`` (micro) over confidence-ranked phrases when ``k`` is given.
 
-    Documents are decoded once each, in length-sorted chunks of
-    ``EVAL_CHUNK``, and scored in input order; marginals are computed only
-    for ``f1@k``.
+    Documents are decoded once each by ``decode_batches``; marginals are
+    computed only for ``f1@k``.
     """
     docs = list(dataset)
-    order = sorted(range(len(docs)), key=lambda i: len(docs[i].tokens))
-    decoded = [None] * len(docs)
-    for s in range(0, len(docs), EVAL_CHUNK):
-        chunk = order[s : s + EVAL_CHUNK]
-        batch = [docs[i] for i in chunk]
-        for i, result in zip(chunk, _decode(model, batch)[2] if k is None else _rank(model, batch)):
-            decoded[i] = result
     full, top = [], []
-    for d, result in zip(docs, decoded):
+    for d, result in zip(docs, decode_batches(model, docs, rank=k is not None)):
         gold = gold_phrases(d)
-        if k is None:
-            full.append(exact_f1({_fold(p) for _, p in result[1]}, gold))
-        else:
-            full.append(exact_f1({p.phrase for p in result}, gold))
+        full.append(exact_f1(result[0] if k is None else {p.phrase for p in result}, gold))
+        if k is not None:
             top.append(f1_at_k(result, gold, k))
     reports = {"f1": _micro(full), "f1_macro": _macro(full)}
     if k is not None:

@@ -3,9 +3,19 @@ import os
 import struct
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import kpex.cli
-from kpex import DataError, NumericError, gen_synthetic, save_jsonl, split_dataset
+from kpex import (
+    DataError,
+    Dataset,
+    NumericError,
+    gen_synthetic,
+    load_jsonl,
+    save_jsonl,
+    split_dataset,
+)
 from kpex.cli import main
 
 
@@ -291,18 +301,21 @@ def test_a_file_given_as_the_training_output_directory_is_a_config_error(
 def test_locked_output_directory_is_rejected(data_dir, tmp_path, capsys):
     out = tmp_path / "run"
     out.mkdir()
-    (out / ".lock").write_text("12345\n")
+    (out / ".lock").write_text(f"{os.getpid()}\n")  # a live holder: this process
     rc = main([
         "train", "--train", str(data_dir / "train.jsonl"),
         "--dev", str(data_dir / "dev.jsonl"), "--out", str(out),
     ])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "locked" in err and "pid 12345" in err
+    assert "locked" in err and f"pid {os.getpid()}" in err
 
 
-def test_lock_records_the_pid_of_the_run_holding_it(data_dir, tmp_path, monkeypatch):
-    out = tmp_path / "run"
+DEAD_PID = 2**22 + 1  # above Linux's PID_MAX_LIMIT, so no process has it
+
+
+def _train_until_the_trainer(data_dir, out, monkeypatch):
+    """Run ``train`` on ``out`` with a trainer that records the lock and stops."""
     seen = []
 
     def stop(*args, **kwargs):
@@ -314,6 +327,57 @@ def test_lock_records_the_pid_of_the_run_holding_it(data_dir, tmp_path, monkeypa
         "train", "--train", str(data_dir / "train.jsonl"),
         "--dev", str(data_dir / "dev.jsonl"), "--out", str(out),
     ])
+    return rc, seen
+
+
+def test_a_lock_left_by_a_dead_run_is_taken_over(data_dir, tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / ".lock").write_text(f"{DEAD_PID}\n")
+    rc, seen = _train_until_the_trainer(data_dir, out, monkeypatch)
+    assert rc == 3  # the stub trainer's DataError: the run got past the lock
+    assert seen == [f"{os.getpid()}\n"]
+    assert not (out / ".lock").exists()
+
+
+@pytest.mark.parametrize(
+    "holder, kill_raises",
+    [
+        ("0", None), ("-1", None), ("", None), ("12ab", None), ("\u0663", None),
+        ("99999999999999999999", None), ("4242", PermissionError), (f"{DEAD_PID}", None),
+    ],
+    ids=["zero", "minus-one", "empty", "unparsable", "non-ascii-digit", "overflow",
+         "permission-error", "recreated-meanwhile"],
+)
+def test_a_lock_is_kept_unless_its_holder_is_gone(
+    data_dir, tmp_path, monkeypatch, capsys, holder, kill_raises
+):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / ".lock").write_text(f"{holder}\n")
+    signalled = []
+    kill = os.kill
+
+    def spy(pid, sig):
+        signalled.append(pid)
+        if kill_raises is not None:
+            raise kill_raises(1, "stub")
+        return kill(pid, sig)
+
+    monkeypatch.setattr(os, "kill", spy)
+    if holder == f"{DEAD_PID}":  # another run takes the lock between unlink and retry
+        monkeypatch.setattr(type(out), "unlink", lambda self, missing_ok=False: None)
+    rc, seen = _train_until_the_trainer(data_dir, out, monkeypatch)
+    assert rc == 2 and seen == []
+    assert "locked by another run" in capsys.readouterr().err
+    assert (out / ".lock").read_text() == f"{holder}\n"
+    assert all(pid > 0 for pid in signalled)
+    assert len(signalled) == (holder in ("99999999999999999999", "4242", f"{DEAD_PID}"))
+
+
+def test_lock_records_the_pid_of_the_run_holding_it(data_dir, tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    rc, seen = _train_until_the_trainer(data_dir, out, monkeypatch)
     assert rc == 3
     assert seen == [f"{os.getpid()}\n"]
     assert not (out / ".lock").exists()
@@ -360,21 +424,22 @@ def test_failed_extract_keeps_the_previous_output(data_dir, tmp_path, monkeypatc
     ckpt = _train_tiny(data_dir, tmp_path / "run")
     out = tmp_path / "phrases.jsonl"
     out.write_bytes(b"previous output\n")
-    decoded = []
+    batches = []
+    forward = kpex.metrics.encode_forward
 
-    def fail_on_second(model, doc):
-        decoded.append(doc.id)
-        if len(decoded) == 2:
+    def fail_on_second(params, token_ids, lengths):
+        batches.append(len(lengths))
+        if len(batches) == 2:
             raise NumericError("non-finite emissions")
-        return frozenset(), []
+        return forward(params, token_ids, lengths)
 
-    monkeypatch.setattr(kpex.cli, "extract", fail_on_second)
+    monkeypatch.setattr(kpex.metrics, "encode_forward", fail_on_second)
     rc = main([
         "extract", "--ckpt", str(ckpt),
         "--test", str(data_dir / "unlabeled.jsonl"), "--out", str(out),
     ])
     assert rc == 4
-    assert len(decoded) == 2
+    assert len(batches) == 2
     assert out.read_bytes() == b"previous output\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["phrases.jsonl", "run"]
 
@@ -388,3 +453,88 @@ def test_input_datasets_are_never_mutated(data_dir, tmp_path):
         "--t", "20", "--eval-every", "10", "--embed-dim", "8", "--hidden-dim", "8",
     ])
     assert (data_dir / "train.jsonl").read_bytes() == before
+
+
+def test_one_forward_call_serves_several_extract_documents(data_dir, tmp_path, monkeypatch):
+    ckpt = _train_tiny(data_dir, tmp_path / "run")
+    batches = []
+    forward = kpex.metrics.encode_forward
+
+    def counting(params, token_ids, lengths):
+        batches.append(len(lengths))
+        return forward(params, token_ids, lengths)
+
+    monkeypatch.setattr(kpex.metrics, "encode_forward", counting)
+    rc = main([
+        "extract", "--ckpt", str(ckpt),
+        "--test", str(data_dir / "unlabeled.jsonl"), "--out", str(tmp_path / "phrases.jsonl"),
+    ])
+    assert rc == 0
+    assert sum(batches) == 60 and max(batches) > 1
+
+
+@pytest.mark.parametrize("mode", ["extract", "rank"])
+def test_an_empty_input_decodes_to_an_empty_file(data_dir, tmp_path, capsys, mode):
+    ckpt = _train_tiny(data_dir, tmp_path / "run")
+    empty = tmp_path / "empty.jsonl"
+    empty.write_bytes(b"")
+    out = tmp_path / "out.jsonl"
+    rc = main([mode, "--ckpt", str(ckpt), "--test", str(empty), "--out", str(out)])
+    assert rc == 0
+    assert out.read_bytes() == b""
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["n_docs"] == 0
+
+
+_VALID_JSONL = (
+    '{"id": "a", "tokens": ["kw001", "w002", "mid003"], "labels": ["B", "I", "O"]}\n'
+    '{"id": "b", "tokens": ["Deep", "learning", "wins"], "keyphrases": [["deep", "learning"]]}\n'
+    '{"id": 7, "tokens": ["café", "w002"], "labels": ["O", "B"], "keyphrases": [["w002"]]}\n'
+).encode("utf-8")
+
+
+def _mutate(data: bytes, mutations) -> bytes:
+    """Apply (kind, a, b, value) edits: cut the file at a; join its first a
+    bytes to the bytes from b on (a cut, or a repeat when b < a); xor byte a
+    with value."""
+    for kind, a, b, value in mutations:
+        a, b = a % (len(data) + 1), b % (len(data) + 1)
+        if kind == "truncate":
+            data = data[:a]
+        elif kind == "splice":
+            data = data[:a] + data[b:]
+        elif data:
+            i = a % len(data)
+            data = data[:i] + bytes([data[i] ^ value]) + data[i + 1 :]
+    return data
+
+
+@pytest.fixture(scope="module")
+def tiny_ckpt(data_dir, tmp_path_factory):
+    return _train_tiny(data_dir, tmp_path_factory.mktemp("tiny") / "run")
+
+
+@settings(
+    derandomize=True, deadline=None, max_examples=200,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    mutations=st.lists(
+        st.tuples(
+            st.sampled_from(["truncate", "splice", "flip"]),
+            st.integers(0, 2**16), st.integers(0, 2**16), st.integers(1, 255),
+        ),
+        min_size=1, max_size=3,
+    )
+)
+def test_mutated_jsonl_fails_only_as_a_data_error(tiny_ckpt, tmp_path_factory, mutations):
+    work = tmp_path_factory.getbasetemp() / "mutated"
+    work.mkdir(exist_ok=True)
+    path = work / "test.jsonl"
+    path.write_bytes(_mutate(_VALID_JSONL, mutations))
+    for expect_labels in (True, False):
+        try:
+            assert isinstance(load_jsonl(path, expect_labels=expect_labels), Dataset)
+        except DataError:
+            pass
+    argv = ["extract", "--ckpt", str(tiny_ckpt), "--test", str(path), "--out", str(work / "out")]
+    assert main(argv) in (0, 2, 3, 4)

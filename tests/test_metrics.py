@@ -1,17 +1,30 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kpex.metrics
 from kpex import (
+    Document,
+    build_vocab,
     dataset_f1,
     evaluate,
     exact_f1,
     extract,
     f1_at_k,
     gold_phrases,
+    gen_synthetic,
+    init_model,
     rank_phrases,
 )
-from kpex.metrics import MetricReport, PhrasePrediction, dedup_predictions, rank_predictions
+from kpex.metrics import (
+    TOKEN_BUDGET,
+    MetricReport,
+    PhrasePrediction,
+    decode_batches,
+    dedup_predictions,
+    rank_predictions,
+)
 
 from oracles import f1_reference
 
@@ -210,18 +223,19 @@ def test_only_ranking_computes_marginals(trained_standard, monkeypatch):
 def test_evaluate_decodes_each_document_once(trained_standard, monkeypatch):
     model, test = trained_standard.model, trained_standard.test
     plain = evaluate(model, test)
-    batch_sizes, columns = [], []
+    shapes, columns = [], []
     forward = kpex.metrics.encode_forward
 
     def counting(params, token_ids, lengths):
-        batch_sizes.append(len(lengths))
+        shapes.append(token_ids.shape)
         columns.extend(tuple(token_ids[:n, b].tolist()) for b, n in enumerate(lengths))
         return forward(params, token_ids, lengths)
 
     monkeypatch.setattr(kpex.metrics, "encode_forward", counting)
     ranked = evaluate(model, test, k=5)
-    assert sum(batch_sizes) == len(test)
-    assert max(batch_sizes) == kpex.metrics.EVAL_CHUNK
+    assert sum(b for _, b in shapes) == len(test)
+    assert all(n_max * b <= TOKEN_BUDGET or b == 1 for n_max, b in shapes)
+    assert max(b for _, b in shapes) > 1
     assert sorted(columns) == sorted(tuple(model.vocab.encode(d.tokens).tolist()) for d in test)
     assert list(ranked) == ["f1", "f1_macro", "f1@5"]
     assert ranked["f1"] == plain["f1"] and ranked["f1_macro"] == plain["f1_macro"]
@@ -231,3 +245,50 @@ def test_evaluate_decodes_each_document_once(trained_standard, monkeypatch):
 def test_evaluate_rejects_a_cutoff_below_one(trained_standard):
     with pytest.raises(ValueError, match="k must be >= 1"):
         evaluate(trained_standard.model, trained_standard.test, k=0)
+
+
+# -- length-sorted batches under the token budget -----------------------------
+
+_CORPUS = gen_synthetic(5, 60, vocab_size=40)
+_VOCAB = build_vocab(_CORPUS)
+
+
+def _random_model(seed):
+    """A small untrained model whose emissions outweigh its random CRF scores,
+    so that decoded paths hold phrases."""
+    model = init_model(_VOCAB, 4, 3, seed)
+    rng = np.random.default_rng(seed)
+    model.encoder.embed[1:] = rng.normal(size=model.encoder.embed[1:].shape)  # row 0 is PAD
+    model.encoder.proj_W *= 5
+    for arr in (model.crf.trans, model.crf.start, model.crf.end):
+        arr[...] = rng.normal(size=arr.shape)
+    return model
+
+
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(
+    lengths=st.lists(st.integers(1, 600), min_size=1, max_size=40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_decode_returns_the_single_document_results(lengths, seed):
+    model = _random_model(seed)
+    rng = np.random.default_rng(seed)
+    words = list(_VOCAB.itos)
+    docs = [Document(f"d{i}", tuple(rng.choice(words, n))) for i, n in enumerate(lengths)]
+    assert list(decode_batches(model, docs)) == [extract(model, d) for d in docs]
+    for batched, d in zip(decode_batches(model, docs, rank=True), docs):
+        single = rank_phrases(model, d)
+        assert [(p.phrase, p.span) for p in batched] == [(p.phrase, p.span) for p in single]
+        np.testing.assert_allclose(
+            [p.confidence for p in batched], [p.confidence for p in single], rtol=1e-11, atol=0
+        )
+
+
+def test_no_documents_decode_to_nothing(monkeypatch):
+    def no_batch(seqs):
+        raise AssertionError("time_major called on no documents")
+
+    monkeypatch.setattr(kpex.metrics, "time_major", no_batch)
+    model = _random_model(0)
+    assert list(decode_batches(model, [])) == []
+    assert list(decode_batches(model, [], rank=True)) == []
