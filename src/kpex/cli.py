@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import fcntl
 import json
 import os
 import sys
@@ -135,16 +136,25 @@ def _provenance(outdir: Path, mode: str, args: dict, config: JlsdConfig) -> None
     write_atomic(outdir / "config.json", text.encode("utf-8"))
 
 
-def _holder_is_gone(holder: str) -> bool:
-    """Whether a lock's text is a positive PID that no process has."""
-    if holder.isascii() and holder.isdigit() and int(holder) > 0:  # 0 and -1 name groups
+def _lock(lock: Path) -> int:
+    """Take an exclusive ``flock`` on ``lock`` and return its descriptor. The kernel drops
+    it when its holder exits or is killed, so any unheld ``.lock`` is taken over."""
+    holder = "unknown"
+    for _ in range(2):
         try:
-            os.kill(int(holder), 0)
-        except ProcessLookupError:
-            return True
-        except (OSError, OverflowError):  # PermissionError: alive under another user
-            pass
-    return False
+            fd = os.open(lock, os.O_CREAT | os.O_RDWR)
+        except OSError as exc:  # e.g. .lock is a directory
+            raise ConfigError(f"cannot open lock file {lock}: {exc.strerror}") from None
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            holder = os.read(fd, 64).decode("utf-8", errors="replace").strip() or holder
+            os.close(fd)
+            break
+        if os.fstat(fd).st_nlink:
+            return fd
+        os.close(fd)  # its holder unlinked it on finishing, after our open: reopen once
+    raise ConfigError(f"output directory {lock.parent} is locked by another run (pid {holder})")
 
 
 def _training_run(mode: str, args: dict, config: JlsdConfig) -> int:
@@ -154,23 +164,10 @@ def _training_run(mode: str, args: dict, config: JlsdConfig) -> int:
     except OSError as exc:  # e.g. the path, or one of its parents, is a file
         raise ConfigError(f"cannot make output directory {outdir}: {exc.strerror}") from None
     lock = outdir / ".lock"
-    for retry in (False, True):
-        try:
-            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            break
-        except FileExistsError:
-            try:
-                holder = lock.read_text(encoding="utf-8", errors="replace").strip() or "unknown"
-            except OSError:  # released meanwhile
-                holder = "unknown"
-            if retry or not _holder_is_gone(holder):
-                raise ConfigError(
-                    f"output directory {outdir} is locked by another run (pid {holder})"
-                ) from None
-            lock.unlink(missing_ok=True)  # left by a run that was killed: take it over
-    os.write(fd, f"{os.getpid()}\n".encode("ascii"))
-    os.close(fd)
+    fd = _lock(lock)
     try:
+        os.ftruncate(fd, 0)
+        os.write(fd, f"{os.getpid()}\n".encode("ascii"))
         _provenance(outdir, mode, args, config)
         names = _REQUIRED[mode][:-1]  # the trainer's datasets in argument order
         datasets = [load_jsonl(args[n], expect_labels=n != "unlabeled") for n in names]
@@ -192,6 +189,7 @@ def _training_run(mode: str, args: dict, config: JlsdConfig) -> int:
         return 0
     finally:
         lock.unlink(missing_ok=True)
+        os.close(fd)
 
 
 def _eval_run(args: dict) -> int:

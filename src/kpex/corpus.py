@@ -373,6 +373,8 @@ def write_atomic(path, data: bytes) -> None:
     try:
         tmp.write_bytes(data)
         os.replace(tmp, path)
+    except OSError as exc:  # e.g. its directory is missing
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
     finally:
         tmp.unlink(missing_ok=True)
 

@@ -26,7 +26,6 @@ from .corpus import PAD_INDEX
 from .errors import NumericError
 
 NUM_LABELS = 3
-DIRECTIONS = ("fwd", "bwd")  # the checkpoint names of LSTM directions 0 and 1
 
 
 @dataclass(frozen=True)
@@ -72,7 +71,7 @@ class EncoderParams:
 def _by_direction(lstm: dict) -> dict:
     """``lstm_fwd.<name>``/``lstm_bwd.<name>`` -> row 0/1 of each stacked tensor,
     as views, so that in-place updates of the named tensors reach the stack."""
-    return {f"lstm_{d}.{name}": a[i] for i, d in enumerate(DIRECTIONS) for name, a in lstm.items()}
+    return {f"lstm_{d}.{k}": a[i] for i, d in enumerate(("fwd", "bwd")) for k, a in lstm.items()}
 
 
 def encoder_tensors(params: EncoderParams) -> dict:
@@ -99,7 +98,7 @@ def init_params(dims: EncoderDims, seed) -> EncoderParams:
     the LSTM forget-gate block, which starts at 1.0. ``seed`` may be an int
     or a ``numpy.random.Generator``; identical seeds give identical bytes.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)  # a Generator is returned as it is
     params = EncoderParams.zeros(dims)
     params.embed[:] = rng.uniform(-0.1, 0.1, params.embed.shape)
     params.embed[PAD_INDEX] = 0.0
@@ -295,6 +294,8 @@ def encode_backward(
 # Adam with two learning-rate groups
 # ---------------------------------------------------------------------------
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class OptimizerState:
@@ -306,15 +307,12 @@ class OptimizerState:
 
     lr_lower: float
     lr_upper: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
 
-def adam_step(params: dict, grads: dict, opt: OptimizerState):
+def adam_step(params: dict, grads: dict, opt: OptimizerState) -> None:
     """One bias-corrected Adam update, in place, over named tensors."""
     if set(params) != set(grads):
         raise ValueError(
@@ -330,15 +328,14 @@ def adam_step(params: dict, grads: dict, opt: OptimizerState):
             opt.m[name] = np.zeros_like(params[name])
             opt.v[name] = np.zeros_like(params[name])
         m, v, scratch = opt.m[name], opt.v[name], np.empty_like(g)
-        m *= opt.beta1
-        m += np.multiply(1.0 - opt.beta1, g, out=scratch)
-        v *= opt.beta2
-        v += np.multiply(np.multiply(1.0 - opt.beta2, g, out=scratch), g, out=scratch)
-        denom = np.divide(v, 1.0 - opt.beta2**t, out=scratch)  # v_hat, then its root + eps
+        m *= BETA1
+        m += np.multiply(1.0 - BETA1, g, out=scratch)
+        v *= BETA2
+        v += np.multiply(np.multiply(1.0 - BETA2, g, out=scratch), g, out=scratch)
+        denom = np.divide(v, 1.0 - BETA2**t, out=scratch)  # v_hat, then its root + EPS
         np.sqrt(denom, out=denom)
-        denom += opt.eps
-        m_hat = m / (1.0 - opt.beta1**t)
+        denom += EPS
+        m_hat = m / (1.0 - BETA1**t)
         m_hat *= opt.lr_lower if name == "embed" else opt.lr_upper
         m_hat /= denom
         params[name] -= m_hat
-    return params, opt

@@ -23,14 +23,6 @@ from .errors import DataError
 
 CHECKPOINT_MAGIC = b"KFCKPT01"
 
-TENSOR_ORDER = (
-    "embed",
-    "lstm_fwd.Wx", "lstm_fwd.Wh", "lstm_fwd.b",
-    "lstm_bwd.Wx", "lstm_bwd.Wh", "lstm_bwd.b",
-    "proj.W", "proj.b",
-    "crf.trans", "crf.start", "crf.end",
-)
-
 
 @dataclass
 class Model:
@@ -55,21 +47,19 @@ def init_model(vocab: Vocabulary, embed_dim: int, hidden_dim: int, seed) -> Mode
 
 
 def model_tensors(model: Model) -> dict:
-    """Canonical name -> array view over all trainable tensors."""
-    tensors = {**encoder_tensors(model.encoder), **crf_tensors(model.crf)}
-    return {name: tensors[name] for name in TENSOR_ORDER}
+    """Canonical name -> array view over all trainable tensors, in checkpoint order."""
+    return {**encoder_tensors(model.encoder), **crf_tensors(model.crf)}
 
 
 def checkpoint_bytes(model: Model) -> bytes:
-    tensors = model_tensors(model)
     entries = {}
     offset = 0
     chunks = []
-    for name in TENSOR_ORDER:
-        raw = np.ascontiguousarray(tensors[name], dtype="<f8").tobytes()
+    for name, tensor in model_tensors(model).items():
+        raw = np.ascontiguousarray(tensor, dtype="<f8").tobytes()
         entries[name] = {
             "dtype": "f64",
-            "shape": list(tensors[name].shape),
+            "shape": list(tensor.shape),
             "offset": offset,
             "length": len(raw),
         }
@@ -131,12 +121,12 @@ def _model_from(header: dict, payload: bytes, path) -> Model:
     shapes = _tensor_shapes(sizes)
     metas = header["tensors"]
     offset = 0
-    for name in TENSOR_ORDER:
+    for name, shape in shapes.items():
         meta = metas[name]
         if meta["dtype"] != "f64":
             raise DataError(f"{path}: tensor {name} has unsupported dtype {meta['dtype']}")
-        if meta["shape"] != shapes[name]:
-            raise DataError(f"{path}: tensor {name} has shape {meta['shape']}, not {shapes[name]}")
+        if meta["shape"] != shape:
+            raise DataError(f"{path}: tensor {name} has shape {meta['shape']}, not {shape}")
         if meta["offset"] != offset or meta["length"] != 8 * math.prod(meta["shape"]):
             raise DataError(f"{path}: tensor {name} has an inconsistent offset or length")
         offset += meta["length"]

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kpex import (
+    ConfigError,
     DataError,
     Dataset,
     Document,
@@ -23,11 +24,19 @@ from kpex import (
 )
 from kpex.model import (
     CHECKPOINT_MAGIC,
-    TENSOR_ORDER,
     checkpoint_bytes,
     load_checkpoint,
     model_tensors,
     save_checkpoint,
+)
+
+# the checkpoint's tensor order, spelled out here as an independent reference for the format
+TENSOR_ORDER = (
+    "embed",
+    "lstm_fwd.Wx", "lstm_fwd.Wh", "lstm_fwd.b",
+    "lstm_bwd.Wx", "lstm_bwd.Wh", "lstm_bwd.b",
+    "proj.W", "proj.b",
+    "crf.trans", "crf.start", "crf.end",
 )
 
 
@@ -96,7 +105,7 @@ def test_a_failed_save_keeps_the_previous_checkpoint(model, tmp_path, monkeypatc
     before = path.read_bytes()
     model.crf.trans += 1.0
     fail(monkeypatch)
-    with pytest.raises(OSError):
+    with pytest.raises(ConfigError, match="cannot write"):
         save_checkpoint(model, path)
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
@@ -107,7 +116,9 @@ def test_format_layout(model):
     assert blob[:8] == CHECKPOINT_MAGIC
     (head_len,) = struct.unpack("<I", blob[8:12])
     header = json.loads(blob[12 : 12 + head_len])
-    assert set(header["tensors"]) == set(TENSOR_ORDER)
+    assert list(header["tensors"]) == sorted(TENSOR_ORDER)  # the header's keys are sorted
+    offsets = [header["tensors"][name]["offset"] for name in TENSOR_ORDER]
+    assert offsets == sorted(offsets)
     assert header["labels"] == {"O": 0, "B": 1, "I": 2}
     assert header["dims"]["embed_dim"] == 6
     total = sum(t["length"] for t in header["tensors"].values())

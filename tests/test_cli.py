@@ -1,3 +1,4 @@
+import fcntl
 import json
 import os
 import struct
@@ -283,6 +284,27 @@ def test_a_directory_given_as_an_output_file_is_a_config_error(data_dir, tmp_pat
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extract", "--ckpt", "{ckpt}", "--test", "{data}/unlabeled.jsonl", "--out", "{out}"],
+        ["rank", "--ckpt", "{ckpt}", "--test", "{data}/unlabeled.jsonl", "--out", "{out}"],
+        ["eval", "--ckpt", "{ckpt}", "--test", "{data}/dev.jsonl", "--out", "{out}"],
+        ["synth", "--docs", "5", "--out", "{out}"],
+    ],
+    ids=["extract", "rank", "eval", "synth"],
+)
+def test_an_output_file_in_a_missing_directory_is_a_config_error(
+    data_dir, tiny_ckpt, tmp_path, capsys, argv
+):
+    out = tmp_path / "nodir" / "x.jsonl"
+    rc = main([arg.format(ckpt=tiny_ckpt, data=data_dir, out=out) for arg in argv])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error: config" in err and str(out) in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_a_file_given_as_the_training_output_directory_is_a_config_error(
     data_dir, tmp_path, capsys
 ):
@@ -296,19 +318,6 @@ def test_a_file_given_as_the_training_output_directory_is_a_config_error(
     assert "cannot make output directory" in capsys.readouterr().err
     assert out.read_text() == "keep me\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]
-
-
-def test_locked_output_directory_is_rejected(data_dir, tmp_path, capsys):
-    out = tmp_path / "run"
-    out.mkdir()
-    (out / ".lock").write_text(f"{os.getpid()}\n")  # a live holder: this process
-    rc = main([
-        "train", "--train", str(data_dir / "train.jsonl"),
-        "--dev", str(data_dir / "dev.jsonl"), "--out", str(out),
-    ])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "locked" in err and f"pid {os.getpid()}" in err
 
 
 DEAD_PID = 2**22 + 1  # above Linux's PID_MAX_LIMIT, so no process has it
@@ -330,6 +339,33 @@ def _train_until_the_trainer(data_dir, out, monkeypatch):
     return rc, seen
 
 
+def _hold(lock, text):
+    """Take ``lock`` as a running holder would, on a descriptor of this process."""
+    fd = os.open(lock, os.O_CREAT | os.O_RDWR)
+    fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    os.write(fd, text.encode("utf-8"))
+    return fd
+
+
+def test_locked_output_directory_is_rejected(data_dir, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "run"
+    out.mkdir()
+    fd = _hold(out / ".lock", f"{os.getpid()}\n")
+    try:
+        rc, seen = _train_until_the_trainer(data_dir, out, monkeypatch)
+        assert rc == 2 and seen == []
+        err = capsys.readouterr().err
+        assert "locked by another run" in err and f"pid {os.getpid()}" in err
+        assert (out / ".lock").read_text() == f"{os.getpid()}\n"
+        assert sorted(p.name for p in out.iterdir()) == [".lock"]
+    finally:
+        os.close(fd)  # what the kernel does when a holder dies
+    rc, seen = _train_until_the_trainer(data_dir, out, monkeypatch)
+    assert rc == 3  # the stub trainer's DataError: the run got past the lock
+    assert seen == [f"{os.getpid()}\n"]
+    assert not (out / ".lock").exists()
+
+
 def test_a_lock_left_by_a_dead_run_is_taken_over(data_dir, tmp_path, monkeypatch):
     out = tmp_path / "run"
     out.mkdir()
@@ -341,38 +377,80 @@ def test_a_lock_left_by_a_dead_run_is_taken_over(data_dir, tmp_path, monkeypatch
 
 
 @pytest.mark.parametrize(
-    "holder, kill_raises",
-    [
-        ("0", None), ("-1", None), ("", None), ("12ab", None), ("\u0663", None),
-        ("99999999999999999999", None), ("4242", PermissionError), (f"{DEAD_PID}", None),
-    ],
-    ids=["zero", "minus-one", "empty", "unparsable", "non-ascii-digit", "overflow",
-         "permission-error", "recreated-meanwhile"],
+    "holder",
+    ["0", "-1", "", "12ab", "\u0663", "99999999999999999999", f"{os.getpid()}", f"{DEAD_PID}"],
+    ids=["zero", "minus-one", "empty", "unparsable", "non-ascii-digit", "overflow", "live-pid",
+         "dead-pid"],
 )
-def test_a_lock_is_kept_unless_its_holder_is_gone(
-    data_dir, tmp_path, monkeypatch, capsys, holder, kill_raises
-):
+def test_an_unheld_lock_is_taken_over(data_dir, tmp_path, monkeypatch, holder):
     out = tmp_path / "run"
     out.mkdir()
     (out / ".lock").write_text(f"{holder}\n")
     signalled = []
-    kill = os.kill
+    monkeypatch.setattr(os, "kill", lambda pid, sig: signalled.append(pid))
+    rc, seen = _train_until_the_trainer(data_dir, out, monkeypatch)
+    assert rc == 3
+    assert seen == [f"{os.getpid()}\n"]
+    assert not (out / ".lock").exists()
+    assert signalled == []
 
-    def spy(pid, sig):
-        signalled.append(pid)
-        if kill_raises is not None:
-            raise kill_raises(1, "stub")
-        return kill(pid, sig)
 
-    monkeypatch.setattr(os, "kill", spy)
-    if holder == f"{DEAD_PID}":  # another run takes the lock between unlink and retry
-        monkeypatch.setattr(type(out), "unlink", lambda self, missing_ok=False: None)
+@pytest.mark.parametrize("losses", [1, 2])
+def test_a_lock_unlinked_by_its_finishing_holder_is_reopened(
+    data_dir, tmp_path, monkeypatch, capsys, losses
+):
+    out = tmp_path / "run"
+    lock = out / ".lock"
+    calls = []
+    flock = fcntl.flock
+
+    def finish_first(fd, op):  # the holder unlinks the file between our open and our flock
+        calls.append(fd)
+        if len(calls) <= losses:
+            lock.unlink()
+        return flock(fd, op)
+
+    monkeypatch.setattr(fcntl, "flock", finish_first)
+    rc, seen = _train_until_the_trainer(data_dir, out, monkeypatch)
+    assert len(calls) == 2
+    if losses == 1:
+        assert rc == 3 and seen == [f"{os.getpid()}\n"]  # a fresh file was locked
+        assert not lock.exists()
+    else:
+        assert rc == 2 and seen == []
+        assert "locked by another run" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+
+def test_a_directory_in_place_of_the_lock_is_a_config_error(data_dir, tmp_path, monkeypatch,
+                                                           capsys):
+    out = tmp_path / "run"
+    (out / ".lock").mkdir(parents=True)
     rc, seen = _train_until_the_trainer(data_dir, out, monkeypatch)
     assert rc == 2 and seen == []
-    assert "locked by another run" in capsys.readouterr().err
-    assert (out / ".lock").read_text() == f"{holder}\n"
-    assert all(pid > 0 for pid in signalled)
-    assert len(signalled) == (holder in ("99999999999999999999", "4242", f"{DEAD_PID}"))
+    assert "cannot open lock file" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == [".lock"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("exit_path", ["success", "trainer-error", "held-lock"])
+def test_the_lock_descriptor_is_closed_on_every_exit(data_dir, tmp_path, monkeypatch,
+                                                     exit_path):
+    out = tmp_path / "run"
+    out.mkdir()
+    held = _hold(out / ".lock", "1\n") if exit_path == "held-lock" else None
+    before = len(os.listdir("/proc/self/fd"))
+    if exit_path == "success":
+        rc = main([
+            "train", "--train", str(data_dir / "train.jsonl"), "--dev", str(data_dir / "dev.jsonl"),
+            "--out", str(out), "--t", "0", "--embed-dim", "4", "--hidden-dim", "4",
+        ])
+    else:
+        rc, _ = _train_until_the_trainer(data_dir, out, monkeypatch)
+    assert len(os.listdir("/proc/self/fd")) == before
+    if held is not None:
+        os.close(held)
+    assert rc == {"success": 0, "trainer-error": 3, "held-lock": 2}[exit_path]
 
 
 def test_lock_records_the_pid_of_the_run_holding_it(data_dir, tmp_path, monkeypatch):
