@@ -188,17 +188,12 @@ def keyphrases_to_bio(tokens: Sequence[str], keyphrases: Iterable[Phrase]) -> li
     labels = [LABEL_O] * n
     i = 0
     while i < n:
-        matched = None
-        for cand in by_first.get(folded[i], ()):
-            if tuple(folded[i : i + len(cand)]) == cand:
-                matched = cand
-                break
+        candidates = by_first.get(folded[i], ())
+        matched = next((c for c in candidates if tuple(folded[i : i + len(c)]) == c), None)
         if matched is None:
             i += 1
             continue
-        labels[i] = LABEL_B
-        for j in range(i + 1, i + len(matched)):
-            labels[j] = LABEL_I
+        labels[i : i + len(matched)] = [LABEL_B] + [LABEL_I] * (len(matched) - 1)
         i += len(matched)
     return labels
 
@@ -418,6 +413,8 @@ class SyntheticRule:
 
 def make_synthetic_rule(seed: int, vocab_size: int, keyword_fraction: float) -> SyntheticRule:
     """Deterministically derive the planted rule used by :func:`gen_synthetic`."""
+    if seed < 0:
+        raise DataError(f"seed must be >= 0, got {seed}")
     if vocab_size < 20:
         raise DataError(f"vocab_size must be >= 20, got {vocab_size}")
     if not 0.0 < keyword_fraction < 0.5:

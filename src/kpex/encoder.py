@@ -5,14 +5,15 @@ Everything runs in float64. Batches are time-major: token ids are
 ``(n_max, B)``, one document per column with its padding at the tail, and an
 explicit ``lengths`` vector says where each column ends. The LSTM runs on
 packed sequences: columns are ranked longest first, and packed step s holds
-those still inside their documents as consecutive rows of ``(2, N, ...)``
-arrays, N = ``lengths.sum()``, so padding is never computed. The leading axis
-is the direction: direction 0 reads each column left to right, direction 1
-reads it reversed within its length, so both share each step's columns and
-run as one recurrence. They meet only at the projection, where direction 1's
-states are gathered back into reading order and the emission gradient into
-its step order. Gate blocks are ordered (input, forget, cell, output). The
-padding embedding row (index 0) is kept at zero and receives no gradient.
+those still inside their documents as one contiguous block of rows of
+``(N, 2, ...)`` arrays, N = ``lengths.sum()``; padding is never computed.
+Axis 1 is the direction: direction 0 reads each column left to right,
+direction 1 reads it reversed within its length, so both share each step's
+columns and run as one recurrence. They meet only at the projection, where
+direction 1's states are gathered back into reading order and the emission
+gradient into its step order. Gate blocks are ordered (input, forget, cell,
+output). The padding embedding row (index 0) is kept at zero and receives
+no gradient.
 """
 
 from __future__ import annotations
@@ -144,9 +145,9 @@ def _pack(lengths: np.ndarray, n_max: int):
 @dataclass
 class ForwardCache:
     """What the backward pass needs: the batch, its packed layout (``_pack``)
-    and per direction the gates, cells and states of its packed rows in the
-    order it stepped. One backward pass consumes the cache: the gate and cell
-    arrays become its workspace and are released."""
+    and per direction, on axis 1, the gates, cells and states of its packed
+    rows in the order it stepped. One backward pass consumes the cache: the
+    gate and cell arrays become its workspace and are released."""
 
     token_ids: np.ndarray  # (n_max, B)
     lengths: np.ndarray  # (B,)
@@ -154,9 +155,9 @@ class ForwardCache:
     col: np.ndarray  # (N,)
     mirror: np.ndarray  # (N,), an involution
     steps: list  # (rows, ends) per step
-    gates: np.ndarray | None  # (2, N, 4h) activations of the (i, f, g, o) blocks
-    c: np.ndarray | None  # (2, N, h)
-    h: np.ndarray  # (2, N, h)
+    gates: np.ndarray | None  # (N, 2, 4h) activations of the (i, f, g, o) blocks
+    c: np.ndarray | None  # (N, 2, h)
+    h: np.ndarray  # (N, 2, h)
     emissions: np.ndarray  # (n_max, B, num_labels)
 
 
@@ -177,7 +178,8 @@ def encode_forward(
     gate blocks share one tanh through sigmoid(z) = 0.5 + 0.5 * tanh(z / 2):
     the hoisted input product and ``Wh`` are multiplied by ``scale`` (halving,
     exact in binary) and the activations are ``scale * tanh + 1 - scale``.
-    Step s's gates overwrite its rows of the input product.
+    Step s's gates overwrite its contiguous rows of the input product; its
+    cells and states are written into its cache rows, the next step's carries.
     """
     ids = np.asarray(token_ids, dtype=np.int64)
     if ids.ndim != 2:
@@ -193,24 +195,31 @@ def encode_forward(
     read = ids[t, col]
     scale = np.repeat([0.5, 0.5, 1.0, 0.5], h)  # sigmoid blocks i, f, o; tanh block g
     shift = 1.0 - scale
-    gates = params.embed[np.stack((read, read[mirror]))] @ params.lstm_Wx.transpose(0, 2, 1)
-    gates += params.lstm_b[:, None]
+    gates = np.empty((len(read), 2, 4 * h))
+    np.matmul(params.embed[np.stack((read, read[mirror]))], params.lstm_Wx.transpose(0, 2, 1),
+              out=gates.transpose(1, 0, 2))
+    gates += params.lstm_b
     gates *= scale
     WhT = params.lstm_Wh.transpose(0, 2, 1).copy()
     WhT *= scale
-    c, hs = np.empty((2, len(read), h)), np.empty((2, len(read), h))
-    i, f, g, o = gates.reshape(2, -1, 4, h).transpose(2, 0, 1, 3)  # views of the blocks
-    h_t = c_t = np.zeros((2, batch, h))
+    c, hs = np.empty((len(read), 2, h)), np.empty((len(read), 2, h))
+    i, f, g, o = gates.reshape(-1, 2, 4, h).transpose(2, 0, 1, 3)  # views of the blocks
+    h_t = c_t = np.zeros((batch, 2, h))
+    recurrent = np.empty((batch, 2, 4 * h))  # the step's h_t @ WhT, rows [:active]
     for rows, ends in steps:
-        a = gates[:, rows]
-        np.tanh(a + h_t @ WhT, out=a)
+        a, hw = gates[rows], recurrent[: len(h_t)]
+        np.matmul(h_t.transpose(1, 0, 2), WhT, out=hw.transpose(1, 0, 2))
+        a += hw
+        np.tanh(a, out=a)
         a *= scale
         a += shift
-        c_t = c[:, rows] = f[:, rows] * c_t + i[:, rows] * g[:, rows]
-        h_t = hs[:, rows] = o[:, rows] * np.tanh(c_t)
+        c_t = np.multiply(f[rows], c_t, out=c[rows])
+        c_t += i[rows] * g[rows]
+        h_t = np.tanh(c_t, out=hs[rows])
+        h_t *= o[rows]
         if ends:  # the columns that took their last step drop out, ranked last
-            h_t, c_t = h_t[:, :-ends], c_t[:, :-ends]
-    hidden = np.concatenate([hs[0], hs[1][mirror]], axis=1)
+            h_t, c_t = h_t[:-ends], c_t[:-ends]
+    hidden = np.concatenate([hs[:, 0], hs[mirror, 1]], axis=1)
     emissions = np.zeros((n, batch, params.proj_W.shape[0]))
     emissions[t, col] = hidden @ params.proj_W.T + params.proj_b
     return emissions, ForwardCache(ids, lengths, *layout, gates, c, hs, emissions)
@@ -231,9 +240,10 @@ def encode_backward(
     its own step order. The gate activations are overwritten, block by
     block, with ``dz``, the gradient at the gate pre-activations: first with
     each gate's chain-rule coefficient, then, in the step loop, which carries
-    only dh and dc, step s is scaled by ``[dc, dc, dc, dh]``. A column's
-    carries start at zero at its last step. The weight and input gradients
-    are one batched matrix product each, over real rows only.
+    only dh and dc, step s's contiguous rows are scaled in place by
+    ``[dc, dc, dc, dh]``. The carries are the first rows of two ``(B, 2, h)``
+    buffers, so a column's are zero until its last step. The weight and
+    input gradients are one batched matrix product each, over real rows only.
     """
     d_emissions = np.asarray(d_emissions, dtype=np.float64)
     if d_emissions.shape != cache.emissions.shape:
@@ -246,12 +256,13 @@ def encode_backward(
     prev = np.arange(batch, len(mirror)) - np.bincount(cache.t)[cache.t[batch:] - 1]  # row at s-1
     d_read = d_emissions[cache.t, cache.col]
     d_steps = np.stack((d_read, d_read[mirror]))
-    d_proj_W = (d_steps.transpose(0, 2, 1) @ hs).transpose(1, 0, 2).reshape(-1, 2 * h)
+    d_proj_W = d_steps.transpose(0, 2, 1) @ hs.transpose(1, 0, 2)
+    d_proj_W = d_proj_W.transpose(1, 0, 2).reshape(-1, 2 * h)
     d_proj_b = d_read.sum(axis=0)
 
-    i, f, g, o = dz.reshape(2, -1, 4, h).transpose(2, 0, 1, 3)
+    i, f, g, o = dz.reshape(-1, 2, 4, h).transpose(2, 0, 1, 3)
     f_gate = f.copy()
-    f *= (1.0 - f) * np.concatenate([np.zeros_like(c[:, :batch]), c[:, prev]], axis=1)
+    f *= (1.0 - f) * np.concatenate([np.zeros_like(c[:batch]), c[prev]])
     tc = np.tanh(c, out=c)  # the cell states are not read after this
     dc_dh = o * (1.0 - tc * tc)
     o *= (1.0 - o) * tc
@@ -262,26 +273,31 @@ def encode_backward(
     del g_coef, i, f, g, o
 
     # each direction's columns of proj_W, applied in that direction's step order
-    d_h = d_steps @ params.proj_W.reshape(-1, 2, h).transpose(1, 0, 2)
-    dh_carry = dc_carry = np.zeros((2, 0, h))
-    for rows, ends in reversed(cache.steps):
-        if ends:  # the columns that take their last step here join with zero carries
-            zero = np.zeros((2, ends, h))
-            dh_carry, dc_carry = (np.concatenate((a, zero), axis=1) for a in (dh_carry, dc_carry))
-        dh = d_h[:, rows] + dh_carry
-        dc = dc_carry + dh * dc_dh[:, rows]
-        dz[:, rows] *= np.concatenate((dc, dc, dc, dh), axis=2)
-        dh_carry = dz[:, rows] @ params.lstm_Wh
-        dc_carry = dc * f_gate[:, rows]
+    d_h = np.empty_like(hs)
+    proj_by_direction = params.proj_W.reshape(-1, 2, h).transpose(1, 0, 2)
+    np.matmul(d_steps, proj_by_direction, out=d_h.transpose(1, 0, 2))
+    dh_carry, dc_carry = np.zeros((batch, 2, h)), np.zeros((batch, 2, h))
+    dz_scale = np.empty((batch, 2, 4, h))  # [dc, dc, dc, dh] per gate block
+    for rows, _ in reversed(cache.steps):
+        k = rows.stop - rows.start
+        dh, dc, z, s = dh_carry[:k], dc_carry[:k], dz[rows], dz_scale[:k]
+        dh += d_h[rows]
+        dc += dh * dc_dh[rows]
+        s[:, :, :3] = dc[:, :, None]
+        s[:, :, 3] = dh
+        z *= s.reshape(k, 2, 4 * h)
+        np.matmul(z.transpose(1, 0, 2), params.lstm_Wh, out=dh.transpose(1, 0, 2))
+        dc *= f_gate[rows]
     del f_gate, dc_dh, d_h
 
     read = cache.token_ids[cache.t, cache.col]  # direction 1 reads them at the mirror rows
     d_lstm = {
-        "Wx": dz.transpose(0, 2, 1) @ params.embed[np.stack((read, read[mirror]))],
-        "Wh": dz[:, batch:].transpose(0, 2, 1) @ hs[:, prev],  # the state before step 0 is 0
-        "b": dz.sum(axis=1),
+        "Wx": dz.transpose(1, 2, 0) @ params.embed[np.stack((read, read[mirror]))],
+        # the state before step 0 is 0
+        "Wh": dz[batch:].transpose(1, 2, 0) @ hs[prev].transpose(1, 0, 2),
+        "b": dz.sum(axis=0),
     }
-    dx = dz @ params.lstm_Wx
+    dx = dz.transpose(1, 0, 2) @ params.lstm_Wx
     del dz
     d_embed = np.zeros_like(params.embed)
     np.add.at(d_embed, read, dx[0] + dx[1][mirror])  # both directions read each position

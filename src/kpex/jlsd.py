@@ -21,6 +21,7 @@ produce byte-identical checkpoints and reports.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -63,11 +64,13 @@ class JlsdConfig:
     def __post_init__(self):
         checks = [
             (self.T >= 0, "T must be >= 0"),
-            (self.r > 0, "r must be > 0"),
+            (0 < self.r < math.inf, "r must be finite and > 0"),
             (self.batch_size >= 1, "batch_size must be >= 1"),
-            (self.lr_lower >= 0 and self.lr_upper >= 0, "learning rates must be >= 0"),
+            (0 <= self.lr_lower < math.inf, "lr_lower must be finite and >= 0"),
+            (0 <= self.lr_upper < math.inf, "lr_upper must be finite and >= 0"),
             (self.eval_every >= 1, "eval_every must be >= 1"),
             (self.patience >= 1, "patience must be >= 1"),
+            (self.seed >= 0, "seed must be >= 0"),
             (self.embed_dim >= 1 and self.hidden_dim >= 1, "model dims must be >= 1"),
             (self.min_count >= 1, "min_count must be >= 1"),
             (self.teacher_T is None or self.teacher_T >= 0, "teacher_T must be >= 0"),
@@ -117,26 +120,15 @@ class TrainReport:
         ]
 
     def to_jsonl(self) -> str:
-        import json
-
-        lines = []
-        if self.prior_phase is not None:
-            for e in self.prior_phase.events:
-                lines.append(json.dumps({"phase": "pretraining", **e}, sort_keys=True))
-        for e in self.events:
-            lines.append(json.dumps(e, sort_keys=True))
-        lines.append(
-            json.dumps(
-                {
-                    "event": "final",
-                    "best_iteration": self.best_iteration,
-                    "best_score": self.best_score,
-                    "checkpoint": self.checkpoint_path,
-                },
-                sort_keys=True,
-            )
-        )
-        return "\n".join(lines) + "\n"
+        prior = self.prior_phase.events if self.prior_phase is not None else []
+        final = {
+            "event": "final",
+            "best_iteration": self.best_iteration,
+            "best_score": self.best_score,
+            "checkpoint": self.checkpoint_path,
+        }
+        records = [{"phase": "pretraining", **e} for e in prior] + self.events + [final]
+        return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
 
 
 def _require_labeled(dataset: Dataset, role: str) -> None:

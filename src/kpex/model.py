@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -65,18 +65,12 @@ def checkpoint_bytes(model: Model) -> bytes:
         }
         chunks.append(raw)
         offset += len(raw)
-    dims = model.dims
     header = {
         "tensors": entries,
         "vocab_sha256": model.vocab.sha256,
         "vocab_tokens": list(model.vocab.itos),
         "vocab_min_count": model.vocab.min_count,
-        "dims": {
-            "vocab_size": dims.vocab_size,
-            "embed_dim": dims.embed_dim,
-            "hidden_dim": dims.hidden_dim,
-            "num_labels": dims.num_labels,
-        },
+        "dims": asdict(model.dims),
         "labels": LABEL_INDEX,
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")

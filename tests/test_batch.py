@@ -108,8 +108,12 @@ def test_the_cache_holds_real_positions_only():
     params, _, _, _, ids, _, lengths = _batch()
     _, cache = encode_forward(params, ids, lengths)
     rows, h = sum(LENGTHS), DIMS.hidden_dim
-    assert cache.gates.shape == (2, rows, 4 * h)
-    assert cache.c.shape == cache.h.shape == (2, rows, h)
+    assert cache.gates.shape == (rows, 2, 4 * h)
+    assert cache.c.shape == cache.h.shape == (rows, 2, h)
+    # step-major: each packed step's rows of both directions are one contiguous block
+    for step, _ in cache.steps:
+        for name in ("gates", "c", "h"):
+            assert getattr(cache, name)[step].flags.c_contiguous, (name, step)
 
 
 def test_padding_receives_exactly_zero_gradient():

@@ -157,6 +157,49 @@ def test_config_values_must_have_their_field_type(data_dir, tmp_path, capsys, en
         assert not (out / "config.json").exists()
 
 
+@pytest.mark.parametrize(
+    "mode, flags, config_text, message",
+    [
+        ("train", ["--seed", "-1"], None, "seed must be >= 0"),
+        ("jlsd", ["--seed", "-1"], None, "seed must be >= 0"),
+        ("pretrain", ["--seed", "-1"], None, "seed must be >= 0"),
+        ("joint", ["--seed", "-1"], None, "seed must be >= 0"),
+        ("train", [], '{"seed": -3}', "seed must be >= 0"),
+        ("jlsd", ["--r", "inf"], None, "r must be finite"),
+        ("jlsd", [], '{"r": Infinity}', "r must be finite"),
+        ("jlsd", ["--lr-upper", "inf"], None, "lr_upper must be finite"),
+        ("train", ["--lr-lower", "inf"], None, "lr_lower must be finite"),
+    ],
+    ids=["seed-train", "seed-jlsd", "seed-pretrain", "seed-joint", "seed-config", "r-flag",
+         "r-config", "lr-upper", "lr-lower"],
+)
+def test_out_of_bounds_config_values_are_config_errors(
+    data_dir, tmp_path, capsys, mode, flags, config_text, message
+):
+    data = {
+        "train": data_dir / "train.jsonl", "dev": data_dir / "dev.jsonl",
+        "unlabeled": data_dir / "unlabeled.jsonl", "source": data_dir / "train.jsonl",
+    }
+    out = tmp_path / "run"
+    argv = [mode, "--out", str(out), *flags]
+    for name in kpex.cli._REQUIRED[mode][:-1]:
+        argv += [f"--{name}", str(data[name])]
+    if config_text is not None:
+        (tmp_path / "cfg.json").write_text(config_text)
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: config: {message}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_a_negative_synth_seed_is_a_data_error(tmp_path, capsys):
+    out = tmp_path / "c.jsonl"
+    assert main(["synth", "--seed", "-1", "--docs", "5", "--out", str(out)]) == 3
+    assert "error: data: seed must be >= 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("mode", ["eval", "extract", "rank", "synth"])
 def test_training_flags_are_rejected_outside_training_modes(mode, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -358,3 +358,5 @@ def test_generator_validates_bounds():
         gen_synthetic(0, 10, vocab_size=30, keyword_fraction=0.6)
     with pytest.raises(DataError):
         gen_synthetic(0, 0, vocab_size=30, keyword_fraction=0.2)
+    with pytest.raises(DataError, match="seed"):
+        gen_synthetic(-1, 10, vocab_size=30, keyword_fraction=0.2)

@@ -94,8 +94,8 @@ def test_reversed_input_with_swapped_directions_mirrors_states():
     _, cache_swapped = encode_forward(swapped, ids[::-1])
 
     # each direction caches its states in the order it stepped through them
-    npt.assert_allclose(cache_swapped.h[0], cache.h[1], atol=1e-12)
-    npt.assert_allclose(cache_swapped.h[1], cache.h[0], atol=1e-12)
+    npt.assert_allclose(cache_swapped.h[:, 0], cache.h[:, 1], atol=1e-12)
+    npt.assert_allclose(cache_swapped.h[:, 1], cache.h[:, 0], atol=1e-12)
 
 
 def test_emissions_depend_on_the_whole_sequence():

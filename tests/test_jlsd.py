@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import pytest
@@ -56,6 +57,17 @@ def test_config_bounds_validated():
         JlsdConfig(r=0.0)
     with pytest.raises(ConfigError):
         JlsdConfig(batch_size=0)
+    # a negative seed would reach numpy's SeedSequence, a non-finite r
+    # unlabeled_per_batch, a non-finite learning rate the parameters
+    with pytest.raises(ConfigError, match="seed"):
+        JlsdConfig(seed=-1)
+    for value in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ConfigError, match="^r must be finite"):
+            JlsdConfig(r=value)
+        for name in ("lr_lower", "lr_upper"):
+            with pytest.raises(ConfigError, match=f"{name} must be finite"):
+                JlsdConfig(**{name: value})
+    JlsdConfig(seed=0, lr_lower=0.0, lr_upper=0.0)  # the bounds themselves are valid
 
 
 # -- supervised baseline -----------------------------------------------------
