@@ -4,13 +4,12 @@ The score of a label sequence y for emissions e is
 
     S(y) = start[y_0] + sum_t e[t, y_t] + sum_t trans[y_t, y_{t+1}] + end[y_{n-1}]
 
-and all inference (partition function, Viterbi, posterior marginals,
-likelihood gradients) runs in log space with stable log-sum-exp. Every
-function takes a time-major batch: emissions ``(n_max, B, L)``, one
-document per column, and the ``(B,)`` lengths; padding rows sit at each
-column's tail, so no time loop needs a mask. No
-transition is forbidden; O->I decodes are repaired downstream by the
-orphan-I rule in :mod:`kpex.corpus`.
+and all inference is one forward recursion run in two semirings: log-sum-exp
+for the partition function, marginals and likelihood gradients, max-plus for
+Viterbi. Every function takes a time-major batch: emissions ``(n_max, B, L)``,
+one document per column, and the ``(B,)`` lengths; padding rows sit at each
+column's tail, so no time loop needs a mask. No transition is forbidden; O->I
+decodes are repaired downstream by the orphan-I rule in :mod:`kpex.corpus`.
 """
 
 from __future__ import annotations
@@ -67,23 +66,25 @@ def _check(emissions, lengths) -> tuple[np.ndarray, np.ndarray]:
     return emissions, lengths
 
 
-def _alphas(emissions: np.ndarray, trans: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """Forward log-scores of every column; padding at the tail never feeds a real row."""
+def _alphas(emissions, trans, first, reduce=np.logaddexp.reduce) -> np.ndarray:
+    """Forward scores of every column, reduced over the previous label (axis -2) so that any
+    axes between time and labels broadcast; padding at the tail never feeds a real row."""
     alpha = np.empty_like(emissions)
     alpha[0] = first + emissions[0]
     for t in range(1, emissions.shape[0]):
-        alpha[t] = np.logaddexp.reduce(alpha[t - 1][:, :, None] + trans, axis=1) + emissions[t]
+        alpha[t] = reduce(alpha[t - 1][..., :, None] + trans, axis=-2) + emissions[t]
     return alpha
 
 
 def _forward_backward(emissions, lengths, crf: CrfParams):
     """Per column: ``alpha``, ``beta + emissions``, ``log Z`` and the
-    posterior marginals (zero on padding). The betas are the alphas of each
-    column reversed within its length, transitions transposed and the end
-    scores as the start."""
+    posterior marginals (zero on padding). One recursion runs both directions
+    on axis 1: the betas are the alphas of each column reversed within its
+    length, transitions transposed and the end scores as the start."""
     rev = reversal(lengths, emissions.shape[0])
-    alpha = _alphas(emissions, crf.trans, crf.start)
-    beta_e = _alphas(emissions[rev], crf.trans.T, crf.end)[rev]
+    ends, trans = np.stack((crf.start, crf.end)), np.stack((crf.trans, crf.trans.T))
+    both = _alphas(np.stack((emissions, emissions[rev]), axis=1), trans[:, None], ends[:, None])
+    alpha, beta_e = both[:, 0], both[:, 1][rev]
     log_z = np.logaddexp.reduce(alpha[lengths - 1, np.arange(len(lengths))] + crf.end, axis=1)
     real = real_positions(lengths, emissions.shape[0])[:, :, None]
     # padding rows are masked before exp: their scores carry no meaning and can overflow
@@ -111,30 +112,22 @@ def sequence_score(emissions, crf: CrfParams, labels, lengths) -> np.ndarray:
 
 def viterbi(emissions, crf: CrfParams, lengths) -> tuple[np.ndarray, np.ndarray]:
     """Best-scoring label sequence of every column, ``(n_max, B)`` with O past
-    each length, and the ``(B,)`` best scores.
-
-    Ties are broken toward the lowest label index at every backtracking
-    step, so an all-zero score instance decodes to all-O.
+    each length, and the ``(B,)`` best scores: the max-plus ``_alphas``, then
+    every backpointer in one argmax after the loop. Ties are broken toward the
+    lowest label index at every backtracking step, so all-zero scores decode to all-O.
     """
     emissions, lengths = _check(emissions, lengths)
-    n, batch, num_labels = emissions.shape
-    cols = np.arange(batch)
-    delta = np.empty_like(emissions)
-    delta[0] = crf.start + emissions[0]
-    backptr = np.empty((n, batch, num_labels), dtype=np.int64)
-    into = crf.trans.T.copy()  # into[j, i] scores label j following label i
-    for t in range(1, n):
-        scores = delta[t - 1][:, None, :] + into  # (B, to, from)
-        backptr[t] = scores.argmax(axis=2)  # argmax keeps the lowest index on ties
-        delta[t] = np.maximum.reduce(scores, axis=2) + emissions[t]
+    cols = np.arange(len(lengths))
+    delta = _alphas(emissions, crf.trans, crf.start, np.maximum.reduce)
+    # backpointers (t, B, to, from), lowest index on ties, as lists for the serial backtrack
+    steps = (delta[:-1, :, None, :] + crf.trans.T).argmax(axis=3).tolist()
     final = delta[lengths - 1, cols] + crf.end
     best = np.argmax(final, axis=1)
-    path = np.zeros((n, batch), dtype=np.int64)
-    steps = backptr.tolist()  # the serial backtrack runs faster on Python lists
+    path = np.zeros(emissions.shape[:2], dtype=np.int64)
     for b, (length, label) in enumerate(zip(lengths.tolist(), best.tolist())):
         for t in range(length - 1, 0, -1):
             path[t, b] = label
-            label = steps[t][b][label]
+            label = steps[t - 1][b][label]
         path[0, b] = label
     return path, final[cols, best]
 

@@ -34,6 +34,9 @@ from .errors import ConfigError, DataError
 from .metrics import dataset_f1
 from .model import Model, init_model, model_tensors
 
+MAX_DRAW = 4096  # the most documents drawn from one dataset for one training step
+
+
 @dataclass
 class JlsdConfig:
     """Shared configuration for all training modes.
@@ -62,10 +65,12 @@ class JlsdConfig:
     source_pool_size: int | None = None  # joint per-epoch source draw; None = |target_train|
 
     def __post_init__(self):
+        drawn = self.r * min(self.batch_size, MAX_DRAW)  # min: a huge int overflows a float
         checks = [
             (self.T >= 0, "T must be >= 0"),
             (0 < self.r < math.inf, "r must be finite and > 0"),
-            (self.batch_size >= 1, "batch_size must be >= 1"),
+            (1 <= self.batch_size <= MAX_DRAW, f"batch_size must be in [1, {MAX_DRAW}]"),
+            (drawn <= MAX_DRAW, f"r * batch_size must be <= {MAX_DRAW}"),
             (0 <= self.lr_lower < math.inf, "lr_lower must be finite and >= 0"),
             (0 <= self.lr_upper < math.inf, "lr_upper must be finite and >= 0"),
             (self.eval_every >= 1, "eval_every must be >= 1"),

@@ -75,10 +75,11 @@ def _decode(model: Model, docs, rank: bool) -> list:
 
 
 def decode_batches(model: Model, docs, rank: bool = False):
-    """Per document, in input order, what ``extract`` (or with ``rank``,
-    ``rank_phrases``) returns for it. Documents are decoded in groups of
-    ascending length (a stable sort) whose padded size ``n_max × B`` stays
-    within ``TOKEN_BUDGET``; a longer document is decoded alone."""
+    """Per document, in input order, what ``extract`` returns for it, or with ``rank`` what
+    ``rank_phrases`` returns, whose confidences a batch matches only to rounding: the error grows
+    with length times emission scale (1.6e-12 relative on the ``extract`` benchmark). Documents
+    are decoded in groups of ascending length (a stable sort) whose padded size ``n_max × B``
+    stays within ``TOKEN_BUDGET``; a longer document is decoded alone."""
     docs, groups, decoded = list(docs), [], {}
     for i in sorted(range(len(docs)), key=lambda i: len(docs[i].tokens)):
         if not groups or len(docs[i].tokens) * (len(groups[-1]) + 1) > TOKEN_BUDGET:

@@ -169,9 +169,18 @@ def test_config_values_must_have_their_field_type(data_dir, tmp_path, capsys, en
         ("jlsd", [], '{"r": Infinity}', "r must be finite"),
         ("jlsd", ["--lr-upper", "inf"], None, "lr_upper must be finite"),
         ("train", ["--lr-lower", "inf"], None, "lr_lower must be finite"),
+        ("jlsd", ["--r", "1e300"], None, "r * batch_size must be <= 4096"),
+        ("jlsd", ["--r", "1e308"], None, "r * batch_size must be <= 4096"),  # r * 8 is inf
+        ("jlsd", ["--r", "513"], None, "r * batch_size must be <= 4096"),
+        ("train", ["--batch-size", "1" + "0" * 30], None, "batch_size must be in [1, 4096]"),
+        ("train", ["--batch-size", "4097"], None, "batch_size must be in [1, 4096]"),
+        # an int past float range: r * batch_size must not overflow before the bound
+        ("train", [], '{"batch_size": 1%s}' % ("0" * 400), "batch_size must be in [1, 4096]"),
+        ("jlsd", [], '{"r": 1%s}' % ("0" * 400), "r * batch_size must be <= 4096"),
     ],
     ids=["seed-train", "seed-jlsd", "seed-pretrain", "seed-joint", "seed-config", "r-flag",
-         "r-config", "lr-upper", "lr-lower"],
+         "r-config", "lr-upper", "lr-lower", "r-huge", "r-product-inf", "r-above-cap",
+         "batch-huge", "batch-above-cap", "batch-config-past-float", "r-config-past-float"],
 )
 def test_out_of_bounds_config_values_are_config_errors(
     data_dir, tmp_path, capsys, mode, flags, config_text, message

@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from kpex import NumericError
+from kpex import crf as batched
 from kpex.crf import CrfParams, phrase_confidence
 
 from one_doc import log_partition, marginals, nll_and_grad, sequence_score, viterbi
@@ -87,6 +88,29 @@ def test_viterbi_matches_enumeration_exactly():
         path, score = viterbi(emissions, crf)
         assert score == ref["max_score"]  # same left-to-right additions, bit-exact
         assert tuple(path) == ref["best_path"]
+
+
+def test_viterbi_ties_break_to_the_lowest_label_at_every_backtracking_step():
+    """Scores in {-1, 0, 1} make several paths tie for the best score in about
+    half the instances. The decode takes the lowest label at each backtracking
+    step: among the best paths, the one smallest when read from its end. Each
+    group of instances shares one CRF and decodes again as a mixed-length batch."""
+    rng = np.random.default_rng(5)
+    ties = 0
+    for _ in range(30):
+        crf = CrfParams(*(rng.integers(-1, 2, size=s).astype(float) for s in [(3, 3), 3, 3]))
+        lengths = rng.integers(1, 7, size=10)
+        emissions = rng.integers(-1, 2, size=(6, 10, 3)).astype(float)  # padding included
+        paths, scores = batched.viterbi(emissions, crf, lengths)
+        for b, n in enumerate(lengths):
+            ref = brute_force_crf(emissions[:n, b], crf.trans, crf.start, crf.end)
+            best = [p for p, s in zip(ref["paths"], ref["scores"]) if s == ref["max_score"]]
+            ties += len(best) > 1
+            path, score = viterbi(emissions[:n, b], crf)
+            assert score == ref["max_score"] == scores[b]  # integer sums, bit-exact
+            assert tuple(path) == min(best, key=lambda p: p[::-1])
+            npt.assert_array_equal(paths[:, b], np.pad(path, (0, 6 - n)))
+    assert ties >= 100
 
 
 # -- marginals ---------------------------------------------------------------
