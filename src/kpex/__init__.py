@@ -17,7 +17,7 @@ from .corpus import (
     save_jsonl,
     split_dataset,
 )
-from .crf import CrfParams, log_partition, marginals, nll_and_grad, phrase_confidence, viterbi
+from .crf import CrfParams, log_partition, marginals, nll_and_grad, viterbi
 from .encoder import (
     EncoderDims,
     EncoderParams,

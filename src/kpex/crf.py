@@ -172,21 +172,3 @@ def nll_and_grad(
     moves = real[1:]
     np.add.at(d_trans, (y[:-1][moves], y[1:][moves]), -1.0)
     return losses, d_emissions, CrfParams(trans=d_trans, start=d_start, end=d_end)
-
-
-def phrase_confidence(marg: np.ndarray, span: tuple[int, int], span_labels) -> float:
-    """Probability of a decoded phrase under the per-token independence product.
-
-    ``span`` is half-open over the document and ``span_labels`` are the
-    decoded labels on it; the confidence is the product of the posterior
-    marginals of those labels.
-    """
-    s, e = span
-    if e <= s:
-        raise ValueError(f"empty span [{s}, {e})")
-    if s < 0 or e > marg.shape[0]:
-        raise ValueError(f"span [{s}, {e}) outside document of length {marg.shape[0]}")
-    y = np.asarray(span_labels, dtype=np.int64)
-    if y.shape[0] != e - s:
-        raise ValueError(f"{y.shape[0]} span labels for span of length {e - s}")
-    return float(np.prod(marg[np.arange(s, e), y]))

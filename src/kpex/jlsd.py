@@ -4,12 +4,12 @@ Four modes share one mini-batch Adam loop:
 
 * ``train_supervised``: the labeled-only baseline;
 * ``jlsd_train``: joint learning by self-distillation. A teacher is first
-  trained on the labeled data, a student starts as an exact parameter copy,
-  and each iteration the student takes one gradient step on a batch of
-  labeled documents plus teacher-pseudo-labeled unlabeled documents. When
-  the student's dev score strictly beats the best seen so far, the teacher
-  is overwritten with the student's parameters, so the teacher's quality
-  never decreases;
+  trained on the labeled data, then trained on as the student: each
+  iteration the student takes one gradient step on a batch of labeled
+  documents plus unlabeled documents pseudo-labeled by the teacher, which is
+  the best-on-dev checkpoint so far. It moves to the student's parameters
+  only when the student's dev score strictly beats the best seen, so the
+  teacher's quality never decreases;
 * ``train_simple_pretrain``: train on a labeled source corpus, then keep
   training on the target with a fresh optimizer;
 * ``train_simple_joint``: train on the target plus a freshly sampled
@@ -35,6 +35,8 @@ from .metrics import dataset_f1
 from .model import Model, init_model, model_tensors
 
 MAX_DRAW = 4096  # the most documents drawn from one dataset for one training step
+MAX_POOL = 2**20  # the most source documents drawn into joint's per-epoch pool
+MAX_DIM = 1024  # the largest embed_dim and hidden_dim: a 64 MiB LSTM weight tensor
 
 
 @dataclass
@@ -76,13 +78,16 @@ class JlsdConfig:
             (self.eval_every >= 1, "eval_every must be >= 1"),
             (self.patience >= 1, "patience must be >= 1"),
             (self.seed >= 0, "seed must be >= 0"),
-            (self.embed_dim >= 1 and self.hidden_dim >= 1, "model dims must be >= 1"),
+            (
+                1 <= self.embed_dim <= MAX_DIM and 1 <= self.hidden_dim <= MAX_DIM,
+                f"embed_dim and hidden_dim must be in [1, {MAX_DIM}]",
+            ),
             (self.min_count >= 1, "min_count must be >= 1"),
             (self.teacher_T is None or self.teacher_T >= 0, "teacher_T must be >= 0"),
             (self.source_T is None or self.source_T >= 0, "source_T must be >= 0"),
             (
-                self.source_pool_size is None or self.source_pool_size >= 0,
-                "source_pool_size must be >= 0",
+                self.source_pool_size is None or 0 <= self.source_pool_size <= MAX_POOL,
+                f"source_pool_size must be in [0, {MAX_POOL}]",
             ),
         ]
         for ok, msg in checks:
@@ -180,11 +185,12 @@ def _train_loop(
     events: list,
     on_new_best=None,
     initial_score: float | None = None,
-) -> tuple[Model, float, int]:
+) -> tuple[Model, TrainReport]:
     """The shared loop: evaluate at iteration 0 (unless the model's dev F1 is
     given), then Adam steps with periodic dev evaluation, best-checkpoint
     tracking, and patience-based early stopping on strict improvement.
-    ``make_batch(it, rng)`` draws from the seed's data stream."""
+    ``make_batch(it, rng, best)`` draws from the seed's data stream; ``best``
+    is the best-on-dev checkpoint so far, starting as a copy of ``model``."""
     data_rng = _seed_stream(config, 1)
     opt = OptimizerState(lr_lower=config.lr_lower, lr_upper=config.lr_upper)
     params = model_tensors(model)
@@ -196,7 +202,7 @@ def _train_loop(
 
     stale = 0
     for it in range(1, config.T + 1):
-        batch = make_batch(it, data_rng)
+        batch = make_batch(it, data_rng, best_model)
         loss_labeled, loss_pseudo, loss, grads = _batch_gradients(model, batch)
         adam_step(params, grads, opt)
         events.append(
@@ -226,7 +232,7 @@ def _train_loop(
                 if stale >= config.patience:
                     events.append({"event": "early_stop", "iteration": it})
                     break
-    return best_model, best_score, best_iteration
+    return best_model, TrainReport(events, best_score, best_iteration)
 
 
 def train_supervised(
@@ -249,11 +255,9 @@ def train_supervised(
         vocab = build_vocab(train, config.min_count)
     model = init.copy() if init is not None else _fresh_model(vocab, config)
 
-    events: list = []
-    best_model, best_score, best_iteration = _train_loop(
-        model, dev, config, lambda it, rng: sample_batch(train, config.batch_size, rng), events
+    return _train_loop(
+        model, dev, config, lambda it, rng, best: sample_batch(train, config.batch_size, rng), []
     )
-    return best_model, TrainReport(events, best_score, best_iteration)
 
 
 def pseudo_label(teacher: Model, docs) -> list[LabeledDocument]:
@@ -284,15 +288,15 @@ def jlsd_train(
 ) -> tuple[Model, TrainReport]:
     """Joint learning by self-distillation.
 
-    First trains a teacher on the labeled data alone, then runs ``T``
-    student iterations. Each iteration samples ``batch_size`` labeled and
-    ``round(r * batch_size)`` unlabeled documents, pseudo-labels the latter
-    with the current teacher on the fly, and takes one gradient step on the
-    combined batch with equal per-document weight. Whenever the student's
-    dev score strictly exceeds the best seen, the teacher's parameters are
-    overwritten with the student's and a swap event is recorded, which makes
-    the sequence of swap scores strictly increasing. Returns the best-on-dev
-    student.
+    First trains a teacher on the labeled data alone, then trains that model
+    on as the student for ``T`` iterations. Each iteration samples
+    ``batch_size`` labeled and ``round(r * batch_size)`` unlabeled documents,
+    pseudo-labels the latter on the fly with the teacher, and takes one
+    gradient step on the combined batch with equal per-document weight. The
+    teacher is the best-on-dev checkpoint so far: whenever the student's dev
+    score strictly exceeds the best seen, the student becomes the teacher and
+    a swap event is recorded, which makes the sequence of swap scores
+    strictly increasing. Returns the best-on-dev student.
     """
     _require_labeled(labeled, "labeled")
     _require_labeled(dev, "dev")
@@ -307,38 +311,29 @@ def jlsd_train(
         seed=config.seed + 1,
         T=config.teacher_T if config.teacher_T is not None else config.T,
     )
-    teacher, teacher_report = train_supervised(labeled, dev, teacher_config, vocab=vocab)
-
-    student = teacher.copy()  # the student starts as an exact parameter copy
-    teacher_tensors = model_tensors(teacher)
-    student_tensors = model_tensors(student)
+    # the teacher phase's best checkpoint is trained on in place as the student;
+    # _train_loop's first best-checkpoint copy of it is the starting teacher
+    student, teacher_report = train_supervised(labeled, dev, teacher_config, vocab=vocab)
 
     events: list = []
     k = config.unlabeled_per_batch
 
-    def make_batch(it, rng):
+    def make_batch(it, rng, teacher):
         batch = sample_batch(labeled, config.batch_size, rng)
         if k > 0:
             batch = batch + pseudo_label(teacher, sample_batch(unlabeled, k, rng))
         return batch
 
-    def swap_teacher(iteration, old_score, new_score):
-        for name, arr in teacher_tensors.items():
-            np.copyto(arr, student_tensors[name])
+    def record_swap(it, old_score, new_score):
         events.append(
-            {
-                "event": "swap",
-                "iteration": iteration,
-                "old_score": old_score,
-                "new_score": new_score,
-            }
+            {"event": "swap", "iteration": it, "old_score": old_score, "new_score": new_score}
         )
 
-    best_model, best_score, best_iteration = _train_loop(
-        student, dev, config, make_batch, events, swap_teacher, teacher_report.best_score
+    best, report = _train_loop(
+        student, dev, config, make_batch, events, record_swap, teacher_report.best_score
     )
-    report = TrainReport(events, best_score, best_iteration, prior_phase=teacher_report)
-    return best_model, report
+    report.prior_phase = teacher_report
+    return best, report
 
 
 def _transfer_vocab(source, target_train, target_dev, config: JlsdConfig):
@@ -393,7 +388,7 @@ def train_simple_joint(
 
     events: list = []
 
-    def make_batch(it, rng):
+    def make_batch(it, rng, best):
         nonlocal pool
         if draw > 0 and (it - 1) % epoch_len == 0:
             pool = list(target_train.documents) + sample_batch(source, draw, rng)
@@ -402,7 +397,4 @@ def train_simple_joint(
             )
         return sample_batch(pool, config.batch_size, rng)
 
-    best_model, best_score, best_iteration = _train_loop(
-        _fresh_model(vocab, config), target_dev, config, make_batch, events
-    )
-    return best_model, TrainReport(events, best_score, best_iteration)
+    return _train_loop(_fresh_model(vocab, config), target_dev, config, make_batch, events)

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .corpus import LabeledDocument, Phrase, bio_to_phrases
-from .crf import marginals, phrase_confidence, viterbi
+from .crf import marginals, viterbi
 from .encoder import encode_forward, time_major
 from .model import Model
 
@@ -65,38 +67,40 @@ def _decode(model: Model, docs, rank: bool) -> list:
     if not rank:
         return [({_fold(p) for _, p in doc_spans}, doc_spans) for doc_spans in spans]
     marg = marginals(emissions, model.crf, lengths)
+    # a phrase's confidence: the product of its decoded labels' posterior marginals
     return [
         rank_predictions(dedup_predictions(
-            PhrasePrediction(_fold(p), (s, e), phrase_confidence(marg[:, b], (s, e), paths[s:e, b]))
+            PhrasePrediction(
+                _fold(p), (s, e), float(np.prod(marg[np.arange(s, e), b, paths[s:e, b]]))
+            )
             for (s, e), p in doc_spans
         ))
         for b, doc_spans in enumerate(spans)
     ]
 
 
-def decode_batches(model: Model, docs, rank: bool = False):
-    """Per document, in input order, what ``extract`` returns for it, or with ``rank`` what
-    ``rank_phrases`` returns, whose confidences a batch matches only to rounding: the error grows
-    with length times emission scale (1.6e-12 relative on the ``extract`` benchmark). Documents
-    are decoded in groups of ascending length (a stable sort) whose padded size ``n_max × B``
-    stays within ``TOKEN_BUDGET``; a longer document is decoded alone."""
-    docs, groups, decoded = list(docs), [], {}
+def decode_batches(model: Model, docs, rank: bool = False) -> list:
+    """A list with, per document in input order, what ``extract`` returns for it, or with ``rank``
+    what ``rank_phrases`` returns, whose confidences a batch matches only to rounding: the error
+    grows with length times emission scale (1.6e-12 relative on the ``extract`` benchmark).
+    Documents are decoded in groups of ascending length (a stable sort) whose padded size
+    ``n_max × B`` stays within ``TOKEN_BUDGET``; a longer document is decoded alone."""
+    docs, groups = list(docs), []
     for i in sorted(range(len(docs)), key=lambda i: len(docs[i].tokens)):
         if not groups or len(docs[i].tokens) * (len(groups[-1]) + 1) > TOKEN_BUDGET:
             groups.append([])
         groups[-1].append(i)
-    pending = iter(groups)
-    for i in range(len(docs)):
-        while i not in decoded:  # decode groups, shortest first, until document i's
-            group = next(pending)
-            decoded.update(zip(group, _decode(model, [docs[j] for j in group], rank)))
-        yield decoded.pop(i)
+    out = [None] * len(docs)
+    for group in groups:
+        for i, result in zip(group, _decode(model, [docs[j] for j in group], rank)):
+            out[i] = result
+    return out
 
 
 def extract(model: Model, doc) -> tuple[set[Phrase], list]:
     """Viterbi-decode a document: its case-folded phrase set and its decoded
     spans ``[((start, end), tokens)]``. Computes no marginals."""
-    return next(decode_batches(model, [doc]))
+    return decode_batches(model, [doc])[0]
 
 
 def exact_f1(pred: set, gold: set) -> MetricReport:
@@ -121,7 +125,7 @@ def rank_predictions(preds) -> list[PhrasePrediction]:
 
 def rank_phrases(model: Model, doc) -> list[PhrasePrediction]:
     """De-duplicated predictions for one document in ranking order."""
-    return next(decode_batches(model, [doc], rank=True))
+    return decode_batches(model, [doc], rank=True)[0]
 
 
 def f1_at_k(ranked, gold: set, k: int) -> MetricReport:

@@ -157,6 +157,10 @@ def test_config_values_must_have_their_field_type(data_dir, tmp_path, capsys, en
         assert not (out / "config.json").exists()
 
 
+_POOL = "source_pool_size must be in [0, 1048576]"
+_DIMS = "embed_dim and hidden_dim must be in [1, 1024]"
+
+
 @pytest.mark.parametrize(
     "mode, flags, config_text, message",
     [
@@ -177,10 +181,21 @@ def test_config_values_must_have_their_field_type(data_dir, tmp_path, capsys, en
         # an int past float range: r * batch_size must not overflow before the bound
         ("train", [], '{"batch_size": 1%s}' % ("0" * 400), "batch_size must be in [1, 4096]"),
         ("jlsd", [], '{"r": 1%s}' % ("0" * 400), "r * batch_size must be <= 4096"),
+        # a huge pool overflowed rng.choice; a huge dimension tried to allocate TiBs
+        ("joint", ["--t", "2", "--source-pool-size", "1" + "0" * 30], None, _POOL),
+        ("joint", ["--source-pool-size", str(2**20 + 1)], None, _POOL),
+        ("joint", [], '{"source_pool_size": 1000000000}', _POOL),
+        ("train", ["--hidden-dim", "1000000000"], None, _DIMS),
+        ("train", ["--embed-dim", "1000000000000"], None, _DIMS),
+        ("jlsd", ["--hidden-dim", "1025"], None, _DIMS),
+        ("pretrain", [], '{"embed_dim": 1025}', _DIMS),
+        ("train", [], '{"hidden_dim": 1%s}' % ("0" * 400), _DIMS),
     ],
     ids=["seed-train", "seed-jlsd", "seed-pretrain", "seed-joint", "seed-config", "r-flag",
          "r-config", "lr-upper", "lr-lower", "r-huge", "r-product-inf", "r-above-cap",
-         "batch-huge", "batch-above-cap", "batch-config-past-float", "r-config-past-float"],
+         "batch-huge", "batch-above-cap", "batch-config-past-float", "r-config-past-float",
+         "pool-huge", "pool-above-cap", "pool-config", "hidden-huge", "embed-huge",
+         "hidden-above-cap", "embed-config", "hidden-config-past-float"],
 )
 def test_out_of_bounds_config_values_are_config_errors(
     data_dir, tmp_path, capsys, mode, flags, config_text, message

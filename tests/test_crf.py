@@ -6,7 +6,7 @@ import pytest
 
 from kpex import NumericError
 from kpex import crf as batched
-from kpex.crf import CrfParams, phrase_confidence
+from kpex.crf import CrfParams
 
 from one_doc import log_partition, marginals, nll_and_grad, sequence_score, viterbi
 from oracles import brute_force_crf, central_difference_grad, relative_error
@@ -198,29 +198,3 @@ def test_gradients_match_finite_differences():
         for analytic, arr in pairs:
             numeric = central_difference_grad(loss, arr, step=1e-3)
             assert relative_error(analytic, numeric) <= 1e-6
-
-
-# -- phrase confidence -------------------------------------------------------
-
-
-def test_confidence_is_the_marginal_product():
-    marg = np.array([[0.05, 0.9, 0.05], [0.1, 0.1, 0.8], [1.0, 0.0, 0.0]])
-    assert phrase_confidence(marg, (0, 2), [1, 2]) == pytest.approx(0.72)
-    assert phrase_confidence(marg, (2, 3), [0]) == pytest.approx(1.0)
-
-
-def test_confidence_rejects_empty_span():
-    with pytest.raises(ValueError, match="empty span"):
-        phrase_confidence(np.full((3, 3), 1 / 3), (1, 1), [])
-
-
-def test_confidence_bounded_and_monotone_under_extension():
-    rng = np.random.default_rng(10)
-    for _ in range(20):
-        emissions, crf = random_instance(rng, 6)
-        marg = marginals(emissions, crf)
-        labels = rng.integers(0, 3, 6)
-        full = phrase_confidence(marg, (1, 5), labels[1:5])
-        shorter = phrase_confidence(marg, (1, 4), labels[1:4])
-        assert full <= shorter + 1e-15  # extending a span never raises confidence
-        assert full <= marg[np.arange(1, 5), labels[1:5]].min() + 1e-15

@@ -67,7 +67,10 @@ def test_config_bounds_validated():
         for name in ("lr_lower", "lr_upper"):
             with pytest.raises(ConfigError, match=f"{name} must be finite"):
                 JlsdConfig(**{name: value})
-    JlsdConfig(seed=0, lr_lower=0.0, lr_upper=0.0)  # the bounds themselves are valid
+    # the bounds themselves are valid
+    JlsdConfig(seed=0, lr_lower=0.0, lr_upper=0.0, source_pool_size=0)
+    JlsdConfig(embed_dim=1, hidden_dim=kpex.jlsd.MAX_DIM, source_pool_size=kpex.jlsd.MAX_POOL)
+    JlsdConfig(embed_dim=kpex.jlsd.MAX_DIM, hidden_dim=1)
 
 
 # -- supervised baseline -----------------------------------------------------
@@ -186,6 +189,31 @@ def test_swap_happens_only_on_strict_improvement(tiny_corpus, monkeypatch):
     cfg = tiny_config(T=30, eval_every=10, teacher_T=0, patience=10)
     _, report = jlsd_train(labeled, unlabeled, dev, cfg)
     assert report.swap_events == [(30, 0.50, 0.52)]
+
+
+def test_the_teacher_is_always_the_best_checkpoint(tiny_corpus, monkeypatch):
+    labeled, unlabeled, dev = tiny_corpus
+    # teacher-phase evals at 0 and 10 (the second is its best), then student
+    # evals at 10, 20, 30 and 40: the ones at 10 and 30 strictly improve
+    scripted = iter([0.40, 0.50, 0.55, 0.55, 0.60, 0.60])
+    evaluated, teachers = [], []
+
+    def fake_f1(model, dataset):
+        evaluated.append(checkpoint_bytes(model))
+        return MetricReport(0, 0, next(scripted), 0, 0, 0)
+
+    def spy(teacher, docs):
+        teachers.append(checkpoint_bytes(teacher))
+        return pseudo_label(teacher, docs)
+
+    monkeypatch.setattr(kpex.jlsd, "dataset_f1", fake_f1)
+    monkeypatch.setattr(kpex.jlsd, "pseudo_label", spy)
+    cfg = tiny_config(T=40, eval_every=10, teacher_T=10, patience=10)
+    _, report = jlsd_train(labeled, unlabeled, dev, cfg)
+    assert report.swap_events == [(10, 0.50, 0.55), (30, 0.55, 0.60)]
+    teacher_phase, first, second = evaluated[1], evaluated[2], evaluated[4]
+    assert len({teacher_phase, first, second}) == 3  # each swap changes the teacher
+    assert teachers == [teacher_phase] * 10 + [first] * 20 + [second] * 10
 
 
 def test_student_baseline_is_the_teacher_best_score_without_a_dev_eval(

@@ -17,6 +17,8 @@ from kpex import (
     init_model,
     rank_phrases,
 )
+from kpex.corpus import bio_to_phrases
+from kpex.encoder import encode_forward, time_major
 from kpex.metrics import (
     TOKEN_BUDGET,
     MetricReport,
@@ -26,7 +28,7 @@ from kpex.metrics import (
     rank_predictions,
 )
 
-from oracles import f1_reference
+from oracles import brute_force_crf, f1_reference
 
 
 def pred(phrase, start, conf):
@@ -282,6 +284,31 @@ def test_batched_decode_returns_the_single_document_results(lengths, seed):
         np.testing.assert_allclose(
             [p.confidence for p in batched], [p.confidence for p in single], rtol=1e-11, atol=0
         )
+
+
+def test_ranked_confidences_are_brute_force_marginal_products():
+    """Each ranked phrase's confidence is the product of the exhaustive posterior
+    marginals of its decoded labels, through rank_phrases and a mixed-length batch."""
+    words, phrases = list(_VOCAB.itos), 0
+    for seed in range(6):  # mixed lengths up to 6, so that 3**n paths enumerate
+        model = _random_model(seed)
+        rng = np.random.default_rng(seed)
+        docs = [Document(f"d{n}", tuple(rng.choice(words, n))) for n in (6, 1, 4, 2, 5, 3)]
+        batched = decode_batches(model, docs, rank=True)
+        for doc, ranked in [*zip(docs, batched), *((d, rank_phrases(model, d)) for d in docs)]:
+            ids, lengths = time_major([model.vocab.encode(doc.tokens)])
+            emissions = encode_forward(model.encoder, ids, lengths)[0][:, 0]
+            oracle = brute_force_crf(emissions, model.crf.trans, model.crf.start, model.crf.end)
+            labels = np.array(oracle["best_path"])
+            spans = {span for span, _ in bio_to_phrases(doc.tokens, labels)}
+            for p in ranked:
+                s, e = p.span
+                assert p.span in spans
+                marg = oracle["marginals"][np.arange(s, e), labels[s:e]]
+                assert p.confidence == pytest.approx(np.prod(marg), rel=1e-12, abs=0)
+                assert p.confidence <= marg.min() * (1 + 1e-12)
+            phrases += len(ranked)
+    assert phrases > 0
 
 
 def test_no_documents_decode_to_nothing(monkeypatch):
