@@ -6,10 +6,12 @@ The score of a label sequence y for emissions e is
 
 and all inference is one forward recursion run in two semirings: log-sum-exp
 for the partition function, marginals and likelihood gradients, max-plus for
-Viterbi. Every function takes a time-major batch: emissions ``(n_max, B, L)``,
-one document per column, and the ``(B,)`` lengths; padding rows sit at each
-column's tail, so no time loop needs a mask. No transition is forbidden; O->I
-decodes are repaired downstream by the orphan-I rule in :mod:`kpex.corpus`.
+Viterbi. The log-sum-exp recursion subtracts each step's label-0 score, so its
+scores stay at one step's scale however long the document, and marginals are
+normalised position by position. Every function takes a time-major batch:
+emissions ``(n_max, B, L)``, one document per column, and the ``(B,)`` lengths;
+padding rows sit at each column's tail, so no time loop needs a mask. No
+transition is forbidden; O->I decodes are repaired by :mod:`kpex.corpus`.
 """
 
 from __future__ import annotations
@@ -66,30 +68,43 @@ def _check(emissions, lengths) -> tuple[np.ndarray, np.ndarray]:
     return emissions, lengths
 
 
-def _alphas(emissions, trans, first, reduce=np.logaddexp.reduce) -> np.ndarray:
+def _alphas(emissions, trans, first, shift=None, reduce=np.logaddexp.reduce) -> np.ndarray:
     """Forward scores of every column, reduced over the previous label (axis -2) so that any
-    axes between time and labels broadcast; padding at the tail never feeds a real row."""
+    axes between time and labels broadcast; padding at the tail never feeds a real row. With
+    ``shift``, shaped as the emissions less labels, each step's label-0 score moves into it."""
     alpha = np.empty_like(emissions)
     alpha[0] = first + emissions[0]
-    for t in range(1, emissions.shape[0]):
-        alpha[t] = reduce(alpha[t - 1][..., :, None] + trans, axis=-2) + emissions[t]
+    for t in range(emissions.shape[0]):
+        if t:
+            alpha[t] = reduce(alpha[t - 1][..., :, None] + trans, axis=-2) + emissions[t]
+        if shift is not None:  # the right side is read before shift[t] is written
+            shift[t], alpha[t] = alpha[t, ..., 0], alpha[t] - alpha[t, ..., :1]
     return alpha
 
 
+def _normalised(scores, real) -> np.ndarray:
+    """``exp(scores)`` normalised over all axes after (t, b) within each real ``(n, B)`` row;
+    padding rows, whose scores carry no meaning, are zero."""
+    labels = tuple(range(2, scores.ndim))
+    probs = np.exp(scores - scores.max(axis=labels, keepdims=True))
+    probs /= probs.sum(axis=labels, keepdims=True)
+    return np.where(np.expand_dims(real, labels), probs, 0.0)
+
+
 def _forward_backward(emissions, lengths, crf: CrfParams):
-    """Per column: ``alpha``, ``beta + emissions``, ``log Z`` and the
-    posterior marginals (zero on padding). One recursion runs both directions
-    on axis 1: the betas are the alphas of each column reversed within its
-    length, transitions transposed and the end scores as the start."""
-    rev = reversal(lengths, emissions.shape[0])
+    """Per column: ``alpha`` and ``beta + emissions``, each off by a constant per position,
+    ``log Z``, the real-position mask and the posterior marginals (zero on padding). One
+    shifted recursion runs both directions on axis 1: the betas are the alphas of each column
+    reversed within its length, transitions transposed and the end scores as the start.
+    ``log Z`` is the forward shifts of the real rows plus the last one's log-sum-exp."""
+    n, batch = emissions.shape[:2]
+    rev, shift, real = reversal(lengths, n), np.empty((n, 2, batch)), real_positions(lengths, n)
     ends, trans = np.stack((crf.start, crf.end)), np.stack((crf.trans, crf.trans.T))
-    both = _alphas(np.stack((emissions, emissions[rev]), axis=1), trans[:, None], ends[:, None])
+    both = _alphas(np.stack((emissions, emissions[rev]), 1), trans[:, None], ends[:, None], shift)
     alpha, beta_e = both[:, 0], both[:, 1][rev]
-    log_z = np.logaddexp.reduce(alpha[lengths - 1, np.arange(len(lengths))] + crf.end, axis=1)
-    real = real_positions(lengths, emissions.shape[0])[:, :, None]
-    # padding rows are masked before exp: their scores carry no meaning and can overflow
-    probs = np.exp(np.where(real, alpha + beta_e - emissions - log_z[:, None], -np.inf))
-    return alpha, beta_e, log_z, probs
+    log_z = np.where(real, shift[:, 0], 0.0).sum(axis=0)
+    log_z += np.logaddexp.reduce(alpha[lengths - 1, np.arange(batch)] + crf.end, axis=1)
+    return alpha, beta_e, log_z, real, _normalised(alpha + beta_e - emissions, real)
 
 
 def log_partition(emissions, crf: CrfParams, lengths) -> np.ndarray:
@@ -118,7 +133,7 @@ def viterbi(emissions, crf: CrfParams, lengths) -> tuple[np.ndarray, np.ndarray]
     """
     emissions, lengths = _check(emissions, lengths)
     cols = np.arange(len(lengths))
-    delta = _alphas(emissions, crf.trans, crf.start, np.maximum.reduce)
+    delta = _alphas(emissions, crf.trans, crf.start, reduce=np.maximum.reduce)
     # backpointers (t, B, to, from), lowest index on ties, as lists for the serial backtrack
     steps = (delta[:-1, :, None, :] + crf.trans.T).argmax(axis=3).tolist()
     final = delta[lengths - 1, cols] + crf.end
@@ -135,7 +150,7 @@ def viterbi(emissions, crf: CrfParams, lengths) -> tuple[np.ndarray, np.ndarray]
 def marginals(emissions, crf: CrfParams, lengths) -> np.ndarray:
     """Posterior P(y_t = label) for every real position, rows summing to one;
     padding rows are zero."""
-    return _forward_backward(*_check(emissions, lengths), crf)[3]
+    return _forward_backward(*_check(emissions, lengths), crf)[4]
 
 
 def nll_and_grad(
@@ -153,11 +168,8 @@ def nll_and_grad(
     emissions, lengths = _check(emissions, lengths)
     y = np.asarray(gold, dtype=np.int64)
     n, batch, num_labels = emissions.shape
-    cols = np.arange(batch)
-    last = lengths - 1
-    real = real_positions(lengths, n)
-
-    alpha, beta_e, log_z, probs = _forward_backward(emissions, lengths, crf)
+    cols, last = np.arange(batch), lengths - 1
+    alpha, beta_e, log_z, real, probs = _forward_backward(emissions, lengths, crf)
     losses = log_z - sequence_score(emissions, crf, y, lengths)  # checks the shape of y
 
     d_start = probs[0].sum(axis=0) - np.bincount(y[0], minlength=num_labels)
@@ -167,8 +179,8 @@ def nll_and_grad(
     d_emissions[t, b, y[t, b]] -= 1.0
 
     # expected transition counts: P(y_t = i, y_{t+1} = j) summed over t and columns
-    pair = alpha[:-1, :, :, None] + crf.trans + beta_e[1:, :, None, :] - log_z[:, None, None]
-    d_trans = np.exp(np.where(real[1:, :, None, None], pair, -np.inf)).sum(axis=(0, 1))
     moves = real[1:]
+    pair = alpha[:-1, :, :, None] + crf.trans + beta_e[1:, :, None, :]
+    d_trans = _normalised(pair, moves).sum(axis=(0, 1))
     np.add.at(d_trans, (y[:-1][moves], y[1:][moves]), -1.0)
     return losses, d_emissions, CrfParams(trans=d_trans, start=d_start, end=d_end)

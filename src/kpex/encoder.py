@@ -9,11 +9,11 @@ those still inside their documents as one contiguous block of rows of
 ``(N, 2, ...)`` arrays, N = ``lengths.sum()``; padding is never computed.
 Axis 1 is the direction: direction 0 reads each column left to right,
 direction 1 reads it reversed within its length, so both share each step's
-columns and run as one recurrence. They meet only at the projection, where
-direction 1's states are gathered back into reading order and the emission
-gradient into its step order. Gate blocks are ordered (input, forget, cell,
-output). The padding embedding row (index 0) is kept at zero and receives
-no gradient.
+columns and run as one recurrence. They meet only at the projection: each
+direction's states meet its own half of ``proj_W``, direction 1's label scores
+are gathered back into reading order and the emission gradient into its step
+order. Gate blocks are ordered (input, forget, cell, output). The padding
+embedding row (index 0) is kept at zero and receives no gradient.
 """
 
 from __future__ import annotations
@@ -170,8 +170,8 @@ def encode_forward(
     ``lengths[b]`` rows and padding, which may hold any valid id, after them.
     Both LSTM directions start from zero states at each document's own ends
     and run over real positions only; emission row t of column b is
-    ``proj_W @ concat(h_fwd[t, b], h_bwd[t, b]) + proj_b``, and rows past a
-    column's length are zero.
+    ``proj_W @ concat(h_fwd[t, b], h_bwd[t, b]) + proj_b``, summed as the two
+    directions' halves, and rows past a column's length are zero.
 
     Each step is one batched ``(2, active, h) @ (2, h, 4h)`` product for both
     directions; the carried states drop the columns that have ended. All four
@@ -219,9 +219,9 @@ def encode_forward(
         h_t *= o[rows]
         if ends:  # the columns that took their last step drop out, ranked last
             h_t, c_t = h_t[:-ends], c_t[:-ends]
-    hidden = np.concatenate([hs[:, 0], hs[mirror, 1]], axis=1)
+    scores = hs.transpose(1, 0, 2) @ params.proj_W.reshape(-1, 2, h).transpose(1, 2, 0)
     emissions = np.zeros((n, batch, params.proj_W.shape[0]))
-    emissions[t, col] = hidden @ params.proj_W.T + params.proj_b
+    emissions[t, col] = scores[0] + scores[1][mirror] + params.proj_b
     return emissions, ForwardCache(ids, lengths, *layout, gates, c, hs, emissions)
 
 

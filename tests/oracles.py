@@ -47,6 +47,22 @@ def brute_force_crf(emissions, trans, start, end):
     }
 
 
+def longdouble_forward_backward(emissions, trans, start, end):
+    """log Z and posterior marginals of one document from the textbook log-space
+    forward and backward recursions, unshifted, in extended precision."""
+    e = np.asarray(emissions, dtype=np.longdouble)
+    trans, start, end = (np.asarray(a, dtype=np.longdouble) for a in (trans, start, end))
+    alpha, beta = np.empty_like(e), np.empty_like(e)
+    alpha[0] = start + e[0]
+    for t in range(1, len(e)):
+        alpha[t] = np.logaddexp.reduce(alpha[t - 1][:, None] + trans, axis=0) + e[t]
+    beta[-1] = end
+    for t in range(len(e) - 2, -1, -1):
+        beta[t] = np.logaddexp.reduce(trans + e[t + 1] + beta[t + 1], axis=1)
+    log_z = np.logaddexp.reduce(alpha[-1] + end)
+    return log_z, np.exp(alpha + beta - log_z)
+
+
 def central_difference_grad(f, arr, step: float = 1e-3) -> np.ndarray:
     """Elementwise central finite differences of scalar f() w.r.t. arr (mutated in place)."""
     grad = np.zeros_like(arr)

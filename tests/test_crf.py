@@ -6,10 +6,15 @@ import pytest
 
 from kpex import NumericError
 from kpex import crf as batched
-from kpex.crf import CrfParams
+from kpex.crf import CrfParams, crf_tensors, real_positions
 
 from one_doc import log_partition, marginals, nll_and_grad, sequence_score, viterbi
-from oracles import brute_force_crf, central_difference_grad, relative_error
+from oracles import (
+    brute_force_crf,
+    central_difference_grad,
+    longdouble_forward_backward,
+    relative_error,
+)
 
 
 def random_instance(rng, n):
@@ -135,6 +140,41 @@ def test_marginals_match_enumeration():
         emissions, crf = random_instance(rng, 5)
         ref = brute_force_crf(emissions, crf.trans, crf.start, crf.end)
         npt.assert_allclose(marginals(emissions, crf), ref["marginals"], atol=1e-10)
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps, reason="no extended precision"
+)
+@pytest.mark.parametrize("batch, seed", [(1, 0), (1, 1), (3, 2), (3, 3)])
+def test_long_columns_match_an_extended_precision_reference(batch, seed):
+    """The error of the marginals does not grow with length: columns of 300-450 tokens at
+    emission scale 3-5 stay within 1e-13 of an unshifted long-double forward-backward."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(300, 451, batch)
+    emissions = rng.normal(scale=rng.uniform(3, 5), size=(lengths.max(), batch, 3))
+    _, crf = random_instance(rng, 1)
+    probs = batched.marginals(emissions, crf, lengths)
+    log_z = batched.log_partition(emissions, crf, lengths)
+    for b, n in enumerate(lengths):
+        ref_z, ref = longdouble_forward_backward(emissions[:n, b], crf.trans, crf.start, crf.end)
+        npt.assert_allclose(probs[:n, b], ref.astype(np.float64), rtol=1e-13, atol=0)
+        npt.assert_allclose(log_z[b], float(ref_z), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("spread", [1e3, 1e10, 1e300])
+def test_extreme_scores_stay_finite(spread):
+    rng = np.random.default_rng(10)
+    lengths = np.array([1, 6, 12])
+    emissions = 1e3 * rng.uniform(-1, 1, (12, 3, 3))
+    crf = CrfParams(*(spread * rng.uniform(-1, 1, shape) for shape in ((3, 3), 3, 3)))
+    probs = batched.marginals(emissions, crf, lengths)
+    assert np.all(np.isfinite(probs))
+    npt.assert_allclose(probs.sum(axis=2)[real_positions(lengths, 12)], 1.0, rtol=0, atol=1e-12)
+    losses, d_emissions, d_crf = batched.nll_and_grad(
+        emissions, crf, rng.integers(0, 3, (12, 3)), lengths
+    )
+    for arr in (losses, d_emissions, *crf_tensors(d_crf).values()):
+        assert np.all(np.isfinite(arr))
 
 
 def test_log_partition_gradient_is_the_marginal_matrix():

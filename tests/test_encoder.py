@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from kpex import NumericError, OptimizerState, adam_step
+from kpex import NumericError, OptimizerState, adam_step, encoder
 from kpex.corpus import PAD_INDEX
 from kpex.encoder import EncoderDims, encoder_tensors, init_params
 
@@ -103,6 +105,22 @@ def test_emissions_depend_on_the_whole_sequence():
     e1, _ = encode_forward(p, [2, 3, 4, 5])
     e2, _ = encode_forward(p, [2, 3, 4, 6])
     assert abs(e1[0] - e2[0]).max() > 0  # bidirectionality reaches row 0
+
+
+def test_forward_memory_per_real_token():
+    """At embed/hidden 64 the gate, cell and state caches are 6 KB per real token; the
+    projection adds little to the peak of one forward pass."""
+    params = init_params(EncoderDims(vocab_size=50, embed_dim=64, hidden_dim=64), 0)
+    lengths = np.array([370, 300, 200, 130])
+    ids = np.random.default_rng(0).integers(1, 50, (370, 4))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        encoder.encode_forward(params, ids, lengths)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / lengths.sum() <= 7.0 * 1024
 
 
 # -- backward ----------------------------------------------------------------

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kpex.metrics
@@ -272,6 +272,7 @@ def _random_model(seed):
     lengths=st.lists(st.integers(1, 600), min_size=1, max_size=40),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(lengths=[1, 1, 1, 257, 411], seed=41103)  # two long columns in one group
 def test_batched_decode_returns_the_single_document_results(lengths, seed):
     model = _random_model(seed)
     rng = np.random.default_rng(seed)
@@ -284,6 +285,21 @@ def test_batched_decode_returns_the_single_document_results(lengths, seed):
         np.testing.assert_allclose(
             [p.confidence for p in batched], [p.confidence for p in single], rtol=1e-11, atol=0
         )
+
+
+@pytest.mark.parametrize("spread", [1e3, 1e10, 1e300])
+def test_ranking_stays_finite_under_extreme_scores(spread):
+    model, rng = _random_model(3), np.random.default_rng(3)
+    model.encoder.proj_W *= 1e3 / np.abs(model.encoder.proj_W).max()  # emission spread 1e3
+    cycle = np.array([[-1, 1, -1], [-1, -1, 1], [1, -1, -1]])  # O -> B -> I -> O decodes phrases
+    model.crf.trans[...] = spread * (cycle + 0.1 * rng.uniform(-1, 1, (3, 3)))
+    model.crf.start[...] = spread * np.array([-1, 1, -1])
+    model.crf.end[...] = spread * rng.uniform(-1, 1, 3)
+    words = list(_VOCAB.itos)
+    for n in (2, 7, 15):
+        ranked = rank_phrases(model, Document("d", tuple(words[1 : n + 1])))
+        assert ranked
+        assert all(np.isfinite(p.confidence) and 0 <= p.confidence <= 1 for p in ranked)
 
 
 def test_ranked_confidences_are_brute_force_marginal_products():
