@@ -6,10 +6,10 @@ Four modes share one mini-batch Adam loop:
 * ``jlsd_train``: joint learning by self-distillation. A teacher is first
   trained on the labeled data, then trained on as the student: each
   iteration the student takes one gradient step on a batch of labeled
-  documents plus unlabeled documents pseudo-labeled by the teacher, which is
-  the best-on-dev checkpoint so far. It moves to the student's parameters
-  only when the student's dev score strictly beats the best seen, so the
-  teacher's quality never decreases;
+  documents plus unlabeled documents pseudo-labeled, a window of draws at a
+  time, by the teacher: the best-on-dev checkpoint so far. It moves to the
+  student only when the student's dev score strictly beats the best seen,
+  so the teacher's quality never decreases;
 * ``train_simple_pretrain``: train on a labeled source corpus, then keep
   training on the target with a fresh optimizer;
 * ``train_simple_joint``: train on the target plus a freshly sampled
@@ -23,15 +23,16 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .corpus import Dataset, LabeledDocument, bio_to_phrases, build_vocab, sample_batch
-from .crf import crf_tensors, nll_and_grad, viterbi
+from .corpus import Dataset, LabeledDocument, build_vocab, sample_batch
+from .crf import crf_tensors, nll_and_grad, viterbi  # noqa: F401 (bench traces jlsd.viterbi)
 from .encoder import OptimizerState, adam_step, encode_backward, encode_forward, time_major
 from .errors import ConfigError, DataError
-from .metrics import dataset_f1
+from .metrics import dataset_f1, decode_batches
 from .model import Model, init_model, model_tensors
 
 MAX_DRAW = 4096  # the most documents drawn from one dataset for one training step
@@ -173,6 +174,11 @@ def _seed_stream(config: JlsdConfig, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(config.seed).spawn(2)[index])
 
 
+def _next_eval(it: int, config: JlsdConfig) -> int:
+    """The first dev eval at or after ``it``: each ``eval_every``-th iteration, and the last."""
+    return min(config.T, -(-it // config.eval_every) * config.eval_every)
+
+
 def _fresh_model(vocab, config: JlsdConfig) -> Model:
     return init_model(vocab, config.embed_dim, config.hidden_dim, _seed_stream(config, 0))
 
@@ -214,7 +220,7 @@ def _train_loop(
                 "loss_pseudo": loss_pseudo,
             }
         )
-        if it % config.eval_every == 0 or it == config.T:
+        if it == _next_eval(it, config):
             score = dataset_f1(model, dev).f1
             improved = score > best_score
             events.append(
@@ -261,26 +267,13 @@ def train_supervised(
 
 
 def pseudo_label(teacher: Model, docs) -> list[LabeledDocument]:
-    """Hard pseudo-labels: Viterbi-decode the documents with the teacher, as
-    one batch.
-
-    Accepts Documents or LabeledDocuments (existing labels are ignored);
-    unknown tokens map to UNK through the teacher's vocabulary.
-    """
+    """Hard pseudo-labels: the teacher's raw Viterbi paths from ``metrics.decode_batches``, for
+    Documents or LabeledDocuments (their labels are ignored; unknown tokens map to UNK)."""
     docs = [d.doc if isinstance(d, LabeledDocument) else d for d in docs]
-    if not docs:
-        return []
-    ids, lengths = time_major([teacher.vocab.encode(doc.tokens) for doc in docs])
-    emissions, _ = encode_forward(teacher.encoder, ids, lengths)
-    paths, _ = viterbi(emissions, teacher.crf, lengths)
-    out = []
-    for b, doc in enumerate(docs):
-        labels = tuple(paths[: lengths[b], b].tolist())
-        phrases = frozenset(p for _, p in bio_to_phrases(doc.tokens, labels))
-        out.append(
-            LabeledDocument(doc=doc, labels=labels, keyphrases=phrases, label_source="pseudo")
-        )
-    return out
+    return [
+        LabeledDocument(doc, labels, {p for _, p in spans}, label_source="pseudo")
+        for doc, (_, spans, labels) in zip(docs, decode_batches(teacher, docs))
+    ]
 
 
 def jlsd_train(
@@ -288,15 +281,15 @@ def jlsd_train(
 ) -> tuple[Model, TrainReport]:
     """Joint learning by self-distillation.
 
-    First trains a teacher on the labeled data alone, then trains that model
-    on as the student for ``T`` iterations. Each iteration samples
-    ``batch_size`` labeled and ``round(r * batch_size)`` unlabeled documents,
-    pseudo-labels the latter on the fly with the teacher, and takes one
-    gradient step on the combined batch with equal per-document weight. The
-    teacher is the best-on-dev checkpoint so far: whenever the student's dev
-    score strictly exceeds the best seen, the student becomes the teacher and
-    a swap event is recorded, which makes the sequence of swap scores
-    strictly increasing. Returns the best-on-dev student.
+    First trains a teacher on the labeled data alone, then trains that model on as the
+    student for ``T`` iterations. Each iteration samples ``batch_size`` labeled and
+    ``round(r * batch_size)`` unlabeled documents, pseudo-labeled by the teacher, for one
+    gradient step with equal per-document weight. The teacher is the best-on-dev checkpoint
+    so far: when the student's dev score strictly exceeds the best seen, the student becomes
+    the teacher and a swap event is recorded, so swap scores strictly increase. The teacher
+    changes only at a dev eval, so the batches up to the next eval (at most ``MAX_DRAW``
+    documents) are drawn at once, in per-iteration order, and pseudo-labeled in one call.
+    Returns the best-on-dev student.
     """
     _require_labeled(labeled, "labeled")
     _require_labeled(dev, "dev")
@@ -306,23 +299,27 @@ def jlsd_train(
     vocab = build_vocab(list(labeled.documents) + list(unlabeled.documents), config.min_count)
     # the teacher phase gets its own seed so the student loop's sampling
     # stream matches what train_supervised would draw under config.seed
-    teacher_config = replace(
-        config,
-        seed=config.seed + 1,
-        T=config.teacher_T if config.teacher_T is not None else config.T,
-    )
+    teacher_T = config.teacher_T if config.teacher_T is not None else config.T
+    teacher_config = replace(config, seed=config.seed + 1, T=teacher_T)
     # the teacher phase's best checkpoint is trained on in place as the student;
     # _train_loop's first best-checkpoint copy of it is the starting teacher
     student, teacher_report = train_supervised(labeled, dev, teacher_config, vocab=vocab)
 
     events: list = []
     k = config.unlabeled_per_batch
+    window = max(1, MAX_DRAW // (config.batch_size + k))  # iterations whose draws fit MAX_DRAW
+    queue = deque()
 
     def make_batch(it, rng, teacher):
-        batch = sample_batch(labeled, config.batch_size, rng)
-        if k > 0:
-            batch = batch + pseudo_label(teacher, sample_batch(unlabeled, k, rng))
-        return batch
+        if not queue:
+            draws = [
+                (sample_batch(labeled, config.batch_size, rng),
+                 sample_batch(unlabeled, k, rng) if k > 0 else [])
+                for _ in range(it, min(_next_eval(it, config), it + window - 1) + 1)
+            ]
+            pseudo = iter(pseudo_label(teacher, [d for _, drawn in draws for d in drawn]))
+            queue.extend(gold + [next(pseudo) for _ in drawn] for gold, drawn in draws)
+        return queue.popleft()
 
     def record_swap(it, old_score, new_score):
         events.append(

@@ -63,9 +63,10 @@ def _decode(model: Model, docs, rank: bool) -> list:
     ids, lengths = time_major([model.vocab.encode(d.tokens) for d in docs])
     emissions, _ = encode_forward(model.encoder, ids, lengths)
     paths, _ = viterbi(emissions, model.crf, lengths)
-    spans = [bio_to_phrases(d.tokens, paths[: len(d.tokens), b]) for b, d in enumerate(docs)]
+    labels = [tuple(paths[: len(d.tokens), b].tolist()) for b, d in enumerate(docs)]
+    spans = [bio_to_phrases(d.tokens, path) for d, path in zip(docs, labels)]
     if not rank:
-        return [({_fold(p) for _, p in doc_spans}, doc_spans) for doc_spans in spans]
+        return [({_fold(p) for _, p in s}, s, path) for s, path in zip(spans, labels)]
     marg = marginals(emissions, model.crf, lengths)
     # a phrase's confidence: the product of its decoded labels' posterior marginals
     return [
@@ -80,10 +81,10 @@ def _decode(model: Model, docs, rank: bool) -> list:
 
 
 def decode_batches(model: Model, docs, rank: bool = False) -> list:
-    """A list with, per document in input order, what ``extract`` returns for it, or with ``rank``
-    what ``rank_phrases`` returns, whose confidences a batch matches to rounding (3.6e-15 relative
-    on the ``extract`` benchmark). Documents are decoded in groups of ascending length (a stable
-    sort) whose padded size ``n_max × B`` stays within ``TOKEN_BUDGET``; longer ones go alone."""
+    """The only Viterbi decode: per document in input order, what ``extract`` returns (label path
+    included) or with ``rank`` what ``rank_phrases`` returns, confidences to rounding (3.6e-15
+    relative on the ``extract`` benchmark). Ascending-length groups (a stable sort) decode together
+    while their padded size ``n_max × B`` stays within ``TOKEN_BUDGET``; a longer one alone."""
     docs, groups = list(docs), []
     for i in sorted(range(len(docs)), key=lambda i: len(docs[i].tokens)):
         if not groups or len(docs[i].tokens) * (len(groups[-1]) + 1) > TOKEN_BUDGET:
@@ -96,9 +97,9 @@ def decode_batches(model: Model, docs, rank: bool = False) -> list:
     return out
 
 
-def extract(model: Model, doc) -> tuple[set[Phrase], list]:
-    """Viterbi-decode a document: its case-folded phrase set and its decoded
-    spans ``[((start, end), tokens)]``. Computes no marginals."""
+def extract(model: Model, doc) -> tuple[set[Phrase], list, tuple[int, ...]]:
+    """Viterbi-decode a document: its case-folded phrase set, its spans ``[((start, end),
+    tokens)]`` and its raw label path (an orphan I stays I). Computes no marginals."""
     return decode_batches(model, [doc])[0]
 
 

@@ -14,6 +14,7 @@ from kpex import (
     init_model,
     jlsd_train,
     pseudo_label,
+    sample_batch,
     split_dataset,
     train_simple_joint,
     train_simple_pretrain,
@@ -125,6 +126,18 @@ def test_zero_score_teacher_labels_everything_o(tiny_corpus):
     assert all(ld.keyphrases == frozenset() for ld in out)
 
 
+def test_pseudo_labels_keep_the_raw_viterbi_path(tiny_corpus):
+    labeled, _, _ = tiny_corpus
+    teacher = init_model(build_vocab(labeled), 8, 8, 0)
+    for arr in encoder_tensors(teacher.encoder).values():
+        arr[...] = 0.0
+    teacher.crf.start[...] = [0.0, 0.0, 5.0]  # every path is I I ... I: one orphan I
+    teacher.crf.trans[...] = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 5.0]]
+    for ld in pseudo_label(teacher, labeled[:5]):
+        assert ld.labels == (2,) * len(ld.tokens)  # not promoted to B I ... I
+        assert ld.keyphrases == frozenset({ld.tokens})
+
+
 def test_pseudo_labels_are_deterministic(tiny_corpus):
     labeled, _, dev = tiny_corpus
     teacher, _ = train_supervised(labeled, dev, tiny_config())
@@ -203,7 +216,7 @@ def test_the_teacher_is_always_the_best_checkpoint(tiny_corpus, monkeypatch):
         return MetricReport(0, 0, next(scripted), 0, 0, 0)
 
     def spy(teacher, docs):
-        teachers.append(checkpoint_bytes(teacher))
+        teachers.append((checkpoint_bytes(teacher), len(docs)))
         return pseudo_label(teacher, docs)
 
     monkeypatch.setattr(kpex.jlsd, "dataset_f1", fake_f1)
@@ -213,7 +226,9 @@ def test_the_teacher_is_always_the_best_checkpoint(tiny_corpus, monkeypatch):
     assert report.swap_events == [(10, 0.50, 0.55), (30, 0.55, 0.60)]
     teacher_phase, first, second = evaluated[1], evaluated[2], evaluated[4]
     assert len({teacher_phase, first, second}) == 3  # each swap changes the teacher
-    assert teachers == [teacher_phase] * 10 + [first] * 20 + [second] * 10
+    # one call per eval window of 10 iterations, labeling all of its draws
+    k = cfg.unlabeled_per_batch
+    assert teachers == [(t, 10 * k) for t in (teacher_phase, first, first, second)]
 
 
 def test_student_baseline_is_the_teacher_best_score_without_a_dev_eval(
@@ -254,6 +269,88 @@ def test_jlsd_rerun_is_byte_identical(tiny_corpus):
     m2, r2 = jlsd_train(labeled, unlabeled, dev, cfg)
     assert checkpoint_bytes(m1) == checkpoint_bytes(m2)
     assert r1.to_jsonl() == r2.to_jsonl()
+
+
+# -- eval windows ------------------------------------------------------------
+
+
+def _spy_pseudo_label(monkeypatch, split=None):
+    """Record each pseudo_label call's document ids; with ``split``, label
+    every ``split`` documents in a call of their own."""
+    calls = []
+
+    def spy(teacher, docs):
+        calls.append([d.id for d in docs])
+        chunks = [docs[i : i + split] for i in range(0, len(docs), split)] if split else [docs]
+        return [ld for chunk in chunks for ld in pseudo_label(teacher, chunk)]
+
+    monkeypatch.setattr(kpex.jlsd, "pseudo_label", spy)
+    return calls
+
+
+def _run_bytes(labeled, unlabeled, dev, cfg):
+    model, report = jlsd_train(labeled, unlabeled, dev, cfg)
+    return checkpoint_bytes(model), report.to_jsonl()
+
+
+@pytest.mark.parametrize(
+    "overrides, window_ends",
+    [
+        (dict(T=25, patience=10), [10, 20, 25]),  # every eval, and a T off the eval grid
+        (dict(T=45, patience=2), [10, 20]),  # two stale evals stop the run at 20
+    ],
+)
+def test_windows_label_the_per_iteration_draws_in_order(
+    tiny_corpus, monkeypatch, overrides, window_ends
+):
+    labeled, unlabeled, dev = tiny_corpus
+    flat = MetricReport(0, 0, 0.5, 0, 0, 0)  # no eval improves
+    monkeypatch.setattr(kpex.jlsd, "dataset_f1", lambda model, data: flat)
+    calls = _spy_pseudo_label(monkeypatch)
+    cfg = tiny_config(eval_every=10, teacher_T=0, r=0.75, **overrides)
+    _, report = jlsd_train(labeled, unlabeled, dev, cfg)
+    stopped = [e["iteration"] for e in report.events if e["event"] == "early_stop"]
+    assert stopped == ([20] if cfg.patience == 2 else [])
+
+    # the draws of one iteration at a time, as each training step takes them
+    rng, k = kpex.jlsd._seed_stream(cfg, 1), cfg.unlabeled_per_batch
+    draws = []
+    for _ in range(window_ends[-1]):
+        sample_batch(labeled, cfg.batch_size, rng)
+        draws.append([d.id for d in sample_batch(unlabeled, k, rng)])
+    starts = [0] + window_ends[:-1]
+    assert calls == [sum(draws[a:b], []) for a, b in zip(starts, window_ends)]
+
+
+def test_window_labels_equal_per_draw_labels(tiny_corpus, monkeypatch):
+    labeled, unlabeled, dev = tiny_corpus
+    cfg = tiny_config(T=30, eval_every=10, teacher_T=20, r=0.5)
+    unspied = _run_bytes(labeled, unlabeled, dev, cfg)
+    calls = _spy_pseudo_label(monkeypatch, split=cfg.unlabeled_per_batch)
+    assert _run_bytes(labeled, unlabeled, dev, cfg) == unspied
+    assert [len(c) for c in calls] == [10 * cfg.unlabeled_per_batch] * 3
+
+
+@pytest.mark.parametrize(
+    "max_draw, window_lengths",
+    [
+        (5, [1] * 10),  # below one step's 8 documents: one iteration per window
+        (30, [3, 3, 3, 1]),  # 3 steps' draws fit; the eval at 10 cuts the fourth window
+    ],
+)
+def test_a_window_draws_at_most_max_draw_documents(
+    tiny_corpus, monkeypatch, max_draw, window_lengths
+):
+    labeled, unlabeled, dev = tiny_corpus
+    cfg = tiny_config(T=30, eval_every=10, teacher_T=10)
+    unpatched = _run_bytes(labeled, unlabeled, dev, cfg)
+    monkeypatch.setattr(kpex.jlsd, "MAX_DRAW", max_draw)
+    calls = _spy_pseudo_label(monkeypatch)
+    assert _run_bytes(labeled, unlabeled, dev, cfg) == unpatched
+    k = cfg.unlabeled_per_batch
+    assert [len(c) for c in calls] == [n * k for n in window_lengths] * 3
+    step = cfg.batch_size + k
+    assert all(len(c) // k * step <= max(max_draw, step) for c in calls)
 
 
 def test_vanishing_ratio_matches_supervised_continuation(tiny_corpus):

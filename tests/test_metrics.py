@@ -175,7 +175,7 @@ def test_zero_model_extracts_nothing(standard_corpus):
     model = init_model(build_vocab(train), 16, 16, 0)
     for arr in encoder_tensors(model.encoder).values():
         arr[...] = 0.0
-    phrases, spans = extract(model, train[0])
+    phrases, spans, _ = extract(model, train[0])
     assert phrases == set() and spans == []
 
 
@@ -183,7 +183,7 @@ def test_trained_model_recovers_planted_phrases(trained_standard):
     exact = 0
     test = trained_standard.test
     for d in test:
-        phrases, _ = extract(trained_standard.model, d)
+        phrases, _, _ = extract(trained_standard.model, d)
         if phrases == gold_phrases(d):
             exact += 1
     assert exact >= 0.9 * len(test)
@@ -204,7 +204,7 @@ def test_micro_and_macro_dataset_scores(trained_standard):
 def test_extract_and_rank_agree_on_the_phrase_set(trained_standard):
     model = trained_standard.model
     for d in trained_standard.test:
-        phrases, spans = extract(model, d)
+        phrases, spans, _ = extract(model, d)
         assert phrases == {p.phrase for p in rank_phrases(model, d)}
         assert [span for span, _ in spans] == sorted(span for span, _ in spans)
 
