@@ -144,10 +144,10 @@ def _pack(lengths: np.ndarray, n_max: int):
 
 @dataclass
 class ForwardCache:
-    """What the backward pass needs: the batch, its packed layout (``_pack``)
-    and per direction, on axis 1, the gates, cells and states of its packed
-    rows in the order it stepped. One backward pass consumes the cache: the
-    gate and cell arrays become its workspace and are released."""
+    """What the backward pass needs: the batch, its packed layout (``_pack``) and per direction,
+    on axis 1, the gates, cells and states of its packed rows in the order it stepped; a forward
+    with ``for_backward=False`` keeps no gates or cells. One backward pass consumes the cache:
+    the gate and cell arrays become its workspace and are released."""
 
     token_ids: np.ndarray  # (n_max, B)
     lengths: np.ndarray  # (B,)
@@ -162,7 +162,7 @@ class ForwardCache:
 
 
 def encode_forward(
-    params: EncoderParams, token_ids, lengths
+    params: EncoderParams, token_ids, lengths, *, for_backward: bool = True
 ) -> tuple[np.ndarray, ForwardCache]:
     """Emission scores ``(n_max, B, num_labels)`` for a time-major batch.
 
@@ -173,13 +173,14 @@ def encode_forward(
     ``proj_W @ concat(h_fwd[t, b], h_bwd[t, b]) + proj_b``, summed as the two
     directions' halves, and rows past a column's length are zero.
 
-    Each step is one batched ``(2, active, h) @ (2, h, 4h)`` product for both
-    directions; the carried states drop the columns that have ended. All four
-    gate blocks share one tanh through sigmoid(z) = 0.5 + 0.5 * tanh(z / 2):
-    the hoisted input product and ``Wh`` are multiplied by ``scale`` (halving,
-    exact in binary) and the activations are ``scale * tanh + 1 - scale``.
-    Step s's gates overwrite its contiguous rows of the input product; its
-    cells and states are written into its cache rows, the next step's carries.
+    Each step gathers its input rows from a table ``(embed[tokens] @ Wx.T +
+    b) * scale`` of the distinct tokens in both directions and adds one
+    batched ``(2, active, h) @ (2, h, 4h)`` product; the carried states drop
+    the columns that have ended. All four gate blocks share one tanh through
+    sigmoid(z) = 0.5 + 0.5 * tanh(z / 2): the table and ``Wh`` are multiplied
+    by ``scale`` (halving, exact) and the activations are ``scale * tanh + 1 -
+    scale``. Gates and cells fill step s's rows of ``(N, 2, ·)`` caches, or
+    with ``for_backward=False`` the first rows of one ``(B, 2, ·)`` block.
     """
     ids = np.asarray(token_ids, dtype=np.int64)
     if ids.ndim != 2:
@@ -192,36 +193,40 @@ def encode_forward(
         )
     (n, batch), h = ids.shape, params.lstm_Wh.shape[2]
     layout = t, col, mirror, steps = _pack(lengths, n)
-    read = ids[t, col]
+    tokens, inverse = np.unique(ids[t, col], return_inverse=True)
+    idx = np.stack((2 * inverse, 2 * inverse[mirror] + 1), axis=1)  # table rows (token, direction)
     scale = np.repeat([0.5, 0.5, 1.0, 0.5], h)  # sigmoid blocks i, f, o; tanh block g
     shift = 1.0 - scale
-    gates = np.empty((len(read), 2, 4 * h))
-    np.matmul(params.embed[np.stack((read, read[mirror]))], params.lstm_Wx.transpose(0, 2, 1),
-              out=gates.transpose(1, 0, 2))
-    gates += params.lstm_b
-    gates *= scale
-    WhT = params.lstm_Wh.transpose(0, 2, 1).copy()
-    WhT *= scale
-    c, hs = np.empty((len(read), 2, h)), np.empty((len(read), 2, h))
+    table = np.empty((len(tokens), 2, 4 * h))
+    np.matmul(params.embed[tokens], params.lstm_Wx.swapaxes(1, 2), out=table.swapaxes(0, 1))
+    table += params.lstm_b
+    table *= scale
+    table = table.reshape(-1, 4 * h)
+    WhT = np.multiply(params.lstm_Wh.swapaxes(1, 2), scale, order="C")
+    kept = len(t) if for_backward else batch
+    gates, c, hs = np.empty((kept, 2, 4 * h)), np.empty((kept, 2, h)), np.empty((len(t), 2, h))
     i, f, g, o = gates.reshape(-1, 2, 4, h).transpose(2, 0, 1, 3)  # views of the blocks
     h_t = c_t = np.zeros((batch, 2, h))
     recurrent = np.empty((batch, 2, 4 * h))  # the step's h_t @ WhT, rows [:active]
     for rows, ends in steps:
-        a, hw = gates[rows], recurrent[: len(h_t)]
+        at = rows if for_backward else slice(rows.stop - rows.start)
+        a, hw = gates[at], recurrent[: len(h_t)]
+        np.take(table, idx[rows], axis=0, out=a, mode="clip")  # "raise" would buffer out
         np.matmul(h_t.transpose(1, 0, 2), WhT, out=hw.transpose(1, 0, 2))
         a += hw
         np.tanh(a, out=a)
         a *= scale
         a += shift
-        c_t = np.multiply(f[rows], c_t, out=c[rows])
-        c_t += i[rows] * g[rows]
+        c_t = np.multiply(f[at], c_t, out=c[at])
+        c_t += i[at] * g[at]
         h_t = np.tanh(c_t, out=hs[rows])
-        h_t *= o[rows]
+        h_t *= o[at]
         if ends:  # the columns that took their last step drop out, ranked last
             h_t, c_t = h_t[:-ends], c_t[:-ends]
     scores = hs.transpose(1, 0, 2) @ params.proj_W.reshape(-1, 2, h).transpose(1, 2, 0)
     emissions = np.zeros((n, batch, params.proj_W.shape[0]))
     emissions[t, col] = scores[0] + scores[1][mirror] + params.proj_b
+    gates, c = (gates, c) if for_backward else (None, None)
     return emissions, ForwardCache(ids, lengths, *layout, gates, c, hs, emissions)
 
 
@@ -251,6 +256,8 @@ def encode_backward(
             f"d_emissions shape {d_emissions.shape} does not match "
             f"emissions shape {cache.emissions.shape}"
         )
+    if cache.gates is None:
+        raise ValueError("the cache holds no gates: built with for_backward=False, or consumed")
     dz, c, cache.gates, cache.c = cache.gates, cache.c, None, None  # they become workspace
     hs, mirror, h, batch = cache.h, cache.mirror, params.lstm_Wh.shape[2], len(cache.lengths)
     prev = np.arange(batch, len(mirror)) - np.bincount(cache.t)[cache.t[batch:] - 1]  # row at s-1

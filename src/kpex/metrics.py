@@ -17,7 +17,8 @@ from .crf import marginals, viterbi
 from .encoder import encode_forward, time_major
 from .model import Model
 
-TOKEN_BUDGET = 1024  # padded tokens n_max × B per batched decode; a longer document decodes alone
+# a decode at 64/64 peaks at about 1.4 KB per padded slot, 5.3 KB when every token is distinct
+TOKEN_BUDGET = 3072  # padded tokens n_max × B per batched decode; a longer document decodes alone
 
 
 @dataclass
@@ -61,7 +62,7 @@ def _decode(model: Model, docs, rank: bool) -> list:
     """Viterbi-decode documents as one batch: per document what ``extract``
     returns or, with ``rank``, what ``rank_phrases`` returns."""
     ids, lengths = time_major([model.vocab.encode(d.tokens) for d in docs])
-    emissions, _ = encode_forward(model.encoder, ids, lengths)
+    emissions, _ = encode_forward(model.encoder, ids, lengths, for_backward=False)
     paths, _ = viterbi(emissions, model.crf, lengths)
     labels = [tuple(paths[: len(d.tokens), b].tolist()) for b, d in enumerate(docs)]
     spans = [bio_to_phrases(d.tokens, path) for d, path in zip(docs, labels)]
@@ -84,7 +85,8 @@ def decode_batches(model: Model, docs, rank: bool = False) -> list:
     """The only Viterbi decode: per document in input order, what ``extract`` returns (label path
     included) or with ``rank`` what ``rank_phrases`` returns, confidences to rounding (3.6e-15
     relative on the ``extract`` benchmark). Ascending-length groups (a stable sort) decode together
-    while their padded size ``n_max × B`` stays within ``TOKEN_BUDGET``; a longer one alone."""
+    while their padded size ``n_max × B`` stays within ``TOKEN_BUDGET``; a longer one alone. Each
+    group runs one forward without the backward cache (``for_backward=False``)."""
     docs, groups = list(docs), []
     for i in sorted(range(len(docs)), key=lambda i: len(docs[i].tokens)):
         if not groups or len(docs[i].tokens) * (len(groups[-1]) + 1) > TOKEN_BUDGET:

@@ -94,14 +94,27 @@ def _assert_viterbi_matches_single_documents(emissions, crf, lengths):
     return paths
 
 
+ASCENDING = np.argsort(LENGTHS, kind="stable")
+SHUFFLED = np.random.default_rng(9).permutation(len(LENGTHS))
+# the encoder ranks columns by length inside; no order may leak out
+ORDERS = (range(len(LENGTHS)), ASCENDING, ASCENDING[::-1], SHUFFLED)
+
+
 def test_batched_gradients_equal_the_sum_of_single_document_gradients():
     params, crf, docs, golds, *_ = _batch()
-    ascending = np.argsort(LENGTHS, kind="stable")
-    shuffled = np.random.default_rng(9).permutation(len(LENGTHS))
-    # the encoder ranks columns by length inside; no order may leak out
-    for order in (range(len(LENGTHS)), ascending, ascending[::-1], shuffled):
+    for order in ORDERS:
         picked = [docs[b] for b in order], [golds[b] for b in order]
         _assert_gradients_are_single_document_sums(params, crf, *picked, *_columns(*picked))
+
+
+def test_a_forward_without_cache_gives_the_same_bits():
+    params, _, docs, golds, *_ = _batch(2)
+    batches = [_columns(*([x[b] for b in order] for x in (docs, golds))) for order in ORDERS]
+    batches += [_columns([doc], [gold]) for doc, gold in zip(docs, golds)]  # B = 1
+    for ids, _, lengths in batches:
+        kept, kept_cache = encode_forward(params, ids, lengths)
+        emissions, cache = encode_forward(params, ids, lengths, for_backward=False)
+        assert np.array_equal(emissions, kept) and np.array_equal(cache.h, kept_cache.h)
 
 
 def test_the_cache_holds_real_positions_only():
@@ -114,6 +127,10 @@ def test_the_cache_holds_real_positions_only():
     for step, _ in cache.steps:
         for name in ("gates", "c", "h"):
             assert getattr(cache, name)[step].flags.c_contiguous, (name, step)
+    # without the backward cache only the states are kept
+    _, cache = encode_forward(params, ids, lengths, for_backward=False)
+    assert cache.gates is None and cache.c is None and cache.h.shape == (rows, 2, h)
+    assert all(cache.h[step].flags.c_contiguous for step, _ in cache.steps)
 
 
 def test_padding_receives_exactly_zero_gradient():

@@ -1,9 +1,10 @@
 """Byte-identical reruns under both BLAS thread settings.
 
-Batched training runs matrix products large enough for a multi-threaded
-BLAS to split, so the criterion-7 configuration is rerun in fresh
-processes, twice with ``OPENBLAS_NUM_THREADS=1`` and twice with the thread
-count left to the library.
+Batched training and decoding run matrix products large enough for a
+multi-threaded BLAS to split, so the criterion-7 configuration is rerun in
+fresh processes, twice with ``OPENBLAS_NUM_THREADS=1`` and twice with the
+thread count left to the library. Each run hashes both trained models'
+checkpoints, event logs and ranked dev-set confidences.
 """
 
 import os
@@ -18,6 +19,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 RUN = """
 import hashlib
 from kpex import JlsdConfig, gen_synthetic, jlsd_train, split_dataset, train_supervised
+from kpex.metrics import decode_batches
 from kpex.model import checkpoint_bytes
 
 ds = gen_synthetic(8, 260, vocab_size=60, keyword_fraction=0.25)
@@ -29,6 +31,9 @@ runs = (train_supervised(labeled, dev, cfg), jlsd_train(labeled, unlabeled, dev,
 for model, report in runs:
     print(hashlib.sha256(checkpoint_bytes(model)).hexdigest())
     print(hashlib.sha256(report.to_jsonl().encode("utf-8")).hexdigest())
+    ranked = decode_batches(model, dev, rank=True)
+    confidences = [(p.phrase, p.span, p.confidence.hex()) for doc in ranked for p in doc]
+    print(hashlib.sha256(repr(confidences).encode("utf-8")).hexdigest())
 """
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")
@@ -48,5 +53,5 @@ def _digests(threads: str | None) -> str:
 @pytest.mark.parametrize("threads", ["1", None], ids=["one_thread", "library_default"])
 def test_reruns_are_byte_identical_under_a_blas_setting(threads):
     first = _digests(threads)
-    assert len(first.split()) == 4
+    assert len(first.split()) == 6
     assert _digests(threads) == first

@@ -107,20 +107,35 @@ def test_emissions_depend_on_the_whole_sequence():
     assert abs(e1[0] - e2[0]).max() > 0  # bidirectionality reaches row 0
 
 
-def test_forward_memory_per_real_token():
-    """At embed/hidden 64 the gate, cell and state caches are 6 KB per real token; the
-    projection adds little to the peak of one forward pass."""
-    params = init_params(EncoderDims(vocab_size=50, embed_dim=64, hidden_dim=64), 0)
-    lengths = np.array([370, 300, 200, 130])
-    ids = np.random.default_rng(0).integers(1, 50, (370, 4))
+def _forward_peak_per_real_token(vocab_size, ids, lengths, **kwargs) -> float:
+    params = init_params(EncoderDims(vocab_size=vocab_size, embed_dim=64, hidden_dim=64), 0)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        encoder.encode_forward(params, ids, lengths)
+        encoder.encode_forward(params, ids, lengths, **kwargs)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak / lengths.sum() <= 7.0 * 1024
+    return peak / lengths.sum()
+
+
+LENGTHS = np.array([370, 300, 200, 130])
+
+
+def test_forward_memory_per_real_token():
+    """At embed/hidden 64 the gate, cell and state caches are 6 KB per real token; the
+    projection adds little to the peak of one forward pass."""
+    ids = np.random.default_rng(0).integers(1, 50, (370, 4))
+    assert _forward_peak_per_real_token(50, ids, LENGTHS) <= 7.0 * 1024
+
+
+def test_forward_without_cache_memory_per_real_token():
+    """Without the backward cache the states (1 KB per real token at hidden 64) dominate when
+    tokens repeat; the input table adds 4 KB per distinct token, all of them at worst."""
+    repeated = np.random.default_rng(0).integers(1, 50, (370, 4))
+    assert _forward_peak_per_real_token(50, repeated, LENGTHS, for_backward=False) <= 2.0 * 1024
+    distinct = np.arange(1, 1 + 370 * 4).reshape(370, 4)
+    assert _forward_peak_per_real_token(1500, distinct, LENGTHS, for_backward=False) <= 6.0 * 1024
 
 
 # -- backward ----------------------------------------------------------------
@@ -132,6 +147,17 @@ def test_zero_upstream_gradient_gives_zero_gradients():
     grads = encode_backward(p, cache, np.zeros((3, 3)))
     for g in grads.values():
         npt.assert_array_equal(g, 0.0)
+
+
+def test_a_cache_without_gates_is_rejected():
+    p = small_params(5)
+    _, cache = encoder.encode_forward(p, [[2], [3], [4]], [3], for_backward=False)
+    with pytest.raises(ValueError, match="for_backward=False"):
+        encode_backward(p, cache, np.zeros((3, 3)))
+    _, cache = encode_forward(p, [2, 3, 4])
+    encode_backward(p, cache, np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="consumed"):  # a second backward on the same cache
+        encode_backward(p, cache, np.zeros((3, 3)))
 
 
 def test_gradient_shape_mismatch_rejected():

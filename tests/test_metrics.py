@@ -228,10 +228,11 @@ def test_evaluate_decodes_each_document_once(trained_standard, monkeypatch):
     shapes, columns = [], []
     forward = kpex.metrics.encode_forward
 
-    def counting(params, token_ids, lengths):
+    def counting(params, token_ids, lengths, **kwargs):
+        assert kwargs == {"for_backward": False}
         shapes.append(token_ids.shape)
         columns.extend(tuple(token_ids[:n, b].tolist()) for b, n in enumerate(lengths))
-        return forward(params, token_ids, lengths)
+        return forward(params, token_ids, lengths, **kwargs)
 
     monkeypatch.setattr(kpex.metrics, "encode_forward", counting)
     ranked = evaluate(model, test, k=5)
