@@ -68,23 +68,17 @@ def _check(emissions, lengths) -> tuple[np.ndarray, np.ndarray]:
     return emissions, lengths
 
 
-def _alphas(emissions, trans, first, shift=None, op=np.logaddexp) -> np.ndarray:
-    """Forward scores of every column, ``op`` folded in place over the previous label (axis -2) in
-    ``op.reduce``'s order, so that any axes between time and labels broadcast; padding at the tail
-    never feeds a real row. With ``shift``, shaped as the emissions less labels, each step's
-    label-0 score moves into it."""
+def _alphas(emissions, trans, first, shift=None, reduce=np.logaddexp.reduce) -> np.ndarray:
+    """Forward scores of every column, reduced over the previous label (axis -2) so that any
+    axes between time and labels broadcast; padding at the tail never feeds a real row. With
+    ``shift``, shaped as the emissions less labels, each step's label-0 score moves into it."""
     alpha = np.empty_like(emissions)
     alpha[0] = first + emissions[0]
-    for t, a in enumerate(alpha):  # a is the view alpha[t]
+    for t in range(emissions.shape[0]):
         if t:
-            prev = alpha[t - 1][..., :, None] + trans
-            op(prev[..., 0, :], prev[..., 1, :], out=a)
-            for j in range(2, prev.shape[-2]):
-                op(a, prev[..., j, :], out=a)
-            a += emissions[t]
-        if shift is not None:
-            shift[t] = a[..., 0]
-            a -= shift[t][..., None]
+            alpha[t] = reduce(alpha[t - 1][..., :, None] + trans, axis=-2) + emissions[t]
+        if shift is not None:  # the right side is read before shift[t] is written
+            shift[t], alpha[t] = alpha[t, ..., 0], alpha[t] - alpha[t, ..., :1]
     return alpha
 
 
@@ -139,17 +133,17 @@ def viterbi(emissions, crf: CrfParams, lengths) -> tuple[np.ndarray, np.ndarray]
     """
     emissions, lengths = _check(emissions, lengths)
     cols = np.arange(len(lengths))
-    delta = _alphas(emissions, crf.trans, crf.start, op=np.maximum)
+    delta = _alphas(emissions, crf.trans, crf.start, reduce=np.maximum.reduce)
     # backpointers (t, B, to, from), lowest index on ties, as lists for the serial backtrack
     steps = (delta[:-1, :, None, :] + crf.trans.T).argmax(axis=3).tolist()
     final = delta[lengths - 1, cols] + crf.end
     best = np.argmax(final, axis=1)
     path = np.zeros(emissions.shape[:2], dtype=np.int64)
     for b, (length, label) in enumerate(zip(lengths.tolist(), best.tolist())):
-        labels = [label]
-        for t in range(length - 2, -1, -1):
-            labels.append(steps[t][b][labels[-1]])
-        path[:length, b] = labels[::-1]
+        for t in range(length - 1, 0, -1):
+            path[t, b] = label
+            label = steps[t - 1][b][label]
+        path[0, b] = label
     return path, final[cols, best]
 
 

@@ -173,14 +173,12 @@ def encode_forward(
     ``proj_W @ concat(h_fwd[t, b], h_bwd[t, b]) + proj_b``, summed as the two
     directions' halves, and rows past a column's length are zero.
 
-    Each step gathers its input rows from a table ``(embed[tokens] @ Wx.T +
-    b) * scale`` of the distinct tokens in both directions and adds one
-    batched ``(2, active, h) @ (2, h, 4h)`` product; the carried states drop
-    the columns that have ended. All four gate blocks share one tanh through
-    sigmoid(z) = 0.5 + 0.5 * tanh(z / 2): the table and ``Wh`` are multiplied
-    by ``scale`` (halving, exact) and the activations are ``scale * tanh + 1 -
-    scale``. Gates and cells fill step s's rows of ``(N, 2, ·)`` caches, or
-    with ``for_backward=False`` the first rows of one ``(B, 2, ·)`` block.
+    Each step gathers its input rows from a table ``(embed[tokens] @ Wx.T + b) * scale`` of the
+    distinct tokens, both directions, and adds one batched ``(2, active, h) @ (2, h, 4h)`` product;
+    the carried states drop the columns that have ended. All four gate blocks share one tanh
+    through sigmoid(z) = 0.5 + 0.5 * tanh(z / 2): the table and ``Wh`` are multiplied by ``scale``
+    (halving, exact) and the activations are ``scale * tanh + 1 - scale``. Gates and cells fill
+    step s's rows of ``(N, 2, ·)`` caches, or (``for_backward=False``) one ``(B, 2, ·)`` block.
     """
     ids = np.asarray(token_ids, dtype=np.int64)
     if ids.ndim != 2:

@@ -17,8 +17,9 @@ from .crf import marginals, viterbi
 from .encoder import encode_forward, time_major
 from .model import Model
 
-# a decode at 64/64 peaks at about 1.4 KB per padded slot, 5.3 KB when every token is distinct
+# at 64/64 a decode peaks near 1.2 KB per padded slot + 4 KB per distinct token: 6.8 MB at both caps
 TOKEN_BUDGET = 3072  # padded tokens n_max × B per batched decode; a longer document decodes alone
+DISTINCT_BUDGET = 768  # distinct token ids per batched decode; a document with more decodes alone
 
 
 @dataclass
@@ -58,10 +59,10 @@ def dedup_predictions(preds) -> list[PhrasePrediction]:
     return sorted(best.values(), key=lambda p: p.span[0])
 
 
-def _decode(model: Model, docs, rank: bool) -> list:
-    """Viterbi-decode documents as one batch: per document what ``extract``
-    returns or, with ``rank``, what ``rank_phrases`` returns."""
-    ids, lengths = time_major([model.vocab.encode(d.tokens) for d in docs])
+def _decode(model: Model, docs, encoded, rank: bool) -> list:
+    """Viterbi-decode documents, their token ids ``encoded``, as one batch: per document what
+    ``extract`` returns or, with ``rank``, what ``rank_phrases`` returns."""
+    ids, lengths = time_major(encoded)
     emissions, _ = encode_forward(model.encoder, ids, lengths, for_backward=False)
     paths, _ = viterbi(emissions, model.crf, lengths)
     labels = [tuple(paths[: len(d.tokens), b].tolist()) for b, d in enumerate(docs)]
@@ -85,16 +86,22 @@ def decode_batches(model: Model, docs, rank: bool = False) -> list:
     """The only Viterbi decode: per document in input order, what ``extract`` returns (label path
     included) or with ``rank`` what ``rank_phrases`` returns, confidences to rounding (3.6e-15
     relative on the ``extract`` benchmark). Ascending-length groups (a stable sort) decode together
-    while their padded size ``n_max × B`` stays within ``TOKEN_BUDGET``; a longer one alone. Each
-    group runs one forward without the backward cache (``for_backward=False``)."""
-    docs, groups = list(docs), []
-    for i in sorted(range(len(docs)), key=lambda i: len(docs[i].tokens)):
-        if not groups or len(docs[i].tokens) * (len(groups[-1]) + 1) > TOKEN_BUDGET:
+    while within ``TOKEN_BUDGET`` padded slots ``n_max × B`` and ``DISTINCT_BUDGET`` distinct ids,
+    a document past either alone, each by one ``encode_forward(..., for_backward=False)``."""
+    docs, groups, seen = list(docs), [], set()
+    encoded = [model.vocab.encode(d.tokens) for d in docs]
+    for i in sorted(range(len(docs)), key=lambda i: len(encoded[i])):
+        words = set(encoded[i].tolist())
+        wide = not groups or len(encoded[i]) * (len(groups[-1]) + 1) > TOKEN_BUDGET
+        if wide or len(seen) + len(words - seen) > DISTINCT_BUDGET:
             groups.append([])
+            seen = set()
         groups[-1].append(i)
+        seen |= words
     out = [None] * len(docs)
     for group in groups:
-        for i, result in zip(group, _decode(model, [docs[j] for j in group], rank)):
+        results = _decode(model, [docs[j] for j in group], [encoded[j] for j in group], rank)
+        for i, result in zip(group, results):
             out[i] = result
     return out
 

@@ -118,40 +118,6 @@ def test_viterbi_ties_break_to_the_lowest_label_at_every_backtracking_step():
     assert ties >= 100
 
 
-def _reduce_alphas(emissions, trans, first, shift=None, reduce=np.logaddexp.reduce):
-    """The recursion with one ``reduce`` per step, out of place: the reference for the fold."""
-    alpha = np.empty_like(emissions)
-    alpha[0] = first + emissions[0]
-    for t in range(emissions.shape[0]):
-        if t:
-            alpha[t] = reduce(alpha[t - 1][..., :, None] + trans, axis=-2) + emissions[t]
-        if shift is not None:
-            shift[t], alpha[t] = alpha[t, ..., 0], alpha[t] - alpha[t, ..., :1]
-    return alpha
-
-
-@pytest.mark.parametrize("integer", [False, True], ids=["normal", "integer_ties"])
-def test_the_in_place_fold_is_the_reduce_bit_for_bit(integer):
-    """Both semirings, with and without the shift, both directions on axis 1 as the
-    forward-backward calls it; integer scores in {-1, 0, 1} tie in most folds."""
-    rng = np.random.default_rng(12)
-
-    def draw(*shape):
-        return rng.integers(-1, 2, shape).astype(float) if integer else rng.normal(size=shape) * 5
-
-    for _ in range(40):
-        n, b = rng.integers(1, 40), rng.integers(1, 17)
-        emissions, trans, first = draw(n, 2, b, 3), draw(2, 1, 3, 3), draw(2, 1, 3)
-        shift, ref_shift = np.empty((n, 2, b)), np.empty((n, 2, b))
-        npt.assert_array_equal(batched._alphas(emissions, trans, first, shift),
-                               _reduce_alphas(emissions, trans, first, ref_shift))
-        npt.assert_array_equal(shift, ref_shift)
-        npt.assert_array_equal(
-            batched._alphas(emissions[:, 0], trans[0, 0], first[0, 0], op=np.maximum),
-            _reduce_alphas(emissions[:, 0], trans[0, 0], first[0, 0], reduce=np.maximum.reduce),
-        )
-
-
 # -- marginals ---------------------------------------------------------------
 
 

@@ -124,9 +124,12 @@ LENGTHS = np.array([370, 300, 200, 130])
 
 def test_forward_memory_per_real_token():
     """At embed/hidden 64 the gate, cell and state caches are 6 KB per real token; the
-    projection adds little to the peak of one forward pass."""
+    projection adds little to the peak of one forward pass. The input table's 4 KB per distinct
+    token sit beside the caches until the forward returns, all of them at worst."""
     ids = np.random.default_rng(0).integers(1, 50, (370, 4))
     assert _forward_peak_per_real_token(50, ids, LENGTHS) <= 7.0 * 1024
+    distinct = np.arange(1, 1 + 370 * 4).reshape(370, 4)
+    assert _forward_peak_per_real_token(1500, distinct, LENGTHS) <= 11.0 * 1024
 
 
 def test_forward_without_cache_memory_per_real_token():

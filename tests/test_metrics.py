@@ -20,6 +20,7 @@ from kpex import (
 from kpex.corpus import bio_to_phrases
 from kpex.encoder import encode_forward, time_major
 from kpex.metrics import (
+    DISTINCT_BUDGET,
     TOKEN_BUDGET,
     MetricReport,
     PhrasePrediction,
@@ -231,6 +232,8 @@ def test_evaluate_decodes_each_document_once(trained_standard, monkeypatch):
     def counting(params, token_ids, lengths, **kwargs):
         assert kwargs == {"for_backward": False}
         shapes.append(token_ids.shape)
+        real = np.concatenate([token_ids[:n, b] for b, n in enumerate(lengths)])
+        assert len(np.unique(real)) <= DISTINCT_BUDGET or len(lengths) == 1
         columns.extend(tuple(token_ids[:n, b].tolist()) for b, n in enumerate(lengths))
         return forward(params, token_ids, lengths, **kwargs)
 
@@ -285,6 +288,30 @@ def test_batched_decode_returns_the_single_document_results(lengths, seed):
         assert [(p.phrase, p.span) for p in batched] == [(p.phrase, p.span) for p in single]
         np.testing.assert_allclose(
             [p.confidence for p in batched], [p.confidence for p in single], rtol=1e-11, atol=0
+        )
+
+
+def test_the_distinct_token_budget_splits_groups(monkeypatch):
+    """Each group's distinct token ids stay within DISTINCT_BUDGET, a document with more decodes
+    alone, and the results are those of one document at a time."""
+    model, rng = _random_model(7), np.random.default_rng(7)
+    words = list(_VOCAB.itos)
+    docs = [Document(f"d{i}", tuple(rng.choice(words, n))) for i, n in enumerate([3, 5, 9, 30, 8])]
+    monkeypatch.setattr(kpex.metrics, "DISTINCT_BUDGET", 12)
+    groups, forward = [], kpex.metrics.encode_forward
+
+    def recording(params, token_ids, lengths, **kwargs):
+        groups.append(len(set(np.concatenate([token_ids[:n, b] for b, n in enumerate(lengths)]))))
+        return forward(params, token_ids, lengths, **kwargs)
+
+    monkeypatch.setattr(kpex.metrics, "encode_forward", recording)
+    batched = decode_batches(model, docs, rank=True)
+    assert len(groups) >= 3 and all(u <= 12 for u in groups[:-1]) and groups[-1] > 12
+    for got, d in zip(batched, docs):
+        single = rank_phrases(model, d)
+        assert [(p.phrase, p.span) for p in got] == [(p.phrase, p.span) for p in single]
+        np.testing.assert_allclose(
+            [p.confidence for p in got], [p.confidence for p in single], rtol=1e-11, atol=0
         )
 
 
