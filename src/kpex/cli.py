@@ -4,7 +4,7 @@ Subcommands: train, jlsd, pretrain, joint, eval, extract, rank, synth.
 Option precedence is flags > config file > defaults; every training run
 writes the resolved configuration (provenance) and the event stream next
 to its outputs. Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric
-error.
+error, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -168,6 +168,11 @@ def _training_run(mode: str, args: dict, config: JlsdConfig) -> int:
     try:
         os.ftruncate(fd, 0)
         os.write(fd, f"{os.getpid()}\n".encode("ascii"))
+        for name in ("model.ckpt", "events.jsonl"):  # an earlier run's, not this config's
+            try:
+                (outdir / name).unlink(missing_ok=True)
+            except OSError as exc:  # e.g. a directory
+                raise ConfigError(f"cannot remove {outdir / name}: {exc.strerror}") from None
         _provenance(outdir, mode, args, config)
         names = _REQUIRED[mode][:-1]  # the trainer's datasets in argument order
         datasets = [load_jsonl(args[n], expect_labels=n != "unlabeled") for n in names]
@@ -266,6 +271,9 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"error: numeric: {exc}", file=sys.stderr)
         return 4
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

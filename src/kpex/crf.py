@@ -38,9 +38,6 @@ class CrfParams:
             end=np.zeros(num_labels),
         )
 
-    def copy(self) -> "CrfParams":
-        return CrfParams(self.trans.copy(), self.start.copy(), self.end.copy())
-
 
 def crf_tensors(crf: CrfParams) -> dict:
     return {"crf.trans": crf.trans, "crf.start": crf.start, "crf.end": crf.end}

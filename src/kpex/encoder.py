@@ -19,7 +19,7 @@ embedding row (index 0) is kept at zero and receives no gradient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,40 +46,24 @@ class EncoderParams:
     proj_W: np.ndarray  # (num_labels, 2h): columns :h read direction 0, h: direction 1
     proj_b: np.ndarray  # (num_labels,)
 
-    @classmethod
-    def zeros(cls, dims: EncoderDims, fill=np.zeros) -> "EncoderParams":
-        """The tensors of ``dims``, each made by ``fill(shape)``: all zero by default."""
+    @staticmethod
+    def shapes(dims: EncoderDims) -> list[tuple[int, ...]]:
+        """The shape of each field, in field order."""
         h, e, n = dims.hidden_dim, dims.embed_dim, dims.num_labels
-        shapes = [(dims.vocab_size, e), (2, 4 * h, e), (2, 4 * h, h), (2, 4 * h), (n, 2 * h), (n,)]
-        return cls(*map(fill, shapes))
+        return [(dims.vocab_size, e), (2, 4 * h, e), (2, 4 * h, h), (2, 4 * h), (n, 2 * h), (n,)]
 
-    @property
-    def dims(self) -> EncoderDims:
-        return EncoderDims(
-            vocab_size=self.embed.shape[0],
-            embed_dim=self.embed.shape[1],
-            hidden_dim=self.lstm_Wh.shape[2],
-            num_labels=self.proj_W.shape[0],
-        )
-
-    def copy(self) -> "EncoderParams":
-        return EncoderParams(
-            self.embed.copy(), self.lstm_Wx.copy(), self.lstm_Wh.copy(), self.lstm_b.copy(),
-            self.proj_W.copy(), self.proj_b.copy(),
-        )
-
-
-def _by_direction(lstm: dict) -> dict:
-    """``lstm_fwd.<name>``/``lstm_bwd.<name>`` -> row 0/1 of each stacked tensor,
-    as views, so that in-place updates of the named tensors reach the stack."""
-    return {f"lstm_{d}.{k}": a[i] for i, d in enumerate(("fwd", "bwd")) for k, a in lstm.items()}
+    @classmethod
+    def zeros(cls, dims: EncoderDims) -> "EncoderParams":
+        return cls(*map(np.zeros, cls.shapes(dims)))
 
 
 def encoder_tensors(params: EncoderParams) -> dict:
-    """Canonical name -> array view of every encoder tensor."""
+    """Canonical name -> array view of every encoder tensor; ``lstm_fwd.<name>`` and
+    ``lstm_bwd.<name>`` are rows 0 and 1 of the stacked LSTM tensors."""
+    lstm = {"Wx": params.lstm_Wx, "Wh": params.lstm_Wh, "b": params.lstm_b}
     return {
         "embed": params.embed,
-        **_by_direction({"Wx": params.lstm_Wx, "Wh": params.lstm_Wh, "b": params.lstm_b}),
+        **{f"lstm_{d}.{k}": a[i] for i, d in enumerate(("fwd", "bwd")) for k, a in lstm.items()},
         "proj.W": params.proj_W,
         "proj.b": params.proj_b,
     }
@@ -91,8 +75,8 @@ def _xavier(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
     return rng.uniform(-bound, bound, shape)
 
 
-def init_params(dims: EncoderDims, seed) -> EncoderParams:
-    """Initialize encoder parameters.
+def init_params(dims: EncoderDims, seed, out: EncoderParams | None = None) -> EncoderParams:
+    """Initialize encoder parameters, in ``out`` (all zero) if given.
 
     Embeddings come from Uniform(-0.1, 0.1) with the PAD row zeroed; LSTM
     and projection weights are Xavier-uniform; all biases are zero except
@@ -100,7 +84,7 @@ def init_params(dims: EncoderDims, seed) -> EncoderParams:
     or a ``numpy.random.Generator``; identical seeds give identical bytes.
     """
     rng = np.random.default_rng(seed)  # a Generator is returned as it is
-    params = EncoderParams.zeros(dims)
+    params = EncoderParams.zeros(dims) if out is None else out
     params.embed[:] = rng.uniform(-0.1, 0.1, params.embed.shape)
     params.embed[PAD_INDEX] = 0.0
     for d in range(2):  # the draws run Wx, Wh of direction 0, then of direction 1
@@ -229,9 +213,11 @@ def encode_forward(
 
 
 def encode_backward(
-    params: EncoderParams, cache: ForwardCache, d_emissions: np.ndarray
+    params: EncoderParams, cache: ForwardCache, d_emissions: np.ndarray,
+    out: EncoderParams | None = None,
 ) -> dict:
-    """Exact gradients of a scalar loss w.r.t. every encoder tensor.
+    """Exact gradients of a scalar loss w.r.t. every encoder tensor, written into ``out`` (new
+    tensors by default) and returned as its named views (:func:`encoder_tensors`).
 
     ``d_emissions`` is the loss gradient at the emission tensor produced by
     the matching :func:`encode_forward` call, with the same ``params``; its
@@ -257,13 +243,14 @@ def encode_backward(
     if cache.gates is None:
         raise ValueError("the cache holds no gates: built with for_backward=False, or consumed")
     dz, c, cache.gates, cache.c = cache.gates, cache.c, None, None  # they become workspace
+    out = EncoderParams(*map(np.zeros_like, vars(params).values())) if out is None else out
     hs, mirror, h, batch = cache.h, cache.mirror, params.lstm_Wh.shape[2], len(cache.lengths)
     prev = np.arange(batch, len(mirror)) - np.bincount(cache.t)[cache.t[batch:] - 1]  # row at s-1
     d_read = d_emissions[cache.t, cache.col]
     d_steps = np.stack((d_read, d_read[mirror]))
     d_proj_W = d_steps.transpose(0, 2, 1) @ hs.transpose(1, 0, 2)
-    d_proj_W = d_proj_W.transpose(1, 0, 2).reshape(-1, 2 * h)
-    d_proj_b = d_read.sum(axis=0)
+    out.proj_W[...] = d_proj_W.transpose(1, 0, 2).reshape(-1, 2 * h)
+    np.sum(d_read, axis=0, out=out.proj_b)
 
     i, f, g, o = dz.reshape(-1, 2, 4, h).transpose(2, 0, 1, 3)
     f_gate = f.copy()
@@ -296,19 +283,16 @@ def encode_backward(
     del f_gate, dc_dh, d_h
 
     read = cache.token_ids[cache.t, cache.col]  # direction 1 reads them at the mirror rows
-    d_lstm = {
-        "Wx": dz.transpose(1, 2, 0) @ params.embed[np.stack((read, read[mirror]))],
-        # the state before step 0 is 0
-        "Wh": dz[batch:].transpose(1, 2, 0) @ hs[prev].transpose(1, 0, 2),
-        "b": dz.sum(axis=0),
-    }
+    np.matmul(dz.transpose(1, 2, 0), params.embed[np.stack((read, read[mirror]))], out=out.lstm_Wx)
+    # the state before step 0 is 0
+    np.matmul(dz[batch:].transpose(1, 2, 0), hs[prev].transpose(1, 0, 2), out=out.lstm_Wh)
+    np.sum(dz, axis=0, out=out.lstm_b)
     dx = dz.transpose(1, 0, 2) @ params.lstm_Wx
     del dz
-    d_embed = np.zeros_like(params.embed)
-    np.add.at(d_embed, read, dx[0] + dx[1][mirror])  # both directions read each position
-    d_embed[PAD_INDEX] = 0.0
-
-    return {"embed": d_embed, **_by_direction(d_lstm), "proj.W": d_proj_W, "proj.b": d_proj_b}
+    out.embed[...] = 0.0
+    np.add.at(out.embed, read, dx[0] + dx[1][mirror])  # both directions read each position
+    out.embed[PAD_INDEX] = 0.0
+    return encoder_tensors(out)
 
 
 # ---------------------------------------------------------------------------
@@ -322,41 +306,42 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 class OptimizerState:
     """Adam moments plus the two-group learning rates.
 
-    The ``embed`` tensor belongs to the lower group; every other tensor
-    (LSTM, projection, CRF scores) uses ``lr_upper``.
+    ``m`` and ``v`` are flat, in the layout of :class:`kpex.model.Model`'s parameter buffer,
+    and made on the first step. Its leading ``embed`` slice belongs to the lower group; every
+    other parameter (LSTM, projection, CRF scores) uses ``lr_upper``.
     """
 
     lr_lower: float
     lr_upper: float
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
-def adam_step(params: dict, grads: dict, opt: OptimizerState) -> None:
-    """One bias-corrected Adam update, in place, over named tensors."""
-    if set(params) != set(grads):
-        raise ValueError(
-            f"parameter/gradient name mismatch: {sorted(set(params) ^ set(grads))}"
-        )
+def adam_step(model, grad, opt: OptimizerState) -> None:
+    """One bias-corrected Adam update, in place, of ``model``'s parameter buffer by ``grad``'s:
+    two :class:`kpex.model.Model` of one layout. A non-finite gradient raises NumericError
+    naming its tensor."""
     opt.step += 1
-    t = opt.step
-    for name in params:
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for tensor '{name}' at step {t}")
-        if name not in opt.m:
-            opt.m[name] = np.zeros_like(params[name])
-            opt.v[name] = np.zeros_like(params[name])
-        m, v, scratch = opt.m[name], opt.v[name], np.empty_like(g)
-        m *= BETA1
-        m += np.multiply(1.0 - BETA1, g, out=scratch)
-        v *= BETA2
-        v += np.multiply(np.multiply(1.0 - BETA2, g, out=scratch), g, out=scratch)
-        denom = np.divide(v, 1.0 - BETA2**t, out=scratch)  # v_hat, then its root + EPS
-        np.sqrt(denom, out=denom)
-        denom += EPS
-        m_hat = m / (1.0 - BETA1**t)
-        m_hat *= opt.lr_lower if name == "embed" else opt.lr_upper
-        m_hat /= denom
-        params[name] -= m_hat
+    t, g = opt.step, grad.flat
+    if not np.isfinite(g).all():
+        from .model import model_tensors  # kpex.model imports this module
+
+        name = next(k for k, a in model_tensors(grad).items() if not np.isfinite(a).all())
+        raise NumericError(f"non-finite gradient for tensor '{name}' at step {t}")
+    if opt.m is None:
+        opt.m, opt.v = np.zeros_like(g), np.zeros_like(g)
+    m, v, scratch = opt.m, opt.v, np.empty_like(g)
+    m *= BETA1
+    m += np.multiply(1.0 - BETA1, g, out=scratch)
+    v *= BETA2
+    v += np.multiply(np.multiply(1.0 - BETA2, g, out=scratch), g, out=scratch)
+    denom = np.divide(v, 1.0 - BETA2**t, out=scratch)  # v_hat, then its root + EPS
+    np.sqrt(denom, out=denom)
+    denom += EPS
+    m_hat = m / (1.0 - BETA1**t)
+    lower = model.encoder.embed.size  # the buffer's leading slice
+    m_hat[:lower] *= opt.lr_lower
+    m_hat[lower:] *= opt.lr_upper
+    m_hat /= denom
+    model.flat -= m_hat

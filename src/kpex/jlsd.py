@@ -29,11 +29,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .corpus import Dataset, LabeledDocument, build_vocab, sample_batch
-from .crf import crf_tensors, nll_and_grad, viterbi  # noqa: F401 (bench traces jlsd.viterbi)
+from .crf import nll_and_grad, viterbi  # noqa: F401 (bench traces jlsd.viterbi)
 from .encoder import OptimizerState, adam_step, encode_backward, encode_forward, time_major
 from .errors import ConfigError, DataError
 from .metrics import dataset_f1, decode_batches
-from .model import Model, init_model, model_tensors
+from .model import Model, init_model
 
 MAX_DRAW = 4096  # the most documents drawn from one dataset for one training step
 MAX_POOL = 2**20  # the most source documents drawn into joint's per-epoch pool
@@ -149,23 +149,24 @@ def _require_labeled(dataset: Dataset, role: str) -> None:
         raise DataError(f"{role} dataset must be fully labeled")
 
 
-def _batch_gradients(model: Model, batch) -> tuple[float, float, float, dict]:
-    """Mean-per-document NLL and gradients over a mixed gold/pseudo batch,
-    computed as one padded time-major batch."""
+def _batch_gradients(model: Model, batch, grad: Model) -> tuple[float, float, float]:
+    """Mean-per-document NLL over a mixed gold/pseudo batch, computed as one padded
+    time-major batch; its gradient fills ``grad``, a buffer of ``model``'s layout."""
     ids, lengths = time_major([model.vocab.encode(ld.doc.tokens) for ld in batch])
     gold, _ = time_major([ld.labels for ld in batch])
     emissions, cache = encode_forward(model.encoder, ids, lengths)
     losses, d_emissions, d_crf = nll_and_grad(emissions, model.crf, gold, lengths)
-    grads = {**encode_backward(model.encoder, cache, d_emissions), **crf_tensors(d_crf)}
+    encode_backward(model.encoder, cache, d_emissions, out=grad.encoder)
+    out = grad.crf
+    out.trans[...], out.start[...], out.end[...] = d_crf.trans, d_crf.start, d_crf.end
     n = len(batch)
-    for g in grads.values():
-        g /= n
+    grad.flat /= n
     sums = {"gold": [0.0, 0], "pseudo": [0.0, 0]}  # label source -> [loss sum, documents]
     for ld, loss in zip(batch, losses.tolist()):
         sums[ld.label_source][0] += loss
         sums[ld.label_source][1] += 1
     means = [total / count if count else 0.0 for total, count in sums.values()]
-    return *means, (sums["gold"][0] + sums["pseudo"][0]) / n, grads
+    return *means, (sums["gold"][0] + sums["pseudo"][0]) / n
 
 
 def _seed_stream(config: JlsdConfig, index: int) -> np.random.Generator:
@@ -199,7 +200,7 @@ def _train_loop(
     is the best-on-dev checkpoint so far, starting as a copy of ``model``."""
     data_rng = _seed_stream(config, 1)
     opt = OptimizerState(lr_lower=config.lr_lower, lr_upper=config.lr_upper)
-    params = model_tensors(model)
+    grad = Model(model.dims, model.vocab)
 
     best_score = dataset_f1(model, dev).f1 if initial_score is None else initial_score
     best_model = model.copy()
@@ -209,8 +210,8 @@ def _train_loop(
     stale = 0
     for it in range(1, config.T + 1):
         batch = make_batch(it, data_rng, best_model)
-        loss_labeled, loss_pseudo, loss, grads = _batch_gradients(model, batch)
-        adam_step(params, grads, opt)
+        loss_labeled, loss_pseudo, loss = _batch_gradients(model, batch, grad)
+        adam_step(model, grad, opt)
         events.append(
             {
                 "event": "iteration",

@@ -1,9 +1,20 @@
 """Full model state (encoder + CRF + vocabulary) and its checkpoint format.
 
+In memory, every parameter lives in one float64 buffer, ``Model.flat``, laid out from the
+dimensions as ``embed`` ``(V, e)``, ``lstm_Wx`` ``(2, 4h, e)``, ``lstm_Wh`` ``(2, 4h, h)``,
+``lstm_b`` ``(2, 4h)``, ``proj_W`` ``(L, 2h)``, ``proj_b`` ``(L,)``, then ``crf.trans``
+``(L, L)``, ``crf.start`` and ``crf.end`` ``(L,)``; the encoder's and the CRF's tensors are
+C-contiguous views into it, the LSTM ones stacked by direction on axis 0. A gradient, the
+Adam moments and a snapshot are buffers of the same layout.
+
 Checkpoint layout: the 8-byte magic ``KFCKPT01``, a little-endian u32 JSON
 header length, the JSON header, then the raw little-endian float64 payload.
 The header maps each tensor name to dtype/shape/offset/length and records
 the vocabulary (tokens and sha256), dimensions, and the label-index map.
+The payload holds the tensors in :func:`model_tensors` order, where each LSTM
+direction's ``Wx``, ``Wh`` and ``b`` follow one another (``lstm_fwd.*``, then
+``lstm_bwd.*``): the loops of :func:`checkpoint_bytes` and :func:`load_checkpoint`
+over those named views are the only place this order lives.
 """
 
 from __future__ import annotations
@@ -11,7 +22,8 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -24,26 +36,34 @@ from .errors import DataError
 CHECKPOINT_MAGIC = b"KFCKPT01"
 
 
-@dataclass
+def _shapes(dims: EncoderDims) -> list[tuple[int, ...]]:
+    """The shape of each view of the parameter buffer, in buffer order."""
+    n = dims.num_labels
+    return [*EncoderParams.shapes(dims), (n, n), (n,), (n,)]
+
+
 class Model:
-    """The complete learnable state bound to one vocabulary."""
+    """The complete learnable state bound to one vocabulary: the parameter buffer ``flat``
+    (all zero by default) and its views ``encoder`` and ``crf``."""
 
-    encoder: EncoderParams
-    crf: CrfParams
-    vocab: Vocabulary
-
-    @property
-    def dims(self) -> EncoderDims:
-        return self.encoder.dims
+    def __init__(self, dims: EncoderDims, vocab: Vocabulary, flat: np.ndarray | None = None):
+        shapes = _shapes(dims)
+        bounds = [0, *accumulate(map(math.prod, shapes))]
+        self.dims, self.vocab = dims, vocab
+        self.flat = np.zeros(bounds[-1]) if flat is None else flat
+        views = [self.flat[a:b].reshape(s) for a, b, s in zip(bounds, bounds[1:], shapes)]
+        *encoder, trans, start, end = views
+        self.encoder, self.crf = EncoderParams(*encoder), CrfParams(trans, start, end)
 
     def copy(self) -> "Model":
-        return Model(encoder=self.encoder.copy(), crf=self.crf.copy(), vocab=self.vocab)
+        return Model(self.dims, self.vocab, self.flat.copy())
 
 
 def init_model(vocab: Vocabulary, embed_dim: int, hidden_dim: int, seed) -> Model:
     """Fresh model: randomly initialized encoder, all-zero CRF scores."""
-    dims = EncoderDims(vocab_size=len(vocab), embed_dim=embed_dim, hidden_dim=hidden_dim)
-    return Model(encoder=init_params(dims, seed), crf=CrfParams.zeros(), vocab=vocab)
+    model = Model(EncoderDims(len(vocab), embed_dim, hidden_dim), vocab)
+    init_params(model.dims, seed, out=model.encoder)
+    return model
 
 
 def model_tensors(model: Model) -> dict:
@@ -100,36 +120,10 @@ def load_checkpoint(path) -> Model:
         raise DataError(f"{path}: malformed checkpoint ({exc!r})") from exc
 
 
-def _tensor_shapes(dims: EncoderDims) -> dict:
-    """Shape of every tensor of a model of ``dims``, found without allocating its arrays."""
-    encoder = EncoderParams.zeros(dims, fill=lambda shape: np.broadcast_to(0.0, shape))
-    tensors = model_tensors(Model(encoder, CrfParams.zeros(), vocab=None))
-    return {name: list(a.shape) for name, a in tensors.items()}
-
-
 def _model_from(header: dict, payload: bytes, path) -> Model:
     dims = header["dims"]
     if (dims["num_labels"], dims["vocab_size"]) != (len(LABEL_INDEX), len(header["vocab_tokens"])):
         raise DataError(f"{path}: dims {dims} disagree with the labels or the vocabulary")
-    sizes = EncoderDims(dims["vocab_size"], dims["embed_dim"], dims["hidden_dim"])
-    shapes = _tensor_shapes(sizes)
-    metas = header["tensors"]
-    offset = 0
-    for name, shape in shapes.items():
-        meta = metas[name]
-        if meta["dtype"] != "f64":
-            raise DataError(f"{path}: tensor {name} has unsupported dtype {meta['dtype']}")
-        if meta["shape"] != shape:
-            raise DataError(f"{path}: tensor {name} has shape {meta['shape']}, not {shape}")
-        if meta["offset"] != offset or meta["length"] != 8 * math.prod(meta["shape"]):
-            raise DataError(f"{path}: tensor {name} has an inconsistent offset or length")
-        offset += meta["length"]
-    if len(payload) != offset:
-        raise DataError(f"{path}: payload holds {len(payload)} bytes, its tensors {offset}")
-    values = np.frombuffer(payload, dtype="<f8")
-    if not np.isfinite(values).all():
-        raise DataError(f"{path}: checkpoint holds non-finite tensor values")
-
     vocab = Vocabulary(
         itos=tuple(header["vocab_tokens"]), min_count=header.get("vocab_min_count", 1)
     )
@@ -137,10 +131,22 @@ def _model_from(header: dict, payload: bytes, path) -> Model:
         raise DataError(f"{path}: vocabulary hash mismatch")
     if header["labels"] != LABEL_INDEX:
         raise DataError(f"{path}: incompatible label-index map {header['labels']}")
+    sizes = EncoderDims(dims["vocab_size"], dims["embed_dim"], dims["hidden_dim"])
+    expected = 8 * sum(map(math.prod, _shapes(sizes)))  # checked before a buffer is sized
+    if len(payload) != expected:
+        raise DataError(f"{path}: payload holds {len(payload)} bytes, its dims {expected}")
 
-    # every tensor checked against dims and the payload: fill a zero model of dims
-    model = Model(encoder=EncoderParams.zeros(sizes), crf=CrfParams.zeros(), vocab=vocab)
+    model, metas, offset = Model(sizes, vocab), header["tensors"], 0
     for name, arr in model_tensors(model).items():
-        start = metas[name]["offset"] // 8
-        arr[...] = values[start : start + arr.size].reshape(arr.shape)
+        meta = metas[name]
+        if meta["dtype"] != "f64":
+            raise DataError(f"{path}: tensor {name} has unsupported dtype {meta['dtype']}")
+        if meta["shape"] != list(arr.shape):
+            raise DataError(f"{path}: tensor {name} has shape {meta['shape']}, not {arr.shape}")
+        if (meta["offset"], meta["length"]) != (offset, 8 * arr.size):
+            raise DataError(f"{path}: tensor {name} has an inconsistent offset or length")
+        arr[...] = np.frombuffer(payload, "<f8", arr.size, offset).reshape(arr.shape)
+        offset += meta["length"]
+    if not np.isfinite(model.flat).all():
+        raise DataError(f"{path}: checkpoint holds non-finite tensor values")
     return model

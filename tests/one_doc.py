@@ -20,8 +20,8 @@ def encode_forward(params, ids):
     return emissions[:, 0], cache
 
 
-def encode_backward(params, cache, d_emissions):
-    return encoder.encode_backward(params, cache, column(d_emissions))
+def encode_backward(params, cache, d_emissions, out=None):
+    return encoder.encode_backward(params, cache, column(d_emissions), out)
 
 
 def log_partition(emissions, params) -> float:

@@ -79,6 +79,20 @@ def central_difference_grad(f, arr, step: float = 1e-3) -> np.ndarray:
     return grad
 
 
+def per_tensor_adam_step(params, grads, moments, step, lr_lower, lr_upper) -> None:
+    """Bias-corrected Adam, one named tensor at a time and in place: ``embed`` at ``lr_lower``,
+    the rest at ``lr_upper``; ``moments`` maps each name to its ``(m, v)``, zero at first."""
+    for name, p in params.items():
+        g = grads[name]
+        m, v = moments.setdefault(name, (np.zeros_like(p), np.zeros_like(p)))
+        m *= 0.9
+        m += (1.0 - 0.9) * g
+        v *= 0.999
+        v += (1.0 - 0.999) * g * g
+        denom = np.sqrt(v / (1.0 - 0.999**step)) + 1e-8
+        p -= m / (1.0 - 0.9**step) * (lr_lower if name == "embed" else lr_upper) / denom
+
+
 def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     diff = np.max(np.abs(analytic - numeric))
     scale = max(np.max(np.abs(analytic)), np.max(np.abs(numeric)), 1e-8)

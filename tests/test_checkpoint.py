@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from kpex import (
 )
 from kpex.model import (
     CHECKPOINT_MAGIC,
+    Model,
     checkpoint_bytes,
     load_checkpoint,
     model_tensors,
@@ -151,6 +153,18 @@ def test_tensor_views_share_memory_with_model(model):
     assert tuple(tensors) == TENSOR_ORDER
 
 
+def test_every_tensor_is_a_contiguous_view_of_the_one_buffer(model):
+    views = [*vars(model.encoder).values(), *vars(model.crf).values()]
+    assert all(v.flags.c_contiguous and np.shares_memory(v, model.flat) for v in views)
+    assert sum(v.size for v in views) == model.flat.size
+    assert np.shares_memory(model.flat[: model.encoder.embed.size], model.encoder.embed)
+    snapshot = model.copy()
+    assert not np.shares_memory(snapshot.flat, model.flat)
+    npt.assert_array_equal(snapshot.flat, model.flat)
+    model.crf.end[:] = 5.0
+    assert not np.any(snapshot.crf.end == 5.0)
+
+
 def test_initial_checkpoint_bytes_are_pinned():
     # a change to the initial draws, their order or the checkpoint layout changes this digest
     blob = checkpoint_bytes(init_model(_tiny_vocab(), 8, 4, seed=0))
@@ -173,8 +187,9 @@ def test_named_lstm_tensors_are_views_of_the_stacked_directions(model):
         npt.assert_array_equal(tensors[key], stacks[name][d])
 
     before = {name: arr.copy() for name, arr in stacks.items()}
-    grads = {key: np.ones_like(arr) for key, arr in tensors.items()}
-    adam_step(tensors, grads, OptimizerState(lr_lower=0.1, lr_upper=0.1))
+    grad = Model(model.dims, model.vocab)
+    grad.flat[:] = 1.0
+    adam_step(model, grad, OptimizerState(lr_lower=0.1, lr_upper=0.1))
     for d, name in named:
         # Adam's first step moves each coordinate by lr against the gradient's sign
         npt.assert_allclose(stacks[name][d], before[name][d] - 0.1, rtol=0, atol=1e-6)
@@ -304,3 +319,18 @@ def test_loading_any_blob_yields_a_consistent_model_or_a_data_error(fuzz_path, b
     reference = init_model(loaded.vocab, loaded.dims.embed_dim, loaded.dims.hidden_dim, seed=0)
     for name, arr in model_tensors(loaded).items():
         assert arr.shape == model_tensors(reference)[name].shape
+
+
+@pytest.mark.parametrize("value", [2**31, 2**62, 2**64])
+@pytest.mark.parametrize("field", ["vocab_size", "embed_dim", "hidden_dim"])
+def test_huge_header_dims_are_a_data_error_without_allocating(tmp_path, field, value):
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(_with_header(_BLOB, _set_dim(field, value)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

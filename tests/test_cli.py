@@ -528,6 +528,40 @@ def test_lock_records_the_pid_of_the_run_holding_it(data_dir, tmp_path, monkeypa
     assert not (out / ".lock").exists()
 
 
+def test_an_interrupted_rerun_exits_130_and_leaves_no_earlier_outputs(
+    data_dir, tmp_path, monkeypatch, capsys
+):
+    out = tmp_path / "run"
+    _train_tiny(data_dir, out)
+    assert (out / "model.ckpt").exists() and (out / "events.jsonl").exists()
+    capsys.readouterr()
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(kpex.cli._TRAINERS, "train", interrupted)
+    rc = main([
+        "train", "--train", str(data_dir / "train.jsonl"),
+        "--dev", str(data_dir / "dev.jsonl"), "--out", str(out), "--seed", "2",
+    ])
+    err = capsys.readouterr().err
+    assert rc == 130
+    assert "error: interrupted" in err and "Traceback" not in err
+    assert sorted(p.name for p in out.iterdir()) == ["config.json"]
+    assert json.loads((out / "config.json").read_text())["config"]["seed"] == 2
+
+
+def test_a_directory_in_place_of_an_earlier_checkpoint_is_a_config_error(
+    data_dir, tmp_path, monkeypatch, capsys
+):
+    out = tmp_path / "run"
+    (out / "model.ckpt").mkdir(parents=True)
+    rc, seen = _train_until_the_trainer(data_dir, out, monkeypatch)
+    assert (rc, seen) == (2, [])
+    assert "cannot remove" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["model.ckpt"]
+
+
 def test_non_finite_checkpoint_is_a_data_error(data_dir, tmp_path, capsys):
     ckpt = _train_tiny(data_dir, tmp_path / "run")
     ckpt.write_bytes(ckpt.read_bytes()[:-8] + struct.pack("<d", float("nan")))

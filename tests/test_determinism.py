@@ -3,8 +3,8 @@
 Batched training and decoding run matrix products large enough for a
 multi-threaded BLAS to split, so the criterion-7 configuration is rerun in
 fresh processes, twice with ``OPENBLAS_NUM_THREADS=1`` and twice with the
-thread count left to the library. Each run hashes both trained models'
-checkpoints, event logs and ranked dev-set confidences.
+thread count left to the library. Each run trains in all four modes and hashes
+every trained model's checkpoint, event log and ranked dev-set confidences.
 """
 
 import os
@@ -18,7 +18,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 RUN = """
 import hashlib
-from kpex import JlsdConfig, gen_synthetic, jlsd_train, split_dataset, train_supervised
+from kpex import (
+    JlsdConfig, gen_synthetic, jlsd_train, split_dataset, train_simple_joint,
+    train_simple_pretrain, train_supervised,
+)
 from kpex.metrics import decode_batches
 from kpex.model import checkpoint_bytes
 
@@ -27,7 +30,13 @@ labeled, unlabeled, dev = split_dataset(ds, [40, 180, 40])
 cfg = JlsdConfig(
     T=30, teacher_T=20, eval_every=10, batch_size=4, seed=13, embed_dim=8, hidden_dim=8,
 )
-runs = (train_supervised(labeled, dev, cfg), jlsd_train(labeled, unlabeled, dev, cfg))
+runs = (
+    train_supervised(labeled, dev, cfg),
+    jlsd_train(labeled, unlabeled, dev, cfg),
+    # the unlabeled split keeps its labels, so it serves as the source corpus
+    train_simple_pretrain(unlabeled, labeled, dev, cfg),
+    train_simple_joint(unlabeled, labeled, dev, cfg),
+)
 for model, report in runs:
     print(hashlib.sha256(checkpoint_bytes(model)).hexdigest())
     print(hashlib.sha256(report.to_jsonl().encode("utf-8")).hexdigest())
@@ -53,5 +62,5 @@ def _digests(threads: str | None) -> str:
 @pytest.mark.parametrize("threads", ["1", None], ids=["one_thread", "library_default"])
 def test_reruns_are_byte_identical_under_a_blas_setting(threads):
     first = _digests(threads)
-    assert len(first.split()) == 6
+    assert len(first.split()) == 12
     assert _digests(threads) == first

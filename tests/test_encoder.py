@@ -4,12 +4,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from kpex import NumericError, OptimizerState, adam_step, encoder
+from kpex import NumericError, OptimizerState, adam_step, build_vocab, encoder, gen_synthetic
 from kpex.corpus import PAD_INDEX
 from kpex.encoder import EncoderDims, encoder_tensors, init_params
+from kpex.model import Model, init_model, model_tensors
 
 from one_doc import encode_backward, encode_forward
-from oracles import central_difference_grad, relative_error
+from oracles import central_difference_grad, per_tensor_adam_step, relative_error
 
 DIMS = EncoderDims(vocab_size=9, embed_dim=4, hidden_dim=3)
 
@@ -217,52 +218,74 @@ def test_pad_gradient_is_forced_to_zero():
 # -- Adam --------------------------------------------------------------------
 
 
-def _toy_params():
-    return {"embed": np.array([[1.0, 2.0]]), "proj.W": np.array([[3.0, 4.0]])}
+def _models(seed=0):
+    """A model of ``DIMS`` and an all-zero gradient of its layout."""
+    model = Model(DIMS, vocab=None)
+    init_params(DIMS, seed, out=model.encoder)
+    return model, Model(DIMS, vocab=None)
 
 
 def test_zero_gradient_is_a_fixed_point():
-    params = _toy_params()
-    before = {k: v.copy() for k, v in params.items()}
+    model, grad = _models()
+    before = model.flat.copy()
     opt = OptimizerState(lr_lower=0.1, lr_upper=0.1)
     for _ in range(5):
-        adam_step(params, {k: np.zeros_like(v) for k, v in params.items()}, opt)
-    for name in params:
-        npt.assert_array_equal(params[name], before[name])
+        adam_step(model, grad, opt)
+    npt.assert_array_equal(model.flat, before)
 
 
 def test_first_step_moves_by_learning_rate():
-    params = {"proj.W": np.array([0.0, 0.0, 0.0])}
-    grads = {"proj.W": np.array([0.5, -2.0, 0.0])}
-    opt = OptimizerState(lr_lower=1e-3, lr_upper=1e-2)
-    adam_step(params, grads, opt)
-    # bias-corrected first step: -lr * g / (|g| + eps) per coordinate
-    npt.assert_allclose(params["proj.W"], [-1e-2, 1e-2, 0.0], atol=1e-9)
+    model, grad = Model(DIMS, vocab=None), Model(DIMS, vocab=None)
+    grad.flat[:] = np.resize([0.5, -2.0, 0.0], grad.flat.size)
+    adam_step(model, grad, OptimizerState(lr_lower=1e-3, lr_upper=1e-2))
+    # bias-corrected first step: -lr * g / (|g| + eps) per coordinate, lr_lower on embed
+    lr = np.where(np.arange(grad.flat.size) < model.encoder.embed.size, 1e-3, 1e-2)
+    npt.assert_allclose(model.flat, -lr * np.sign(grad.flat), rtol=0, atol=1e-9)
 
 
 def test_learning_rate_groups_are_separate():
-    params = _toy_params()
-    grads = {k: np.ones_like(v) for k, v in params.items()}
-    opt = OptimizerState(lr_lower=0.0, lr_upper=0.1)
-    adam_step(params, grads, opt)
-    npt.assert_array_equal(params["embed"], [[1.0, 2.0]])  # frozen group
-    assert np.all(params["proj.W"] < [[3.0, 4.0]])  # moving group
+    model, grad = _models()
+    before = Model(DIMS, None, model.flat.copy())
+    grad.flat[:] = 1.0
+    adam_step(model, grad, OptimizerState(lr_lower=0.0, lr_upper=0.1))
+    npt.assert_array_equal(model.encoder.embed, before.encoder.embed)  # frozen group
+    for name, arr in encoder_tensors(model.encoder).items():
+        if name != "embed":  # moving group
+            assert np.all(arr < encoder_tensors(before.encoder)[name]), name
+    assert np.all(model.crf.trans < before.crf.trans)
 
 
 def test_nonfinite_gradient_names_the_tensor():
-    params = _toy_params()
-    grads = {"embed": np.array([[np.nan, 0.0]]), "proj.W": np.zeros((1, 2))}
-    with pytest.raises(NumericError, match="embed"):
-        adam_step(params, grads, OptimizerState(lr_lower=0.1, lr_upper=0.1))
+    for name, where in [("embed", (1, 2)), ("lstm_bwd.Wh", (3, 1)), ("crf.end", (0,))]:
+        model, grad = _models()
+        before = model.flat.copy()
+        model_tensors(grad)[name][where] = np.nan
+        with pytest.raises(NumericError, match=f"'{name}'"):
+            adam_step(model, grad, OptimizerState(lr_lower=0.1, lr_upper=0.1))
+        npt.assert_array_equal(model.flat, before)  # nothing moved
+
+
+def test_flat_adam_matches_the_per_tensor_reference():
+    vocab = build_vocab(gen_synthetic(2, 20, vocab_size=30))
+    model = init_model(vocab, 6, 5, seed=1)
+    reference, grad, moments = model.copy(), Model(model.dims, vocab), {}
+    opt = OptimizerState(lr_lower=3e-3, lr_upper=2e-2)
+    rng = np.random.default_rng(4)
+    for step in range(1, 7):
+        grad.flat[:] = rng.normal(scale=10.0 ** rng.integers(-3, 2), size=grad.flat.size)
+        adam_step(model, grad, opt)
+        per_tensor_adam_step(
+            model_tensors(reference), model_tensors(grad), moments, step, 3e-3, 2e-2
+        )
+        npt.assert_array_equal(model.flat, reference.flat)
 
 
 def test_pad_row_stays_zero_through_training_steps():
-    p = small_params(8)
-    params = encoder_tensors(p)
+    model, grad = _models(8)
     opt = OptimizerState(lr_lower=0.05, lr_upper=0.05)
     rng = np.random.default_rng(0)
     for _ in range(10):
-        _, cache = encode_forward(p, rng.integers(1, DIMS.vocab_size, 6))
-        grads = encode_backward(p, cache, rng.normal(size=(6, 3)))
-        adam_step(params, grads, opt)
-    npt.assert_array_equal(p.embed[PAD_INDEX], 0.0)
+        _, cache = encode_forward(model.encoder, rng.integers(1, DIMS.vocab_size, 6))
+        encode_backward(model.encoder, cache, rng.normal(size=(6, 3)), out=grad.encoder)
+        adam_step(model, grad, opt)
+    npt.assert_array_equal(model.encoder.embed[PAD_INDEX], 0.0)
