@@ -42,6 +42,8 @@ UNK_TOKEN = "<unk>"
 
 Phrase = tuple[str, ...]
 
+MAX_SYNTH = 2**20  # the largest vocab_size and n_docs of a synthetic corpus
+
 
 @dataclass
 class Document:
@@ -66,7 +68,7 @@ class LabeledDocument:
     """A document plus per-token BIO labels and its keyphrase set.
 
     ``label_source`` records provenance: "gold" for annotated data,
-    "pseudo" for labels produced by a model.
+    "pseudo" for labels produced by a model, which leave ``keyphrases`` empty.
     """
 
     doc: Document
@@ -415,8 +417,8 @@ def make_synthetic_rule(seed: int, vocab_size: int, keyword_fraction: float) -> 
     """Deterministically derive the planted rule used by :func:`gen_synthetic`."""
     if seed < 0:
         raise DataError(f"seed must be >= 0, got {seed}")
-    if vocab_size < 20:
-        raise DataError(f"vocab_size must be >= 20, got {vocab_size}")
+    if not 20 <= vocab_size <= MAX_SYNTH:
+        raise DataError(f"vocab_size must be in [20, {MAX_SYNTH}], got {vocab_size}")
     if not 0.0 < keyword_fraction < 0.5:
         raise DataError(f"keyword_fraction must be in (0, 0.5), got {keyword_fraction}")
     n_keywords = max(1, round(keyword_fraction * vocab_size))
@@ -449,8 +451,8 @@ def gen_synthetic(
     through :func:`bio_to_phrases` exactly. Byte-identical output for a
     fixed seed.
     """
-    if n_docs < 1:
-        raise DataError(f"n_docs must be >= 1, got {n_docs}")
+    if not 1 <= n_docs <= MAX_SYNTH:
+        raise DataError(f"n_docs must be in [1, {MAX_SYNTH}], got {n_docs}")
     rule = make_synthetic_rule(seed, vocab_size, keyword_fraction)
     rng = np.random.default_rng([seed, 1])
     n_kw, n_fill = len(rule.keywords), len(rule.fillers)

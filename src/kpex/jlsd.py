@@ -272,8 +272,8 @@ def pseudo_label(teacher: Model, docs) -> list[LabeledDocument]:
     Documents or LabeledDocuments (their labels are ignored; unknown tokens map to UNK)."""
     docs = [d.doc if isinstance(d, LabeledDocument) else d for d in docs]
     return [
-        LabeledDocument(doc, labels, {p for _, p in spans}, label_source="pseudo")
-        for doc, (_, spans, labels) in zip(docs, decode_batches(teacher, docs))
+        LabeledDocument(doc, labels, label_source="pseudo")
+        for doc, (_, _, labels) in zip(docs, decode_batches(teacher, docs))
     ]
 
 

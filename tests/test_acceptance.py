@@ -13,7 +13,6 @@ from kpex import (
     JlsdConfig,
     build_vocab,
     dataset_f1,
-    f1_at_k,
     gen_synthetic,
     jlsd_train,
     split_dataset,
@@ -24,7 +23,7 @@ from kpex import (
 from kpex.corpus import bio_to_phrases, keyphrases_to_bio
 from kpex.crf import CrfParams
 from kpex.encoder import EncoderDims, encoder_tensors, init_params
-from kpex.metrics import PhrasePrediction, rank_predictions
+from kpex.metrics import PhrasePrediction, f1_at_k, rank_predictions
 from kpex.model import checkpoint_bytes
 
 from one_doc import encode_backward, encode_forward, log_partition, marginals, nll_and_grad, viterbi

@@ -16,13 +16,11 @@ from kpex import (
     DataError,
     Dataset,
     Document,
-    EncoderDims,
     LabeledDocument,
-    OptimizerState,
-    adam_step,
     build_vocab,
     init_model,
 )
+from kpex.encoder import EncoderDims, OptimizerState, adam_step
 from kpex.model import (
     CHECKPOINT_MAGIC,
     Model,

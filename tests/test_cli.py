@@ -224,6 +224,15 @@ def test_a_negative_synth_seed_is_a_data_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flag, field", [("--docs", "n_docs"), ("--vocab-size", "vocab_size")])
+def test_a_huge_synth_size_is_a_data_error(flag, field, tmp_path, capsys):
+    out = tmp_path / "c.jsonl"
+    assert main(["synth", flag, str(2**64), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"error: data: {field} must be in [" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("mode", ["eval", "extract", "rank", "synth"])
 def test_training_flags_are_rejected_outside_training_modes(mode, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,17 +8,23 @@ from kpex import (
     Dataset,
     Document,
     LabeledDocument,
-    Vocabulary,
-    bio_to_phrases,
     build_vocab,
     gen_synthetic,
-    keyphrases_to_bio,
     load_jsonl,
-    make_synthetic_rule,
-    sample_batch,
     save_jsonl,
 )
-from kpex.corpus import LABEL_B, LABEL_I, LABEL_O, UNK_INDEX
+from kpex.corpus import (
+    LABEL_B,
+    LABEL_I,
+    LABEL_O,
+    MAX_SYNTH,
+    UNK_INDEX,
+    Vocabulary,
+    bio_to_phrases,
+    keyphrases_to_bio,
+    make_synthetic_rule,
+    sample_batch,
+)
 
 from oracles import leftmost_longest_spans
 
@@ -360,3 +368,17 @@ def test_generator_validates_bounds():
         gen_synthetic(0, 0, vocab_size=30, keyword_fraction=0.2)
     with pytest.raises(DataError, match="seed"):
         gen_synthetic(-1, 10, vocab_size=30, keyword_fraction=0.2)
+
+
+@pytest.mark.parametrize("value", [MAX_SYNTH + 1, 2**64])
+@pytest.mark.parametrize("field", ["n_docs", "vocab_size"])
+def test_huge_synthetic_sizes_are_a_data_error_without_allocating(field, value):
+    sizes = {"n_docs": 10, "vocab_size": 30, field: value}
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match=field):
+            gen_synthetic(0, **sizes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

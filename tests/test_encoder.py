@@ -4,9 +4,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from kpex import NumericError, OptimizerState, adam_step, build_vocab, encoder, gen_synthetic
+from kpex import NumericError, build_vocab, encoder, gen_synthetic
 from kpex.corpus import PAD_INDEX
-from kpex.encoder import EncoderDims, encoder_tensors, init_params
+from kpex.encoder import EncoderDims, OptimizerState, adam_step, encoder_tensors, init_params
 from kpex.model import Model, init_model, model_tensors
 
 from one_doc import encode_backward, encode_forward

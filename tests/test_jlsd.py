@@ -1,6 +1,8 @@
 import math
 from dataclasses import replace
 
+import numpy as np
+import numpy.testing as npt
 import pytest
 
 import kpex.jlsd
@@ -13,16 +15,16 @@ from kpex import (
     gen_synthetic,
     init_model,
     jlsd_train,
-    pseudo_label,
-    sample_batch,
     split_dataset,
     train_simple_joint,
     train_simple_pretrain,
     train_supervised,
 )
+from kpex.corpus import bio_to_phrases, sample_batch
 from kpex.encoder import encoder_tensors
+from kpex.jlsd import pseudo_label
 from kpex.metrics import MetricReport, dataset_f1, gold_phrases
-from kpex.model import checkpoint_bytes
+from kpex.model import Model, checkpoint_bytes
 
 
 def tiny_config(**overrides):
@@ -95,6 +97,22 @@ def test_frozen_learning_rates_keep_loss_constant(tiny_corpus):
     assert max(losses) - min(losses) < 1e-12  # batch order only affects rounding
 
 
+def test_a_reused_gradient_buffer_gives_the_same_bits(tiny_corpus):
+    # _train_loop hands one gradient Model to every step: each step must overwrite it
+    labeled, unlabeled, _ = tiny_corpus
+    model = init_model(build_vocab(list(labeled) + list(unlabeled)), 8, 8, 0)
+    first = list(labeled[:4])
+    second = list(labeled[4:7]) + pseudo_label(model, unlabeled[:3])
+    grad = Model(model.dims, model.vocab)
+    for batch, fill in ((first, None), (second, None), (second, np.nan)):
+        if fill is not None:
+            grad.flat[...] = fill
+        losses = kpex.jlsd._batch_gradients(model, batch, grad)
+        fresh = Model(model.dims, model.vocab)
+        assert losses == kpex.jlsd._batch_gradients(model, batch, fresh)
+        npt.assert_array_equal(grad.flat, fresh.flat)
+
+
 def test_supervised_rejects_bad_datasets(tiny_corpus):
     labeled, unlabeled, dev = tiny_corpus
     with pytest.raises(DataError, match="empty"):
@@ -135,7 +153,8 @@ def test_pseudo_labels_keep_the_raw_viterbi_path(tiny_corpus):
     teacher.crf.trans[...] = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 5.0]]
     for ld in pseudo_label(teacher, labeled[:5]):
         assert ld.labels == (2,) * len(ld.tokens)  # not promoted to B I ... I
-        assert ld.keyphrases == frozenset({ld.tokens})
+        assert [p for _, p in bio_to_phrases(ld.tokens, ld.labels)] == [ld.tokens]
+        assert ld.keyphrases == frozenset()  # a pseudo-label is its label path alone
 
 
 def test_pseudo_labels_are_deterministic(tiny_corpus):
@@ -160,7 +179,8 @@ def test_pseudo_labels_agree_with_extraction_metrics(tiny_corpus):
     relabeled = pseudo_label(teacher, labeled)
     n_pred = n_gold = n_match = 0
     for pseudo, gold in zip(relabeled, labeled):
-        p = {tuple(t.casefold() for t in kp) for kp in pseudo.keyphrases}
+        spans = bio_to_phrases(pseudo.tokens, pseudo.labels)
+        p = {tuple(t.casefold() for t in kp) for _, kp in spans}
         g = gold_phrases(gold)
         n_pred, n_gold, n_match = n_pred + len(p), n_gold + len(g), n_match + len(p & g)
     precision = n_match / n_pred if n_pred else 0.0

@@ -9,9 +9,7 @@ from kpex import (
     build_vocab,
     dataset_f1,
     evaluate,
-    exact_f1,
     extract,
-    f1_at_k,
     gold_phrases,
     gen_synthetic,
     init_model,
@@ -26,6 +24,8 @@ from kpex.metrics import (
     PhrasePrediction,
     decode_batches,
     dedup_predictions,
+    exact_f1,
+    f1_at_k,
     rank_predictions,
 )
 
