@@ -67,25 +67,28 @@ _PATH_HELP = {
 }
 
 
-def _parser() -> argparse.ArgumentParser:
-    """Each subcommand registers only the flags it reads."""
+def _parser(mode: str | None) -> argparse.ArgumentParser:
+    """Lists every subcommand; only ``mode``, the one invoked, registers flags: those it reads."""
     parser = argparse.ArgumentParser(prog="kpex", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="mode")
-    for mode in ALL_MODES:
-        p = sub.add_parser(mode, allow_abbrev=False)
-        for name in _REQUIRED[mode] + (("out",) if mode == "eval" else ()):
-            p.add_argument(f"--{name}", help=_PATH_HELP[name])
-        if mode in TRAIN_MODES:
-            p.add_argument("--config", help="JSON config file; flags override it")
-            for name, types in _CONFIG_TYPES.items():
-                p.add_argument(f"--{name.lower().replace('_', '-')}", dest=name, type=types[0])
-        if mode == "eval":
-            p.add_argument("--k", type=int, help="also report F1 of the top-k ranked phrases")
-        if mode == "synth":
-            p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--docs", type=int, default=100)
-            p.add_argument("--vocab-size", type=int, default=120)
-            p.add_argument("--keyword-fraction", type=float, default=0.25)
+    for name in ALL_MODES:
+        sub.add_parser(name, allow_abbrev=False)
+    p = sub.choices.get(mode)
+    if p is None:  # no subcommand, or an unknown one: parse_args reports it
+        return parser
+    for name in _REQUIRED[mode] + (("out",) if mode == "eval" else ()):
+        p.add_argument(f"--{name}", help=_PATH_HELP[name])
+    if mode in TRAIN_MODES:
+        p.add_argument("--config", help="JSON config file; flags override it")
+        for name, types in _CONFIG_TYPES.items():
+            p.add_argument(f"--{name.lower().replace('_', '-')}", dest=name, type=types[0])
+    if mode == "eval":
+        p.add_argument("--k", type=int, help="also report F1 of the top-k ranked phrases")
+    if mode == "synth":
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--docs", type=int, default=100)
+        p.add_argument("--vocab-size", type=int, default=120)
+        p.add_argument("--keyword-fraction", type=float, default=0.25)
     return parser
 
 
@@ -181,16 +184,10 @@ def _training_run(mode: str, args: dict, config: JlsdConfig) -> int:
         save_checkpoint(model, ckpt)
         report.checkpoint_path = str(ckpt)
         write_atomic(outdir / "events.jsonl", report.to_jsonl().encode("utf-8"))
-        print(
-            json.dumps(
-                {
-                    "mode": mode,
-                    "best_dev_f1": report.best_score,
-                    "best_iteration": report.best_iteration,
-                    "checkpoint": str(ckpt),
-                }
-            )
-        )
+        print(json.dumps({
+            "mode": mode, "best_dev_f1": report.best_score,
+            "best_iteration": report.best_iteration, "checkpoint": str(ckpt),
+        }))
         return 0
     finally:
         lock.unlink(missing_ok=True)
@@ -230,10 +227,7 @@ def _decode_run(mode: str, args: dict) -> int:
 
 def _synth_run(args: dict) -> int:
     dataset = gen_synthetic(
-        seed=args["seed"],
-        n_docs=args["docs"],
-        vocab_size=args["vocab_size"],
-        keyword_fraction=args["keyword_fraction"],
+        args["seed"], args["docs"], args["vocab_size"], args["keyword_fraction"]
     )
     save_jsonl(dataset, args["out"])
     print(json.dumps({"mode": "synth", "n_docs": len(dataset), "out": args["out"]}))
@@ -254,7 +248,7 @@ def run(mode: str, args: dict) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _parser()
+    parser = _parser(next(iter(sys.argv[1:] if argv is None else argv), None))
     ns = parser.parse_args(argv)
     if ns.mode is None:
         parser.print_help()

@@ -18,6 +18,7 @@ All functions here are pure; random sampling takes a caller-owned
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 from collections import Counter
@@ -77,14 +78,14 @@ class LabeledDocument:
     label_source: str = "gold"
 
     def __post_init__(self):
-        self.labels = tuple(int(l) for l in self.labels)
-        self.keyphrases = frozenset(tuple(p) for p in self.keyphrases)
+        self.labels = tuple(map(int, self.labels))
+        self.keyphrases = frozenset(map(tuple, self.keyphrases))
         if len(self.labels) != len(self.doc.tokens):
             raise DataError(
                 f"document {self.doc.id!r}: {len(self.labels)} labels for "
                 f"{len(self.doc.tokens)} tokens"
             )
-        if any(l not in (LABEL_O, LABEL_B, LABEL_I) for l in self.labels):
+        if not set(self.labels) <= {LABEL_O, LABEL_B, LABEL_I}:
             raise DataError(f"document {self.doc.id!r}: label index out of range")
         if self.label_source not in ("gold", "pseudo"):
             raise DataError(f"unknown label source {self.label_source!r}")
@@ -131,9 +132,9 @@ class Vocabulary:
     """Token-to-index mapping with reserved PAD (0) and UNK (1) entries.
 
     Indices are deterministic: descending frequency, ties broken by the
-    case-folded token string. Lookup case-folds its argument, so every entry
-    must be case-folded itself. Lookup of an unseen token, or of the PAD
-    token itself, returns UNK.
+    case-folded token string. Encoding case-folds each token, so every entry
+    must be case-folded itself. An unseen token, or the PAD token itself,
+    encodes as UNK.
     """
 
     itos: tuple[str, ...]
@@ -157,11 +158,9 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.itos)
 
-    def lookup(self, token: str) -> int:
-        return self.stoi.get(token.casefold(), UNK_INDEX)
-
     def encode(self, tokens: Sequence[str]) -> np.ndarray:
-        return np.array([self.lookup(t) for t in tokens], dtype=np.int64)
+        get = self.stoi.get
+        return np.array([get(t.casefold(), UNK_INDEX) for t in tokens], dtype=np.int64)
 
     @property
     def sha256(self) -> str:
@@ -238,15 +237,11 @@ def build_vocab(dataset, min_count: int = 1) -> Vocabulary:
     docs = list(dataset)
     if not docs:
         raise DataError("cannot build a vocabulary from an empty dataset")
-    counts: Counter = Counter()
-    for d in docs:
-        counts.update(t.casefold() for t in d.tokens)
-    counts.pop(PAD_TOKEN, None)
-    counts.pop(UNK_TOKEN, None)
-    kept = sorted(
-        (tok for tok, c in counts.items() if c >= min_count),
-        key=lambda tok: (-counts[tok], tok),
-    )
+    counts: Counter = Counter()  # one pass over the tokens, then case-folding of the distinct ones
+    for tok, c in Counter(itertools.chain.from_iterable(d.tokens for d in docs)).items():
+        counts[tok.casefold()] += c
+    kept = [t for t, c in counts.items() if c >= min_count and t not in (PAD_TOKEN, UNK_TOKEN)]
+    kept.sort(key=lambda t: (-counts[t], t))
     return Vocabulary(itos=(PAD_TOKEN, UNK_TOKEN, *kept), min_count=min_count)
 
 

@@ -66,17 +66,21 @@ def _check(emissions, lengths) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _alphas(emissions, trans, first, shift=None, reduce=np.logaddexp.reduce) -> np.ndarray:
-    """Forward scores of every column, reduced over the previous label (axis -2) so that any
-    axes between time and labels broadcast; padding at the tail never feeds a real row. With
-    ``shift``, shaped as the emissions less labels, each step's label-0 score moves into it."""
-    alpha = np.empty_like(emissions)
-    alpha[0] = first + emissions[0]
-    for t in range(emissions.shape[0]):
+    """Forward scores ``(n, ..., L)`` of every column, C-contiguous, from a label-major loop: each
+    step reduces ``alpha[t - 1] + trans`` over the leading previous-label axis into ``alpha[t]``,
+    so ``trans`` is ``(L, L, ...)`` and ``first`` ``(L, ...)``, broadcast over the axes between.
+    With ``shift``, shaped as the emissions less labels, each step's label-0 score moves into it."""
+    e = np.moveaxis(emissions, -1, 1)
+    alpha = np.empty(e.shape)
+    np.add(first, e[0], out=alpha[0])
+    for t in range(len(alpha)):
         if t:
-            alpha[t] = reduce(alpha[t - 1][..., :, None] + trans, axis=-2) + emissions[t]
-        if shift is not None:  # the right side is read before shift[t] is written
-            shift[t], alpha[t] = alpha[t, ..., 0], alpha[t] - alpha[t, ..., :1]
-    return alpha
+            reduce(alpha[t - 1][:, None] + trans, axis=0, out=alpha[t])
+            alpha[t] += e[t]
+        if shift is not None:
+            shift[t] = alpha[t, 0]
+            alpha[t] -= shift[t]
+    return np.ascontiguousarray(np.moveaxis(alpha, 1, -1))
 
 
 def _normalised(scores, real) -> np.ndarray:
@@ -96,8 +100,9 @@ def _forward_backward(emissions, lengths, crf: CrfParams):
     ``log Z`` is the forward shifts of the real rows plus the last one's log-sum-exp."""
     n, batch = emissions.shape[:2]
     rev, shift, real = reversal(lengths, n), np.empty((n, 2, batch)), real_positions(lengths, n)
-    ends, trans = np.stack((crf.start, crf.end)), np.stack((crf.trans, crf.trans.T))
-    both = _alphas(np.stack((emissions, emissions[rev]), 1), trans[:, None], ends[:, None], shift)
+    ends = np.stack((crf.start, crf.end), axis=-1)[..., None]  # label-major, (L, 2, 1)
+    trans = np.stack((crf.trans, crf.trans.T), axis=-1)[..., None]  # (L, L, 2, 1)
+    both = _alphas(np.stack((emissions, emissions[rev]), 1), trans, ends, shift)
     alpha, beta_e = both[:, 0], both[:, 1][rev]
     log_z = np.where(real, shift[:, 0], 0.0).sum(axis=0)
     log_z += np.logaddexp.reduce(alpha[lengths - 1, np.arange(batch)] + crf.end, axis=1)
@@ -130,7 +135,7 @@ def viterbi(emissions, crf: CrfParams, lengths) -> tuple[np.ndarray, np.ndarray]
     """
     emissions, lengths = _check(emissions, lengths)
     cols = np.arange(len(lengths))
-    delta = _alphas(emissions, crf.trans, crf.start, reduce=np.maximum.reduce)
+    delta = _alphas(emissions, crf.trans[..., None], crf.start[:, None], reduce=np.maximum.reduce)
     # backpointers (t, B, to, from), lowest index on ties, as lists for the serial backtrack
     steps = (delta[:-1, :, None, :] + crf.trans.T).argmax(axis=3).tolist()
     final = delta[lengths - 1, cols] + crf.end

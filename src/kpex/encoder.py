@@ -193,7 +193,7 @@ def encode_forward(
     for rows, ends in steps:
         at = rows if for_backward else slice(rows.stop - rows.start)
         a, hw = gates[at], recurrent[: len(h_t)]
-        np.take(table, idx[rows], axis=0, out=a, mode="clip")  # "raise" would buffer out
+        table.take(idx[rows], axis=0, out=a, mode="clip")  # "raise" would buffer out
         np.matmul(h_t.transpose(1, 0, 2), WhT, out=hw.transpose(1, 0, 2))
         a += hw
         np.tanh(a, out=a)

@@ -32,7 +32,7 @@ from .corpus import Dataset, LabeledDocument, build_vocab, sample_batch
 from .crf import nll_and_grad, viterbi  # noqa: F401 (bench traces jlsd.viterbi)
 from .encoder import OptimizerState, adam_step, encode_backward, encode_forward, time_major
 from .errors import ConfigError, DataError
-from .metrics import dataset_f1, decode_batches
+from .metrics import encoded_f1, gold_phrases, label_paths
 from .model import Model, init_model
 
 MAX_DRAW = 4096  # the most documents drawn from one dataset for one training step
@@ -149,10 +149,25 @@ def _require_labeled(dataset: Dataset, role: str) -> None:
         raise DataError(f"{role} dataset must be fully labeled")
 
 
-def _batch_gradients(model: Model, batch, grad: Model) -> tuple[float, float, float]:
-    """Mean-per-document NLL over a mixed gold/pseudo batch, computed as one padded
+class _Run:
+    """What a training run works out once from its data and drops when it ends: each document's
+    token ids, on their first use, and its dev set's documents, ids and folded gold phrase sets."""
+
+    def __init__(self, vocab, dev: Dataset):
+        self.vocab, self.ids, docs = vocab, {}, list(dev)
+        self.dev = docs, [self.encode(d.tokens) for d in docs], [gold_phrases(d) for d in docs]
+
+    def encode(self, tokens) -> np.ndarray:
+        ids = self.ids.get(tokens)
+        if ids is None:
+            ids = self.ids[tokens] = self.vocab.encode(tokens)
+        return ids
+
+
+def _batch_gradients(model: Model, batch, grad: Model, encode) -> tuple[float, float, float]:
+    """Mean-per-document NLL over a mixed gold/pseudo batch, ids by ``encode``, as one padded
     time-major batch; its gradient fills ``grad``, a buffer of ``model``'s layout."""
-    ids, lengths = time_major([model.vocab.encode(ld.doc.tokens) for ld in batch])
+    ids, lengths = time_major([encode(ld.tokens) for ld in batch])
     gold, _ = time_major([ld.labels for ld in batch])
     emissions, cache = encode_forward(model.encoder, ids, lengths)
     losses, d_emissions, d_crf = nll_and_grad(emissions, model.crf, gold, lengths)
@@ -186,7 +201,7 @@ def _fresh_model(vocab, config: JlsdConfig) -> Model:
 
 def _train_loop(
     model: Model,
-    dev: Dataset,
+    run: _Run,
     config: JlsdConfig,
     make_batch,
     events: list,
@@ -195,14 +210,14 @@ def _train_loop(
 ) -> tuple[Model, TrainReport]:
     """The shared loop: evaluate at iteration 0 (unless the model's dev F1 is
     given), then Adam steps with periodic dev evaluation, best-checkpoint
-    tracking, and patience-based early stopping on strict improvement.
-    ``make_batch(it, rng, best)`` draws from the seed's data stream; ``best``
+    tracking, and patience-based early stopping on strict improvement, all on ``run``'s
+    data. ``make_batch(it, rng, best)`` draws from the seed's data stream; ``best``
     is the best-on-dev checkpoint so far, starting as a copy of ``model``."""
     data_rng = _seed_stream(config, 1)
     opt = OptimizerState(lr_lower=config.lr_lower, lr_upper=config.lr_upper)
     grad = Model(model.dims, model.vocab)
 
-    best_score = dataset_f1(model, dev).f1 if initial_score is None else initial_score
+    best_score = encoded_f1(model, *run.dev).f1 if initial_score is None else initial_score
     best_model = model.copy()
     best_iteration = 0
     events.append({"event": "eval", "iteration": 0, "dev_f1": best_score, "improved": True})
@@ -210,7 +225,7 @@ def _train_loop(
     stale = 0
     for it in range(1, config.T + 1):
         batch = make_batch(it, data_rng, best_model)
-        loss_labeled, loss_pseudo, loss = _batch_gradients(model, batch, grad)
+        loss_labeled, loss_pseudo, loss = _batch_gradients(model, batch, grad, run.encode)
         adam_step(model, grad, opt)
         events.append(
             {
@@ -222,7 +237,7 @@ def _train_loop(
             }
         )
         if it == _next_eval(it, config):
-            score = dataset_f1(model, dev).f1
+            score = encoded_f1(model, *run.dev).f1
             improved = score > best_score
             events.append(
                 {"event": "eval", "iteration": it, "dev_f1": score, "improved": improved}
@@ -260,21 +275,23 @@ def train_supervised(
     _require_labeled(dev, "dev")
     if init is None and vocab is None:
         vocab = build_vocab(train, config.min_count)
-    model = init.copy() if init is not None else _fresh_model(vocab, config)
+    return _supervised(train, _Run(vocab if init is None else init.vocab, dev), config, init)
 
+
+def _supervised(train, run: _Run, config: JlsdConfig, init: Model | None = None):
+    """``train_supervised`` on checked datasets, scored on ``run``'s dev set."""
+    model = init.copy() if init is not None else _fresh_model(run.vocab, config)
     return _train_loop(
-        model, dev, config, lambda it, rng, best: sample_batch(train, config.batch_size, rng), []
+        model, run, config, lambda it, rng, best: sample_batch(train, config.batch_size, rng), []
     )
 
 
 def pseudo_label(teacher: Model, docs) -> list[LabeledDocument]:
-    """Hard pseudo-labels: the teacher's raw Viterbi paths from ``metrics.decode_batches``, for
+    """Hard pseudo-labels: the teacher's raw Viterbi paths from ``metrics.label_paths``, for
     Documents or LabeledDocuments (their labels are ignored; unknown tokens map to UNK)."""
     docs = [d.doc if isinstance(d, LabeledDocument) else d for d in docs]
-    return [
-        LabeledDocument(doc, labels, label_source="pseudo")
-        for doc, (_, _, labels) in zip(docs, decode_batches(teacher, docs))
-    ]
+    paths = label_paths(teacher, [teacher.vocab.encode(d.tokens) for d in docs])
+    return [LabeledDocument(doc, path, label_source="pseudo") for doc, path in zip(docs, paths)]
 
 
 def jlsd_train(
@@ -298,13 +315,14 @@ def jlsd_train(
         raise DataError("unlabeled dataset is empty; use train_supervised instead")
 
     vocab = build_vocab(list(labeled.documents) + list(unlabeled.documents), config.min_count)
+    run = _Run(vocab, dev)  # the teacher phase and the student share it
     # the teacher phase gets its own seed so the student loop's sampling
     # stream matches what train_supervised would draw under config.seed
     teacher_T = config.teacher_T if config.teacher_T is not None else config.T
     teacher_config = replace(config, seed=config.seed + 1, T=teacher_T)
     # the teacher phase's best checkpoint is trained on in place as the student;
     # _train_loop's first best-checkpoint copy of it is the starting teacher
-    student, teacher_report = train_supervised(labeled, dev, teacher_config, vocab=vocab)
+    student, teacher_report = _supervised(labeled, run, teacher_config)
 
     events: list = []
     k = config.unlabeled_per_batch
@@ -328,7 +346,7 @@ def jlsd_train(
         )
 
     best, report = _train_loop(
-        student, dev, config, make_batch, events, record_swap, teacher_report.best_score
+        student, run, config, make_batch, events, record_swap, teacher_report.best_score
     )
     report.prior_phase = teacher_report
     return best, report
@@ -353,12 +371,10 @@ def train_simple_pretrain(
     target so the embedding table carries over. ``config.source_T`` bounds
     the source phase (0 skips it entirely).
     """
-    vocab = _transfer_vocab(source, target_train, target_dev, config)
-    source_config = replace(
-        config, T=config.source_T if config.source_T is not None else config.T
-    )
-    warm, source_report = train_supervised(source, target_dev, source_config, vocab=vocab)
-    best, report = train_supervised(target_train, target_dev, config, init=warm)
+    run = _Run(_transfer_vocab(source, target_train, target_dev, config), target_dev)
+    source_config = replace(config, T=config.T if config.source_T is None else config.source_T)
+    warm, source_report = _supervised(source, run, source_config)
+    best, report = _supervised(target_train, run, config, init=warm)
     report.prior_phase = source_report
     return best, report
 
@@ -376,11 +392,7 @@ def train_simple_joint(
     source draw of zero the run is identical to it.
     """
     vocab = _transfer_vocab(source, target_train, target_dev, config)
-    draw = (
-        config.source_pool_size
-        if config.source_pool_size is not None
-        else len(target_train)
-    )
+    draw = len(target_train) if config.source_pool_size is None else config.source_pool_size
     pool = list(target_train.documents)
     epoch_len = max(1, math.ceil((len(target_train) + draw) / config.batch_size))
 
@@ -395,4 +407,5 @@ def train_simple_joint(
             )
         return sample_batch(pool, config.batch_size, rng)
 
-    return _train_loop(_fresh_model(vocab, config), target_dev, config, make_batch, events)
+    run = _Run(vocab, target_dev)
+    return _train_loop(_fresh_model(vocab, config), run, config, make_batch, events)

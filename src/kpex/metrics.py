@@ -59,38 +59,14 @@ def dedup_predictions(preds) -> list[PhrasePrediction]:
     return sorted(best.values(), key=lambda p: p.span[0])
 
 
-def _decode(model: Model, docs, encoded, rank: bool) -> list:
-    """Viterbi-decode documents, their token ids ``encoded``, as one batch: per document what
-    ``extract`` returns or, with ``rank``, what ``rank_phrases`` returns."""
-    ids, lengths = time_major(encoded)
-    emissions, _ = encode_forward(model.encoder, ids, lengths, for_backward=False)
-    paths, _ = viterbi(emissions, model.crf, lengths)
-    labels = [tuple(paths[: len(d.tokens), b].tolist()) for b, d in enumerate(docs)]
-    spans = [bio_to_phrases(d.tokens, path) for d, path in zip(docs, labels)]
-    if not rank:
-        return [({_fold(p) for _, p in s}, s, path) for s, path in zip(spans, labels)]
-    marg = marginals(emissions, model.crf, lengths)
-    # a phrase's confidence: the product of its decoded labels' posterior marginals
-    return [
-        rank_predictions(dedup_predictions(
-            PhrasePrediction(
-                _fold(p), (s, e), float(np.prod(marg[np.arange(s, e), b, paths[s:e, b]]))
-            )
-            for (s, e), p in doc_spans
-        ))
-        for b, doc_spans in enumerate(spans)
-    ]
-
-
-def decode_batches(model: Model, docs, rank: bool = False) -> list:
-    """The only Viterbi decode: per document in input order, what ``extract`` returns (label path
-    included) or with ``rank`` what ``rank_phrases`` returns, confidences to rounding (3.6e-15
-    relative on the ``extract`` benchmark). Ascending-length groups (a stable sort) decode together
-    while within ``TOKEN_BUDGET`` padded slots ``n_max × B`` and ``DISTINCT_BUDGET`` distinct ids,
-    a document past either alone, each by one ``encode_forward(..., for_backward=False)``."""
-    docs, groups, seen = list(docs), [], set()
-    encoded = [model.vocab.encode(d.tokens) for d in docs]
-    for i in sorted(range(len(docs)), key=lambda i: len(encoded[i])):
+def label_paths(model: Model, encoded, rank: bool = False) -> list:
+    """The only Viterbi decode: each document's raw label path (an orphan I stays I), given its
+    token ids, or with ``rank`` its path and ``(length, L)`` marginals. Ascending-length groups (a
+    stable sort) decode together while within ``TOKEN_BUDGET`` padded slots ``n_max × B`` and
+    ``DISTINCT_BUDGET`` distinct ids, a document past either alone, each by one
+    ``encode_forward(..., for_backward=False)``."""
+    groups, seen = [], set()
+    for i in sorted(range(len(encoded)), key=lambda i: len(encoded[i])):
         words = set(encoded[i].tolist())
         wide = not groups or len(encoded[i]) * (len(groups[-1]) + 1) > TOKEN_BUDGET
         if wide or len(seen) + len(words - seen) > DISTINCT_BUDGET:
@@ -98,12 +74,34 @@ def decode_batches(model: Model, docs, rank: bool = False) -> list:
             seen = set()
         groups[-1].append(i)
         seen |= words
-    out = [None] * len(docs)
+    out = [None] * len(encoded)
     for group in groups:
-        results = _decode(model, [docs[j] for j in group], [encoded[j] for j in group], rank)
-        for i, result in zip(group, results):
-            out[i] = result
+        ids, lengths = time_major([encoded[i] for i in group])
+        emissions, _ = encode_forward(model.encoder, ids, lengths, for_backward=False)
+        paths, _ = viterbi(emissions, model.crf, lengths)
+        marg = marginals(emissions, model.crf, lengths) if rank else None
+        for b, i in enumerate(group):
+            path = paths[: len(encoded[i]), b].tolist()
+            out[i] = (path, marg[: len(path), b]) if rank else path
     return out
+
+
+def decode_batches(model: Model, docs, rank: bool = False) -> list:
+    """Per document in input order, what ``extract`` returns or with ``rank`` what ``rank_phrases``
+    returns, confidences to rounding (3.6e-15 relative on the ``extract`` benchmark)."""
+    docs = list(docs)
+    decoded = label_paths(model, [model.vocab.encode(d.tokens) for d in docs], rank)
+    if not rank:
+        spans = [bio_to_phrases(d.tokens, path) for d, path in zip(docs, decoded)]
+        return [({_fold(p) for _, p in s}, s, tuple(path)) for s, path in zip(spans, decoded)]
+    # a phrase's confidence: the product of its decoded labels' posterior marginals
+    return [
+        rank_predictions(dedup_predictions(
+            PhrasePrediction(_fold(p), (s, e), float(np.prod(marg[np.arange(s, e), path[s:e]])))
+            for (s, e), p in bio_to_phrases(d.tokens, path)
+        ))
+        for d, (path, marg) in zip(docs, decoded)
+    ]
 
 
 def extract(model: Model, doc) -> tuple[set[Phrase], list, tuple[int, ...]]:
@@ -114,9 +112,7 @@ def extract(model: Model, doc) -> tuple[set[Phrase], list, tuple[int, ...]]:
 
 def exact_f1(pred: set, gold: set) -> MetricReport:
     """Set-level exact-match precision/recall/F1 on case-folded phrases."""
-    pred = {_fold(p) for p in pred}
-    gold = {_fold(p) for p in gold}
-    return _report(n_pred=len(pred), n_gold=len(gold), n_match=len(pred & gold))
+    return _counted({_fold(p) for p in pred}, {_fold(p) for p in gold})
 
 
 def _report(n_pred: int, n_gold: int, n_match: int) -> MetricReport:
@@ -156,7 +152,7 @@ def evaluate(model: Model, dataset, k: int | None = None) -> dict[str, MetricRep
     full, top = [], []
     for d, result in zip(docs, decode_batches(model, docs, rank=k is not None)):
         gold = gold_phrases(d)
-        full.append(exact_f1(result[0] if k is None else {p.phrase for p in result}, gold))
+        full.append(_counted(result[0] if k is None else {p.phrase for p in result}, gold))
         if k is not None:
             top.append(f1_at_k(result, gold, k))
     reports = {"f1": _micro(full), "f1_macro": _macro(full)}
@@ -168,6 +164,18 @@ def evaluate(model: Model, dataset, k: int | None = None) -> dict[str, MetricRep
 def dataset_f1(model: Model, dataset) -> MetricReport:
     """Micro-averaged exact-match F1 of extraction over a labeled dataset."""
     return evaluate(model, dataset)["f1"]
+
+
+def encoded_f1(model: Model, docs, encoded, gold) -> MetricReport:
+    """``dataset_f1`` of labeled ``docs`` given with their token ids ``encoded`` and their folded
+    gold phrase sets ``gold``, so that a training run encodes and folds its dev set only once."""
+    spans = (bio_to_phrases(d.tokens, path) for d, path in zip(docs, label_paths(model, encoded)))
+    return _micro([_counted({_fold(p) for _, p in s}, g) for s, g in zip(spans, gold)])
+
+
+def _counted(pred: set, gold: set) -> MetricReport:
+    """Scores of a predicted against a gold phrase set, both already case-folded."""
+    return _report(len(pred), len(gold), len(pred & gold))
 
 
 def _micro(reports: list) -> MetricReport:

@@ -63,6 +63,21 @@ def longdouble_forward_backward(emissions, trans, start, end):
     return log_z, np.exp(alpha + beta - log_z)
 
 
+def reduce_alphas(emissions, trans, first, shift=None, reduce=np.logaddexp.reduce):
+    """The textbook forward recursion that ``kpex.crf._alphas`` runs label-major, here in the
+    emissions' own ``(n, ..., L)`` layout: ``trans`` is ``(..., L, L)``, ``first`` ``(..., L)``,
+    and each step reduces over the previous-label axis -2. With ``shift``, each step's label-0
+    score moves into it."""
+    alpha = np.empty_like(emissions)
+    alpha[0] = first + emissions[0]
+    for t in range(emissions.shape[0]):
+        if t:
+            alpha[t] = reduce(alpha[t - 1][..., :, None] + trans, axis=-2) + emissions[t]
+        if shift is not None:
+            shift[t], alpha[t] = alpha[t, ..., 0], alpha[t] - alpha[t, ..., :1]
+    return alpha
+
+
 def central_difference_grad(f, arr, step: float = 1e-3) -> np.ndarray:
     """Elementwise central finite differences of scalar f() w.r.t. arr (mutated in place)."""
     grad = np.zeros_like(arr)

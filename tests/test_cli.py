@@ -1,7 +1,9 @@
 import fcntl
+import gc
 import json
 import os
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -258,6 +260,27 @@ def test_flags_a_mode_does_not_read_are_rejected(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert argv[-2] in capsys.readouterr().err
+
+
+def test_help_lists_every_mode_and_an_unknown_mode_fails(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    listed = capsys.readouterr().out
+    assert all(mode in listed for mode in kpex.cli.ALL_MODES)
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus", "--out", "o"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["train", "jlsd", "eval", "synth"])
+def test_a_mode_help_lists_its_own_flags(mode, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([mode, "--help"])
+    assert exc.value.code == 0
+    flags = {"train": "--teacher-t", "jlsd": "--unlabeled", "eval": "--k", "synth": "--docs"}
+    assert flags[mode] in capsys.readouterr().out
 
 
 def test_eval_cutoff_below_one_is_a_config_error(tmp_path, capsys):
@@ -662,6 +685,26 @@ def test_one_forward_call_serves_several_extract_documents(data_dir, tmp_path, m
     ])
     assert rc == 0
     assert sum(batches) == 60 and max(batches) > 1
+
+
+def test_repeated_in_process_extracts_hold_no_memory(data_dir, tmp_path, capsys):
+    """No cache outlives a run: 20 extract calls end within 64 KB of the first one's reading."""
+    ckpt = _train_tiny(data_dir, tmp_path / "run")
+    argv = [
+        "extract", "--ckpt", str(ckpt),
+        "--test", str(data_dir / "dev.jsonl"), "--out", str(tmp_path / "phrases.jsonl"),
+    ]
+    tracemalloc.start()
+    try:
+        readings = []
+        for _ in range(20):
+            assert main(argv) == 0
+            capsys.readouterr()
+            gc.collect()
+            readings.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert readings[-1] - readings[0] <= 64 * 1024
 
 
 @pytest.mark.parametrize("mode", ["extract", "rank"])

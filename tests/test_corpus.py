@@ -151,20 +151,19 @@ def test_vocab_frequency_threshold():
 def test_vocab_tie_broken_lexicographically():
     ds = Dataset("t", [_labeled(["a", "b"]), _labeled(["b", "a"])])
     vocab = build_vocab(ds, min_count=1)
-    assert vocab.lookup("a") == 2
-    assert vocab.lookup("b") == 3
+    assert vocab.encode(["a", "b"]).tolist() == [2, 3]
 
 
 def test_vocab_unseen_token_is_unk():
     ds = Dataset("t", [_labeled(["a"])])
     vocab = build_vocab(ds, min_count=1)
-    assert vocab.lookup("zzz") == UNK_INDEX == 1
+    assert vocab.encode(["zzz"]).tolist() == [UNK_INDEX] == [1]
 
 
 def test_vocab_is_case_folded():
     ds = Dataset("t", [_labeled(["Foo", "foo"])])
     vocab = build_vocab(ds, min_count=2)
-    assert vocab.lookup("FOO") == 2
+    assert vocab.encode(["FOO"]).tolist() == [2]
 
 
 def test_literal_pad_token_encodes_to_unk():

@@ -13,6 +13,7 @@ from oracles import (
     brute_force_crf,
     central_difference_grad,
     longdouble_forward_backward,
+    reduce_alphas,
     relative_error,
 )
 
@@ -175,6 +176,35 @@ def test_extreme_scores_stay_finite(spread):
     )
     for arr in (losses, d_emissions, *crf_tensors(d_crf).values()):
         assert np.all(np.isfinite(arr))
+
+
+@pytest.mark.parametrize("batch", [1, 8, 100])
+@pytest.mark.parametrize("reduce", [np.logaddexp.reduce, np.maximum.reduce], ids=["lse", "max"])
+@pytest.mark.parametrize("shifted", [False, True], ids=["unshifted", "shifted"])
+@pytest.mark.parametrize("directions", [(), (2,)], ids=["one", "stacked"])
+@pytest.mark.parametrize("ties", [False, True], ids=["normal", "integer"])
+def test_label_major_alphas_equal_the_textbook_recursion(batch, reduce, shifted, directions, ties):
+    """Bit for bit, in both semirings, shifted or not, with the direction axis of the stacked
+    forward-backward or without it, and with integer scores, whose ties make the reduce order
+    show."""
+    rng = np.random.default_rng([batch, len(directions), ties])
+
+    def draw(*shape):
+        return rng.integers(-2, 3, shape).astype(float) if ties else rng.normal(size=shape)
+
+    emissions = draw(23, *directions, batch, 3)
+    trans, first = draw(*directions, 1, 3, 3), draw(*directions, 1, 3)  # broadcast over columns
+    shift, ref_shift = (np.empty(emissions.shape[:-1]), np.empty(emissions.shape[:-1]))
+    if not shifted:
+        shift = ref_shift = None
+    ref = reduce_alphas(emissions, trans, first, ref_shift, reduce)
+    got = batched._alphas(
+        emissions, np.moveaxis(trans, (-2, -1), (0, 1)), np.moveaxis(first, -1, 0), shift, reduce
+    )
+    assert got.flags.c_contiguous
+    npt.assert_array_equal(got, ref)
+    if shifted:
+        npt.assert_array_equal(shift, ref_shift)
 
 
 def test_log_partition_gradient_is_the_marginal_matrix():

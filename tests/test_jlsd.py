@@ -1,11 +1,14 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import kpex.corpus
 import kpex.jlsd
+import kpex.metrics
 from kpex import (
     ConfigError,
     DataError,
@@ -23,7 +26,7 @@ from kpex import (
 from kpex.corpus import bio_to_phrases, sample_batch
 from kpex.encoder import encoder_tensors
 from kpex.jlsd import pseudo_label
-from kpex.metrics import MetricReport, dataset_f1, gold_phrases
+from kpex.metrics import MetricReport, dataset_f1, encoded_f1, gold_phrases
 from kpex.model import Model, checkpoint_bytes
 
 
@@ -107,9 +110,9 @@ def test_a_reused_gradient_buffer_gives_the_same_bits(tiny_corpus):
     for batch, fill in ((first, None), (second, None), (second, np.nan)):
         if fill is not None:
             grad.flat[...] = fill
-        losses = kpex.jlsd._batch_gradients(model, batch, grad)
+        losses = kpex.jlsd._batch_gradients(model, batch, grad, model.vocab.encode)
         fresh = Model(model.dims, model.vocab)
-        assert losses == kpex.jlsd._batch_gradients(model, batch, fresh)
+        assert losses == kpex.jlsd._batch_gradients(model, batch, fresh, model.vocab.encode)
         npt.assert_array_equal(grad.flat, fresh.flat)
 
 
@@ -155,6 +158,55 @@ def test_pseudo_labels_keep_the_raw_viterbi_path(tiny_corpus):
         assert ld.labels == (2,) * len(ld.tokens)  # not promoted to B I ... I
         assert [p for _, p in bio_to_phrases(ld.tokens, ld.labels)] == [ld.tokens]
         assert ld.keyphrases == frozenset()  # a pseudo-label is its label path alone
+
+
+def test_pseudo_labels_build_no_phrase_spans(tiny_corpus, monkeypatch):
+    labeled, _, _ = tiny_corpus
+    teacher = init_model(build_vocab(labeled), 8, 8, 0)
+    calls = []
+    for module in (kpex.corpus, kpex.metrics):
+        original = module.bio_to_phrases
+        monkeypatch.setattr(
+            module, "bio_to_phrases", lambda *a, f=original: calls.append(a) or f(*a)
+        )
+    assert len(pseudo_label(teacher, labeled[:10])) == 10
+    assert calls == []
+
+
+def _count_encodings_and_gold_sets(monkeypatch):
+    """Count the vocabulary's encodings per token tuple (by identity) and the gold phrase sets
+    built per document id."""
+    encoded, golds = Counter(), Counter()
+    encode, gold = kpex.corpus.Vocabulary.encode, kpex.metrics.gold_phrases
+
+    def counting_encode(vocab, tokens):
+        encoded[id(tokens)] += 1
+        return encode(vocab, tokens)
+
+    def counting_gold(doc):
+        golds[doc.id] += 1
+        return gold(doc)
+
+    monkeypatch.setattr(kpex.corpus.Vocabulary, "encode", counting_encode)
+    for module in (kpex.jlsd, kpex.metrics):
+        monkeypatch.setattr(module, "gold_phrases", counting_gold)
+    return encoded, golds
+
+
+@pytest.mark.parametrize("mode", ["supervised", "jlsd"])
+def test_a_run_encodes_and_folds_each_dev_document_once(tiny_corpus, monkeypatch, mode):
+    labeled, unlabeled, dev = tiny_corpus
+    encoded, golds = _count_encodings_and_gold_sets(monkeypatch)
+    cfg = tiny_config(T=30, eval_every=5, teacher_T=20)
+    if mode == "jlsd":
+        _, report = jlsd_train(labeled, unlabeled, dev, cfg)
+        evals = report.prior_phase.eval_scores + report.eval_scores
+    else:
+        evals = train_supervised(labeled, dev, cfg)[1].eval_scores
+        assert set(encoded.values()) == {1}  # every document, trained on or not, once
+    assert len(evals) >= 7
+    assert golds == Counter({d.id: 1 for d in dev})
+    assert [encoded[id(d.tokens)] for d in dev] == [1] * len(dev)
 
 
 def test_pseudo_labels_are_deterministic(tiny_corpus):
@@ -215,10 +267,10 @@ def test_swap_happens_only_on_strict_improvement(tiny_corpus, monkeypatch):
     # student evals scoring 0.50, 0.50, 0.52: only the last strictly improves
     scripted = iter([0.50, 0.50, 0.50, 0.52])
 
-    def fake_f1(model, dataset):
+    def fake_f1(model, *dev):
         return MetricReport(0, 0, next(scripted, 0.52), 0, 0, 0)
 
-    monkeypatch.setattr(kpex.jlsd, "dataset_f1", fake_f1)
+    monkeypatch.setattr(kpex.jlsd, "encoded_f1", fake_f1)
     cfg = tiny_config(T=30, eval_every=10, teacher_T=0, patience=10)
     _, report = jlsd_train(labeled, unlabeled, dev, cfg)
     assert report.swap_events == [(30, 0.50, 0.52)]
@@ -231,7 +283,7 @@ def test_the_teacher_is_always_the_best_checkpoint(tiny_corpus, monkeypatch):
     scripted = iter([0.40, 0.50, 0.55, 0.55, 0.60, 0.60])
     evaluated, teachers = [], []
 
-    def fake_f1(model, dataset):
+    def fake_f1(model, *dev):
         evaluated.append(checkpoint_bytes(model))
         return MetricReport(0, 0, next(scripted), 0, 0, 0)
 
@@ -239,7 +291,7 @@ def test_the_teacher_is_always_the_best_checkpoint(tiny_corpus, monkeypatch):
         teachers.append((checkpoint_bytes(teacher), len(docs)))
         return pseudo_label(teacher, docs)
 
-    monkeypatch.setattr(kpex.jlsd, "dataset_f1", fake_f1)
+    monkeypatch.setattr(kpex.jlsd, "encoded_f1", fake_f1)
     monkeypatch.setattr(kpex.jlsd, "pseudo_label", spy)
     cfg = tiny_config(T=40, eval_every=10, teacher_T=10, patience=10)
     _, report = jlsd_train(labeled, unlabeled, dev, cfg)
@@ -257,7 +309,7 @@ def test_student_baseline_is_the_teacher_best_score_without_a_dev_eval(
     labeled, unlabeled, dev = tiny_corpus
     calls = []
     monkeypatch.setattr(
-        kpex.jlsd, "dataset_f1", lambda model, data: calls.append(data) or dataset_f1(model, data)
+        kpex.jlsd, "encoded_f1", lambda model, *dev: calls.append(dev) or encoded_f1(model, *dev)
     )
     cfg = tiny_config(T=0, teacher_T=20, eval_every=10)
     student, report = jlsd_train(labeled, unlabeled, dev, cfg)
@@ -325,7 +377,7 @@ def test_windows_label_the_per_iteration_draws_in_order(
 ):
     labeled, unlabeled, dev = tiny_corpus
     flat = MetricReport(0, 0, 0.5, 0, 0, 0)  # no eval improves
-    monkeypatch.setattr(kpex.jlsd, "dataset_f1", lambda model, data: flat)
+    monkeypatch.setattr(kpex.jlsd, "encoded_f1", lambda model, *dev: flat)
     calls = _spy_pseudo_label(monkeypatch)
     cfg = tiny_config(eval_every=10, teacher_T=0, r=0.75, **overrides)
     _, report = jlsd_train(labeled, unlabeled, dev, cfg)
