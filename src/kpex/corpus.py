@@ -44,6 +44,7 @@ UNK_TOKEN = "<unk>"
 Phrase = tuple[str, ...]
 
 MAX_SYNTH = 2**20  # the largest vocab_size and n_docs of a synthetic corpus
+_DRAW_CHUNK = 4096  # 32-bit words a synthetic corpus draws at a time (~160 KB as Python ints)
 
 
 @dataclass
@@ -246,19 +247,18 @@ def build_vocab(dataset, min_count: int = 1) -> Vocabulary:
 
 
 def sample_batch(dataset, size: int, rng: np.random.Generator) -> list:
-    """Draw ``size`` documents uniformly at random.
+    """Draw ``size`` documents of an indexable ``dataset`` uniformly at random.
 
     Within one batch documents are drawn without replacement whenever
     ``size`` does not exceed the dataset, with replacement otherwise.
     Deterministic for a fixed generator state.
     """
-    docs = list(dataset)
-    if not docs:
+    if not len(dataset):
         raise DataError("cannot sample from an empty dataset")
     if size < 1:
         raise DataError(f"batch size must be >= 1, got {size}")
-    idx = rng.choice(len(docs), size=size, replace=size > len(docs))
-    return [docs[int(i)] for i in idx]
+    idx = rng.choice(len(dataset), size=size, replace=size > len(dataset))
+    return [dataset[int(i)] for i in idx]
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +408,26 @@ class SyntheticRule:
     templates: dict
 
 
+def _bounded_draws(rng: np.random.Generator):
+    """``draw(low, high)``, returning what each ``int(rng.integers(low, high))`` call would, from
+    bulk 32-bit draws of ``rng``: numpy's multiply-shift with rejection (Lemire, arXiv 1805.10941)
+    replayed on each word, where a one-value range takes no word."""
+    words = itertools.chain.from_iterable(iter(
+        lambda: rng.integers(0, 2**32, size=_DRAW_CHUNK, dtype=np.uint32).tolist(), None))
+
+    def draw(low: int, high: int) -> int:
+        r = high - low
+        if not 1 <= r <= 2**32:
+            raise ValueError(f"cannot draw from [{low}, {high}): its size must be in 1..2**32")
+        m = next(words) * r if r > 1 else 0
+        # reject while the low word is below (2**32 - r) % r; testing < r first skips the modulo
+        while m & 0xFFFFFFFF < r and m & 0xFFFFFFFF < (2**32 - r) % r:
+            m = next(words) * r
+        return low + (m >> 32)
+
+    return draw
+
+
 def make_synthetic_rule(seed: int, vocab_size: int, keyword_fraction: float) -> SyntheticRule:
     """Deterministically derive the planted rule used by :func:`gen_synthetic`."""
     if seed < 0:
@@ -424,12 +444,11 @@ def make_synthetic_rule(seed: int, vocab_size: int, keyword_fraction: float) -> 
     continuations = tuple(f"mid{i:03d}" for i in range(n_continuations))
     fillers = tuple(f"w{i:03d}" for i in range(n_fillers))
 
-    rng = np.random.default_rng([seed, 0])
+    draw = _bounded_draws(np.random.default_rng([seed, 0]))
     templates = {}
     for kw in keywords:
-        length = int(rng.integers(1, 4))
-        tail = tuple(continuations[int(j)] for j in rng.integers(0, n_continuations, length - 1))
-        templates[kw] = (kw, *tail)
+        tail = range(draw(1, 4) - 1)  # numpy draws a tail array one element at a time
+        templates[kw] = (kw, *(continuations[draw(0, n_continuations)] for _ in tail))
     return SyntheticRule(keywords, continuations, fillers, templates)
 
 
@@ -441,38 +460,35 @@ def gen_synthetic(
     Token slots are filled by drawing uniformly over keyword and filler
     types; a keyword draw expands to that keyword's full template (or falls
     back to a filler when the template does not fit before the document's
-    target length). Labels come from :func:`keyphrases_to_bio` against the
-    set of planted templates, so every generated document round-trips
-    through :func:`bio_to_phrases` exactly. Byte-identical output for a
-    fixed seed.
+    target length). A placed template is labeled B I..., a filler O. As the
+    token pools are disjoint and each keyword owns one template, these equal
+    :func:`keyphrases_to_bio` of the planted templates (an oracle test pins
+    it), so every document round-trips through :func:`bio_to_phrases`
+    exactly. Byte-identical output for a fixed seed.
     """
     if not 1 <= n_docs <= MAX_SYNTH:
         raise DataError(f"n_docs must be in [1, {MAX_SYNTH}], got {n_docs}")
     rule = make_synthetic_rule(seed, vocab_size, keyword_fraction)
-    rng = np.random.default_rng([seed, 1])
+    draw = _bounded_draws(np.random.default_rng([seed, 1]))
     n_kw, n_fill = len(rule.keywords), len(rule.fillers)
+    templates = [(t, (LABEL_B,) + (LABEL_I,) * (len(t) - 1)) for t in rule.templates.values()]
 
     documents = []
     for d in range(n_docs):
-        target = int(rng.integers(10, 41))
-        tokens: list[str] = []
-        planted: set[Phrase] = set()
+        target = draw(10, 41)
+        tokens, labels, planted = [], [], set()
         while len(tokens) < target:
-            pick = int(rng.integers(0, n_kw + n_fill))
+            pick = draw(0, n_kw + n_fill)
             if pick < n_kw:
-                template = rule.templates[rule.keywords[pick]]
+                template, template_labels = templates[pick]
                 if len(tokens) + len(template) <= target:
-                    tokens.extend(template)
+                    tokens += template
+                    labels += template_labels
                     planted.add(template)
                     continue
-                pick = n_kw + int(rng.integers(0, n_fill))
+                pick = n_kw + draw(0, n_fill)
             tokens.append(rule.fillers[pick - n_kw])
-        labels = keyphrases_to_bio(tokens, planted)
-        documents.append(
-            LabeledDocument(
-                doc=Document(id=f"syn{d:05d}", tokens=tuple(tokens)),
-                labels=tuple(labels),
-                keyphrases=frozenset(planted),
-            )
-        )
+            labels.append(LABEL_O)
+        doc = Document(id=f"syn{d:05d}", tokens=tuple(tokens))
+        documents.append(LabeledDocument(doc, tuple(labels), frozenset(planted)))
     return Dataset(name=f"synthetic-{seed}", documents=documents)

@@ -142,7 +142,6 @@ class ForwardCache:
     gates: np.ndarray | None  # (N, 2, 4h) activations of the (i, f, g, o) blocks
     c: np.ndarray | None  # (N, 2, h)
     h: np.ndarray  # (N, 2, h)
-    emissions: np.ndarray  # (n_max, B, num_labels)
 
 
 def encode_forward(
@@ -209,7 +208,7 @@ def encode_forward(
     emissions = np.zeros((n, batch, params.proj_W.shape[0]))
     emissions[t, col] = scores[0] + scores[1][mirror] + params.proj_b
     gates, c = (gates, c) if for_backward else (None, None)
-    return emissions, ForwardCache(ids, lengths, *layout, gates, c, hs, emissions)
+    return emissions, ForwardCache(ids, lengths, *layout, gates, c, hs)
 
 
 def encode_backward(
@@ -235,10 +234,10 @@ def encode_backward(
     input gradients are one batched matrix product each, over real rows only.
     """
     d_emissions = np.asarray(d_emissions, dtype=np.float64)
-    if d_emissions.shape != cache.emissions.shape:
+    shape = cache.token_ids.shape + (params.proj_W.shape[0],)
+    if d_emissions.shape != shape:
         raise ValueError(
-            f"d_emissions shape {d_emissions.shape} does not match "
-            f"emissions shape {cache.emissions.shape}"
+            f"d_emissions shape {d_emissions.shape} does not match emissions shape {shape}"
         )
     if cache.gates is None:
         raise ValueError("the cache holds no gates: built with for_backward=False, or consumed")

@@ -143,3 +143,48 @@ def f1_reference(pred, gold):
     recall = match / len(gold) if gold else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     return precision, recall, f1
+
+
+def scalar_gen_synthetic(seed, n_docs, vocab_size=120, keyword_fraction=0.25):
+    """``kpex.gen_synthetic`` and its rule as first written: one scalar ``Generator.integers``
+    call per draw (and one array draw per template tail), and each document's labels derived by
+    matching its planted templates with ``keyphrases_to_bio``. Arguments are not validated."""
+    from kpex.corpus import Dataset, Document, LabeledDocument, keyphrases_to_bio
+
+    n_keywords = max(1, round(keyword_fraction * vocab_size))
+    n_continuations = max(1, min(n_keywords, (vocab_size - n_keywords) // 3))
+    n_fillers = vocab_size - n_keywords - n_continuations
+    keywords = tuple(f"kw{i:03d}" for i in range(n_keywords))
+    continuations = tuple(f"mid{i:03d}" for i in range(n_continuations))
+    fillers = tuple(f"w{i:03d}" for i in range(n_fillers))
+
+    rng = np.random.default_rng([seed, 0])
+    templates = {}
+    for kw in keywords:
+        length = int(rng.integers(1, 4))
+        tail = tuple(continuations[int(j)] for j in rng.integers(0, n_continuations, length - 1))
+        templates[kw] = (kw, *tail)
+
+    rng = np.random.default_rng([seed, 1])
+    n_kw, n_fill = len(keywords), len(fillers)
+    documents = []
+    for d in range(n_docs):
+        target = int(rng.integers(10, 41))
+        tokens, planted = [], set()
+        while len(tokens) < target:
+            pick = int(rng.integers(0, n_kw + n_fill))
+            if pick < n_kw:
+                template = templates[keywords[pick]]
+                if len(tokens) + len(template) <= target:
+                    tokens.extend(template)
+                    planted.add(template)
+                    continue
+                pick = n_kw + int(rng.integers(0, n_fill))
+            tokens.append(fillers[pick - n_kw])
+        labels = keyphrases_to_bio(tokens, planted)
+        documents.append(LabeledDocument(
+            doc=Document(id=f"syn{d:05d}", tokens=tuple(tokens)),
+            labels=tuple(labels),
+            keyphrases=frozenset(planted),
+        ))
+    return Dataset(name=f"synthetic-{seed}", documents=documents)

@@ -218,6 +218,35 @@ def test_sampling_is_uniform():
         assert abs(c - 2500) <= 125  # within 5% of the uniform expectation
 
 
+class _IndexOnly:
+    """A sequence that can be indexed but not iterated."""
+
+    def __init__(self, docs):
+        self.docs = docs
+
+    def __len__(self):
+        return len(self.docs)
+
+    def __getitem__(self, i):
+        return self.docs[i]
+
+    def __iter__(self):
+        raise AssertionError("iterated")
+
+
+def _copying_sample(dataset, size, rng):
+    # the reference: copy the dataset, then draw its indices
+    docs = list(dataset)
+    return [docs[int(i)] for i in rng.choice(len(docs), size=size, replace=size > len(docs))]
+
+
+@pytest.mark.parametrize("size", [1, 6, 10, 25])  # 25 draws with replacement
+def test_sampling_indexes_without_copying(size):
+    ds = _tiny_dataset(10)
+    got = sample_batch(_IndexOnly(ds.documents), size, np.random.default_rng(size))
+    assert got == _copying_sample(ds, size, np.random.default_rng(size))
+
+
 def test_sampling_empty_dataset_fails():
     with pytest.raises(DataError):
         sample_batch(Dataset("t", []), 1, np.random.default_rng(0))

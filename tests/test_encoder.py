@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -169,6 +170,11 @@ def test_gradient_shape_mismatch_rejected():
     _, cache = encode_forward(p, [2, 3, 4])
     with pytest.raises(ValueError, match="shape"):
         encode_backward(p, cache, np.zeros((4, 3)))
+    _, cache = encoder.encode_forward(p, [[2, 5], [3, 6], [4, 7]], [3, 3])
+    for bad in [(3, 2, 2), (3, 1, 3), (2, 2, 3)]:  # the check runs before the cache is consumed
+        message = f"d_emissions shape {bad} does not match emissions shape (3, 2, 3)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            encoder.encode_backward(p, cache, np.zeros(bad))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
