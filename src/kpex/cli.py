@@ -105,6 +105,8 @@ def load_config(path: str | None, flags: dict) -> JlsdConfig:
             raise ConfigError(f"config file {path}: not valid UTF-8 ({exc.reason})") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path}: invalid JSON ({exc.msg})") from exc
+        except RecursionError:
+            raise ConfigError(f"config file {path}: invalid JSON (nested too deeply)") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {path}: not a JSON object ({type(raw).__name__})")
         unknown = set(raw) - _CONFIG_TYPES.keys()

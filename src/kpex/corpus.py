@@ -9,7 +9,8 @@ Conventions used throughout the package:
   unknown token;
 * the on-disk format is JSONL, one record per line:
   ``{"id": ..., "tokens": [...], "labels": [...]?, "keyphrases": [[...]...]?}``.
-  If only ``keyphrases`` is present the labels are derived on load.
+  The labels are a document's one annotation. ``keyphrases`` alone derives them on load;
+  beside ``labels`` it must name the same phrases, case-folded, as a set.
 
 All functions here are pure; random sampling takes a caller-owned
 ``numpy.random.Generator`` so that nothing in this module shares state.
@@ -67,20 +68,19 @@ class Document:
 
 @dataclass
 class LabeledDocument:
-    """A document plus per-token BIO labels and its keyphrase set.
+    """A document plus per-token BIO labels, its one annotation (a record's
+    ``keyphrases`` is read on load only, as the module docstring says).
 
     ``label_source`` records provenance: "gold" for annotated data,
-    "pseudo" for labels produced by a model, which leave ``keyphrases`` empty.
+    "pseudo" for labels produced by a model.
     """
 
     doc: Document
     labels: tuple[int, ...]
-    keyphrases: frozenset[Phrase] = frozenset()
     label_source: str = "gold"
 
     def __post_init__(self):
         self.labels = tuple(map(int, self.labels))
-        self.keyphrases = frozenset(map(tuple, self.keyphrases))
         if len(self.labels) != len(self.doc.tokens):
             raise DataError(
                 f"document {self.doc.id!r}: {len(self.labels)} labels for "
@@ -146,14 +146,14 @@ class Vocabulary:
         self.itos = tuple(self.itos)
         if len(self.itos) < 2 or self.itos[0] != PAD_TOKEN or self.itos[1] != UNK_TOKEN:
             raise DataError("vocabulary must start with the PAD and UNK tokens")
+        for tok in self.itos:
+            if not isinstance(tok, str) or tok != tok.casefold():
+                raise DataError(
+                    f"vocabulary token {tok!r} is not a case-folded string, so lookup misses it"
+                )
         self.stoi = {tok: i for i, tok in enumerate(self.itos)}
         if len(self.stoi) != len(self.itos):
             raise DataError("vocabulary tokens must be unique")
-        for tok in self.itos:
-            if tok != tok.casefold():
-                raise DataError(
-                    f"vocabulary token {tok!r} is not case-folded, so lookup never reaches it"
-                )
         self.stoi[PAD_TOKEN] = UNK_INDEX  # index 0 is padding only: a literal "<pad>" is unknown
 
     def __len__(self) -> int:
@@ -271,8 +271,9 @@ def load_jsonl(path, expect_labels: bool) -> Dataset:
 
     Records carrying ``labels`` and/or ``keyphrases`` become LabeledDocuments
     (labels derived via :func:`keyphrases_to_bio` when only keyphrases are
-    given); bare records become unlabeled Documents, which is an error when
-    ``expect_labels`` is set. Line order is preserved.
+    given; both must name the same case-folded phrase set, empty phrases and
+    duplicates aside); bare records become unlabeled Documents, which is an
+    error when ``expect_labels`` is set. Line order is preserved.
     """
     path = Path(path)
     if not path.is_file():
@@ -290,6 +291,8 @@ def load_jsonl(path, expect_labels: bool) -> Dataset:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"malformed JSON at line {lineno}: {exc.msg}") from exc
+            except RecursionError:
+                raise DataError(f"malformed JSON at line {lineno}: nested too deeply") from None
             if not isinstance(obj, dict) or "id" not in obj or "tokens" not in obj:
                 raise DataError(f"record at line {lineno} lacks 'id' or 'tokens'")
             for key in ("tokens", "labels", "keyphrases"):
@@ -308,9 +311,6 @@ def load_jsonl(path, expect_labels: bool) -> Dataset:
                 raise DataError(
                     f"'keyphrases' at line {lineno} must be a JSON array of string arrays"
                 )
-            keyphrases = (
-                frozenset(tuple(p) for p in raw_phrases) if raw_phrases is not None else None
-            )
 
             if raw_labels is not None:
                 if len(raw_labels) != len(doc.tokens):
@@ -322,34 +322,33 @@ def load_jsonl(path, expect_labels: bool) -> Dataset:
                     labels = tuple(LABEL_INDEX[str(l)] for l in raw_labels)
                 except KeyError as exc:
                     raise DataError(f"unknown label {exc.args[0]!r} at line {lineno}") from exc
-            elif keyphrases is not None:
-                labels = tuple(keyphrases_to_bio(doc.tokens, keyphrases))
+                if raw_phrases is not None:
+                    spans = bio_to_phrases(doc.tokens, labels)
+                    if {_fold(p) for p in raw_phrases if p} != {_fold(p) for _, p in spans}:
+                        raise DataError(f"'labels' and 'keyphrases' at line {lineno} disagree")
+            elif raw_phrases is not None:
+                labels = tuple(keyphrases_to_bio(doc.tokens, raw_phrases))
             else:
                 if expect_labels:
                     raise DataError(f"missing labels at line {lineno} (expect_labels=true)")
                 documents.append(doc)
                 continue
-
-            if keyphrases is None:
-                keyphrases = frozenset(p for _, p in bio_to_phrases(doc.tokens, labels))
-            documents.append(LabeledDocument(doc=doc, labels=labels, keyphrases=keyphrases))
+            documents.append(LabeledDocument(doc=doc, labels=labels))
     return Dataset(name=path.stem, documents=documents)
 
 
+def _fold(phrase) -> Phrase:
+    return tuple(t.casefold() for t in phrase)
+
+
 def save_jsonl(dataset, path) -> None:
-    """Write a dataset as UTF-8 JSONL, one LF-terminated record per line,
-    through :func:`write_atomic`."""
+    """Write a dataset as UTF-8 JSONL, one LF-terminated record per line:
+    ``id``, ``tokens`` and, for a LabeledDocument, ``labels``; through :func:`write_atomic`."""
     lines = []
     for d in dataset:
+        rec = {"id": d.id, "tokens": list(d.tokens)}
         if isinstance(d, LabeledDocument):
-            rec = {
-                "id": d.doc.id,
-                "tokens": list(d.doc.tokens),
-                "labels": [LABEL_NAMES[l] for l in d.labels],
-                "keyphrases": sorted(list(p) for p in d.keyphrases),
-            }
-        else:
-            rec = {"id": d.id, "tokens": list(d.tokens)}
+            rec["labels"] = [LABEL_NAMES[l] for l in d.labels]
         lines.append(json.dumps(rec, ensure_ascii=False) + "\n")
     write_atomic(path, "".join(lines).encode("utf-8"))
 
@@ -476,7 +475,7 @@ def gen_synthetic(
     documents = []
     for d in range(n_docs):
         target = draw(10, 41)
-        tokens, labels, planted = [], [], set()
+        tokens, labels = [], []
         while len(tokens) < target:
             pick = draw(0, n_kw + n_fill)
             if pick < n_kw:
@@ -484,11 +483,10 @@ def gen_synthetic(
                 if len(tokens) + len(template) <= target:
                     tokens += template
                     labels += template_labels
-                    planted.add(template)
                     continue
                 pick = n_kw + draw(0, n_fill)
             tokens.append(rule.fillers[pick - n_kw])
             labels.append(LABEL_O)
         doc = Document(id=f"syn{d:05d}", tokens=tuple(tokens))
-        documents.append(LabeledDocument(doc, tuple(labels), frozenset(planted)))
+        documents.append(LabeledDocument(doc, tuple(labels)))
     return Dataset(name=f"synthetic-{seed}", documents=documents)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import LabeledDocument, Phrase, bio_to_phrases
+from .corpus import LabeledDocument, Phrase, _fold, bio_to_phrases
 from .crf import marginals, viterbi
 from .encoder import encode_forward, time_major
 from .model import Model
@@ -37,10 +37,6 @@ class MetricReport:
     n_pred: int
     n_gold: int
     n_match: int
-
-
-def _fold(phrase) -> Phrase:
-    return tuple(t.casefold() for t in phrase)
 
 
 def gold_phrases(doc: LabeledDocument) -> set[Phrase]:

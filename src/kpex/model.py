@@ -116,7 +116,7 @@ def load_checkpoint(path) -> Model:
     try:
         header = json.loads(blob[12 : 12 + head_len].decode("utf-8"))
         return _model_from(header, blob[12 + head_len :], path)
-    except (KeyError, TypeError, ValueError) as exc:  # includes JSON and UTF-8 decode errors
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:  # JSON and UTF-8 errors too
         raise DataError(f"{path}: malformed checkpoint ({exc!r})") from exc
 
 

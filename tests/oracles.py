@@ -185,6 +185,5 @@ def scalar_gen_synthetic(seed, n_docs, vocab_size=120, keyword_fraction=0.25):
         documents.append(LabeledDocument(
             doc=Document(id=f"syn{d:05d}", tokens=tuple(tokens)),
             labels=tuple(labels),
-            keyphrases=frozenset(planted),
         ))
     return Dataset(name=f"synthetic-{seed}", documents=documents)

@@ -226,6 +226,11 @@ def _uncased_vocab_token(header):
     header["vocab_sha256"] = hashlib.sha256("\n".join(tokens).encode("utf-8")).hexdigest()
 
 
+def _non_string_vocab_token(header):
+    # the hash goes stale too, but the vocabulary's type check runs first
+    header["vocab_tokens"][2] = 5
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -240,6 +245,7 @@ def _uncased_vocab_token(header):
         lambda blob: blob[:-8] + struct.pack("<d", float("nan")),
         lambda blob: _with_header(blob, _duplicate_vocab_token),
         lambda blob: _with_header(blob, _uncased_vocab_token),
+        lambda blob: _with_header(blob, _non_string_vocab_token),
     ],
     ids=[
         "short_header",
@@ -253,6 +259,7 @@ def _uncased_vocab_token(header):
         "non_finite_value",
         "duplicate_vocab_token",
         "uncased_vocab_token",
+        "non_string_vocab_token",
     ],
 )
 def test_malformed_checkpoint_is_a_data_error(model, tmp_path, corrupt):

@@ -333,8 +333,17 @@ TRAIN_PATHS = ["--dev", "{data}/dev.jsonl", "--out", "{tmp}/run"]
          2, "not a JSON object"),
         (["train", "--train", "{data}/train.jsonl", *TRAIN_PATHS, "--config", "{tmp}/utf16.json"],
          2, "not valid UTF-8"),
+        (["train", "--train", "{tmp}/nested.jsonl", *TRAIN_PATHS],
+         3, "malformed JSON at line 2: nested too deeply"),
+        (["train", "--train", "{data}/train.jsonl", *TRAIN_PATHS, "--config", "{tmp}/nested.json"],
+         2, "invalid JSON (nested too deeply)"),
+        (["extract", "--ckpt", "{tmp}/nested.ckpt", "--test", "{data}/dev.jsonl",
+          "--out", "{tmp}/out.jsonl"], 3, "malformed checkpoint (RecursionError"),
+        (["train", "--train", "{tmp}/disagree.jsonl", *TRAIN_PATHS],
+         3, "'labels' and 'keyphrases' at line 2 disagree"),
     ],
-    ids=["missing-checkpoint", "non-utf8-jsonl", "config-not-object", "non-utf8-config"],
+    ids=["missing-checkpoint", "non-utf8-jsonl", "config-not-object", "non-utf8-config",
+         "nested-jsonl", "nested-config", "nested-checkpoint-header", "disagreeing-jsonl"],
 )
 def test_unreadable_input_exits_with_its_error_class(
     data_dir, tmp_path, capsys, argv, code, message
@@ -345,6 +354,14 @@ def test_unreadable_input_exits_with_its_error_class(
     )
     (tmp_path / "five.json").write_text("5")
     (tmp_path / "utf16.json").write_bytes(b"\xff\xfe" + '{"T": 5}'.encode("utf-16-le"))
+    nested = b"[" * 10**5  # deeper than json's recursion limit: a RecursionError, not a decode error
+    (tmp_path / "nested.jsonl").write_bytes(b'{"id":"a","tokens":["x"],"labels":["O"]}\n' + nested)
+    (tmp_path / "nested.json").write_bytes(nested)
+    (tmp_path / "nested.ckpt").write_bytes(b"KFCKPT01" + struct.pack("<I", len(nested)) + nested)
+    (tmp_path / "disagree.jsonl").write_text(
+        '{"id":"a","tokens":["x"],"labels":["O"]}\n'
+        '{"id":"b","tokens":["x","y","z"],"labels":["O","O","O"],"keyphrases":[["x","y"]]}\n'
+    )
     rc = main([arg.format(tmp=tmp_path, data=data_dir) for arg in argv])
     assert rc == code
     assert message in capsys.readouterr().err

@@ -1,4 +1,6 @@
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from kpex import (
 from kpex.corpus import (
     LABEL_B,
     LABEL_I,
+    LABEL_INDEX,
+    LABEL_NAMES,
     LABEL_O,
     MAX_SYNTH,
     UNK_INDEX,
@@ -25,6 +29,8 @@ from kpex.corpus import (
     make_synthetic_rule,
     sample_batch,
 )
+
+from kpex.metrics import gold_phrases
 
 from oracles import leftmost_longest_spans
 
@@ -262,7 +268,7 @@ def test_load_labeled_record(tmp_path):
     assert len(ds) == 1
     assert ds[0].labels == (B, I)
     assert ds[0].label_source == "gold"
-    assert ds[0].keyphrases == {("a", "b")}
+    assert gold_phrases(ds[0]) == {("a", "b")}
 
 
 def test_load_length_mismatch_reports_line(tmp_path):
@@ -327,6 +333,80 @@ def test_labels_derived_from_keyphrases(tmp_path):
     assert ds[0].labels == (O, B, I)
 
 
+def test_labels_and_keyphrases_that_disagree_are_rejected(tmp_path):
+    p = tmp_path / "d.jsonl"
+    p.write_text(
+        '{"id":"a","tokens":["x"],"labels":["B"]}\n'
+        '{"tokens":["x","y","z"],"labels":["O","O","O"],"keyphrases":[["x","y"]],"id":"b"}\n'
+    )
+    for expect_labels in (True, False):
+        with pytest.raises(DataError, match="'labels' and 'keyphrases' at line 2 disagree"):
+            load_jsonl(p, expect_labels=expect_labels)
+
+
+@pytest.mark.parametrize(
+    "record, phrases",
+    [
+        ('{"id":"a","tokens":["Deep","net"],"labels":["B","I"],"keyphrases":[["deep","NET"]]}',
+         {("deep", "net")}),
+        ('{"id":"a","tokens":["x","y"],"labels":["B","B"],"keyphrases":[["x"],["y"],["x"]]}',
+         {("x",), ("y",)}),
+        ('{"id":"a","tokens":["x","y"],"labels":["O","B"],"keyphrases":[["y"],[]]}', {("y",)}),
+        ('{"id":"a","tokens":["x","y"],"labels":["O","O"],"keyphrases":[[]]}', set()),
+        # one record of the form that save_jsonl wrote for gen_synthetic before it dropped the
+        # keyphrases key: the sorted planted templates beside the labels
+        ('{"id": "syn00000", "tokens": ["w000", "kw000", "w004", "w007", "kw001", "mid002", '
+         '"mid001", "w006", "w009", "w003"], "labels": ["O", "B", "O", "O", "B", "I", "I", "O", '
+         '"O", "O"], "keyphrases": [["kw000"], ["kw001", "mid002", "mid001"]]}',
+         {("kw000",), ("kw001", "mid002", "mid001")}),
+    ],
+    ids=["case", "duplicate", "empty_phrase", "only_empty", "earlier_synth_record"],
+)
+def test_labels_and_keyphrases_that_agree_load_as_the_labels(tmp_path, record, phrases):
+    p = tmp_path / "d.jsonl"
+    p.write_text(record + "\n")
+    (loaded,) = load_jsonl(p, expect_labels=True)
+    assert gold_phrases(loaded) == phrases
+    assert loaded.labels == tuple(LABEL_INDEX[l] for l in json.loads(record)["labels"])
+
+
+def test_earlier_synth_files_load_to_the_same_labels(tmp_path):
+    # save_jsonl once wrote each synthetic document's sorted planted templates as "keyphrases"
+    ds = gen_synthetic(5, 60, vocab_size=40, keyword_fraction=0.3)
+    lines = []
+    for d in ds:
+        planted = sorted({p for _, p in bio_to_phrases(d.tokens, d.labels)})
+        rec = {"id": d.id, "tokens": list(d.tokens), "labels": [LABEL_NAMES[l] for l in d.labels],
+               "keyphrases": [list(p) for p in planted]}
+        lines.append(json.dumps(rec) + "\n")
+    p = tmp_path / "d.jsonl"
+    p.write_text("".join(lines))
+    assert [d.labels for d in load_jsonl(p, expect_labels=True)] == [d.labels for d in ds]
+
+
+def test_readme_data_format_example_loads_as_described(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Data format\n", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    p = tmp_path / "d.jsonl"
+    p.write_text(block)
+    given, derived, unlabeled, both = load_jsonl(p, expect_labels=False)
+    assert given.labels == (B, I, O)
+    assert derived.labels == (B, O)  # from "keyphrases" alone
+    assert isinstance(unlabeled, Document) and not isinstance(unlabeled, LabeledDocument)
+    assert both.labels == (B, I, O)
+    assert gold_phrases(both) == {("neural", "nets")}
+    with pytest.raises(DataError, match="missing labels at line 3"):
+        load_jsonl(p, expect_labels=True)
+
+
+def test_saved_records_hold_only_id_tokens_and_labels(tmp_path):
+    p = tmp_path / "d.jsonl"
+    save_jsonl([*gen_synthetic(2, 3), Document(id="u", tokens=("x",))], p)
+    keys = [list(json.loads(line)) for line in p.read_text().splitlines()]
+    assert keys == [["id", "tokens", "labels"]] * 3 + [["id", "tokens"]]
+
+
 def test_jsonl_round_trip_is_semantically_identical(tmp_path):
     ds = gen_synthetic(5, 20, vocab_size=40, keyword_fraction=0.2)
     p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -338,7 +418,8 @@ def test_jsonl_round_trip_is_semantically_identical(tmp_path):
         assert a.doc.id == b.doc.id
         assert a.doc.tokens == b.doc.tokens
         assert a.labels == b.labels
-        assert a.keyphrases == b.keyphrases
+        assert a.label_source == b.label_source
+        assert gold_phrases(a) == gold_phrases(b)
 
 
 def test_duplicate_ids_rejected(tmp_path):
@@ -362,10 +443,11 @@ def test_generator_is_byte_deterministic(tmp_path):
 
 def test_generated_documents_round_trip():
     ds = gen_synthetic(13, 200, vocab_size=60, keyword_fraction=0.3)
+    templates = set(make_synthetic_rule(13, 60, 0.3).templates.values())
     for d in ds:
         recovered = {p for _, p in bio_to_phrases(d.doc.tokens, d.labels)}
-        present = {kp for kp in d.keyphrases}
-        assert recovered == present
+        assert recovered <= templates
+        assert tuple(keyphrases_to_bio(d.doc.tokens, recovered)) == d.labels
         assert 10 <= len(d.doc.tokens) <= 40
 
 

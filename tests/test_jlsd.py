@@ -18,6 +18,8 @@ from kpex import (
     gen_synthetic,
     init_model,
     jlsd_train,
+    load_jsonl,
+    save_jsonl,
     split_dataset,
     train_simple_joint,
     train_simple_pretrain,
@@ -144,7 +146,6 @@ def test_zero_score_teacher_labels_everything_o(tiny_corpus):
     out = pseudo_label(teacher, [d.doc for d in labeled[:5]])
     assert all(set(ld.labels) == {0} for ld in out)
     assert all(ld.label_source == "pseudo" for ld in out)
-    assert all(ld.keyphrases == frozenset() for ld in out)
 
 
 def test_pseudo_labels_keep_the_raw_viterbi_path(tiny_corpus):
@@ -157,7 +158,22 @@ def test_pseudo_labels_keep_the_raw_viterbi_path(tiny_corpus):
     for ld in pseudo_label(teacher, labeled[:5]):
         assert ld.labels == (2,) * len(ld.tokens)  # not promoted to B I ... I
         assert [p for _, p in bio_to_phrases(ld.tokens, ld.labels)] == [ld.tokens]
-        assert ld.keyphrases == frozenset()  # a pseudo-label is its label path alone
+
+
+def test_saved_pseudo_labels_reload_with_their_phrases(tiny_corpus, tmp_path):
+    labeled, _, _ = tiny_corpus
+    teacher = init_model(build_vocab(labeled), 8, 8, 0)
+    for arr in encoder_tensors(teacher.encoder).values():
+        arr[...] = 0.0
+    teacher.crf.start[...] = [0.0, 5.0, 0.0]  # every path is B O B O ...
+    teacher.crf.trans[...] = [[0.0, 5.0, 0.0], [5.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    out = pseudo_label(teacher, [d.doc for d in labeled[:5]])
+    assert all(ld.labels[:2] == (1, 0) for ld in out)
+    path = tmp_path / "pseudo.jsonl"
+    save_jsonl(out, path)
+    reloaded = load_jsonl(path, expect_labels=True)
+    assert [(d.id, d.tokens, d.labels) for d in reloaded] == [(d.id, d.tokens, d.labels) for d in out]
+    assert [gold_phrases(d) for d in reloaded] == [gold_phrases(d) for d in out]
 
 
 def test_pseudo_labels_build_no_phrase_spans(tiny_corpus, monkeypatch):
