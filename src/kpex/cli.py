@@ -107,6 +107,10 @@ def load_config(path: str | None, flags: dict) -> JlsdConfig:
             raise ConfigError(f"config file {path}: invalid JSON ({exc.msg})") from exc
         except RecursionError:
             raise ConfigError(f"config file {path}: invalid JSON (nested too deeply)") from None
+        except ValueError as exc:  # an integer past Python's int-string digit limit
+            raise ConfigError(f"config file {path}: invalid JSON ({exc})") from None
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {path}: not a JSON object ({type(raw).__name__})")
         unknown = set(raw) - _CONFIG_TYPES.keys()

@@ -69,15 +69,10 @@ class Document:
 @dataclass
 class LabeledDocument:
     """A document plus per-token BIO labels, its one annotation (a record's
-    ``keyphrases`` is read on load only, as the module docstring says).
-
-    ``label_source`` records provenance: "gold" for annotated data,
-    "pseudo" for labels produced by a model.
-    """
+    ``keyphrases`` is read on load only, as the module docstring says)."""
 
     doc: Document
     labels: tuple[int, ...]
-    label_source: str = "gold"
 
     def __post_init__(self):
         self.labels = tuple(map(int, self.labels))
@@ -88,8 +83,6 @@ class LabeledDocument:
             )
         if not set(self.labels) <= {LABEL_O, LABEL_B, LABEL_I}:
             raise DataError(f"document {self.doc.id!r}: label index out of range")
-        if self.label_source not in ("gold", "pseudo"):
-            raise DataError(f"unknown label source {self.label_source!r}")
 
     @property
     def id(self) -> str:
@@ -144,6 +137,8 @@ class Vocabulary:
 
     def __post_init__(self):
         self.itos = tuple(self.itos)
+        if type(self.min_count) is not int or self.min_count < 1:  # a bool is no count
+            raise DataError(f"vocabulary min_count must be an int >= 1, not {self.min_count!r}")
         if len(self.itos) < 2 or self.itos[0] != PAD_TOKEN or self.itos[1] != UNK_TOKEN:
             raise DataError("vocabulary must start with the PAD and UNK tokens")
         for tok in self.itos:
@@ -233,8 +228,6 @@ def bio_to_phrases(
 
 def build_vocab(dataset, min_count: int = 1) -> Vocabulary:
     """Build a Vocabulary from every case-folded token with frequency >= min_count."""
-    if min_count < 1:
-        raise DataError(f"min_count must be >= 1, got {min_count}")
     docs = list(dataset)
     if not docs:
         raise DataError("cannot build a vocabulary from an empty dataset")
@@ -279,61 +272,66 @@ def load_jsonl(path, expect_labels: bool) -> Dataset:
     if not path.is_file():
         raise DataError(f"dataset file not found (or not a file): {path}")
     documents = []
-    with path.open("rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise DataError(f"line {lineno} is not valid UTF-8 ({exc.reason})") from exc
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"malformed JSON at line {lineno}: {exc.msg}") from exc
-            except RecursionError:
-                raise DataError(f"malformed JSON at line {lineno}: nested too deeply") from None
-            if not isinstance(obj, dict) or "id" not in obj or "tokens" not in obj:
-                raise DataError(f"record at line {lineno} lacks 'id' or 'tokens'")
-            for key in ("tokens", "labels", "keyphrases"):
-                if obj.get(key) is not None and not isinstance(obj[key], list):
-                    raise DataError(f"'{key}' at line {lineno} must be a JSON array")
-            try:
-                doc = Document(id=str(obj["id"]), tokens=tuple(obj["tokens"]))
-            except DataError as exc:
-                raise DataError(f"line {lineno}: {exc}") from exc
-
-            raw_labels = obj.get("labels")
-            raw_phrases = obj.get("keyphrases")
-            if raw_phrases is not None and not all(
-                isinstance(p, list) and all(isinstance(t, str) for t in p) for p in raw_phrases
-            ):
-                raise DataError(
-                    f"'keyphrases' at line {lineno} must be a JSON array of string arrays"
-                )
-
-            if raw_labels is not None:
-                if len(raw_labels) != len(doc.tokens):
-                    raise DataError(
-                        f"length mismatch at line {lineno}: {len(raw_labels)} labels "
-                        f"for {len(doc.tokens)} tokens"
-                    )
+    try:
+        with path.open("rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
                 try:
-                    labels = tuple(LABEL_INDEX[str(l)] for l in raw_labels)
-                except KeyError as exc:
-                    raise DataError(f"unknown label {exc.args[0]!r} at line {lineno}") from exc
-                if raw_phrases is not None:
-                    spans = bio_to_phrases(doc.tokens, labels)
-                    if {_fold(p) for p in raw_phrases if p} != {_fold(p) for _, p in spans}:
-                        raise DataError(f"'labels' and 'keyphrases' at line {lineno} disagree")
-            elif raw_phrases is not None:
-                labels = tuple(keyphrases_to_bio(doc.tokens, raw_phrases))
-            else:
-                if expect_labels:
-                    raise DataError(f"missing labels at line {lineno} (expect_labels=true)")
-                documents.append(doc)
-                continue
-            documents.append(LabeledDocument(doc=doc, labels=labels))
+                    line = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise DataError(f"line {lineno} is not valid UTF-8 ({exc.reason})") from exc
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DataError(f"malformed JSON at line {lineno}: {exc.msg}") from exc
+                except ValueError as exc:  # an integer past Python's int-string digit limit
+                    raise DataError(f"malformed JSON at line {lineno}: {exc}") from None
+                except RecursionError:
+                    raise DataError(f"malformed JSON at line {lineno}: nested too deeply") from None
+                if not isinstance(obj, dict) or "id" not in obj or "tokens" not in obj:
+                    raise DataError(f"record at line {lineno} lacks 'id' or 'tokens'")
+                for key in ("tokens", "labels", "keyphrases"):
+                    if obj.get(key) is not None and not isinstance(obj[key], list):
+                        raise DataError(f"'{key}' at line {lineno} must be a JSON array")
+                try:
+                    doc = Document(id=str(obj["id"]), tokens=tuple(obj["tokens"]))
+                except DataError as exc:
+                    raise DataError(f"line {lineno}: {exc}") from exc
+
+                raw_labels = obj.get("labels")
+                raw_phrases = obj.get("keyphrases")
+                if raw_phrases is not None and not all(
+                    isinstance(p, list) and all(isinstance(t, str) for t in p) for p in raw_phrases
+                ):
+                    raise DataError(
+                        f"'keyphrases' at line {lineno} must be a JSON array of string arrays"
+                    )
+
+                if raw_labels is not None:
+                    if len(raw_labels) != len(doc.tokens):
+                        raise DataError(
+                            f"length mismatch at line {lineno}: {len(raw_labels)} labels "
+                            f"for {len(doc.tokens)} tokens"
+                        )
+                    try:
+                        labels = tuple(LABEL_INDEX[str(l)] for l in raw_labels)
+                    except KeyError as exc:
+                        raise DataError(f"unknown label {exc.args[0]!r} at line {lineno}") from exc
+                    if raw_phrases is not None:
+                        spans = bio_to_phrases(doc.tokens, labels)
+                        if {_fold(p) for p in raw_phrases if p} != {_fold(p) for _, p in spans}:
+                            raise DataError(f"'labels' and 'keyphrases' at line {lineno} disagree")
+                elif raw_phrases is not None:
+                    labels = tuple(keyphrases_to_bio(doc.tokens, raw_phrases))
+                else:
+                    if expect_labels:
+                        raise DataError(f"missing labels at line {lineno} (expect_labels=true)")
+                    documents.append(doc)
+                    continue
+                documents.append(LabeledDocument(doc=doc, labels=labels))
+    except OSError as exc:  # e.g. an I/O error partway through
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
     return Dataset(name=path.stem, documents=documents)
 
 

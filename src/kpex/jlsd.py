@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .corpus import Dataset, LabeledDocument, build_vocab, sample_batch
+from .corpus import Dataset, build_vocab, sample_batch
 from .crf import nll_and_grad, viterbi  # noqa: F401 (bench traces jlsd.viterbi)
 from .encoder import OptimizerState, adam_step, encode_backward, encode_forward, time_major
 from .errors import ConfigError, DataError
@@ -150,38 +150,36 @@ def _require_labeled(dataset: Dataset, role: str) -> None:
 
 
 class _Run:
-    """What a training run works out once from its data and drops when it ends: each document's
-    token ids, on their first use, and its dev set's documents, ids and folded gold phrase sets."""
+    """What a training run works out once from its data and drops when it ends: the rows of its
+    labeled sets, and its dev set's documents, token ids and folded gold phrase sets."""
 
     def __init__(self, vocab, dev: Dataset):
-        self.vocab, self.ids, docs = vocab, {}, list(dev)
-        self.dev = docs, [self.encode(d.tokens) for d in docs], [gold_phrases(d) for d in docs]
+        self.vocab, docs = vocab, list(dev)
+        self.dev = docs, [vocab.encode(d.tokens) for d in docs], [gold_phrases(d) for d in docs]
 
-    def encode(self, tokens) -> np.ndarray:
-        ids = self.ids.get(tokens)
-        if ids is None:
-            ids = self.ids[tokens] = self.vocab.encode(tokens)
-        return ids
+    def rows(self, dataset) -> list:
+        """A labeled dataset's training rows: each document's (token ids, labels), in order."""
+        return [(self.vocab.encode(d.tokens), d.labels) for d in dataset]
 
 
-def _batch_gradients(model: Model, batch, grad: Model, encode) -> tuple[float, float, float]:
-    """Mean-per-document NLL over a mixed gold/pseudo batch, ids by ``encode``, as one padded
-    time-major batch; its gradient fills ``grad``, a buffer of ``model``'s layout."""
-    ids, lengths = time_major([encode(ld.tokens) for ld in batch])
-    gold, _ = time_major([ld.labels for ld in batch])
+def _batch_gradients(model: Model, gold: list, pseudo: list, grad: Model):
+    """Mean NLLs (gold, pseudo or 0.0 for none, all) over ``gold`` then ``pseudo`` rows as one
+    padded time-major batch; its gradient fills ``grad``, a buffer of ``model``'s layout."""
+    batch = gold + pseudo
+    ids, lengths = time_major([ids for ids, _ in batch])
+    labels, _ = time_major([labels for _, labels in batch])
     emissions, cache = encode_forward(model.encoder, ids, lengths)
-    losses, d_emissions, d_crf = nll_and_grad(emissions, model.crf, gold, lengths)
+    losses, d_emissions, d_crf = nll_and_grad(emissions, model.crf, labels, lengths)
     encode_backward(model.encoder, cache, d_emissions, out=grad.encoder)
     out = grad.crf
     out.trans[...], out.start[...], out.end[...] = d_crf.trans, d_crf.start, d_crf.end
     n = len(batch)
     grad.flat /= n
-    sums = {"gold": [0.0, 0], "pseudo": [0.0, 0]}  # label source -> [loss sum, documents]
-    for ld, loss in zip(batch, losses.tolist()):
-        sums[ld.label_source][0] += loss
-        sums[ld.label_source][1] += 1
-    means = [total / count if count else 0.0 for total, count in sums.values()]
-    return *means, (sums["gold"][0] + sums["pseudo"][0]) / n
+    sums, counts = [0.0, 0.0], (len(gold), len(pseudo))
+    for i, loss in enumerate(losses.tolist()):  # in order with +=: sum() compensates from 3.12
+        sums[i >= counts[0]] += loss
+    means = [total / count if count else 0.0 for total, count in zip(sums, counts)]
+    return *means, (sums[0] + sums[1]) / n
 
 
 def _seed_stream(config: JlsdConfig, index: int) -> np.random.Generator:
@@ -211,8 +209,8 @@ def _train_loop(
     """The shared loop: evaluate at iteration 0 (unless the model's dev F1 is
     given), then Adam steps with periodic dev evaluation, best-checkpoint
     tracking, and patience-based early stopping on strict improvement, all on ``run``'s
-    data. ``make_batch(it, rng, best)`` draws from the seed's data stream; ``best``
-    is the best-on-dev checkpoint so far, starting as a copy of ``model``."""
+    data. ``make_batch(it, rng, best)`` draws a step's (gold, pseudo) rows from the seed's data
+    stream; ``best`` is the best-on-dev checkpoint so far, starting as a copy of ``model``."""
     data_rng = _seed_stream(config, 1)
     opt = OptimizerState(lr_lower=config.lr_lower, lr_upper=config.lr_upper)
     grad = Model(model.dims, model.vocab)
@@ -224,8 +222,8 @@ def _train_loop(
 
     stale = 0
     for it in range(1, config.T + 1):
-        batch = make_batch(it, data_rng, best_model)
-        loss_labeled, loss_pseudo, loss = _batch_gradients(model, batch, grad, run.encode)
+        gold, pseudo = make_batch(it, data_rng, best_model)
+        loss_labeled, loss_pseudo, loss = _batch_gradients(model, gold, pseudo, grad)
         adam_step(model, grad, opt)
         events.append(
             {
@@ -275,23 +273,25 @@ def train_supervised(
     _require_labeled(dev, "dev")
     if init is None and vocab is None:
         vocab = build_vocab(train, config.min_count)
-    return _supervised(train, _Run(vocab if init is None else init.vocab, dev), config, init)
+    run = _Run(vocab if init is None else init.vocab, dev)
+    return _supervised(run.rows(train), run, config, init)
 
 
-def _supervised(train, run: _Run, config: JlsdConfig, init: Model | None = None):
-    """``train_supervised`` on checked datasets, scored on ``run``'s dev set."""
+def _supervised(rows: list, run: _Run, config: JlsdConfig, init: Model | None = None):
+    """``train_supervised`` on a checked dataset's rows, scored on ``run``'s dev set."""
     model = init.copy() if init is not None else _fresh_model(run.vocab, config)
-    return _train_loop(
-        model, run, config, lambda it, rng, best: sample_batch(train, config.batch_size, rng), []
-    )
+
+    def make_batch(it, rng, best):
+        return sample_batch(rows, config.batch_size, rng), []
+
+    return _train_loop(model, run, config, make_batch, [])
 
 
-def pseudo_label(teacher: Model, docs) -> list[LabeledDocument]:
-    """Hard pseudo-labels: the teacher's raw Viterbi paths from ``metrics.label_paths``, for
-    Documents or LabeledDocuments (their labels are ignored; unknown tokens map to UNK)."""
-    docs = [d.doc if isinstance(d, LabeledDocument) else d for d in docs]
-    paths = label_paths(teacher, [teacher.vocab.encode(d.tokens) for d in docs])
-    return [LabeledDocument(doc, path, label_source="pseudo") for doc, path in zip(docs, paths)]
+def pseudo_label(teacher: Model, docs) -> list[tuple[np.ndarray, list[int]]]:
+    """Hard pseudo-labels as training rows: each document's ``tokens`` as the teacher's token ids
+    (unknown tokens map to UNK) and the teacher's raw Viterbi path from ``metrics.label_paths``."""
+    encoded = [teacher.vocab.encode(d.tokens) for d in docs]
+    return list(zip(encoded, label_paths(teacher, encoded)))
 
 
 def jlsd_train(
@@ -315,14 +315,15 @@ def jlsd_train(
         raise DataError("unlabeled dataset is empty; use train_supervised instead")
 
     vocab = build_vocab(list(labeled.documents) + list(unlabeled.documents), config.min_count)
-    run = _Run(vocab, dev)  # the teacher phase and the student share it
+    run = _Run(vocab, dev)  # the teacher phase and the student share it, and its labeled rows
+    rows = run.rows(labeled)
     # the teacher phase gets its own seed so the student loop's sampling
     # stream matches what train_supervised would draw under config.seed
     teacher_T = config.teacher_T if config.teacher_T is not None else config.T
     teacher_config = replace(config, seed=config.seed + 1, T=teacher_T)
     # the teacher phase's best checkpoint is trained on in place as the student;
     # _train_loop's first best-checkpoint copy of it is the starting teacher
-    student, teacher_report = _supervised(labeled, run, teacher_config)
+    student, teacher_report = _supervised(rows, run, teacher_config)
 
     events: list = []
     k = config.unlabeled_per_batch
@@ -332,12 +333,12 @@ def jlsd_train(
     def make_batch(it, rng, teacher):
         if not queue:
             draws = [
-                (sample_batch(labeled, config.batch_size, rng),
+                (sample_batch(rows, config.batch_size, rng),
                  sample_batch(unlabeled, k, rng) if k > 0 else [])
                 for _ in range(it, min(_next_eval(it, config), it + window - 1) + 1)
             ]
             pseudo = iter(pseudo_label(teacher, [d for _, drawn in draws for d in drawn]))
-            queue.extend(gold + [next(pseudo) for _ in drawn] for gold, drawn in draws)
+            queue.extend((gold, [next(pseudo) for _ in drawn]) for gold, drawn in draws)
         return queue.popleft()
 
     def record_swap(it, old_score, new_score):
@@ -373,8 +374,8 @@ def train_simple_pretrain(
     """
     run = _Run(_transfer_vocab(source, target_train, target_dev, config), target_dev)
     source_config = replace(config, T=config.T if config.source_T is None else config.source_T)
-    warm, source_report = _supervised(source, run, source_config)
-    best, report = _supervised(target_train, run, config, init=warm)
+    warm, source_report = _supervised(run.rows(source), run, source_config)
+    best, report = _supervised(run.rows(target_train), run, config, init=warm)
     report.prior_phase = source_report
     return best, report
 
@@ -391,9 +392,10 @@ def train_simple_joint(
     early stopping behave exactly as in :func:`train_supervised`; with a
     source draw of zero the run is identical to it.
     """
-    vocab = _transfer_vocab(source, target_train, target_dev, config)
+    run = _Run(_transfer_vocab(source, target_train, target_dev, config), target_dev)
     draw = len(target_train) if config.source_pool_size is None else config.source_pool_size
-    pool = list(target_train.documents)
+    pool = target_rows = run.rows(target_train)
+    source_rows = run.rows(source)
     epoch_len = max(1, math.ceil((len(target_train) + draw) / config.batch_size))
 
     events: list = []
@@ -401,11 +403,10 @@ def train_simple_joint(
     def make_batch(it, rng, best):
         nonlocal pool
         if draw > 0 and (it - 1) % epoch_len == 0:
-            pool = list(target_train.documents) + sample_batch(source, draw, rng)
+            pool = target_rows + sample_batch(source_rows, draw, rng)
             events.append(
                 {"event": "pool_refresh", "iteration": it, "pool_size": len(pool)}
             )
-        return sample_batch(pool, config.batch_size, rng)
+        return sample_batch(pool, config.batch_size, rng), []
 
-    run = _Run(vocab, target_dev)
-    return _train_loop(_fresh_model(vocab, config), run, config, make_batch, events)
+    return _train_loop(_fresh_model(run.vocab, config), run, config, make_batch, events)

@@ -231,6 +231,9 @@ def _non_string_vocab_token(header):
     header["vocab_tokens"][2] = 5
 
 
+_BAD_MIN_COUNTS = ("x", -5, 0, [1], True, None, 1.5)  # only an int >= 1 is a count
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -246,6 +249,8 @@ def _non_string_vocab_token(header):
         lambda blob: _with_header(blob, _duplicate_vocab_token),
         lambda blob: _with_header(blob, _uncased_vocab_token),
         lambda blob: _with_header(blob, _non_string_vocab_token),
+        *[lambda blob, v=v: _with_header(blob, lambda h: h.update(vocab_min_count=v))
+          for v in _BAD_MIN_COUNTS],
     ],
     ids=[
         "short_header",
@@ -260,6 +265,7 @@ def _non_string_vocab_token(header):
         "duplicate_vocab_token",
         "uncased_vocab_token",
         "non_string_vocab_token",
+        *[f"vocab_min_count={json.dumps(v)}" for v in _BAD_MIN_COUNTS],
     ],
 )
 def test_malformed_checkpoint_is_a_data_error(model, tmp_path, corrupt):

@@ -320,6 +320,10 @@ def test_truncated_checkpoint_is_a_data_error(data_dir, tmp_path, capsys):
 
 
 TRAIN_PATHS = ["--dev", "{data}/dev.jsonl", "--out", "{tmp}/run"]
+# reading /proc/self/mem at offset 0 fails with EIO: a file that opens but cannot be read
+NEEDS_PROC_MEM = pytest.mark.skipif(
+    not os.path.isfile("/proc/self/mem"), reason="no /proc/self/mem on this platform"
+)
 
 
 @pytest.mark.parametrize(
@@ -341,9 +345,19 @@ TRAIN_PATHS = ["--dev", "{data}/dev.jsonl", "--out", "{tmp}/run"]
           "--out", "{tmp}/out.jsonl"], 3, "malformed checkpoint (RecursionError"),
         (["train", "--train", "{tmp}/disagree.jsonl", *TRAIN_PATHS],
          3, "'labels' and 'keyphrases' at line 2 disagree"),
+        (["train", "--train", "{tmp}/huge-int.jsonl", *TRAIN_PATHS],
+         3, "malformed JSON at line 2: Exceeds the limit"),
+        (["train", "--train", "{data}/train.jsonl", *TRAIN_PATHS,
+          "--config", "{tmp}/huge-int.json"], 2, "invalid JSON (Exceeds the limit"),
+        pytest.param(["train", "--train", "/proc/self/mem", *TRAIN_PATHS],
+                     3, "cannot read /proc/self/mem", marks=NEEDS_PROC_MEM),
+        pytest.param(["train", "--train", "{data}/train.jsonl", *TRAIN_PATHS,
+                      "--config", "/proc/self/mem"],
+                     2, "cannot read config file /proc/self/mem", marks=NEEDS_PROC_MEM),
     ],
     ids=["missing-checkpoint", "non-utf8-jsonl", "config-not-object", "non-utf8-config",
-         "nested-jsonl", "nested-config", "nested-checkpoint-header", "disagreeing-jsonl"],
+         "nested-jsonl", "nested-config", "nested-checkpoint-header", "disagreeing-jsonl",
+         "huge-int-jsonl", "huge-int-config", "read-error-jsonl", "read-error-config"],
 )
 def test_unreadable_input_exits_with_its_error_class(
     data_dir, tmp_path, capsys, argv, code, message
@@ -358,6 +372,11 @@ def test_unreadable_input_exits_with_its_error_class(
     (tmp_path / "nested.jsonl").write_bytes(b'{"id":"a","tokens":["x"],"labels":["O"]}\n' + nested)
     (tmp_path / "nested.json").write_bytes(nested)
     (tmp_path / "nested.ckpt").write_bytes(b"KFCKPT01" + struct.pack("<I", len(nested)) + nested)
+    huge = "1" * 5000  # past Python's int-string limit: a ValueError, not a decode error
+    (tmp_path / "huge-int.jsonl").write_text(
+        '{"id":"a","tokens":["x"],"labels":["O"]}\n' f'{{"id":{huge},"tokens":["x"]}}\n'
+    )
+    (tmp_path / "huge-int.json").write_text(f'{{"T": {huge}}}')
     (tmp_path / "disagree.jsonl").write_text(
         '{"id":"a","tokens":["x"],"labels":["O"]}\n'
         '{"id":"b","tokens":["x","y","z"],"labels":["O","O","O"],"keyphrases":[["x","y"]]}\n'

@@ -267,7 +267,7 @@ def test_load_labeled_record(tmp_path):
     ds = load_jsonl(p, expect_labels=True)
     assert len(ds) == 1
     assert ds[0].labels == (B, I)
-    assert ds[0].label_source == "gold"
+    assert (ds[0].id, ds[0].tokens) == ("d1", ("a", "b"))
     assert gold_phrases(ds[0]) == {("a", "b")}
 
 
@@ -418,7 +418,7 @@ def test_jsonl_round_trip_is_semantically_identical(tmp_path):
         assert a.doc.id == b.doc.id
         assert a.doc.tokens == b.doc.tokens
         assert a.labels == b.labels
-        assert a.label_source == b.label_source
+        assert type(a) is type(b)
         assert gold_phrases(a) == gold_phrases(b)
 
 

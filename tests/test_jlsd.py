@@ -25,7 +25,8 @@ from kpex import (
     train_simple_pretrain,
     train_supervised,
 )
-from kpex.corpus import bio_to_phrases, sample_batch
+from kpex.corpus import LabeledDocument, bio_to_phrases, sample_batch
+from kpex.crf import nll_and_grad
 from kpex.encoder import encoder_tensors
 from kpex.jlsd import pseudo_label
 from kpex.metrics import MetricReport, dataset_f1, encoded_f1, gold_phrases
@@ -106,15 +107,16 @@ def test_a_reused_gradient_buffer_gives_the_same_bits(tiny_corpus):
     # _train_loop hands one gradient Model to every step: each step must overwrite it
     labeled, unlabeled, _ = tiny_corpus
     model = init_model(build_vocab(list(labeled) + list(unlabeled)), 8, 8, 0)
-    first = list(labeled[:4])
-    second = list(labeled[4:7]) + pseudo_label(model, unlabeled[:3])
+    rows = kpex.jlsd._Run(model.vocab, labeled[:1]).rows
+    first = (rows(labeled[:4]), [])
+    second = (rows(labeled[4:7]), pseudo_label(model, unlabeled[:3]))
     grad = Model(model.dims, model.vocab)
-    for batch, fill in ((first, None), (second, None), (second, np.nan)):
+    for (gold, pseudo), fill in ((first, None), (second, None), (second, np.nan)):
         if fill is not None:
             grad.flat[...] = fill
-        losses = kpex.jlsd._batch_gradients(model, batch, grad, model.vocab.encode)
+        losses = kpex.jlsd._batch_gradients(model, gold, pseudo, grad)
         fresh = Model(model.dims, model.vocab)
-        assert losses == kpex.jlsd._batch_gradients(model, batch, fresh, model.vocab.encode)
+        assert losses == kpex.jlsd._batch_gradients(model, gold, pseudo, fresh)
         npt.assert_array_equal(grad.flat, fresh.flat)
 
 
@@ -143,9 +145,12 @@ def test_zero_score_teacher_labels_everything_o(tiny_corpus):
     teacher = init_model(build_vocab(labeled), 8, 8, 0)
     for arr in encoder_tensors(teacher.encoder).values():
         arr[...] = 0.0
-    out = pseudo_label(teacher, [d.doc for d in labeled[:5]])
-    assert all(set(ld.labels) == {0} for ld in out)
-    assert all(ld.label_source == "pseudo" for ld in out)
+    docs = [d.doc for d in labeled[:5]]
+    out = pseudo_label(teacher, docs)
+    assert all(set(path) == {0} for _, path in out)
+    for d, (ids, path) in zip(docs, out):  # a training row: the ids and one label per token
+        npt.assert_array_equal(ids, teacher.vocab.encode(d.tokens))
+        assert len(path) == len(d.tokens)
 
 
 def test_pseudo_labels_keep_the_raw_viterbi_path(tiny_corpus):
@@ -155,9 +160,9 @@ def test_pseudo_labels_keep_the_raw_viterbi_path(tiny_corpus):
         arr[...] = 0.0
     teacher.crf.start[...] = [0.0, 0.0, 5.0]  # every path is I I ... I: one orphan I
     teacher.crf.trans[...] = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 5.0]]
-    for ld in pseudo_label(teacher, labeled[:5]):
-        assert ld.labels == (2,) * len(ld.tokens)  # not promoted to B I ... I
-        assert [p for _, p in bio_to_phrases(ld.tokens, ld.labels)] == [ld.tokens]
+    for d, (_, path) in zip(labeled[:5], pseudo_label(teacher, labeled[:5])):
+        assert path == [2] * len(d.tokens)  # not promoted to B I ... I
+        assert [p for _, p in bio_to_phrases(d.tokens, path)] == [d.tokens]
 
 
 def test_saved_pseudo_labels_reload_with_their_phrases(tiny_corpus, tmp_path):
@@ -167,7 +172,8 @@ def test_saved_pseudo_labels_reload_with_their_phrases(tiny_corpus, tmp_path):
         arr[...] = 0.0
     teacher.crf.start[...] = [0.0, 5.0, 0.0]  # every path is B O B O ...
     teacher.crf.trans[...] = [[0.0, 5.0, 0.0], [5.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
-    out = pseudo_label(teacher, [d.doc for d in labeled[:5]])
+    docs = [d.doc for d in labeled[:5]]
+    out = [LabeledDocument(d, path) for d, (_, path) in zip(docs, pseudo_label(teacher, docs))]
     assert all(ld.labels[:2] == (1, 0) for ld in out)
     path = tmp_path / "pseudo.jsonl"
     save_jsonl(out, path)
@@ -209,20 +215,56 @@ def _count_encodings_and_gold_sets(monkeypatch):
     return encoded, golds
 
 
-@pytest.mark.parametrize("mode", ["supervised", "jlsd"])
+@pytest.mark.parametrize("mode", ["supervised", "jlsd", "pretrain", "joint"])
 def test_a_run_encodes_and_folds_each_dev_document_once(tiny_corpus, monkeypatch, mode):
     labeled, unlabeled, dev = tiny_corpus
     encoded, golds = _count_encodings_and_gold_sets(monkeypatch)
-    cfg = tiny_config(T=30, eval_every=5, teacher_T=20)
-    if mode == "jlsd":
-        _, report = jlsd_train(labeled, unlabeled, dev, cfg)
-        evals = report.prior_phase.eval_scores + report.eval_scores
-    else:
-        evals = train_supervised(labeled, dev, cfg)[1].eval_scores
+    cfg = tiny_config(T=30, eval_every=5, teacher_T=20, source_T=20)
+    if mode == "supervised":
+        report = train_supervised(labeled, dev, cfg)[1]
+    elif mode == "jlsd":
+        report = jlsd_train(labeled, unlabeled, dev, cfg)[1]
+        # an unlabeled document is encoded once per draw, by pseudo_label alone
+        steps = sum(e["event"] == "iteration" for e in report.events)
+        assert sum(encoded[id(d.tokens)] for d in unlabeled) == steps * cfg.unlabeled_per_batch
+    else:  # the unlabeled split, labeled too, serves as the source corpus
+        trainer = train_simple_pretrain if mode == "pretrain" else train_simple_joint
+        report = trainer(unlabeled, labeled, dev, cfg)[1]
+        assert [encoded[id(d.tokens)] for d in unlabeled] == [1] * len(unlabeled)
+    if mode != "jlsd":
         assert set(encoded.values()) == {1}  # every document, trained on or not, once
-    assert len(evals) >= 7
+    prior = report.prior_phase.eval_scores if report.prior_phase else []
+    assert len(prior + report.eval_scores) >= 7
     assert golds == Counter({d.id: 1 for d in dev})
-    assert [encoded[id(d.tokens)] for d in dev] == [1] * len(dev)
+    assert [encoded[id(d.tokens)] for d in [*labeled, *dev]] == [1] * (len(labeled) + len(dev))
+
+
+def test_iteration_losses_are_in_order_sums_of_the_document_losses(tiny_corpus, monkeypatch):
+    labeled, unlabeled, dev = tiny_corpus
+    per_step = []
+
+    def spy(*args):
+        out = nll_and_grad(*args)
+        per_step.append(out[0].tolist())
+        return out
+
+    monkeypatch.setattr(kpex.jlsd, "nll_and_grad", spy)
+    cfg = tiny_config(T=10, teacher_T=5, r=1.5)
+    report = jlsd_train(labeled, unlabeled, dev, cfg)[1]
+    events = report.prior_phase.events + report.events
+    steps = [e for e in events if e["event"] == "iteration"]
+    assert len(steps) == len(per_step) == 15
+    for i, (e, losses) in enumerate(zip(steps, per_step)):
+        n_gold = cfg.batch_size  # a step's gold documents come first, then its pseudo-labeled
+        assert len(losses) == n_gold + (cfg.unlabeled_per_batch if i >= 5 else 0)
+        gold = pseudo = 0.0
+        for loss in losses[:n_gold]:
+            gold += loss
+        for loss in losses[n_gold:]:
+            pseudo += loss
+        assert e["loss_labeled"] == gold / n_gold
+        assert e["loss_pseudo"] == (pseudo / (len(losses) - n_gold) if i >= 5 else 0.0)
+        assert e["loss"] == (gold + pseudo) / len(losses)
 
 
 def test_pseudo_labels_are_deterministic(tiny_corpus):
@@ -231,7 +273,8 @@ def test_pseudo_labels_are_deterministic(tiny_corpus):
     docs = [d.doc for d in labeled[:10]]
     a = pseudo_label(teacher, docs)
     b = pseudo_label(teacher, docs)
-    assert [x.labels for x in a] == [y.labels for y in b]
+    assert [path for _, path in a] == [path for _, path in b]
+    assert all(np.array_equal(x, y) for (x, _), (y, _) in zip(a, b))
 
 
 def test_empty_document_list_gives_empty_result(tiny_corpus):
@@ -246,8 +289,8 @@ def test_pseudo_labels_agree_with_extraction_metrics(tiny_corpus):
     train_f1 = dataset_f1(teacher, labeled).f1
     relabeled = pseudo_label(teacher, labeled)
     n_pred = n_gold = n_match = 0
-    for pseudo, gold in zip(relabeled, labeled):
-        spans = bio_to_phrases(pseudo.tokens, pseudo.labels)
+    for (_, path), gold in zip(relabeled, labeled):
+        spans = bio_to_phrases(gold.tokens, path)
         p = {tuple(t.casefold() for t in kp) for _, kp in spans}
         g = gold_phrases(gold)
         n_pred, n_gold, n_match = n_pred + len(p), n_gold + len(g), n_match + len(p & g)

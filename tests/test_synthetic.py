@@ -29,7 +29,7 @@ CONFIGS = [
 
 
 def _content(dataset):
-    docs = [(d.id, d.tokens, d.labels, d.label_source) for d in dataset]
+    docs = [(d.id, d.tokens, d.labels) for d in dataset]
     return dataset.name, docs
 
 
