@@ -255,15 +255,16 @@ def test_iteration_losses_are_in_order_sums_of_the_document_losses(tiny_corpus, 
     steps = [e for e in events if e["event"] == "iteration"]
     assert len(steps) == len(per_step) == 15
     for i, (e, losses) in enumerate(zip(steps, per_step)):
+        student = i >= cfg.teacher_T
         n_gold = cfg.batch_size  # a step's gold documents come first, then its pseudo-labeled
-        assert len(losses) == n_gold + (cfg.unlabeled_per_batch if i >= 5 else 0)
+        assert len(losses) == n_gold + (cfg.unlabeled_per_batch if student else 0)
         gold = pseudo = 0.0
         for loss in losses[:n_gold]:
             gold += loss
         for loss in losses[n_gold:]:
             pseudo += loss
         assert e["loss_labeled"] == gold / n_gold
-        assert e["loss_pseudo"] == (pseudo / (len(losses) - n_gold) if i >= 5 else 0.0)
+        assert e["loss_pseudo"] == (pseudo / (len(losses) - n_gold) if student else 0.0)
         assert e["loss"] == (gold + pseudo) / len(losses)
 
 
