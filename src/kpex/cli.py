@@ -188,7 +188,6 @@ def _training_run(mode: str, args: dict, config: JlsdConfig) -> int:
         model, report = _TRAINERS[mode](*datasets, config)
         ckpt = outdir / "model.ckpt"
         save_checkpoint(model, ckpt)
-        report.checkpoint_path = str(ckpt)
         write_atomic(outdir / "events.jsonl", report.to_jsonl().encode("utf-8"))
         print(json.dumps({
             "mode": mode, "best_dev_f1": report.best_score,

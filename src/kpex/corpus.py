@@ -369,11 +369,10 @@ def write_atomic(path, data: bytes) -> None:
 
 
 def split_dataset(dataset: Dataset, sizes: Sequence[int], names: Sequence[str] | None = None):
-    """Slice a dataset into consecutive non-overlapping parts of the given sizes."""
-    if sum(sizes) > len(dataset):
-        raise DataError(f"cannot split {len(dataset)} documents into parts of sizes {sizes}")
-    if names is None:
-        names = [f"{dataset.name}[{i}]" for i in range(len(sizes))]
+    """Slice a dataset into consecutive non-overlapping parts of the given sizes, one per name."""
+    names = [f"{dataset.name}[{i}]" for i in range(len(sizes))] if names is None else names
+    if min(sizes, default=0) < 0 or sum(sizes) > len(dataset) or len(names) != len(sizes):
+        raise DataError(f"cannot split {len(dataset)} documents into {names} of sizes {sizes}")
     parts = []
     offset = 0
     for size, name in zip(sizes, names):

@@ -103,17 +103,19 @@ class JlsdConfig:
 
 @dataclass
 class TrainReport:
-    """Event log of one training run.
+    """Event log of one training phase, as ``_train_loop`` records it.
 
     ``events`` holds one dict per iteration, evaluation, teacher swap, pool
-    refresh, or early stop, in order. Serializes to a JSONL stream that is
-    byte-identical across reruns with the same seed.
+    refresh, or early stop, in order. ``prior_phase`` is the report of the
+    phase that trained this one's starting model (jlsd's teacher phase,
+    pretrain's source phase), or None. Serializes to a JSONL stream, the prior
+    phase's records first, that is byte-identical across reruns with the same
+    seed, wherever it is written.
     """
 
     events: list = field(default_factory=list)
     best_score: float = 0.0
     best_iteration: int = 0
-    checkpoint_path: str | None = None
     prior_phase: "TrainReport | None" = None
 
     @property
@@ -136,7 +138,6 @@ class TrainReport:
             "event": "final",
             "best_iteration": self.best_iteration,
             "best_score": self.best_score,
-            "checkpoint": self.checkpoint_path,
         }
         records = [{"phase": "pretraining", **e} for e in prior] + self.events + [final]
         return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
@@ -198,31 +199,30 @@ def _fresh_model(vocab, config: JlsdConfig) -> Model:
 
 
 def _train_loop(
-    model: Model,
-    run: _Run,
-    config: JlsdConfig,
-    make_batch,
-    events: list,
-    on_new_best=None,
-    initial_score: float | None = None,
+    model: Model, run: _Run, config: JlsdConfig, make_batch, prior=None, swaps=False
 ) -> tuple[Model, TrainReport]:
-    """The shared loop: evaluate at iteration 0 (unless the model's dev F1 is
-    given), then Adam steps with periodic dev evaluation, best-checkpoint
-    tracking, and patience-based early stopping on strict improvement, all on ``run``'s
-    data. ``make_batch(it, rng, best)`` draws a step's (gold, pseudo) rows from the seed's data
-    stream; ``best`` is the best-on-dev checkpoint so far, starting as a copy of ``model``."""
+    """The shared loop, which makes each phase's event list and report: evaluate at
+    iteration 0, then Adam steps with periodic dev evaluation, best-checkpoint tracking, and
+    patience-based early stopping on strict improvement, all on ``run``'s data.
+    ``make_batch(it, rng, best, events)`` draws a step's (gold, pseudo) rows from the seed's
+    data stream; ``best`` is the best-on-dev checkpoint so far, starting as a copy of
+    ``model``, and a record it appends to ``events`` precedes the step's. ``prior``, the report
+    of the phase that trained ``model``, gives the iteration-0 score without a dev decode and
+    becomes the report's ``prior_phase``. With ``swaps``, each improving eval is followed by a
+    swap record: the teacher moves to the student."""
     data_rng = _seed_stream(config, 1)
     opt = OptimizerState(lr_lower=config.lr_lower, lr_upper=config.lr_upper)
     grad = Model(model.dims, model.vocab)
+    events: list = []
 
-    best_score = encoded_f1(model, *run.dev).f1 if initial_score is None else initial_score
+    best_score = encoded_f1(model, *run.dev).f1 if prior is None else prior.best_score
     best_model = model.copy()
     best_iteration = 0
     events.append({"event": "eval", "iteration": 0, "dev_f1": best_score, "improved": True})
 
     stale = 0
     for it in range(1, config.T + 1):
-        gold, pseudo = make_batch(it, data_rng, best_model)
+        gold, pseudo = make_batch(it, data_rng, best_model, events)
         loss_labeled, loss_pseudo, loss = _batch_gradients(model, gold, pseudo, grad)
         adam_step(model, grad, opt)
         events.append(
@@ -241,8 +241,9 @@ def _train_loop(
                 {"event": "eval", "iteration": it, "dev_f1": score, "improved": improved}
             )
             if improved:
-                if on_new_best is not None:
-                    on_new_best(it, best_score, score)
+                if swaps:
+                    events.append({"event": "swap", "iteration": it, "old_score": best_score,
+                                   "new_score": score})
                 best_score = score
                 best_model = model.copy()
                 best_iteration = it
@@ -252,7 +253,7 @@ def _train_loop(
                 if stale >= config.patience:
                     events.append({"event": "early_stop", "iteration": it})
                     break
-    return best_model, TrainReport(events, best_score, best_iteration)
+    return best_model, TrainReport(events, best_score, best_iteration, prior)
 
 
 def train_supervised(
@@ -274,17 +275,20 @@ def train_supervised(
     if init is None and vocab is None:
         vocab = build_vocab(train, config.min_count)
     run = _Run(vocab if init is None else init.vocab, dev)
-    return _supervised(run.rows(train), run, config, init)
+    return _supervised(run.rows(train), run, config, None if init is None else (init.copy(), None))
 
 
-def _supervised(rows: list, run: _Run, config: JlsdConfig, init: Model | None = None):
-    """``train_supervised`` on a checked dataset's rows, scored on ``run``'s dev set."""
-    model = init.copy() if init is not None else _fresh_model(run.vocab, config)
+def _supervised(rows: list, run: _Run, config: JlsdConfig, start=None):
+    """``train_supervised`` on a checked dataset's rows, scored on ``run``'s dev set.
+    ``start`` is the ``(model, report or None)`` to train on in place, such as an earlier
+    phase's return value, whose report then gives the iteration-0 score; None starts a fresh
+    model from the seed."""
+    model, prior = start or (_fresh_model(run.vocab, config), None)
 
-    def make_batch(it, rng, best):
+    def make_batch(it, rng, best, events):
         return sample_batch(rows, config.batch_size, rng), []
 
-    return _train_loop(model, run, config, make_batch, [])
+    return _train_loop(model, run, config, make_batch, prior)
 
 
 def pseudo_label(teacher: Model, docs) -> list[tuple[np.ndarray, list[int]]]:
@@ -325,12 +329,11 @@ def jlsd_train(
     # _train_loop's first best-checkpoint copy of it is the starting teacher
     student, teacher_report = _supervised(rows, run, teacher_config)
 
-    events: list = []
     k = config.unlabeled_per_batch
     window = max(1, MAX_DRAW // (config.batch_size + k))  # iterations whose draws fit MAX_DRAW
     queue = deque()
 
-    def make_batch(it, rng, teacher):
+    def make_batch(it, rng, teacher, events):
         if not queue:
             draws = [
                 (sample_batch(rows, config.batch_size, rng),
@@ -341,16 +344,7 @@ def jlsd_train(
             queue.extend((gold, [next(pseudo) for _ in drawn]) for gold, drawn in draws)
         return queue.popleft()
 
-    def record_swap(it, old_score, new_score):
-        events.append(
-            {"event": "swap", "iteration": it, "old_score": old_score, "new_score": new_score}
-        )
-
-    best, report = _train_loop(
-        student, run, config, make_batch, events, record_swap, teacher_report.best_score
-    )
-    report.prior_phase = teacher_report
-    return best, report
+    return _train_loop(student, run, config, make_batch, teacher_report, swaps=True)
 
 
 def _transfer_vocab(source, target_train, target_dev, config: JlsdConfig):
@@ -367,17 +361,15 @@ def train_simple_pretrain(
 ) -> tuple[Model, TrainReport]:
     """Train on the labeled source corpus, then keep training on the target.
 
-    The target phase starts from the source phase's best checkpoint with a
-    fresh optimizer. Both phases share one vocabulary built over source and
-    target so the embedding table carries over. ``config.source_T`` bounds
-    the source phase (0 skips it entirely).
+    The target phase starts from the source phase's best checkpoint, and its dev
+    score, with a fresh optimizer. Both phases share one vocabulary built over
+    source and target so the embedding table carries over. ``config.source_T``
+    bounds the source phase (0 skips it entirely).
     """
     run = _Run(_transfer_vocab(source, target_train, target_dev, config), target_dev)
     source_config = replace(config, T=config.T if config.source_T is None else config.source_T)
-    warm, source_report = _supervised(run.rows(source), run, source_config)
-    best, report = _supervised(run.rows(target_train), run, config, init=warm)
-    report.prior_phase = source_report
-    return best, report
+    warm = _supervised(run.rows(source), run, source_config)  # (best model, source report)
+    return _supervised(run.rows(target_train), run, config, warm)
 
 
 def train_simple_joint(
@@ -398,9 +390,7 @@ def train_simple_joint(
     source_rows = run.rows(source)
     epoch_len = max(1, math.ceil((len(target_train) + draw) / config.batch_size))
 
-    events: list = []
-
-    def make_batch(it, rng, best):
+    def make_batch(it, rng, best, events):
         nonlocal pool
         if draw > 0 and (it - 1) % epoch_len == 0:
             pool = target_rows + sample_batch(source_rows, draw, rng)
@@ -409,4 +399,4 @@ def train_simple_joint(
             )
         return sample_batch(pool, config.batch_size, rng), []
 
-    return _train_loop(_fresh_model(run.vocab, config), run, config, make_batch, events)
+    return _train_loop(_fresh_model(run.vocab, config), run, config, make_batch)

@@ -131,6 +131,8 @@ def _model_from(header: dict, payload: bytes, path) -> Model:
         raise DataError(f"{path}: vocabulary hash mismatch")
     if header["labels"] != LABEL_INDEX:
         raise DataError(f"{path}: incompatible label-index map {header['labels']}")
+    if not all(type(dims[k]) is int and dims[k] >= 1 for k in ("embed_dim", "hidden_dim")):
+        raise DataError(f"{path}: dims {dims} need embed_dim and hidden_dim as integers >= 1")
     sizes = EncoderDims(dims["vocab_size"], dims["embed_dim"], dims["hidden_dim"])
     expected = 8 * sum(map(math.prod, _shapes(sizes)))  # checked before a buffer is sized
     if len(payload) != expected:

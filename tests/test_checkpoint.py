@@ -231,6 +231,15 @@ def _non_string_vocab_token(header):
     header["vocab_tokens"][2] = 5
 
 
+def _consistent_dims(embed_dim, hidden_dim):
+    """A checkpoint whose header and payload agree on these dims: only the dims check can tell
+    that a zero dim sizes nothing or that ``true`` is no size."""
+    vocab = _tiny_vocab()
+    model = Model(EncoderDims(len(vocab), int(embed_dim), int(hidden_dim)), vocab)
+    dims = {"embed_dim": embed_dim, "hidden_dim": hidden_dim}
+    return _with_header(checkpoint_bytes(model), lambda h: h["dims"].update(dims))
+
+
 _BAD_MIN_COUNTS = ("x", -5, 0, [1], True, None, 1.5)  # only an int >= 1 is a count
 
 
@@ -249,6 +258,9 @@ _BAD_MIN_COUNTS = ("x", -5, 0, [1], True, None, 1.5)  # only an int >= 1 is a co
         lambda blob: _with_header(blob, _duplicate_vocab_token),
         lambda blob: _with_header(blob, _uncased_vocab_token),
         lambda blob: _with_header(blob, _non_string_vocab_token),
+        lambda blob: _consistent_dims(2, 0),
+        lambda blob: _consistent_dims(0, 2),
+        lambda blob: _consistent_dims(2, True),
         *[lambda blob, v=v: _with_header(blob, lambda h: h.update(vocab_min_count=v))
           for v in _BAD_MIN_COUNTS],
     ],
@@ -265,6 +277,9 @@ _BAD_MIN_COUNTS = ("x", -5, 0, [1], True, None, 1.5)  # only an int >= 1 is a co
         "duplicate_vocab_token",
         "uncased_vocab_token",
         "non_string_vocab_token",
+        "zero_hidden_dim",
+        "zero_embed_dim",
+        "true_hidden_dim",
         *[f"vocab_min_count={json.dumps(v)}" for v in _BAD_MIN_COUNTS],
     ],
 )

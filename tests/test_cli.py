@@ -14,12 +14,16 @@ from kpex import (
     DataError,
     Dataset,
     NumericError,
+    build_vocab,
     gen_synthetic,
     load_jsonl,
+    save_checkpoint,
     save_jsonl,
     split_dataset,
 )
 from kpex.cli import main
+from kpex.encoder import EncoderDims
+from kpex.model import Model
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +101,29 @@ def test_jlsd_run_writes_swap_events(data_dir, tmp_path):
     kinds = {e["event"] for e in events}
     assert {"eval", "iteration", "final"} <= kinds
     assert any(e.get("phase") == "pretraining" for e in events)
+
+
+@pytest.mark.parametrize(
+    "mode, inputs",
+    [
+        ("train", []),
+        ("jlsd", ["--unlabeled", "unlabeled.jsonl", "--teacher-t", "10"]),
+        ("pretrain", ["--source", "dev.jsonl", "--source-t", "10"]),
+        ("joint", ["--source", "dev.jsonl"]),
+    ],
+)
+def test_a_run_writes_the_same_bytes_into_any_output_directory(data_dir, tmp_path, mode, inputs):
+    written = []
+    for out in (tmp_path / "a", tmp_path / "elsewhere" / "b"):
+        rc = main([
+            mode, "--train", str(data_dir / "train.jsonl"), "--dev", str(data_dir / "dev.jsonl"),
+            *[str(data_dir / arg) if arg.endswith(".jsonl") else arg for arg in inputs],
+            "--out", str(out), "--seed", "3", "--t", "20", "--eval-every", "10",
+            "--embed-dim", "8", "--hidden-dim", "8",
+        ])
+        assert rc == 0
+        written.append([(out / name).read_bytes() for name in ("model.ckpt", "events.jsonl")])
+    assert written[0] == written[1]
 
 
 def test_flags_override_config_file(data_dir, tmp_path):
@@ -317,6 +344,21 @@ def test_truncated_checkpoint_is_a_data_error(data_dir, tmp_path, capsys):
     rc = main(["eval", "--ckpt", str(ckpt), "--test", str(data_dir / "dev.jsonl")])
     assert rc == 3
     assert "error: data" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["extract", "eval"])
+@pytest.mark.parametrize("embed_dim, hidden_dim", [(2, 0), (0, 2)])
+def test_a_checkpoint_without_a_dimension_is_a_data_error(
+    data_dir, tmp_path, capsys, mode, embed_dim, hidden_dim
+):
+    vocab = build_vocab(load_jsonl(data_dir / "train.jsonl", expect_labels=True))
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(Model(EncoderDims(len(vocab), embed_dim, hidden_dim), vocab), ckpt)
+    argv = [mode, "--ckpt", str(ckpt), "--test", str(data_dir / "dev.jsonl")]
+    rc = main(argv + (["--out", str(tmp_path / "out.jsonl")] if mode == "extract" else []))
+    assert rc == 3
+    assert "embed_dim and hidden_dim" in capsys.readouterr().err
+    assert not (tmp_path / "out.jsonl").exists()
 
 
 TRAIN_PATHS = ["--dev", "{data}/dev.jsonl", "--out", "{tmp}/run"]

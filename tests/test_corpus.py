@@ -14,6 +14,7 @@ from kpex import (
     gen_synthetic,
     load_jsonl,
     save_jsonl,
+    split_dataset,
 )
 from kpex.corpus import (
     LABEL_B,
@@ -492,3 +493,14 @@ def test_huge_synthetic_sizes_are_a_data_error_without_allocating(field, value):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize(
+    "sizes, names",
+    [([-2, 5], None), ([3, 3], ["x"]), ([3], ["x", "y"]), ([6, 5], None)],
+    ids=["negative_size", "fewer_names", "more_names", "too_many_documents"],
+)
+def test_split_that_cannot_give_its_parts_is_a_data_error(sizes, names):
+    ds = gen_synthetic(0, 10, vocab_size=30, keyword_fraction=0.2)
+    with pytest.raises(DataError, match="cannot split 10 documents"):
+        split_dataset(ds, sizes, names=names)

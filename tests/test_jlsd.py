@@ -538,6 +538,24 @@ def test_pretrain_on_a_related_source_tracks_the_baseline():
     assert pre_report.best_score >= base_report.best_score - 0.01
 
 
+def test_pretrain_target_phase_starts_from_the_source_score_without_a_dev_decode(
+    tiny_corpus, monkeypatch
+):
+    labeled, source, dev = tiny_corpus  # the unlabeled split keeps its labels: a source here
+    calls = []
+    monkeypatch.setattr(
+        kpex.jlsd, "encoded_f1", lambda model, *dev: calls.append(dev) or encoded_f1(model, *dev)
+    )
+    cfg = tiny_config(T=60, eval_every=10, source_T=30, patience=10)
+    _, report = train_simple_pretrain(source, labeled, dev, cfg)
+    assert len(calls) == 10  # the source phase's evals at 0-30, the target phase's at 10-60
+    vocab = build_vocab(list(source.documents) + list(labeled.documents))
+    source_best, _ = train_supervised(source, dev, replace(cfg, T=30), vocab=vocab)
+    baseline = report.events[0]
+    assert baseline["event"] == "eval" and baseline["iteration"] == 0
+    assert baseline["dev_f1"] == report.prior_phase.best_score == dataset_f1(source_best, dev).f1
+
+
 def test_pretrain_rejects_unlabeled_source(tiny_corpus):
     labeled, unlabeled, dev = tiny_corpus
     plain = Dataset("u", [d.doc for d in unlabeled.documents[:10]])
