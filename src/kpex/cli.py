@@ -18,7 +18,7 @@ import sys
 import typing
 from pathlib import Path
 
-from .corpus import gen_synthetic, load_jsonl, save_jsonl, write_atomic
+from .corpus import gen_synthetic, load_jsonl, parse_json, save_jsonl, write_atomic
 from .errors import ConfigError, DataError, NumericError
 from .jlsd import (
     JlsdConfig,
@@ -100,17 +100,10 @@ def load_config(path: str | None, flags: dict) -> JlsdConfig:
         if not p.is_file():
             raise ConfigError(f"config file not found (or not a file): {path}")
         try:
-            raw = json.loads(p.read_text(encoding="utf-8"))
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"config file {path}: not valid UTF-8 ({exc.reason})") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path}: invalid JSON ({exc.msg})") from exc
-        except RecursionError:
-            raise ConfigError(f"config file {path}: invalid JSON (nested too deeply)") from None
-        except ValueError as exc:  # an integer past Python's int-string digit limit
-            raise ConfigError(f"config file {path}: invalid JSON ({exc})") from None
+            data = p.read_bytes()
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from None
+        raw = parse_json(data, ConfigError, f"config file {path}")
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {path}: not a JSON object ({type(raw).__name__})")
         unknown = set(raw) - _CONFIG_TYPES.keys()

@@ -10,7 +10,8 @@ Conventions used throughout the package:
 * the on-disk format is JSONL, one record per line:
   ``{"id": ..., "tokens": [...], "labels": [...]?, "keyphrases": [[...]...]?}``.
   The labels are a document's one annotation. ``keyphrases`` alone derives them on load;
-  beside ``labels`` it must name the same phrases, case-folded, as a set.
+  beside ``labels`` it must name the same phrases, case-folded, as a set;
+* every string loaded from a file, by :func:`parse_json`, is encodable as UTF-8.
 
 All functions here are pure; random sampling takes a caller-owned
 ``numpy.random.Generator`` so that nothing in this module shares state.
@@ -22,6 +23,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,7 +31,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, KpexError
 
 LABEL_O = 0
 LABEL_B = 1
@@ -259,14 +261,32 @@ def sample_batch(dataset, size: int, rng: np.random.Generator) -> list:
 # ---------------------------------------------------------------------------
 
 
+def parse_json(data: bytes, error: type[KpexError], where: str):
+    """Decode ``data`` as UTF-8 and parse it as one JSON value. Every failure, a string that
+    no UTF-8 writer can write (a lone surrogate escape) included, raises ``error`` naming
+    ``where``."""
+    try:
+        text = data.decode("utf-8")
+        obj = json.loads(text)
+        if re.search(r"\\u[dD][89a-fA-F]", text):  # only an escape in D800-DFFF writes a surrogate
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+        return obj
+    except UnicodeDecodeError as exc:
+        raise error(f"{where} is not valid UTF-8 ({exc.reason})") from None
+    except (ValueError, RecursionError) as exc:  # a plain ValueError: past the int digit limit
+        reasons = {RecursionError: "nested too deeply", UnicodeEncodeError: "lone surrogate escape"}
+        reason = reasons.get(type(exc)) or getattr(exc, "msg", exc)  # JSONDecodeError.msg
+        raise error(f"{where}: invalid JSON ({reason})") from None
+
+
 def load_jsonl(path, expect_labels: bool) -> Dataset:
-    """Load a dataset from a JSONL file.
+    """Load a dataset from a JSONL file, in line order, skipping blank lines.
 
     Records carrying ``labels`` and/or ``keyphrases`` become LabeledDocuments
     (labels derived via :func:`keyphrases_to_bio` when only keyphrases are
     given; both must name the same case-folded phrase set, empty phrases and
     duplicates aside); bare records become unlabeled Documents, which is an
-    error when ``expect_labels`` is set. Line order is preserved.
+    error when ``expect_labels`` is set. An id is a JSON string or integer.
     """
     path = Path(path)
     if not path.is_file():
@@ -276,29 +296,19 @@ def load_jsonl(path, expect_labels: bool) -> Dataset:
         with path.open("rb") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 try:
-                    line = raw.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise DataError(f"line {lineno} is not valid UTF-8 ({exc.reason})") from exc
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"malformed JSON at line {lineno}: {exc.msg}") from exc
-                except ValueError as exc:  # an integer past Python's int-string digit limit
-                    raise DataError(f"malformed JSON at line {lineno}: {exc}") from None
-                except RecursionError:
-                    raise DataError(f"malformed JSON at line {lineno}: nested too deeply") from None
+                    obj = parse_json(raw, DataError, f"line {lineno}")
+                except DataError:
+                    if raw.decode("utf-8", "replace").isspace():  # as str.strip() finds it
+                        continue
+                    raise
                 if not isinstance(obj, dict) or "id" not in obj or "tokens" not in obj:
                     raise DataError(f"record at line {lineno} lacks 'id' or 'tokens'")
-                for key in ("tokens", "labels", "keyphrases"):
-                    if obj.get(key) is not None and not isinstance(obj[key], list):
+                if type(obj["id"]) not in (str, int):  # a bool, float or null is no id
+                    raise DataError(f"'id' at line {lineno} must be a JSON string or integer")
+                for key in ("tokens", "labels", "keyphrases"):  # the last two may be null
+                    value = obj.get(key)
+                    if (value is not None or key == "tokens") and not isinstance(value, list):
                         raise DataError(f"'{key}' at line {lineno} must be a JSON array")
-                try:
-                    doc = Document(id=str(obj["id"]), tokens=tuple(obj["tokens"]))
-                except DataError as exc:
-                    raise DataError(f"line {lineno}: {exc}") from exc
-
                 raw_labels = obj.get("labels")
                 raw_phrases = obj.get("keyphrases")
                 if raw_phrases is not None and not all(
@@ -307,29 +317,25 @@ def load_jsonl(path, expect_labels: bool) -> Dataset:
                     raise DataError(
                         f"'keyphrases' at line {lineno} must be a JSON array of string arrays"
                     )
-
-                if raw_labels is not None:
-                    if len(raw_labels) != len(doc.tokens):
-                        raise DataError(
-                            f"length mismatch at line {lineno}: {len(raw_labels)} labels "
-                            f"for {len(doc.tokens)} tokens"
-                        )
-                    try:
-                        labels = tuple(LABEL_INDEX[str(l)] for l in raw_labels)
-                    except KeyError as exc:
-                        raise DataError(f"unknown label {exc.args[0]!r} at line {lineno}") from exc
-                    if raw_phrases is not None:
-                        spans = bio_to_phrases(doc.tokens, labels)
-                        if {_fold(p) for p in raw_phrases if p} != {_fold(p) for _, p in spans}:
-                            raise DataError(f"'labels' and 'keyphrases' at line {lineno} disagree")
-                elif raw_phrases is not None:
-                    labels = tuple(keyphrases_to_bio(doc.tokens, raw_phrases))
-                else:
-                    if expect_labels:
-                        raise DataError(f"missing labels at line {lineno} (expect_labels=true)")
-                    documents.append(doc)
-                    continue
-                documents.append(LabeledDocument(doc=doc, labels=labels))
+                try:
+                    doc = Document(id=str(obj["id"]), tokens=tuple(obj["tokens"]))
+                    if raw_labels is not None:
+                        try:
+                            labels = [LABEL_INDEX[str(l)] for l in raw_labels]
+                        except KeyError as exc:
+                            raise DataError(f"unknown label {exc.args[0]!r}") from None
+                        doc = LabeledDocument(doc, labels)
+                    elif raw_phrases is not None:
+                        doc = LabeledDocument(doc, keyphrases_to_bio(doc.tokens, raw_phrases))
+                except DataError as exc:
+                    raise DataError(f"line {lineno}: {exc}") from exc
+                if raw_labels is not None and raw_phrases is not None:
+                    spans = bio_to_phrases(doc.tokens, doc.labels)
+                    if {_fold(p) for p in raw_phrases if p} != {_fold(p) for _, p in spans}:
+                        raise DataError(f"'labels' and 'keyphrases' at line {lineno} disagree")
+                if expect_labels and not isinstance(doc, LabeledDocument):
+                    raise DataError(f"missing labels at line {lineno} (expect_labels=true)")
+                documents.append(doc)
     except OSError as exc:  # e.g. an I/O error partway through
         raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
     return Dataset(name=path.stem, documents=documents)

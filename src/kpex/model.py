@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import LABEL_INDEX, Vocabulary, write_atomic
+from .corpus import LABEL_INDEX, Vocabulary, parse_json, write_atomic
 from .crf import CrfParams, crf_tensors
 from .encoder import EncoderDims, EncoderParams, encoder_tensors, init_params
 from .errors import DataError
@@ -113,10 +113,10 @@ def load_checkpoint(path) -> Model:
     if len(blob) < 12:
         raise DataError(f"{path}: truncated checkpoint header")
     (head_len,) = struct.unpack("<I", blob[8:12])
+    header = parse_json(blob[12 : 12 + head_len], DataError, f"{path} header")
     try:
-        header = json.loads(blob[12 : 12 + head_len].decode("utf-8"))
         return _model_from(header, blob[12 + head_len :], path)
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:  # JSON and UTF-8 errors too
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed checkpoint ({exc!r})") from exc
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import kpex.cli
 from kpex import (
+    ConfigError,
     DataError,
     Dataset,
     NumericError,
@@ -380,15 +381,15 @@ NEEDS_PROC_MEM = pytest.mark.skipif(
         (["train", "--train", "{data}/train.jsonl", *TRAIN_PATHS, "--config", "{tmp}/utf16.json"],
          2, "not valid UTF-8"),
         (["train", "--train", "{tmp}/nested.jsonl", *TRAIN_PATHS],
-         3, "malformed JSON at line 2: nested too deeply"),
+         3, "line 2: invalid JSON (nested too deeply)"),
         (["train", "--train", "{data}/train.jsonl", *TRAIN_PATHS, "--config", "{tmp}/nested.json"],
          2, "invalid JSON (nested too deeply)"),
         (["extract", "--ckpt", "{tmp}/nested.ckpt", "--test", "{data}/dev.jsonl",
-          "--out", "{tmp}/out.jsonl"], 3, "malformed checkpoint (RecursionError"),
+          "--out", "{tmp}/out.jsonl"], 3, "nested.ckpt header: invalid JSON (nested too deeply)"),
         (["train", "--train", "{tmp}/disagree.jsonl", *TRAIN_PATHS],
          3, "'labels' and 'keyphrases' at line 2 disagree"),
         (["train", "--train", "{tmp}/huge-int.jsonl", *TRAIN_PATHS],
-         3, "malformed JSON at line 2: Exceeds the limit"),
+         3, "line 2: invalid JSON (Exceeds the limit"),
         (["train", "--train", "{data}/train.jsonl", *TRAIN_PATHS,
           "--config", "{tmp}/huge-int.json"], 2, "invalid JSON (Exceeds the limit"),
         pytest.param(["train", "--train", "/proc/self/mem", *TRAIN_PATHS],
@@ -396,13 +397,23 @@ NEEDS_PROC_MEM = pytest.mark.skipif(
         pytest.param(["train", "--train", "{data}/train.jsonl", *TRAIN_PATHS,
                       "--config", "/proc/self/mem"],
                      2, "cannot read config file /proc/self/mem", marks=NEEDS_PROC_MEM),
+        (["train", "--train", "{tmp}/surrogate-token.jsonl", *TRAIN_PATHS],
+         3, "line 2: invalid JSON (lone surrogate escape)"),
+        (["extract", "--ckpt", "{ckpt}", "--test", "{tmp}/surrogate-id.jsonl",
+          "--out", "{tmp}/out.jsonl"], 3, "line 1: invalid JSON (lone surrogate escape)"),
+        (["rank", "--ckpt", "{ckpt}", "--test", "{tmp}/surrogate-id.jsonl",
+          "--out", "{tmp}/out.jsonl"], 3, "line 1: invalid JSON (lone surrogate escape)"),
+        (["train", "--train", "{data}/train.jsonl", *TRAIN_PATHS,
+          "--config", "{tmp}/surrogate.json"], 2, "invalid JSON (lone surrogate escape)"),
     ],
     ids=["missing-checkpoint", "non-utf8-jsonl", "config-not-object", "non-utf8-config",
          "nested-jsonl", "nested-config", "nested-checkpoint-header", "disagreeing-jsonl",
-         "huge-int-jsonl", "huge-int-config", "read-error-jsonl", "read-error-config"],
+         "huge-int-jsonl", "huge-int-config", "read-error-jsonl", "read-error-config",
+         "surrogate-token-train", "surrogate-id-extract", "surrogate-id-rank",
+         "surrogate-key-config"],
 )
 def test_unreadable_input_exits_with_its_error_class(
-    data_dir, tmp_path, capsys, argv, code, message
+    data_dir, tiny_ckpt, tmp_path, capsys, argv, code, message
 ):
     (tmp_path / "latin1.jsonl").write_bytes(
         b'{"id":"a","tokens":["x"],"labels":["O"]}\n'
@@ -423,9 +434,17 @@ def test_unreadable_input_exits_with_its_error_class(
         '{"id":"a","tokens":["x"],"labels":["O"]}\n'
         '{"id":"b","tokens":["x","y","z"],"labels":["O","O","O"],"keyphrases":[["x","y"]]}\n'
     )
-    rc = main([arg.format(tmp=tmp_path, data=data_dir) for arg in argv])
+    # a JSON escape of a lone surrogate: json.loads takes it, no UTF-8 writer can write it
+    (tmp_path / "surrogate-token.jsonl").write_text(
+        '{"id":"a","tokens":["x"],"labels":["O"]}\n'
+        '{"id":"b","tokens":["\\ud800x"],"labels":["O"]}\n'
+    )
+    (tmp_path / "surrogate-id.jsonl").write_text('{"id":"\\ud800","tokens":["x"]}\n')
+    (tmp_path / "surrogate.json").write_text('{"T": 5, "\\udc80": 1}')
+    rc = main([arg.format(tmp=tmp_path, data=data_dir, ckpt=tiny_ckpt) for arg in argv])
     assert rc == code
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out.jsonl").exists()
 
 
 def test_missing_dataset_file_is_a_data_error(tmp_path, capsys):
@@ -850,3 +869,107 @@ def test_mutated_jsonl_fails_only_as_a_data_error(tiny_ckpt, tmp_path_factory, m
             pass
     argv = ["extract", "--ckpt", str(tiny_ckpt), "--test", str(path), "--out", str(work / "out")]
     assert main(argv) in (0, 2, 3, 4)
+
+
+def test_an_escaped_surrogate_pair_reads_as_its_character(tiny_ckpt, tmp_path, capsys):
+    escaped, literal = tmp_path / "escaped.jsonl", tmp_path / "literal.jsonl"
+    escaped.write_text('{"id": "\\ud83d\\ude00", "tokens": ["kw001", "\\ud83d\\ude00"]}\n')
+    literal.write_text('{"id": "\U0001f600", "tokens": ["kw001", "\U0001f600"]}\n', "utf-8")
+    (doc,) = load_jsonl(escaped, expect_labels=False)
+    assert (doc.id, doc.tokens) == ("\U0001f600", ("kw001", "\U0001f600"))
+    outs = []
+    for path in (escaped, literal):
+        out = tmp_path / f"{path.stem}.out"
+        argv = ["extract", "--ckpt", str(tiny_ckpt), "--test", str(path), "--out", str(out)]
+        assert main(argv) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["id"] == "\U0001f600"
+
+
+# JSON values written as raw text, of the kinds that byte flips seldom build: lone surrogate
+# escapes, integers past the digit limit, NaN and Infinity, nesting past the recursion limit
+_TOKENS = ['"x"', '"kw001"', '"Deep"', '"<pad>"', '"\\u0000"', '"\\ud83d\\ude00"', '"\\udc80x"']
+_STRINGS = [*_TOKENS, '""', '"B"', '"\\ud800"']
+_ATOMS = st.sampled_from(["null", "true", "false", "0", "-3", "7", "2.5", "1e400", "NaN",
+                          "Infinity", "-Infinity", "1" * 5000, "[" * 5000 + "]" * 5000, *_STRINGS])
+_VALUES = st.recursive(
+    _ATOMS,
+    lambda inner: st.lists(inner, max_size=3).map(lambda xs: f"[{', '.join(xs)}]")
+    | st.lists(st.tuples(st.sampled_from(_STRINGS), inner), max_size=3).map(
+        lambda kvs: "{" + ", ".join(f"{k}: {v}" for k, v in kvs) + "}"),
+    max_leaves=6,
+)
+
+
+def _mostly(good, other=_VALUES):
+    """``good`` seven times in eight, else ``other``: an arbitrary JSON value by default."""
+    return st.sampled_from([good] * 7 + [other]).flatmap(lambda s: s)
+
+
+def _one_of(*texts):
+    return _mostly(st.sampled_from(texts))
+
+
+def _array(items, **sizes):
+    return st.lists(items, **sizes).map(lambda xs: f"[{', '.join(xs)}]")
+
+
+def _object(fields, optional):
+    return st.fixed_dictionaries(fields, optional=optional).map(
+        lambda obj: "{" + ", ".join(f'"{k}": {v}' for k, v in obj.items()) + "}")
+
+
+_RECORDS = _object(
+    {"id": _one_of('"a"', '"b"', "7", '"\\ud83d\\ude00"', '"\\ud800"'),
+     "tokens": _mostly(_array(_one_of(*_TOKENS), min_size=1, max_size=3)),
+     "keyphrases": _mostly(_array(_array(_one_of(*_TOKENS), max_size=2), max_size=2))},
+    {"labels": _array(_one_of('"B"', '"I"', '"O"'), min_size=1, max_size=3)},
+)
+_CONFIGS = _object({}, {
+    "T": _one_of("0", "3"), "r": _one_of("0.5", "2"), "batch_size": _one_of("1", "4"),
+    "seed": _one_of("1", "12345678901234567890"), "min_count": _one_of("1", "2"),
+})
+
+
+@settings(
+    derandomize=True, deadline=None, max_examples=120,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(lines=st.lists(_mostly(_RECORDS, st.sampled_from(["", "  "])), min_size=1, max_size=2),
+       config=_mostly(_CONFIGS))
+def test_structured_json_fails_only_with_its_error_class(
+    tiny_ckpt, tmp_path_factory, lines, config
+):
+    work = tmp_path_factory.getbasetemp() / "structured"
+    work.mkdir(exist_ok=True)
+    data, config_file, out = work / "data.jsonl", work / "config.json", work / "out.jsonl"
+    data.write_text("\n".join(lines) + "\n", "utf-8")
+    config_file.write_text(config)
+    for expect_labels in (True, False):
+        try:
+            assert isinstance(load_jsonl(data, expect_labels=expect_labels), Dataset)
+        except DataError:
+            pass
+    try:
+        kpex.cli.load_config(str(config_file), {})
+    except ConfigError:
+        pass
+
+    for mode in ("extract", "rank", "eval"):
+        out.write_bytes(b"old\n")
+        rc = main([mode, "--ckpt", str(tiny_ckpt), "--test", str(data), "--out", str(out)])
+        assert rc in (0, 2, 3)
+        if rc:
+            assert out.read_bytes() == b"old\n"
+        else:  # complete: eval's two metric lines, or one record per document
+            records = [json.loads(line) for line in out.read_text("utf-8").splitlines()]
+            ids = [d.id for d in load_jsonl(data, expect_labels=False)]
+            assert [r.get("metric", r.get("id")) for r in records] == (
+                ["f1", "f1_macro"] if mode == "eval" else ids)
+    for mode, extra in [("train", []), ("jlsd", ["--unlabeled", str(data)]),
+                        ("pretrain", ["--source", str(data)]), ("joint", ["--source", str(data)])]:
+        rc = main([mode, "--train", str(data), "--dev", str(data), *extra,
+                   "--out", str(work / mode), "--config", str(config_file),
+                   "--t", "0", "--embed-dim", "2", "--hidden-dim", "2"])
+        assert rc in (0, 2, 3)

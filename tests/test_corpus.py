@@ -264,7 +264,8 @@ def test_sampling_empty_dataset_fails():
 
 def test_load_labeled_record(tmp_path):
     p = tmp_path / "d.jsonl"
-    p.write_text('{"id":"d1","tokens":["a","b"],"labels":["B","I"]}\n')
+    # blank lines are skipped, one holding only a non-ASCII space (U+00A0) too
+    p.write_text('\n{"id":"d1","tokens":["a","b"],"labels":["B","I"]}\n \t\n\u00a0\n', "utf-8")
     ds = load_jsonl(p, expect_labels=True)
     assert len(ds) == 1
     assert ds[0].labels == (B, I)
@@ -275,8 +276,17 @@ def test_load_labeled_record(tmp_path):
 def test_load_length_mismatch_reports_line(tmp_path):
     p = tmp_path / "d.jsonl"
     p.write_text('{"id":"d2","tokens":["a"],"labels":["B","I"]}\n')
-    with pytest.raises(DataError, match="length mismatch at line 1"):
+    with pytest.raises(DataError, match="line 1: document 'd2': 2 labels for 1 tokens"):
         load_jsonl(p, expect_labels=True)
+
+
+@pytest.mark.parametrize("value", ["null", "true", "1.0", "[1]", '{"a": 1}'])
+def test_an_id_that_is_no_string_or_integer_is_rejected(tmp_path, value):
+    # str() would turn these into the ids "None", "True", "1.0", "[1]" and "{'a': 1}"
+    p = tmp_path / "d.jsonl"
+    p.write_text('{"id": "a", "tokens": ["x"]}\n{"id": %s, "tokens": ["y"]}\n' % value)
+    with pytest.raises(DataError, match="'id' at line 2 must be a JSON string or integer"):
+        load_jsonl(p, expect_labels=False)
 
 
 def test_load_unlabeled_record(tmp_path):
