@@ -10,17 +10,19 @@ error, 130 interrupted.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import fcntl
 import json
 import os
 import sys
-import typing
+from functools import partial
 from pathlib import Path
 
 from .corpus import gen_synthetic, load_jsonl, parse_json, save_jsonl, write_atomic
 from .errors import ConfigError, DataError, NumericError
 from .jlsd import (
+    CONFIG_TYPES,
     JlsdConfig,
     jlsd_train,
     train_simple_joint,
@@ -38,12 +40,6 @@ _TRAINERS = {
 }
 TRAIN_MODES = tuple(_TRAINERS)
 ALL_MODES = TRAIN_MODES + ("eval", "extract", "rank", "synth")
-
-# JlsdConfig field -> the types its value may have (``X | None`` unpacked); the first one
-# parses the field's flag
-_CONFIG_TYPES = {
-    name: typing.get_args(t) or (t,) for name, t in typing.get_type_hints(JlsdConfig).items()
-}
 
 _REQUIRED = {
     "train": ("train", "dev", "out"),
@@ -80,8 +76,9 @@ def _parser(mode: str | None) -> argparse.ArgumentParser:
         p.add_argument(f"--{name}", help=_PATH_HELP[name])
     if mode in TRAIN_MODES:
         p.add_argument("--config", help="JSON config file; flags override it")
-        for name, types in _CONFIG_TYPES.items():
-            p.add_argument(f"--{name.lower().replace('_', '-')}", dest=name, type=types[0])
+        for name, types in CONFIG_TYPES.items():
+            flag = f"--{name.lower().replace('_', '-')}"
+            p.add_argument(flag, dest=name, type=partial(_flag_value, types[0]))
     if mode == "eval":
         p.add_argument("--k", type=int, help="also report F1 of the top-k ranked phrases")
     if mode == "synth":
@@ -90,6 +87,14 @@ def _parser(mode: str | None) -> argparse.ArgumentParser:
         p.add_argument("--vocab-size", type=int, default=120)
         p.add_argument("--keyword-fraction", type=float, default=0.25)
     return parser
+
+
+def _flag_value(parse, text: str):
+    """A training flag read as its field's type, else as a float, else as the text itself, so that
+    JlsdConfig names a value of the wrong type as it names a config file's."""
+    for convert in (parse, float, str):
+        with contextlib.suppress(ValueError):
+            return convert(text)
 
 
 def load_config(path: str | None, flags: dict) -> JlsdConfig:
@@ -106,17 +111,11 @@ def load_config(path: str | None, flags: dict) -> JlsdConfig:
         raw = parse_json(data, ConfigError, f"config file {path}")
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {path}: not a JSON object ({type(raw).__name__})")
-        unknown = set(raw) - _CONFIG_TYPES.keys()
+        unknown = set(raw) - CONFIG_TYPES.keys()
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for name, value in raw.items():
-            types = _CONFIG_TYPES[name]
-            # a bool is no number, an int is also a float, and null fits only X | None
-            if type(value) not in types and not (type(value) is int and float in types):
-                want = " or ".join("null" if t is type(None) else t.__name__ for t in types)
-                raise ConfigError(f"config key {name} must be {want}, not {json.dumps(value)}")
         values.update(raw)
-    for name in _CONFIG_TYPES:
+    for name in CONFIG_TYPES:
         if flags.get(name) is not None:
             values[name] = flags[name]
     return JlsdConfig(**values)
@@ -182,10 +181,8 @@ def _training_run(mode: str, args: dict, config: JlsdConfig) -> int:
         ckpt = outdir / "model.ckpt"
         save_checkpoint(model, ckpt)
         write_atomic(outdir / "events.jsonl", report.to_jsonl().encode("utf-8"))
-        print(json.dumps({
-            "mode": mode, "best_dev_f1": report.best_score,
-            "best_iteration": report.best_iteration, "checkpoint": str(ckpt),
-        }))
+        print(json.dumps({"mode": mode, "best_dev_f1": report.best_score,
+                          "best_iteration": report.best_iteration, "checkpoint": str(ckpt)}))
         return 0
     finally:
         lock.unlink(missing_ok=True)

@@ -2,7 +2,8 @@
 
 Conventions used throughout the package:
 
-* label indices are fixed as O=0, B=1, I=2;
+* a label is the int O=0, B=1 or I=2, on disk the JSON string "O", "B" or "I", and a document
+  id a str (a JSONL integer id reads as its string): no other type is coerced to either;
 * tokens are case-folded for matching and vocabulary lookup, while the
   stored tokens keep their original case;
 * index 0 of every vocabulary is the padding token and index 1 the
@@ -58,6 +59,8 @@ class Document:
     tokens: tuple[str, ...]
 
     def __post_init__(self):
+        if type(self.id) is not str:
+            raise DataError(f"document id {json.dumps(self.id, default=repr)} is not a string")
         self.tokens = tuple(self.tokens)
         if not self.tokens:
             raise DataError(f"document {self.id!r} has no tokens")
@@ -77,14 +80,15 @@ class LabeledDocument:
     labels: tuple[int, ...]
 
     def __post_init__(self):
-        self.labels = tuple(map(int, self.labels))
+        self.labels = tuple(self.labels)
         if len(self.labels) != len(self.doc.tokens):
-            raise DataError(
-                f"document {self.doc.id!r}: {len(self.labels)} labels for "
-                f"{len(self.doc.tokens)} tokens"
-            )
-        if not set(self.labels) <= {LABEL_O, LABEL_B, LABEL_I}:
-            raise DataError(f"document {self.doc.id!r}: label index out of range")
+            raise DataError(f"document {self.doc.id!r}: {len(self.labels)} labels for "
+                            f"{len(self.doc.tokens)} tokens")
+        # a set of the labels alone would take 1.0 or True for 1
+        if not (set(map(type, self.labels)) <= {int} and set(self.labels) <= {0, 1, 2}):
+            bad = next(l for l in self.labels if type(l) is not int or l not in (0, 1, 2))
+            raise DataError(f"document {self.doc.id!r}: label {json.dumps(bad, default=repr)} "
+                            "is not 0, 1 or 2")
 
     @property
     def id(self) -> str:
@@ -320,11 +324,10 @@ def load_jsonl(path, expect_labels: bool) -> Dataset:
                 try:
                     doc = Document(id=str(obj["id"]), tokens=tuple(obj["tokens"]))
                     if raw_labels is not None:
-                        try:
-                            labels = [LABEL_INDEX[str(l)] for l in raw_labels]
-                        except KeyError as exc:
-                            raise DataError(f"unknown label {exc.args[0]!r}") from None
-                        doc = LabeledDocument(doc, labels)
+                        for l in raw_labels:
+                            if type(l) is not str or l not in LABEL_INDEX:
+                                raise DataError(f"unknown label {json.dumps(l)}")
+                        doc = LabeledDocument(doc, [LABEL_INDEX[l] for l in raw_labels])
                     elif raw_phrases is not None:
                         doc = LabeledDocument(doc, keyphrases_to_bio(doc.tokens, raw_phrases))
                 except DataError as exc:
@@ -379,12 +382,8 @@ def split_dataset(dataset: Dataset, sizes: Sequence[int], names: Sequence[str] |
     names = [f"{dataset.name}[{i}]" for i in range(len(sizes))] if names is None else names
     if min(sizes, default=0) < 0 or sum(sizes) > len(dataset) or len(names) != len(sizes):
         raise DataError(f"cannot split {len(dataset)} documents into {names} of sizes {sizes}")
-    parts = []
-    offset = 0
-    for size, name in zip(sizes, names):
-        parts.append(Dataset(name=name, documents=dataset.documents[offset : offset + size]))
-        offset += size
-    return tuple(parts)
+    ends = [0, *itertools.accumulate(sizes)]
+    return tuple(Dataset(name, dataset.documents[a:b]) for name, a, b in zip(names, ends, ends[1:]))
 
 
 # ---------------------------------------------------------------------------

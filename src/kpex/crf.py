@@ -32,11 +32,7 @@ class CrfParams:
 
     @classmethod
     def zeros(cls, num_labels: int = NUM_LABELS) -> "CrfParams":
-        return cls(
-            trans=np.zeros((num_labels, num_labels)),
-            start=np.zeros(num_labels),
-            end=np.zeros(num_labels),
-        )
+        return cls(np.zeros((num_labels, num_labels)), np.zeros(num_labels), np.zeros(num_labels))
 
 
 def crf_tensors(crf: CrfParams) -> dict:
@@ -117,6 +113,11 @@ def log_partition(emissions, crf: CrfParams, lengths) -> np.ndarray:
 def sequence_score(emissions, crf: CrfParams, labels, lengths) -> np.ndarray:
     """S(labels) under the score decomposition above, per column of ``labels`` (n_max, B)."""
     emissions, lengths = _check(emissions, lengths)
+    return _path_score(emissions, crf, labels, lengths)
+
+
+def _path_score(emissions, crf: CrfParams, labels, lengths) -> np.ndarray:
+    """``sequence_score`` of emissions and lengths that ``_check`` has passed."""
     y = np.asarray(labels, dtype=np.int64)
     if y.shape != emissions.shape[:2]:
         raise ValueError(f"labels of shape {y.shape} for emissions of shape {emissions.shape}")
@@ -172,7 +173,7 @@ def nll_and_grad(
     n, batch, num_labels = emissions.shape
     cols, last = np.arange(batch), lengths - 1
     alpha, beta_e, log_z, real, probs = _forward_backward(emissions, lengths, crf)
-    losses = log_z - sequence_score(emissions, crf, y, lengths)  # checks the shape of y
+    losses = log_z - _path_score(emissions, crf, y, lengths)  # checks the shape of y
 
     d_start = probs[0].sum(axis=0) - np.bincount(y[0], minlength=num_labels)
     d_end = probs[last, cols].sum(axis=0) - np.bincount(y[last, cols], minlength=num_labels)

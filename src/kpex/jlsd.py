@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import typing
 from collections import deque
 from dataclasses import dataclass, field, replace
 
@@ -68,6 +69,13 @@ class JlsdConfig:
     source_pool_size: int | None = None  # joint per-epoch source draw; None = |target_train|
 
     def __post_init__(self):
+        for name, types in CONFIG_TYPES.items():
+            value = getattr(self, name)
+            # a bool is no number, an int is also a float, and null fits only X | None
+            if type(value) not in types and not (type(value) is int and float in types):
+                want = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+                raise ConfigError(f"config key {name} must be {want}, "
+                                  f"not {json.dumps(value, default=repr)}")
         drawn = self.r * min(self.batch_size, MAX_DRAW)  # min: a huge int overflows a float
         checks = [
             (self.T >= 0, "T must be >= 0"),
@@ -79,17 +87,13 @@ class JlsdConfig:
             (self.eval_every >= 1, "eval_every must be >= 1"),
             (self.patience >= 1, "patience must be >= 1"),
             (self.seed >= 0, "seed must be >= 0"),
-            (
-                1 <= self.embed_dim <= MAX_DIM and 1 <= self.hidden_dim <= MAX_DIM,
-                f"embed_dim and hidden_dim must be in [1, {MAX_DIM}]",
-            ),
+            (1 <= self.embed_dim <= MAX_DIM and 1 <= self.hidden_dim <= MAX_DIM,
+             f"embed_dim and hidden_dim must be in [1, {MAX_DIM}]"),
             (self.min_count >= 1, "min_count must be >= 1"),
             (self.teacher_T is None or self.teacher_T >= 0, "teacher_T must be >= 0"),
             (self.source_T is None or self.source_T >= 0, "source_T must be >= 0"),
-            (
-                self.source_pool_size is None or 0 <= self.source_pool_size <= MAX_POOL,
-                f"source_pool_size must be in [0, {MAX_POOL}]",
-            ),
+            (self.source_pool_size is None or 0 <= self.source_pool_size <= MAX_POOL,
+             f"source_pool_size must be in [0, {MAX_POOL}]"),
         ]
         for ok, msg in checks:
             if not ok:
@@ -99,6 +103,10 @@ class JlsdConfig:
     def unlabeled_per_batch(self) -> int:
         # round half up: ratios like 0.25 and 1.5 can land on a half
         return int(math.floor(self.r * self.batch_size + 0.5))
+
+
+# field -> the types its value may have (``X | None`` unpacked); a CLI flag parses as the first
+CONFIG_TYPES = {n: typing.get_args(t) or (t,) for n, t in typing.get_type_hints(JlsdConfig).items()}
 
 
 @dataclass
@@ -120,17 +128,12 @@ class TrainReport:
 
     @property
     def swap_events(self) -> list[tuple[int, float, float]]:
-        return [
-            (e["iteration"], e["old_score"], e["new_score"])
-            for e in self.events
-            if e["event"] == "swap"
-        ]
+        swaps = (e for e in self.events if e["event"] == "swap")
+        return [(e["iteration"], e["old_score"], e["new_score"]) for e in swaps]
 
     @property
     def eval_scores(self) -> list[tuple[int, float]]:
-        return [
-            (e["iteration"], e["dev_f1"]) for e in self.events if e["event"] == "eval"
-        ]
+        return [(e["iteration"], e["dev_f1"]) for e in self.events if e["event"] == "eval"]
 
     def to_jsonl(self) -> str:
         prior = self.prior_phase.events if self.prior_phase is not None else []
@@ -225,21 +228,12 @@ def _train_loop(
         gold, pseudo = make_batch(it, data_rng, best_model, events)
         loss_labeled, loss_pseudo, loss = _batch_gradients(model, gold, pseudo, grad)
         adam_step(model, grad, opt)
-        events.append(
-            {
-                "event": "iteration",
-                "iteration": it,
-                "loss": loss,
-                "loss_labeled": loss_labeled,
-                "loss_pseudo": loss_pseudo,
-            }
-        )
+        events.append({"event": "iteration", "iteration": it, "loss": loss,
+                       "loss_labeled": loss_labeled, "loss_pseudo": loss_pseudo})
         if it == _next_eval(it, config):
             score = encoded_f1(model, *run.dev).f1
             improved = score > best_score
-            events.append(
-                {"event": "eval", "iteration": it, "dev_f1": score, "improved": improved}
-            )
+            events.append({"event": "eval", "iteration": it, "dev_f1": score, "improved": improved})
             if improved:
                 if swaps:
                     events.append({"event": "swap", "iteration": it, "old_score": best_score,
@@ -257,11 +251,7 @@ def _train_loop(
 
 
 def train_supervised(
-    train: Dataset,
-    dev: Dataset,
-    config: JlsdConfig,
-    init: Model | None = None,
-    vocab=None,
+    train: Dataset, dev: Dataset, config: JlsdConfig, init: Model | None = None, vocab=None
 ) -> tuple[Model, TrainReport]:
     """Mini-batch Adam training of the CRF negative log-likelihood.
 

@@ -10,11 +10,12 @@ Adam moments and a snapshot are buffers of the same layout.
 Checkpoint layout: the 8-byte magic ``KFCKPT01``, a little-endian u32 JSON
 header length, the JSON header, then the raw little-endian float64 payload.
 The header maps each tensor name to dtype/shape/offset/length and records
-the vocabulary (tokens and sha256), dimensions, and the label-index map.
-The payload holds the tensors in :func:`model_tensors` order, where each LSTM
-direction's ``Wx``, ``Wh`` and ``b`` follow one another (``lstm_fwd.*``, then
-``lstm_bwd.*``): the loops of :func:`checkpoint_bytes` and :func:`load_checkpoint`
-over those named views are the only place this order lives.
+the vocabulary (tokens and sha256), dimensions, and the label-index map; one
+function, ``_header``, builds it from a model, and a file's header must equal,
+as JSON, the one that its vocabulary and dims give. The payload holds the
+tensors in :func:`model_tensors` order, where each LSTM direction's ``Wx``,
+``Wh`` and ``b`` follow one another (``lstm_fwd.*``, then ``lstm_bwd.*``): the
+offsets of ``_header`` are the only place this order lives.
 """
 
 from __future__ import annotations
@@ -71,30 +72,31 @@ def model_tensors(model: Model) -> dict:
     return {**encoder_tensors(model.encoder), **crf_tensors(model.crf)}
 
 
+def _header(model: Model, tensors: dict) -> dict:
+    """The checkpoint header of ``model``, whose :func:`model_tensors` are ``tensors``: each
+    tensor's dtype, shape, payload offset and byte length, the vocabulary, the dims and the
+    label-index map. The writer writes it; the reader requires a file's header to equal it."""
+    entries, offset = {}, 0
+    for name, arr in tensors.items():
+        entries[name] = {"dtype": "f64", "shape": list(arr.shape), "offset": offset,
+                         "length": 8 * arr.size}
+        offset += 8 * arr.size
+    vocab = model.vocab
+    return {"tensors": entries, "vocab_sha256": vocab.sha256, "vocab_tokens": list(vocab.itos),
+            "vocab_min_count": vocab.min_count, "dims": asdict(model.dims), "labels": LABEL_INDEX}
+
+
+def _text(value) -> str:
+    """``value`` as a header is written: JSON, keys sorted, no spaces. Unlike ``==``, the text
+    tells ``1.0`` and ``true`` from ``1``."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 def checkpoint_bytes(model: Model) -> bytes:
-    entries = {}
-    offset = 0
-    chunks = []
-    for name, tensor in model_tensors(model).items():
-        raw = np.ascontiguousarray(tensor, dtype="<f8").tobytes()
-        entries[name] = {
-            "dtype": "f64",
-            "shape": list(tensor.shape),
-            "offset": offset,
-            "length": len(raw),
-        }
-        chunks.append(raw)
-        offset += len(raw)
-    header = {
-        "tensors": entries,
-        "vocab_sha256": model.vocab.sha256,
-        "vocab_tokens": list(model.vocab.itos),
-        "vocab_min_count": model.vocab.min_count,
-        "dims": asdict(model.dims),
-        "labels": LABEL_INDEX,
-    }
-    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return CHECKPOINT_MAGIC + struct.pack("<I", len(head)) + head + b"".join(chunks)
+    tensors = model_tensors(model)
+    head = _text(_header(model, tensors)).encode("utf-8")
+    payload = b"".join(np.ascontiguousarray(t, dtype="<f8").tobytes() for t in tensors.values())
+    return CHECKPOINT_MAGIC + struct.pack("<I", len(head)) + head + payload
 
 
 def save_checkpoint(model: Model, path) -> None:
@@ -122,33 +124,40 @@ def load_checkpoint(path) -> Model:
 
 def _model_from(header: dict, payload: bytes, path) -> Model:
     dims = header["dims"]
-    if (dims["num_labels"], dims["vocab_size"]) != (len(LABEL_INDEX), len(header["vocab_tokens"])):
-        raise DataError(f"{path}: dims {dims} disagree with the labels or the vocabulary")
-    vocab = Vocabulary(
-        itos=tuple(header["vocab_tokens"]), min_count=header.get("vocab_min_count", 1)
-    )
-    if vocab.sha256 != header["vocab_sha256"]:
-        raise DataError(f"{path}: vocabulary hash mismatch")
-    if header["labels"] != LABEL_INDEX:
-        raise DataError(f"{path}: incompatible label-index map {header['labels']}")
+    vocab = Vocabulary(tuple(header["vocab_tokens"]), header.setdefault("vocab_min_count", 1))
     if not all(type(dims[k]) is int and dims[k] >= 1 for k in ("embed_dim", "hidden_dim")):
         raise DataError(f"{path}: dims {dims} need embed_dim and hidden_dim as integers >= 1")
-    sizes = EncoderDims(dims["vocab_size"], dims["embed_dim"], dims["hidden_dim"])
+    sizes = EncoderDims(len(vocab), dims["embed_dim"], dims["hidden_dim"])
     expected = 8 * sum(map(math.prod, _shapes(sizes)))  # checked before a buffer is sized
     if len(payload) != expected:
         raise DataError(f"{path}: payload holds {len(payload)} bytes, its dims {expected}")
 
-    model, metas, offset = Model(sizes, vocab), header["tensors"], 0
-    for name, arr in model_tensors(model).items():
-        meta = metas[name]
-        if meta["dtype"] != "f64":
-            raise DataError(f"{path}: tensor {name} has unsupported dtype {meta['dtype']}")
-        if meta["shape"] != list(arr.shape):
-            raise DataError(f"{path}: tensor {name} has shape {meta['shape']}, not {arr.shape}")
-        if (meta["offset"], meta["length"]) != (offset, 8 * arr.size):
-            raise DataError(f"{path}: tensor {name} has an inconsistent offset or length")
-        arr[...] = np.frombuffer(payload, "<f8", arr.size, offset).reshape(arr.shape)
-        offset += meta["length"]
+    model = Model(sizes, vocab)
+    tensors = model_tensors(model)
+    want = _header(model, tensors)
+    if _text(header) != _text(want):
+        raise DataError(f"{path}: header {_differing(header, want)} is not what its vocabulary "
+                        "and dims give")
+    for arr, entry in zip(tensors.values(), want["tensors"].values()):
+        arr[...] = np.frombuffer(payload, "<f8", arr.size, entry["offset"]).reshape(arr.shape)
     if not np.isfinite(model.flat).all():
         raise DataError(f"{path}: checkpoint holds non-finite tensor values")
     return model
+
+
+# what a mismatch message calls each header key
+_HEADER_KEYS = {"dims": "the model dimensions", "labels": "the label-index map",
+                "tensors": "the tensor table", "vocab_min_count": "the vocabulary's min_count",
+                "vocab_sha256": "the vocabulary hash", "vocab_tokens": "the vocabulary tokens"}
+
+
+def _differing(found: dict, want: dict) -> str:
+    """Where two unequal headers first differ, in sorted key order: a tensor's entry or a key."""
+    def first(a: dict, b: dict) -> str:
+        return next(k for k in sorted(a.keys() | b.keys())
+                    if k not in a or k not in b or _text(a[k]) != _text(b[k]))
+
+    key = first(found, want)
+    if key == "tensors" and isinstance(found[key], dict):
+        return f"entry of tensor {first(found[key], want[key])}"
+    return f"key {key} ({_HEADER_KEYS.get(key, 'not one the writer writes')})"

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import struct
 import tracemalloc
 from pathlib import Path
@@ -140,7 +141,9 @@ def test_vocab_hash_mismatch_rejected(model, tmp_path):
     corrupted = blob.replace(model.vocab.sha256.encode(), b"0" * 64)
     path = tmp_path / "m.ckpt"
     path.write_bytes(corrupted)
-    with pytest.raises(DataError, match="hash"):
+    # match past the path: pytest names tmp_path after this test, whose name holds "hash"
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: header key vocab_sha256 "
+                       r"\(the vocabulary hash\) is not"):
         load_checkpoint(path)
 
 
@@ -240,6 +243,11 @@ def _consistent_dims(embed_dim, hidden_dim):
     return _with_header(checkpoint_bytes(model), lambda h: h["dims"].update(dims))
 
 
+def _extra_tensor_entry(header):
+    # a zero-byte entry, so the payload length still fits the dims, for a tensor they lack
+    header["tensors"]["extra"] = {"dtype": "f64", "shape": [0], "offset": 0, "length": 0}
+
+
 _BAD_MIN_COUNTS = ("x", -5, 0, [1], True, None, 1.5)  # only an int >= 1 is a count
 
 
@@ -263,6 +271,8 @@ _BAD_MIN_COUNTS = ("x", -5, 0, [1], True, None, 1.5)  # only an int >= 1 is a co
         lambda blob: _consistent_dims(2, True),
         *[lambda blob, v=v: _with_header(blob, lambda h: h.update(vocab_min_count=v))
           for v in _BAD_MIN_COUNTS],
+        lambda blob: _with_header(blob, _extra_tensor_entry),
+        lambda blob: _with_header(blob, lambda h: h.update(comment="written by hand")),
     ],
     ids=[
         "short_header",
@@ -281,6 +291,8 @@ _BAD_MIN_COUNTS = ("x", -5, 0, [1], True, None, 1.5)  # only an int >= 1 is a co
         "zero_embed_dim",
         "true_hidden_dim",
         *[f"vocab_min_count={json.dumps(v)}" for v in _BAD_MIN_COUNTS],
+        "extra_tensor_entry",
+        "extra_top_level_key",
     ],
 )
 def test_malformed_checkpoint_is_a_data_error(model, tmp_path, corrupt):

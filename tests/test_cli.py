@@ -2,6 +2,7 @@ import fcntl
 import gc
 import json
 import os
+import re
 import struct
 import tracemalloc
 
@@ -14,6 +15,7 @@ from kpex import (
     ConfigError,
     DataError,
     Dataset,
+    JlsdConfig,
     NumericError,
     build_vocab,
     gen_synthetic,
@@ -23,6 +25,7 @@ from kpex import (
     split_dataset,
 )
 from kpex.cli import main
+from kpex.corpus import parse_json
 from kpex.encoder import EncoderDims
 from kpex.model import Model
 
@@ -165,13 +168,19 @@ def test_unknown_config_key_is_rejected(data_dir, tmp_path, capsys):
         ({"T": None}, False),
         ({"r": 1}, True),
         ({"teacher_T": None}, True),
+        ({"batch_size": 2.0}, False),
+        ({"eval_every": 2.5}, False),
+        ({"seed": 1.5}, False),
+        ({"r": "1"}, False),
     ],
     ids=["float-for-int", "bool-for-int", "string-for-int", "null-for-int", "int-for-float",
-         "null-for-optional"],
+         "null-for-optional", "float-for-batch-size", "float-for-eval-every", "float-for-seed",
+         "string-for-float"],
 )
 def test_config_values_must_have_their_field_type(data_dir, tmp_path, capsys, entry, accepted):
+    fields = {"T": 0, "embed_dim": 4, "hidden_dim": 4, **entry}
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"T": 0, "embed_dim": 4, "hidden_dim": 4, **entry}))
+    cfg.write_text(json.dumps(fields))
     out = tmp_path / "run"
     rc = main([
         "train", "--train", str(data_dir / "train.jsonl"),
@@ -181,10 +190,16 @@ def test_config_values_must_have_their_field_type(data_dir, tmp_path, capsys, en
     if accepted:
         assert rc == 0
         assert json.loads((out / "config.json").read_text())["config"][name] == value
+        JlsdConfig(**fields)
     else:
+        # the library's JlsdConfig raises the error that the config file gets
+        message = f"config key {name} must be {'float' if name == 'r' else 'int'}, not "
+        message += json.dumps(value)
         assert rc == 2
-        assert f"config key {name} must be int" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (out / "config.json").exists()
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            JlsdConfig(**fields)
 
 
 _POOL = "source_pool_size must be in [0, 1048576]"
@@ -220,12 +235,17 @@ _DIMS = "embed_dim and hidden_dim must be in [1, 1024]"
         ("jlsd", ["--hidden-dim", "1025"], None, _DIMS),
         ("pretrain", [], '{"embed_dim": 1025}', _DIMS),
         ("train", [], '{"hidden_dim": 1%s}' % ("0" * 400), _DIMS),
+        # a flag of the wrong type gets the message that a config file's value gets
+        ("train", ["--t", "1.5"], None, "config key T must be int, not 1.5"),
+        ("jlsd", ["--seed", "2e3"], None, "config key seed must be int, not 2000.0"),
+        ("train", ["--r", "one"], None, 'config key r must be float, not "one"'),
     ],
     ids=["seed-train", "seed-jlsd", "seed-pretrain", "seed-joint", "seed-config", "r-flag",
          "r-config", "lr-upper", "lr-lower", "r-huge", "r-product-inf", "r-above-cap",
          "batch-huge", "batch-above-cap", "batch-config-past-float", "r-config-past-float",
          "pool-huge", "pool-above-cap", "pool-config", "hidden-huge", "embed-huge",
-         "hidden-above-cap", "embed-config", "hidden-config-past-float"],
+         "hidden-above-cap", "embed-config", "hidden-config-past-float", "float-t-flag",
+         "float-seed-flag", "string-r-flag"],
 )
 def test_out_of_bounds_config_values_are_config_errors(
     data_dir, tmp_path, capsys, mode, flags, config_text, message
@@ -953,8 +973,21 @@ def test_structured_json_fails_only_with_its_error_class(
             pass
     try:
         kpex.cli.load_config(str(config_file), {})
+        rejected = False
     except ConfigError:
-        pass
+        rejected = True
+    try:
+        obj = parse_json(config.encode("utf-8"), ConfigError, "config")
+    except ConfigError:
+        obj = None
+    # an object of JlsdConfig fields: the library checks it as the config file's reader does
+    # (the fuzzed objects that are no configs hold no field names)
+    if isinstance(obj, dict) and obj.keys() <= kpex.jlsd.CONFIG_TYPES.keys():
+        try:
+            JlsdConfig(**obj)
+            assert not rejected
+        except ConfigError:
+            assert rejected
 
     for mode in ("extract", "rank", "eval"):
         out.write_bytes(b"old\n")
@@ -967,9 +1000,12 @@ def test_structured_json_fails_only_with_its_error_class(
             ids = [d.id for d in load_jsonl(data, expect_labels=False)]
             assert [r.get("metric", r.get("id")) for r in records] == (
                 ["f1", "f1_macro"] if mode == "eval" else ids)
-    for mode, extra in [("train", []), ("jlsd", ["--unlabeled", str(data)]),
-                        ("pretrain", ["--source", str(data)]), ("joint", ["--source", str(data)])]:
+    # at T 1 a training step runs on the fuzzed tokens, and jlsd decodes pseudo-labels of them
+    for mode, extra, t in [("train", [], "0"), ("jlsd", ["--unlabeled", str(data)], "0"),
+                           ("pretrain", ["--source", str(data)], "0"),
+                           ("joint", ["--source", str(data)], "0"),
+                           ("train", [], "1"), ("jlsd", ["--unlabeled", str(data)], "1")]:
         rc = main([mode, "--train", str(data), "--dev", str(data), *extra,
                    "--out", str(work / mode), "--config", str(config_file),
-                   "--t", "0", "--embed-dim", "2", "--hidden-dim", "2"])
+                   "--t", t, "--embed-dim", "2", "--hidden-dim", "2"])
         assert rc in (0, 2, 3)

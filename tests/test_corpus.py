@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -287,6 +288,20 @@ def test_an_id_that_is_no_string_or_integer_is_rejected(tmp_path, value):
     p.write_text('{"id": "a", "tokens": ["x"]}\n{"id": %s, "tokens": ["y"]}\n' % value)
     with pytest.raises(DataError, match="'id' at line 2 must be a JSON string or integer"):
         load_jsonl(p, expect_labels=False)
+    # nor can a library Document hold one, which save_jsonl would write and load_jsonl reject
+    with pytest.raises(DataError, match=f"^document id {re.escape(value)} is not a string$"):
+        Document(id=json.loads(value), tokens=("y",))
+
+
+@pytest.mark.parametrize("value", ["1.7", '"2"', "true", "null", '["B"]', '"b"', "3"])
+def test_a_label_that_is_no_label_is_rejected_by_its_json_spelling(tmp_path, value):
+    # int() would read 1.7, "2" and true as labels, str() report true as 'True'
+    p = tmp_path / "d.jsonl"
+    p.write_text('{"id": "a", "tokens": ["x", "y"], "labels": [%s, "O"]}\n' % value)
+    with pytest.raises(DataError, match=f"^line 1: unknown label {re.escape(value)}$"):
+        load_jsonl(p, expect_labels=False)
+    with pytest.raises(DataError, match=f"^document 'a': label {re.escape(value)} is not 0, 1"):
+        LabeledDocument(Document(id="a", tokens=("x", "y")), [json.loads(value), 0])
 
 
 def test_load_unlabeled_record(tmp_path):
@@ -431,6 +446,20 @@ def test_jsonl_round_trip_is_semantically_identical(tmp_path):
         assert a.labels == b.labels
         assert type(a) is type(b)
         assert gold_phrases(a) == gold_phrases(b)
+
+
+def test_a_library_dataset_round_trips_through_jsonl(tmp_path):
+    docs = [
+        LabeledDocument(Document(id="7", tokens=("Deep", "nets")), (B, I)),
+        Document(id="caf\u00e9 \U0001f600", tokens=("\u00e9t\u00e9", "x")),
+        LabeledDocument(Document(id="", tokens=("y",)), [O]),
+    ]
+    p = tmp_path / "d.jsonl"
+    save_jsonl(Dataset("lib", docs), p)
+    loaded = load_jsonl(p, expect_labels=False)
+    assert [type(d) for d in loaded] == [type(d) for d in docs]
+    assert [(d.id, d.tokens) for d in loaded] == [(d.id, d.tokens) for d in docs]
+    assert [d.labels for d in loaded[::2]] == [(B, I), (O,)]
 
 
 def test_duplicate_ids_rejected(tmp_path):
