@@ -350,14 +350,20 @@ def _fold(phrase) -> Phrase:
 
 def save_jsonl(dataset, path) -> None:
     """Write a dataset as UTF-8 JSONL, one LF-terminated record per line:
-    ``id``, ``tokens`` and, for a LabeledDocument, ``labels``; through :func:`write_atomic`."""
+    ``id``, ``tokens`` and, for a LabeledDocument, ``labels``; through :func:`write_atomic`.
+    A record whose id or tokens hold a lone surrogate, which UTF-8 cannot encode, is a
+    DataError and nothing is written."""
     lines = []
-    for d in dataset:
+    for n, d in enumerate(dataset, 1):
         rec = {"id": d.id, "tokens": list(d.tokens)}
         if isinstance(d, LabeledDocument):
             rec["labels"] = [LABEL_NAMES[l] for l in d.labels]
-        lines.append(json.dumps(rec, ensure_ascii=False) + "\n")
-    write_atomic(path, "".join(lines).encode("utf-8"))
+        try:
+            lines.append((json.dumps(rec, ensure_ascii=False) + "\n").encode("utf-8"))
+        except UnicodeEncodeError:
+            raise DataError(f"record {n} (document {d.id!r}) holds a lone surrogate, "
+                            "which UTF-8 cannot encode") from None
+    write_atomic(path, b"".join(lines))
 
 
 def write_atomic(path, data: bytes) -> None:

@@ -10,7 +10,10 @@ Viterbi. The log-sum-exp recursion subtracts each step's label-0 score, so its
 scores stay at one step's scale however long the document, and marginals are
 normalised position by position. Every function takes a time-major batch:
 emissions ``(n_max, B, L)``, one document per column, and the ``(B,)`` lengths;
-padding rows sit at each column's tail, so no time loop needs a mask. No
+padding rows sit at each column's tail, so no time loop needs a mask. ``viterbi`` and
+``marginals`` also take a decode's columns that hold several documents back to back
+(``bounds``, see :func:`kpex.encoder.documents`): the recursion restarts at each document's
+first row, from ``start`` reading forward and from ``end`` reading reversed. No
 transition is forbidden; O->I decodes are repaired by :mod:`kpex.corpus`.
 """
 
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import NUM_LABELS, check_lengths
+from .encoder import NUM_LABELS, check_lengths, documents, restarts, reversal
 from .errors import NumericError
 
 
@@ -44,13 +47,6 @@ def real_positions(lengths: np.ndarray, n_max: int) -> np.ndarray:
     return np.arange(n_max)[:, None] < lengths
 
 
-def reversal(lengths: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gather indices ``(rows, cols)`` that reverse each column's first ``lengths[b]``
-    rows and keep its padding at the tail; the gather is its own inverse."""
-    t = np.arange(n_max)[:, None]
-    return np.where(t < lengths, lengths - 1 - t, t), np.arange(len(lengths))
-
-
 def _check(emissions, lengths) -> tuple[np.ndarray, np.ndarray]:
     emissions = np.asarray(emissions, dtype=np.float64)
     if emissions.ndim != 3:
@@ -61,18 +57,21 @@ def _check(emissions, lengths) -> tuple[np.ndarray, np.ndarray]:
     return emissions, lengths
 
 
-def _alphas(emissions, trans, first, shift=None, reduce=np.logaddexp.reduce) -> np.ndarray:
+def _alphas(emissions, trans, first, shift=None, reduce=np.logaddexp.reduce, fresh=None):
     """Forward scores ``(n, ..., L)`` of every column, C-contiguous, from a label-major loop: each
     step reduces ``alpha[t - 1] + trans`` over the leading previous-label axis into ``alpha[t]``,
     so ``trans`` is ``(L, L, ...)`` and ``first`` ``(L, ...)``, broadcast over the axes between.
-    With ``shift``, shaped as the emissions less labels, each step's label-0 score moves into it."""
-    e = np.moveaxis(emissions, -1, 1)
+    The columns ``fresh[t]`` (on the last axis) start again from ``first`` at step t. With
+    ``shift``, shaped as the emissions less labels, each step's label-0 score moves into it."""
+    e, fresh = np.moveaxis(emissions, -1, 1), fresh or {}
     alpha = np.empty(e.shape)
     np.add(first, e[0], out=alpha[0])
     for t in range(len(alpha)):
         if t:
             reduce(alpha[t - 1][:, None] + trans, axis=0, out=alpha[t])
             alpha[t] += e[t]
+            if t in fresh:
+                alpha[t][..., fresh[t]] = first + e[t][..., fresh[t]]
         if shift is not None:
             shift[t] = alpha[t, 0]
             alpha[t] -= shift[t]
@@ -88,26 +87,35 @@ def _normalised(scores, real) -> np.ndarray:
     return np.where(np.expand_dims(real, labels), probs, 0.0)
 
 
-def _forward_backward(emissions, lengths, crf: CrfParams):
-    """Per column: ``alpha`` and ``beta + emissions``, each off by a constant per position,
-    ``log Z``, the real-position mask and the posterior marginals (zero on padding). One
-    shifted recursion runs both directions on axis 1: the betas are the alphas of each column
-    reversed within its length, transitions transposed and the end scores as the start.
-    ``log Z`` is the forward shifts of the real rows plus the last one's log-sum-exp."""
+def _forward_backward(emissions, lengths, crf: CrfParams, bounds=None):
+    """Per column: ``alpha`` and ``beta + emissions``, each off by a constant per position, the
+    forward shifts, the real-position mask and the posterior marginals (zero on padding). One
+    shifted recursion runs both directions on axis 1: the betas are the alphas of each document
+    reversed within its rows, transitions transposed and the end scores as the start."""
     n, batch = emissions.shape[:2]
-    rev, shift, real = reversal(lengths, n), np.empty((n, 2, batch)), real_positions(lengths, n)
+    docs = documents(lengths, bounds)
+    rev, shift = reversal(lengths, n, docs), np.empty((n, 2, batch))
     ends = np.stack((crf.start, crf.end), axis=-1)[..., None]  # label-major, (L, 2, 1)
     trans = np.stack((crf.trans, crf.trans.T), axis=-1)[..., None]  # (L, L, 2, 1)
-    both = _alphas(np.stack((emissions, emissions[rev]), 1), trans, ends, shift)
-    alpha, beta_e = both[:, 0], both[:, 1][rev]
-    log_z = np.where(real, shift[:, 0], 0.0).sum(axis=0)
-    log_z += np.logaddexp.reduce(alpha[lengths - 1, np.arange(batch)] + crf.end, axis=1)
-    return alpha, beta_e, log_z, real, _normalised(alpha + beta_e - emissions, real)
+    stacked = np.stack((emissions, emissions[rev]), 1)
+    both = _alphas(stacked, trans, ends, shift, fresh=restarts(docs))
+    alpha, beta_e, real = both[:, 0], both[:, 1][rev], real_positions(lengths, n)
+    return alpha, beta_e, shift[:, 0], real, _normalised(alpha + beta_e - emissions, real)
+
+
+def _log_z(alpha, shift, real, lengths, crf: CrfParams) -> np.ndarray:
+    """``log Z`` per column of one document: the forward shifts of its real rows plus the last
+    one's log-sum-exp."""
+    log_z = np.where(real, shift, 0.0).sum(axis=0)
+    log_z += np.logaddexp.reduce(alpha[lengths - 1, np.arange(len(lengths))] + crf.end, axis=1)
+    return log_z
 
 
 def log_partition(emissions, crf: CrfParams, lengths) -> np.ndarray:
     """log of the summed exponentiated scores over all label sequences, per column."""
-    return _forward_backward(*_check(emissions, lengths), crf)[2]
+    emissions, lengths = _check(emissions, lengths)
+    alpha, _, shift, real, _ = _forward_backward(emissions, lengths, crf)
+    return _log_z(alpha, shift, real, lengths, crf)
 
 
 def sequence_score(emissions, crf: CrfParams, labels, lengths) -> np.ndarray:
@@ -128,32 +136,35 @@ def _path_score(emissions, crf: CrfParams, labels, lengths) -> np.ndarray:
     return crf.start[y[0]] + emitted.sum(axis=0) + crf.end[last] + moved.sum(axis=0)
 
 
-def viterbi(emissions, crf: CrfParams, lengths) -> tuple[np.ndarray, np.ndarray]:
-    """Best-scoring label sequence of every column, ``(n_max, B)`` with O past
-    each length, and the ``(B,)`` best scores: the max-plus ``_alphas``, then
-    every backpointer in one argmax after the loop. Ties are broken toward the
-    lowest label index at every backtracking step, so all-zero scores decode to all-O.
+def viterbi(emissions, crf: CrfParams, lengths, bounds=None) -> tuple[np.ndarray, np.ndarray]:
+    """Best-scoring label sequence of every document, ``(n_max, B)`` with O past each column's
+    length, and the best scores, one per document in ``bounds`` order (per column by default):
+    the max-plus ``_alphas``, then every backpointer in one argmax after the loop. Ties are broken
+    toward the lowest label index at every backtracking step, so all-zero scores decode to all-O.
     """
     emissions, lengths = _check(emissions, lengths)
-    cols = np.arange(len(lengths))
-    delta = _alphas(emissions, crf.trans[..., None], crf.start[:, None], reduce=np.maximum.reduce)
+    docs = col, start, length = documents(lengths, bounds)
+    delta = _alphas(emissions, crf.trans[..., None], crf.start[:, None], reduce=np.maximum.reduce,
+                    fresh=restarts(docs))
     # backpointers (t, B, to, from), lowest index on ties, as lists for the serial backtrack
     steps = (delta[:-1, :, None, :] + crf.trans.T).argmax(axis=3).tolist()
-    final = delta[lengths - 1, cols] + crf.end
+    last = start + length - 1
+    final = delta[last, col] + crf.end
     best = np.argmax(final, axis=1)
     path = np.zeros(emissions.shape[:2], dtype=np.int64)
-    for b, (length, label) in enumerate(zip(lengths.tolist(), best.tolist())):
-        for t in range(length - 1, 0, -1):
+    for b, first, end, label in zip(col.tolist(), start.tolist(), last.tolist(), best.tolist()):
+        for t in range(end, first, -1):
             path[t, b] = label
             label = steps[t - 1][b][label]
-        path[0, b] = label
-    return path, final[cols, best]
+        path[first, b] = label
+    return path, final[np.arange(len(col)), best]
 
 
-def marginals(emissions, crf: CrfParams, lengths) -> np.ndarray:
+def marginals(emissions, crf: CrfParams, lengths, bounds=None) -> np.ndarray:
     """Posterior P(y_t = label) for every real position, rows summing to one;
     padding rows are zero."""
-    return _forward_backward(*_check(emissions, lengths), crf)[4]
+    emissions, lengths = _check(emissions, lengths)
+    return _forward_backward(emissions, lengths, crf, bounds)[4]
 
 
 def nll_and_grad(
@@ -172,7 +183,8 @@ def nll_and_grad(
     y = np.asarray(gold, dtype=np.int64)
     n, batch, num_labels = emissions.shape
     cols, last = np.arange(batch), lengths - 1
-    alpha, beta_e, log_z, real, probs = _forward_backward(emissions, lengths, crf)
+    alpha, beta_e, shift, real, probs = _forward_backward(emissions, lengths, crf)
+    log_z = _log_z(alpha, shift, real, lengths, crf)
     losses = log_z - _path_score(emissions, crf, y, lengths)  # checks the shape of y
 
     d_start = probs[0].sum(axis=0) - np.bincount(y[0], minlength=num_labels)

@@ -8,18 +8,20 @@ marginal-product confidences. Dataset-level scores are micro-averaged
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import LabeledDocument, Phrase, _fold, bio_to_phrases
 from .crf import marginals, viterbi
-from .encoder import encode_forward, time_major
+from .encoder import encode_forward
 from .model import Model
 
-# at 64/64 a decode peaks near 1.2 KB per padded slot + 4 KB per distinct token: 6.8 MB at both caps
-TOKEN_BUDGET = 3072  # padded tokens n_max × B per batched decode; a longer document decodes alone
-DISTINCT_BUDGET = 768  # distinct token ids per batched decode; a document with more decodes alone
+# A pass holds a few hundred bytes per token besides one block of LSTM states
+# (encoder.BLOCK_ROWS) and its input table's 4 KB per distinct token at 64/64.
+PASS_TOKENS = 8192  # real tokens per decode pass; a longer document decodes alone
+DISTINCT_BUDGET = 768  # distinct token ids per decode pass; a document with more decodes alone
 
 
 @dataclass
@@ -55,36 +57,70 @@ def dedup_predictions(preds) -> list[PhrasePrediction]:
     return sorted(best.values(), key=lambda p: p.span[0])
 
 
+def _passes(encoded) -> list:
+    """Document indices, longest first (a stable sort), in passes of at most ``PASS_TOKENS`` real
+    tokens and ``DISTINCT_BUDGET`` distinct ids; a document past either makes a pass alone."""
+    passes, seen, tokens = [], set(), 0
+    for i in sorted(range(len(encoded)), key=lambda i: -len(encoded[i])):
+        words = set(encoded[i].tolist())
+        tokens += len(encoded[i])
+        if not passes or tokens > PASS_TOKENS or len(seen) + len(words - seen) > DISTINCT_BUDGET:
+            passes.append([])
+            seen, tokens = set(), len(encoded[i])
+        passes[-1].append(i)
+        seen |= words
+    return passes
+
+
+def _lanes(sizes) -> list:
+    """``sizes``, longest first, laid back to back in lanes no longer than the first: each next one
+    goes onto the currently shortest lane (the first on ties) if it fits there, else onto a new
+    lane. Per lane, the indices of its sizes in order."""
+    heap, lanes = [], []
+    for j, size in enumerate(sizes):
+        if heap and heap[0][0] + size <= sizes[0]:
+            filled, lane = heapq.heappop(heap)
+        else:
+            filled, lane = 0, len(lanes)
+            lanes.append([])
+        lanes[lane].append(j)
+        heapq.heappush(heap, (filled + size, lane))
+    return lanes
+
+
 def label_paths(model: Model, encoded, rank: bool = False) -> list:
     """The only Viterbi decode: each document's raw label path (an orphan I stays I), given its
-    token ids, or with ``rank`` its path and ``(length, L)`` marginals. Ascending-length groups (a
-    stable sort) decode together while within ``TOKEN_BUDGET`` padded slots ``n_max × B`` and
-    ``DISTINCT_BUDGET`` distinct ids, a document past either alone, each by one
-    ``encode_forward(..., for_backward=False)``."""
-    groups, seen = [], set()
-    for i in sorted(range(len(encoded)), key=lambda i: len(encoded[i])):
-        words = set(encoded[i].tolist())
-        wide = not groups or len(encoded[i]) * (len(groups[-1]) + 1) > TOKEN_BUDGET
-        if wide or len(seen) + len(words - seen) > DISTINCT_BUDGET:
-            groups.append([])
-            seen = set()
-        groups[-1].append(i)
-        seen |= words
+    token ids, or with ``rank`` its path and ``(length, L)`` marginals. Each pass (``_passes``)
+    lays its documents back to back in lanes (``_lanes``) and decodes them in one
+    ``encode_forward(..., for_backward=False)``, so it takes as many serial steps as its longest
+    document; the recurrences restart at each document's first token."""
     out = [None] * len(encoded)
-    for group in groups:
-        ids, lengths = time_major([encoded[i] for i in group])
-        emissions, _ = encode_forward(model.encoder, ids, lengths, for_backward=False)
-        paths, _ = viterbi(emissions, model.crf, lengths)
-        marg = marginals(emissions, model.crf, lengths) if rank else None
-        for b, i in enumerate(group):
-            path = paths[: len(encoded[i]), b].tolist()
-            out[i] = (path, marg[: len(path), b]) if rank else path
+    for docs in _passes(encoded):
+        lanes = [[docs[j] for j in lane] for lane in _lanes([len(encoded[i]) for i in docs])]
+        bounds = [[len(encoded[i]) for i in lane] for lane in lanes]
+        lengths = np.array([sum(sizes) for sizes in bounds])
+        order = [i for lane in lanes for i in lane]  # the pass's documents, lane by lane
+        at = (  # (row, lane) of each of their tokens
+            np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths),
+            np.repeat(np.arange(len(lanes)), lengths),
+        )
+        ids = np.zeros((lengths.max(), len(lanes)), dtype=np.int64)
+        ids[at] = np.concatenate([encoded[i] for i in order])
+        emissions, _ = encode_forward(model.encoder, ids, lengths, bounds=bounds,
+                                      for_backward=False)
+        paths = viterbi(emissions, model.crf, lengths, bounds)[0][at].tolist()
+        marg = marginals(emissions, model.crf, lengths, bounds)[at] if rank else None
+        start = 0
+        for i in order:
+            rows = slice(start, start + len(encoded[i]))
+            out[i] = (paths[rows], marg[rows]) if rank else paths[rows]
+            start = rows.stop
     return out
 
 
 def decode_batches(model: Model, docs, rank: bool = False) -> list:
     """Per document in input order, what ``extract`` returns or with ``rank`` what ``rank_phrases``
-    returns, confidences to rounding (3.6e-15 relative on the ``extract`` benchmark)."""
+    returns, confidences to rounding (4.5e-16 relative on the ``extract`` benchmark)."""
     docs = list(docs)
     decoded = label_paths(model, [model.vocab.encode(d.tokens) for d in docs], rank)
     if not rank:

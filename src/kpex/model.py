@@ -12,7 +12,8 @@ header length, the JSON header, then the raw little-endian float64 payload.
 The header maps each tensor name to dtype/shape/offset/length and records
 the vocabulary (tokens and sha256), dimensions, and the label-index map; one
 function, ``_header``, builds it from a model, and a file's header must equal,
-as JSON, the one that its vocabulary and dims give. The payload holds the
+as JSON, the one that its vocabulary and dims give (its vocabulary tokens are compared as
+the list of strings they are). The payload holds the
 tensors in :func:`model_tensors` order, where each LSTM direction's ``Wx``,
 ``Wh`` and ``b`` follow one another (``lstm_fwd.*``, then ``lstm_bwd.*``): the
 offsets of ``_header`` are the only place this order lives.
@@ -135,7 +136,9 @@ def _model_from(header: dict, payload: bytes, path) -> Model:
     model = Model(sizes, vocab)
     tensors = model_tensors(model)
     want = _header(model, tensors)
-    if _text(header) != _text(want):
+    # the tokens are the strings Vocabulary has checked, so == is exact and writes no JSON
+    rest = [{k: v for k, v in h.items() if k != "vocab_tokens"} for h in (header, want)]
+    if header["vocab_tokens"] != want["vocab_tokens"] or _text(rest[0]) != _text(rest[1]):
         raise DataError(f"{path}: header {_differing(header, want)} is not what its vocabulary "
                         "and dims give")
     for arr, entry in zip(tensors.values(), want["tensors"].values()):

@@ -2,16 +2,18 @@
 
 Every engine function takes a padded ``(n_max, B)`` batch; the single-
 document oracle tests call it with B = 1. These tests tie the two together
-on a batch of mixed lengths, a one-token document included.
+on a batch of mixed lengths, a one-token document included, and on a decode's
+lanes, columns that hold several documents back to back.
 """
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import one_doc
+from kpex import encoder
 from kpex.crf import (
     CrfParams,
     crf_tensors,
@@ -23,6 +25,7 @@ from kpex.crf import (
 )
 from kpex.encoder import (
     EncoderDims,
+    _pack,
     encode_backward,
     encode_forward,
     init_params,
@@ -107,14 +110,25 @@ def test_batched_gradients_equal_the_sum_of_single_document_gradients():
         _assert_gradients_are_single_document_sums(params, crf, *picked, *_columns(*picked))
 
 
-def test_a_forward_without_cache_gives_the_same_bits():
+def _assert_a_forward_without_cache_gives_the_same_bits():
     params, _, docs, golds, *_ = _batch(2)
     batches = [_columns(*([x[b] for b in order] for x in (docs, golds))) for order in ORDERS]
     batches += [_columns([doc], [gold]) for doc, gold in zip(docs, golds)]  # B = 1
     for ids, _, lengths in batches:
-        kept, kept_cache = encode_forward(params, ids, lengths)
+        kept, _ = encode_forward(params, ids, lengths)
         emissions, cache = encode_forward(params, ids, lengths, for_backward=False)
-        assert np.array_equal(emissions, kept) and np.array_equal(cache.h, kept_cache.h)
+        assert np.array_equal(emissions, kept) and cache.h is None  # a decode keeps no states
+
+
+def test_a_forward_without_cache_gives_the_same_bits():
+    _assert_a_forward_without_cache_gives_the_same_bits()
+
+
+def test_a_forward_without_cache_gives_the_same_bits_over_several_blocks(monkeypatch):
+    """With blocks of 3 packed rows a decode projects most blocks from its ring of states, and a
+    step of 6 columns fills more than one of them."""
+    monkeypatch.setattr(encoder, "BLOCK_ROWS", 3)
+    _assert_a_forward_without_cache_gives_the_same_bits()
 
 
 def test_the_cache_holds_real_positions_only():
@@ -123,14 +137,15 @@ def test_the_cache_holds_real_positions_only():
     rows, h = sum(LENGTHS), DIMS.hidden_dim
     assert cache.gates.shape == (rows, 2, 4 * h)
     assert cache.c.shape == cache.h.shape == (rows, 2, h)
+    assert cache.t.shape == cache.col.shape == cache.mirror.shape == (rows,)
     # step-major: each packed step's rows of both directions are one contiguous block
-    for step, _ in cache.steps:
+    for step, *_ in cache.steps:
         for name in ("gates", "c", "h"):
             assert getattr(cache, name)[step].flags.c_contiguous, (name, step)
-    # without the backward cache only the states are kept
+    # a decode keeps the layout of the real positions and no gates, cells or states
     _, cache = encode_forward(params, ids, lengths, for_backward=False)
-    assert cache.gates is None and cache.c is None and cache.h.shape == (rows, 2, h)
-    assert all(cache.h[step].flags.c_contiguous for step, _ in cache.steps)
+    assert cache.gates is None and cache.c is None and cache.h is None
+    assert cache.t.shape == (rows,) and sum(s.stop - s.start for s, *_ in cache.steps) == rows
 
 
 def test_padding_receives_exactly_zero_gradient():
@@ -228,3 +243,87 @@ def test_lengths_must_fit_the_batch(lengths):
         encode_forward(init_params(DIMS, 0), np.ones((2, 2), dtype=np.int64), lengths)
     with pytest.raises(ValueError, match="length"):
         viterbi(np.zeros((2, 2, 3)), CrfParams.zeros(), lengths)
+
+
+# -- lanes: documents back to back in one column ------------------------------
+
+LANES = st.lists(st.lists(st.integers(1, 9), min_size=1, max_size=4), min_size=1, max_size=5)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(lanes=LANES)
+@example(lanes=[[1, 1, 5], [3, 1], [1]])
+def test_pack_mirrors_each_document_within_itself_and_resets_at_its_start(lanes):
+    lengths = np.array([sum(sizes) for sizes in lanes])
+    t, col, mirror, steps = _pack(lengths, lengths.max(), lanes)
+    npt.assert_array_equal(mirror[mirror], np.arange(len(t)))  # an involution
+    starts = {}
+    for b, sizes in enumerate(lanes):
+        for a, n in zip(np.cumsum(sizes) - sizes, sizes):
+            starts.update({(int(a) + i, b): (int(a), n) for i in range(n)})
+    for row, (pos, b) in enumerate(zip(t.tolist(), col.tolist())):
+        a, n = starts[pos, b]
+        assert (t[mirror[row]], col[mirror[row]]) == (2 * a + n - 1 - pos, b)
+    resets = {
+        (s, int(col[rows.start + r])) for s, (rows, _, ranks) in enumerate(steps)
+        if ranks is not None for r in ranks
+    }
+    assert resets == {(a, b) for (pos, b), (a, _) in starts.items() if pos == a and a > 0}
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(lanes=LANES, seed=st.integers(0, 2**32 - 1))
+@example(lanes=[[1, 1, 5], [3, 1], [1]], seed=0)
+def test_lanes_decode_to_their_single_documents(lanes, seed):
+    rng = np.random.default_rng(seed)
+    crf = _random_crf(rng)
+    lengths = np.array([sum(sizes) for sizes in lanes])
+    emissions = rng.normal(size=(lengths.max(), len(lanes), 3))
+    paths, scores = viterbi(emissions, crf, lengths, lanes)
+    probs = marginals(emissions, crf, lengths, lanes)
+    doc = 0
+    for b, sizes in enumerate(lanes):
+        for a, n in zip(np.cumsum(sizes) - sizes, sizes):
+            one = emissions[a : a + n, b]
+            path, score = one_doc.viterbi(one, crf)
+            npt.assert_array_equal(paths[a : a + n, b], path)
+            assert scores[doc] == score
+            npt.assert_allclose(probs[a : a + n, b], one_doc.marginals(one, crf), rtol=1e-12)
+            doc += 1
+        npt.assert_array_equal(paths[lengths[b] :, b], 0)
+        npt.assert_array_equal(probs[lengths[b] :, b], 0.0)
+    assert len(scores) == doc
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(lanes=LANES, seed=st.integers(0, 2**32 - 1))
+def test_lane_emissions_are_the_single_document_emissions(lanes, seed):
+    """Also with blocks of 4 packed rows, so that the decode's ring of states wraps."""
+    rng = np.random.default_rng(seed)
+    params = init_params(DIMS, rng)
+    docs = [[rng.integers(1, DIMS.vocab_size, n) for n in sizes] for sizes in lanes]
+    ids, lengths = time_major([np.concatenate(lane) for lane in docs])
+    for block in (encoder.BLOCK_ROWS, 4):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(encoder, "BLOCK_ROWS", block)
+            emissions, _ = encode_forward(params, ids, lengths, lanes, for_backward=False)
+        for b, lane in enumerate(docs):
+            a = 0
+            for doc in lane:
+                alone, _ = one_doc.encode_forward(params, doc)
+                npt.assert_allclose(emissions[a : a + len(doc), b], alone, rtol=1e-12, atol=1e-14)
+                a += len(doc)
+            npt.assert_array_equal(emissions[a:, b], 0.0)
+
+
+def test_only_a_decode_lays_documents_in_lanes():
+    ids, lengths = time_major([[2, 3, 4], [5, 6]])
+    params = init_params(DIMS, 0)
+    with pytest.raises(ValueError, match="for_backward=False"):
+        encode_forward(params, ids, lengths, [[1, 2], [2]])
+    encode_forward(params, ids, lengths, [[3], [2]])  # one document per column trains as ever
+    for bad in ([[1, 1], [2]], [[3]], [[3], [2], [1]], [[3, 0], [2]], [[3], []]):
+        with pytest.raises(ValueError, match="bounds"):
+            encode_forward(params, ids, lengths, bad, for_backward=False)
+        with pytest.raises(ValueError, match="bounds"):
+            viterbi(np.zeros((3, 2, 3)), CrfParams.zeros(), lengths, bad)

@@ -21,6 +21,7 @@ from kpex import (
     build_vocab,
     init_model,
 )
+import kpex.model
 from kpex.encoder import EncoderDims, OptimizerState, adam_step
 from kpex.model import (
     CHECKPOINT_MAGIC,
@@ -145,6 +146,16 @@ def test_vocab_hash_mismatch_rejected(model, tmp_path):
     with pytest.raises(DataError, match=f"^{re.escape(str(path))}: header key vocab_sha256 "
                        r"\(the vocabulary hash\) is not"):
         load_checkpoint(path)
+
+
+def test_a_load_writes_no_vocabulary_as_json(model, tmp_path, monkeypatch):
+    """The header's vocabulary tokens are compared as a list of strings, not as JSON text."""
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    written, text = [], kpex.model._text
+    monkeypatch.setattr(kpex.model, "_text", lambda value: written.append(value) or text(value))
+    load_checkpoint(path)
+    assert written and not any("vocab_tokens" in value for value in written)
 
 
 def test_tensor_views_share_memory_with_model(model):

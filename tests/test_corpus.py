@@ -433,6 +433,19 @@ def test_saved_records_hold_only_id_tokens_and_labels(tmp_path):
     assert keys == [["id", "tokens", "labels"]] * 3 + [["id", "tokens"]]
 
 
+@pytest.mark.parametrize("doc", [
+    Document(id="\ud800", tokens=("x",)),
+    LabeledDocument(Document(id="d", tokens=("\udc80x",)), labels=(LABEL_O,)),
+], ids=["id", "token"])
+def test_a_lone_surrogate_is_a_data_error_naming_the_record(tmp_path, doc):
+    p = tmp_path / "d.jsonl"
+    p.write_bytes(b"previous\n")
+    message = f"record 2 (document {doc.id!r}) holds a lone surrogate"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}"):
+        save_jsonl([Document(id="ok", tokens=("y",)), doc], p)
+    assert p.read_bytes() == b"previous\n"
+
+
 def test_jsonl_round_trip_is_semantically_identical(tmp_path):
     ds = gen_synthetic(5, 20, vocab_size=40, keyword_fraction=0.2)
     p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

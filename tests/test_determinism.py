@@ -4,7 +4,8 @@ Batched training and decoding run matrix products large enough for a
 multi-threaded BLAS to split, so the criterion-7 configuration is rerun in
 fresh processes, twice with ``OPENBLAS_NUM_THREADS=1`` and twice with the
 thread count left to the library. Each run trains in all four modes and hashes
-every trained model's checkpoint, event log and ranked dev-set confidences.
+every trained model's checkpoint, event log, ranked dev-set confidences and
+extracted dev-set phrases, spans and label paths.
 """
 
 import os
@@ -43,6 +44,9 @@ for model, report in runs:
     ranked = decode_batches(model, dev, rank=True)
     confidences = [(p.phrase, p.span, p.confidence.hex()) for doc in ranked for p in doc]
     print(hashlib.sha256(repr(confidences).encode("utf-8")).hexdigest())
+    # the extract path: phrase sets sorted, since a set's order depends on the string hash seed
+    extracted = [(sorted(s), spans, path) for s, spans, path in decode_batches(model, dev)]
+    print(hashlib.sha256(repr(extracted).encode("utf-8")).hexdigest())
 """
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")
@@ -62,5 +66,5 @@ def _digests(threads: str | None) -> str:
 @pytest.mark.parametrize("threads", ["1", None], ids=["one_thread", "library_default"])
 def test_reruns_are_byte_identical_under_a_blas_setting(threads):
     first = _digests(threads)
-    assert len(first.split()) == 12
+    assert len(first.split()) == 16
     assert _digests(threads) == first

@@ -286,6 +286,22 @@ def test_flat_adam_matches_the_per_tensor_reference():
         npt.assert_array_equal(model.flat, reference.flat)
 
 
+def test_an_adam_step_allocates_no_buffer_of_the_parameters_size():
+    vocab = build_vocab(gen_synthetic(2, 20, vocab_size=30))
+    model = init_model(vocab, 16, 16, seed=1)
+    grad = Model(model.dims, vocab)
+    grad.flat[:] = np.random.default_rng(0).normal(size=grad.flat.size)
+    opt = OptimizerState(lr_lower=1e-3, lr_upper=1e-2)
+    adam_step(model, grad, opt)  # makes the moments and the work buffers
+    tracemalloc.start()
+    try:
+        adam_step(model, grad, opt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < grad.flat.nbytes // 4  # the finiteness mask is an eighth
+
+
 def test_pad_row_stays_zero_through_training_steps():
     model, grad = _models(8)
     opt = OptimizerState(lr_lower=0.05, lr_upper=0.05)

@@ -19,7 +19,7 @@ from kpex.corpus import bio_to_phrases
 from kpex.encoder import encode_forward, time_major
 from kpex.metrics import (
     DISTINCT_BUDGET,
-    TOKEN_BUDGET,
+    PASS_TOKENS,
     MetricReport,
     PhrasePrediction,
     decode_batches,
@@ -223,26 +223,36 @@ def test_only_ranking_computes_marginals(trained_standard, monkeypatch):
         rank_phrases(model, test[0])
 
 
+def _lane_documents(token_ids, bounds) -> list:
+    """The token ids of each document that a lane pass holds, lane by lane."""
+    docs = []
+    for b, sizes in enumerate(bounds):
+        starts = np.cumsum(sizes) - sizes
+        docs.extend(tuple(token_ids[a : a + n, b].tolist()) for a, n in zip(starts, sizes))
+    return docs
+
+
 def test_evaluate_decodes_each_document_once(trained_standard, monkeypatch):
     model, test = trained_standard.model, trained_standard.test
     plain = evaluate(model, test)
-    shapes, columns = [], []
+    passes, documents = [], []
     forward = kpex.metrics.encode_forward
 
     def counting(params, token_ids, lengths, **kwargs):
-        assert kwargs == {"for_backward": False}
-        shapes.append(token_ids.shape)
-        real = np.concatenate([token_ids[:n, b] for b, n in enumerate(lengths)])
-        assert len(np.unique(real)) <= DISTINCT_BUDGET or len(lengths) == 1
-        columns.extend(tuple(token_ids[:n, b].tolist()) for b, n in enumerate(lengths))
+        assert kwargs.keys() == {"bounds", "for_backward"} and not kwargs["for_backward"]
+        docs = _lane_documents(token_ids, kwargs["bounds"])
+        assert sum(lengths) <= PASS_TOKENS or len(docs) == 1
+        assert len(set().union(*docs)) <= DISTINCT_BUDGET or len(docs) == 1
+        passes.append((len(token_ids), max(map(len, docs)), kwargs["bounds"]))
+        documents.extend(docs)
         return forward(params, token_ids, lengths, **kwargs)
 
     monkeypatch.setattr(kpex.metrics, "encode_forward", counting)
     ranked = evaluate(model, test, k=5)
-    assert sum(b for _, b in shapes) == len(test)
-    assert all(n_max * b <= TOKEN_BUDGET or b == 1 for n_max, b in shapes)
-    assert max(b for _, b in shapes) > 1
-    assert sorted(columns) == sorted(tuple(model.vocab.encode(d.tokens).tolist()) for d in test)
+    assert sorted(documents) == sorted(tuple(model.vocab.encode(d.tokens).tolist()) for d in test)
+    # documents share lanes, and a pass takes fewer than twice its longest document's steps
+    assert any(len(sizes) > 1 for *_, bounds in passes for sizes in bounds)
+    assert all(steps < 2 * longest for steps, longest, _ in passes)
     assert list(ranked) == ["f1", "f1_macro", "f1@5"]
     assert ranked["f1"] == plain["f1"] and ranked["f1_macro"] == plain["f1_macro"]
     assert ranked["f1@5"].n_pred <= ranked["f1"].n_pred
@@ -253,7 +263,7 @@ def test_evaluate_rejects_a_cutoff_below_one(trained_standard):
         evaluate(trained_standard.model, trained_standard.test, k=0)
 
 
-# -- length-sorted batches under the token budget -----------------------------
+# -- lane passes under the token budgets ----------------------------------------
 
 _CORPUS = gen_synthetic(5, 60, vocab_size=40)
 _VOCAB = build_vocab(_CORPUS)
@@ -292,21 +302,24 @@ def test_batched_decode_returns_the_single_document_results(lengths, seed):
 
 
 def test_the_distinct_token_budget_splits_groups(monkeypatch):
-    """Each group's distinct token ids stay within DISTINCT_BUDGET, a document with more decodes
+    """Each pass's distinct token ids stay within DISTINCT_BUDGET, a document with more decodes
     alone, and the results are those of one document at a time."""
     model, rng = _random_model(7), np.random.default_rng(7)
     words = list(_VOCAB.itos)
     docs = [Document(f"d{i}", tuple(rng.choice(words, n))) for i, n in enumerate([3, 5, 9, 30, 8])]
     monkeypatch.setattr(kpex.metrics, "DISTINCT_BUDGET", 12)
-    groups, forward = [], kpex.metrics.encode_forward
+    passes, forward = [], kpex.metrics.encode_forward
 
     def recording(params, token_ids, lengths, **kwargs):
-        groups.append(len(set(np.concatenate([token_ids[:n, b] for b, n in enumerate(lengths)]))))
+        held = _lane_documents(token_ids, kwargs["bounds"])
+        passes.append((len(set().union(*held)), len(held)))
         return forward(params, token_ids, lengths, **kwargs)
 
     monkeypatch.setattr(kpex.metrics, "encode_forward", recording)
     batched = decode_batches(model, docs, rank=True)
-    assert len(groups) >= 3 and all(u <= 12 for u in groups[:-1]) and groups[-1] > 12
+    assert len(passes) >= 3 and passes[0][0] > 12  # the longest document comes first, alone
+    assert all(distinct <= 12 or held == 1 for distinct, held in passes)
+    assert sum(held for _, held in passes) == len(docs)
     for got, d in zip(batched, docs):
         single = rank_phrases(model, d)
         assert [(p.phrase, p.span) for p in got] == [(p.phrase, p.span) for p in single]
@@ -356,10 +369,10 @@ def test_ranked_confidences_are_brute_force_marginal_products():
 
 
 def test_no_documents_decode_to_nothing(monkeypatch):
-    def no_batch(seqs):
-        raise AssertionError("time_major called on no documents")
+    def no_batch(*args, **kwargs):
+        raise AssertionError("encode_forward called on no documents")
 
-    monkeypatch.setattr(kpex.metrics, "time_major", no_batch)
+    monkeypatch.setattr(kpex.metrics, "encode_forward", no_batch)
     model = _random_model(0)
     assert list(decode_batches(model, [])) == []
     assert list(decode_batches(model, [], rank=True)) == []
