@@ -9,12 +9,11 @@ for the partition function, marginals and likelihood gradients, max-plus for
 Viterbi. The log-sum-exp recursion subtracts each step's label-0 score, so its
 scores stay at one step's scale however long the document, and marginals are
 normalised position by position. Every function takes a time-major batch:
-emissions ``(n_max, B, L)``, one document per column, and the ``(B,)`` lengths;
-padding rows sit at each column's tail, so no time loop needs a mask. ``viterbi`` and
-``marginals`` also take a decode's columns that hold several documents back to back
-(``bounds``, see :func:`kpex.encoder.documents`): the recursion restarts at each document's
-first row, from ``start`` reading forward and from ``end`` reading reversed. No
-transition is forbidden; O->I decodes are repaired by :mod:`kpex.corpus`.
+emissions ``(n_max, B, L)``, one document per column, and the ``(B,)`` lengths.
+The recursion runs over the encoder's packed rows (:func:`kpex.encoder._pack`):
+step s holds the columns still inside their documents, a prefix of step s - 1's
+in the same ranks, so padding is never computed. No transition is forbidden;
+O->I decodes are repaired by :mod:`kpex.corpus`.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import NUM_LABELS, check_lengths, documents, restarts, reversal
+from .encoder import NUM_LABELS, _pack, _previous, check_lengths
 from .errors import NumericError
 
 
@@ -57,65 +56,71 @@ def _check(emissions, lengths) -> tuple[np.ndarray, np.ndarray]:
     return emissions, lengths
 
 
-def _alphas(emissions, trans, first, shift=None, reduce=np.logaddexp.reduce, fresh=None):
-    """Forward scores ``(n, ..., L)`` of every column, C-contiguous, from a label-major loop: each
-    step reduces ``alpha[t - 1] + trans`` over the leading previous-label axis into ``alpha[t]``,
-    so ``trans`` is ``(L, L, ...)`` and ``first`` ``(L, ...)``, broadcast over the axes between.
-    The columns ``fresh[t]`` (on the last axis) start again from ``first`` at step t. With
-    ``shift``, shaped as the emissions less labels, each step's label-0 score moves into it."""
-    e, fresh = np.moveaxis(emissions, -1, 1), fresh or {}
+def _alphas(emissions, trans, first, off, shift=None, reduce=np.logaddexp.reduce) -> np.ndarray:
+    """Forward scores ``(N, ..., L)`` of packed rows, C-contiguous, from a label-major loop: step
+    s's rows ``off[s]:off[s + 1]`` reduce the first rows of step s - 1's plus ``trans`` over the
+    leading previous-label axis, so ``trans`` is ``(L, L, ...)`` and ``first`` ``(L, ...)``,
+    broadcast over the axes between. With ``shift``, shaped ``(..., N)``, each row's label-0 score
+    moves into it."""
+    e, off = np.ascontiguousarray(emissions.T), off.tolist()
     alpha = np.empty(e.shape)
-    np.add(first, e[0], out=alpha[0])
-    for t in range(len(alpha)):
-        if t:
-            reduce(alpha[t - 1][:, None] + trans, axis=0, out=alpha[t])
-            alpha[t] += e[t]
-            if t in fresh:
-                alpha[t][..., fresh[t]] = first + e[t][..., fresh[t]]
+    np.add(first, e[..., : off[1]], out=alpha[..., : off[1]])
+    for s, (start, stop) in enumerate(zip(off, off[1:])):
+        a = alpha[..., start:stop]
+        if s:
+            prev = alpha[..., off[s - 1] : off[s - 1] + stop - start]
+            reduce(prev[:, None] + trans, axis=0, out=a)
+            a += e[..., start:stop]
         if shift is not None:
-            shift[t] = alpha[t, 0]
-            alpha[t] -= shift[t]
-    return np.ascontiguousarray(np.moveaxis(alpha, 1, -1))
+            shift[..., start:stop] = a[0]
+            a -= shift[..., start:stop]
+    return np.ascontiguousarray(alpha.T)
 
 
-def _normalised(scores, real) -> np.ndarray:
-    """``exp(scores)`` normalised over all axes after (t, b) within each real ``(n, B)`` row;
-    padding rows, whose scores carry no meaning, are zero."""
-    labels = tuple(range(2, scores.ndim))
+def _normalised(scores) -> np.ndarray:
+    """``exp(scores)`` normalised over all axes after the first, row by row."""
+    labels = tuple(range(1, scores.ndim))
     probs = np.exp(scores - scores.max(axis=labels, keepdims=True))
     probs /= probs.sum(axis=labels, keepdims=True)
-    return np.where(np.expand_dims(real, labels), probs, 0.0)
+    return probs
 
 
-def _forward_backward(emissions, lengths, crf: CrfParams, bounds=None):
-    """Per column: ``alpha`` and ``beta + emissions``, each off by a constant per position, the
-    forward shifts, the real-position mask and the posterior marginals (zero on padding). One
-    shifted recursion runs both directions on axis 1: the betas are the alphas of each document
-    reversed within its rows, transitions transposed and the end scores as the start."""
-    n, batch = emissions.shape[:2]
-    docs = documents(lengths, bounds)
-    rev, shift = reversal(lengths, n, docs), np.empty((n, 2, batch))
+def _padded(packed, t, col, shape) -> np.ndarray:
+    """Packed rows laid out at their ``(t, col)`` positions of a zero array of ``shape``."""
+    out = np.zeros(shape, dtype=packed.dtype)
+    out[t, col] = packed
+    return out
+
+
+def _forward_backward(emissions, lengths, crf: CrfParams):
+    """The packed layout, and per packed row ``alpha`` and ``beta + emissions``, each off by a
+    constant per row, the forward shifts and the posterior marginals. One shifted recursion runs both directions on axis 1: the betas are the alphas of
+    direction 1, which reads each column reversed at the ``mirror`` rows, with transitions
+    transposed and the end scores as the start."""
+    layout = t, col, mirror, off = _pack(lengths, len(emissions))
+    e, shift = emissions[t, col], np.empty((2, len(t)))
     ends = np.stack((crf.start, crf.end), axis=-1)[..., None]  # label-major, (L, 2, 1)
     trans = np.stack((crf.trans, crf.trans.T), axis=-1)[..., None]  # (L, L, 2, 1)
-    stacked = np.stack((emissions, emissions[rev]), 1)
-    both = _alphas(stacked, trans, ends, shift, fresh=restarts(docs))
-    alpha, beta_e, real = both[:, 0], both[:, 1][rev], real_positions(lengths, n)
-    return alpha, beta_e, shift[:, 0], real, _normalised(alpha + beta_e - emissions, real)
+    both = _alphas(np.stack((e, e[mirror]), 1), trans, ends, off, shift)
+    alpha, beta_e = both[:, 0], both[:, 1][mirror]
+    return layout, alpha, beta_e, shift[0], _normalised(alpha + beta_e - e)
 
 
-def _log_z(alpha, shift, real, lengths, crf: CrfParams) -> np.ndarray:
-    """``log Z`` per column of one document: the forward shifts of its real rows plus the last
-    one's log-sum-exp."""
-    log_z = np.where(real, shift, 0.0).sum(axis=0)
-    log_z += np.logaddexp.reduce(alpha[lengths - 1, np.arange(len(lengths))] + crf.end, axis=1)
+def _log_z(layout, alpha, shift, shape, crf: CrfParams) -> np.ndarray:
+    """``log Z`` per column: the forward shifts of its rows, summed down the zero-padded
+    ``(n_max, B)`` array so that each column sums in the same order at any batch size, plus its
+    last row's log-sum-exp. A column's last row is the mirror of its first, at its rank."""
+    t, col, mirror, _ = layout
+    log_z = _padded(shift, t, col, shape).sum(axis=0)
+    log_z += np.logaddexp.reduce(alpha[mirror[np.argsort(col[: shape[1]])]] + crf.end, axis=1)
     return log_z
 
 
 def log_partition(emissions, crf: CrfParams, lengths) -> np.ndarray:
     """log of the summed exponentiated scores over all label sequences, per column."""
     emissions, lengths = _check(emissions, lengths)
-    alpha, _, shift, real, _ = _forward_backward(emissions, lengths, crf)
-    return _log_z(alpha, shift, real, lengths, crf)
+    layout, alpha, _, shift, _ = _forward_backward(emissions, lengths, crf)
+    return _log_z(layout, alpha, shift, emissions.shape[:2], crf)
 
 
 def sequence_score(emissions, crf: CrfParams, labels, lengths) -> np.ndarray:
@@ -136,35 +141,40 @@ def _path_score(emissions, crf: CrfParams, labels, lengths) -> np.ndarray:
     return crf.start[y[0]] + emitted.sum(axis=0) + crf.end[last] + moved.sum(axis=0)
 
 
-def viterbi(emissions, crf: CrfParams, lengths, bounds=None) -> tuple[np.ndarray, np.ndarray]:
-    """Best-scoring label sequence of every document, ``(n_max, B)`` with O past each column's
-    length, and the best scores, one per document in ``bounds`` order (per column by default):
-    the max-plus ``_alphas``, then every backpointer in one argmax after the loop. Ties are broken
-    toward the lowest label index at every backtracking step, so all-zero scores decode to all-O.
+def viterbi(emissions, crf: CrfParams, lengths) -> tuple[np.ndarray, np.ndarray]:
+    """Best-scoring label sequence of every column, ``(n_max, B)`` with O past
+    each length, and the ``(B,)`` best scores: the max-plus ``_alphas``, then
+    every backpointer in one argmax after the loop. Ties are broken toward the
+    lowest label index at every backtracking step, so all-zero scores decode to all-O.
     """
     emissions, lengths = _check(emissions, lengths)
-    docs = col, start, length = documents(lengths, bounds)
-    delta = _alphas(emissions, crf.trans[..., None], crf.start[:, None], reduce=np.maximum.reduce,
-                    fresh=restarts(docs))
-    # backpointers (t, B, to, from), lowest index on ties, as lists for the serial backtrack
-    steps = (delta[:-1, :, None, :] + crf.trans.T).argmax(axis=3).tolist()
-    last = start + length - 1
-    final = delta[last, col] + crf.end
+    n, batch = emissions.shape[:2]
+    t, col, mirror, off = _pack(lengths, n)
+    delta = _alphas(emissions[t, col], crf.trans[..., None], crf.start[:, None], off,
+                    reduce=np.maximum.reduce)
+    # backpointers (row, to) of the rows after step 0, from their rows one step back, as lists
+    # for the serial backtrack
+    prev = _previous(t, batch)
+    back = (delta[prev, None, :] + crf.trans.T).argmax(axis=2).tolist()
+    last = mirror[np.argsort(col[:batch])]  # each column's last row
+    final = delta[last] + crf.end
     best = np.argmax(final, axis=1)
-    path = np.zeros(emissions.shape[:2], dtype=np.int64)
-    for b, first, end, label in zip(col.tolist(), start.tolist(), last.tolist(), best.tolist()):
-        for t in range(end, first, -1):
-            path[t, b] = label
-            label = steps[t - 1][b][label]
-        path[first, b] = label
-    return path, final[np.arange(len(col)), best]
+    path, prev = [0] * len(t), prev.tolist()
+    for row, label in zip(last.tolist(), best.tolist()):
+        while row >= batch:
+            path[row] = label
+            label = back[row - batch][label]
+            row = prev[row - batch]
+        path[row] = label
+    return _padded(np.array(path), t, col, (n, batch)), final[np.arange(batch), best]
 
 
-def marginals(emissions, crf: CrfParams, lengths, bounds=None) -> np.ndarray:
+def marginals(emissions, crf: CrfParams, lengths) -> np.ndarray:
     """Posterior P(y_t = label) for every real position, rows summing to one;
     padding rows are zero."""
     emissions, lengths = _check(emissions, lengths)
-    return _forward_backward(emissions, lengths, crf, bounds)[4]
+    (t, col, _, _), *_, probs = _forward_backward(emissions, lengths, crf)
+    return _padded(probs, t, col, emissions.shape)
 
 
 def nll_and_grad(
@@ -182,20 +192,23 @@ def nll_and_grad(
     emissions, lengths = _check(emissions, lengths)
     y = np.asarray(gold, dtype=np.int64)
     n, batch, num_labels = emissions.shape
-    cols, last = np.arange(batch), lengths - 1
-    alpha, beta_e, shift, real, probs = _forward_backward(emissions, lengths, crf)
-    log_z = _log_z(alpha, shift, real, lengths, crf)
+    layout, alpha, beta_e, shift, probs = _forward_backward(emissions, lengths, crf)
+    log_z = _log_z(layout, alpha, shift, (n, batch), crf)
     losses = log_z - _path_score(emissions, crf, y, lengths)  # checks the shape of y
+    t, col, _, _ = layout
 
-    d_start = probs[0].sum(axis=0) - np.bincount(y[0], minlength=num_labels)
-    d_end = probs[last, cols].sum(axis=0) - np.bincount(y[last, cols], minlength=num_labels)
-    t, b = np.nonzero(real)
-    d_emissions = probs
-    d_emissions[t, b, y[t, b]] -= 1.0
+    d_emissions = _padded(probs, t, col, emissions.shape)
+    cols, last = np.arange(batch), lengths - 1
+    d_start = d_emissions[0].sum(axis=0) - np.bincount(y[0], minlength=num_labels)
+    d_end = d_emissions[last, cols].sum(axis=0) - np.bincount(y[last, cols], minlength=num_labels)
+    labels = y[t, col]
+    d_emissions[t, col, labels] -= 1.0
 
-    # expected transition counts: P(y_t = i, y_{t+1} = j) summed over t and columns
-    moves = real[1:]
-    pair = alpha[:-1, :, :, None] + crf.trans + beta_e[1:, :, None, :]
-    d_trans = _normalised(pair, moves).sum(axis=(0, 1))
-    np.add.at(d_trans, (y[:-1][moves], y[1:][moves]), -1.0)
+    # expected transition counts: P(y_t = i, y_{t+1} = j) summed over t and columns, in that
+    # order, which the padded batch's sum takes
+    order = np.argsort(t[batch:] * batch + col[batch:])
+    moves, before = batch + order, _previous(t, batch)[order]
+    pair = alpha[before, :, None] + crf.trans + beta_e[moves, None, :]
+    d_trans = _normalised(pair).sum(axis=0)
+    np.add.at(d_trans, (labels[before], labels[moves]), -1.0)
     return losses, d_emissions, CrfParams(trans=d_trans, start=d_start, end=d_end)

@@ -3,24 +3,21 @@ projection onto the three label scores, with an exact analytic backward pass.
 
 Everything runs in float64. Batches are time-major: token ids are
 ``(n_max, B)``, one document per column with its padding at the tail, and an
-explicit ``lengths`` vector says where each column ends. A decode may also lay
-several documents back to back in one column, a lane, given by ``bounds``
-(:func:`documents`). The LSTM runs on packed sequences: columns are ranked
-longest first, and packed step s holds those still inside their columns as one
-contiguous block of rows of ``(N, 2, ...)`` arrays, N = ``lengths.sum()``;
-padding is never computed. Axis 1 is the direction: direction 0 reads each
-column left to right, direction 1 reads each document reversed within its own
-rows, so both share each step's columns and run as one recurrence, and both
-restart from zero at each document's first row. They meet only at the
-projection: each direction's states meet its own half of ``proj_W``, direction
-1's label scores are gathered back into reading order and the emission gradient
-into its step order. Gate blocks are ordered (input, forget, cell, output). The
-padding embedding row (index 0) is kept at zero and receives no gradient.
+explicit ``lengths`` vector says where each column ends. The LSTM runs on
+packed sequences: columns are ranked longest first, and packed step s holds
+those still inside their documents as one contiguous block of rows of
+``(N, 2, ...)`` arrays, N = ``lengths.sum()``; padding is never computed.
+Axis 1 is the direction: direction 0 reads each column left to right,
+direction 1 reads it reversed within its length, so both share each step's
+columns and run as one recurrence. They meet only at the projection: each
+direction's states meet its own half of ``proj_W``, direction 1's label scores
+are gathered back into reading order and the emission gradient into its step
+order. Gate blocks are ordered (input, forget, cell, output). The padding
+embedding row (index 0) is kept at zero and receives no gradient.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -116,77 +113,21 @@ def check_lengths(lengths, n_max: int, batch: int) -> np.ndarray:
     return lengths
 
 
-def documents(lengths: np.ndarray, bounds=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each document's column, first row and length, column by column. ``bounds[b]`` lists the
-    lengths of the documents that column b holds back to back, summing to ``lengths[b]``; by
-    default each column holds one document."""
-    if bounds is None:
-        return np.arange(len(lengths)), np.zeros(len(lengths), dtype=np.int64), lengths
-    counts = np.fromiter(map(len, bounds), np.int64, len(bounds))
-    length = np.fromiter(itertools.chain.from_iterable(bounds), np.int64)
-    col = np.repeat(np.arange(len(counts)), counts)
-    if len(counts) != len(lengths) or counts.min() < 1 or length.min() < 1 or not np.array_equal(
-        np.bincount(col, length, len(lengths)), lengths
-    ):
-        raise ValueError(f"bounds must split each column's length into documents of length >= 1, "
-                         f"got {[list(b) for b in bounds]} for lengths {lengths.tolist()}")
-    start = np.cumsum(length) - length - np.repeat(np.cumsum(lengths) - lengths, counts)
-    return col, start, length
-
-
-def _pivots(lengths: np.ndarray, n_max: int, docs) -> np.ndarray:
-    """Per row of each column, its document's first row plus its last, the sum of a position and
-    its reversed one: ``(B,)`` when each column holds one document, else ``(n_max, B)``."""
-    col, start, length = docs
-    pivot = 2 * start + length - 1
-    if len(col) == len(lengths):
-        return pivot
-    step = pivot.copy()  # a step function down each column, from the differences at its starts
-    same = col[1:] == col[:-1]
-    step[1:][same] -= pivot[:-1][same]
-    pivots = np.zeros((n_max, len(lengths)), dtype=np.int64)
-    pivots[start, col] = step
-    return pivots.cumsum(axis=0)
-
-
-def reversal(lengths: np.ndarray, n_max: int, docs) -> tuple[np.ndarray, np.ndarray]:
-    """Gather indices ``(rows, cols)`` that reverse each of the ``docs`` (:func:`documents`) within
-    its own rows of its column and keep each column's padding at the tail; the gather is its own
-    inverse."""
-    t = np.arange(n_max)[:, None]
-    return np.where(t < lengths, _pivots(lengths, n_max, docs) - t, t), np.arange(len(lengths))
-
-
-def restarts(docs) -> dict:
-    """Row -> the columns in which one of the ``docs`` (:func:`documents`) starts at that row after
-    its column's first."""
-    col, start, _ = docs
-    out = {}
-    for row, b in zip(start.tolist(), col.tolist()):
-        if row:
-            out.setdefault(row, []).append(b)
-    return out
-
-
-def _pack(lengths: np.ndarray, n_max: int, bounds=None):
+def _pack(lengths: np.ndarray, n_max: int):
     """The packed layout: per packed row, the position direction 0 reads, its column and the row
-    at which direction 1 reads that position, reversed within its document; per step, its row
-    slice, the number of columns ending there, which are ranked last, and the ranks at which a
-    document starts after its column's first (None if none)."""
-    docs = documents(lengths, bounds)
+    at which direction 1 reads that position; then each step's first row, and N. Columns are
+    ranked longest first (a stable sort), so the columns of step s are the first ranks of step
+    s - 1's, each at the same rank."""
     order = np.argsort(-lengths, kind="stable")
-    t, k = np.nonzero(np.arange(n_max)[:, None] < lengths[order])  # step-major, by rank inside
+    ranked = lengths[order]
+    t, k = np.nonzero(np.arange(n_max)[:, None] < ranked)  # step-major, by rank inside
     off = np.searchsorted(t, np.arange(n_max + 1))  # each step's first row, then N
-    col = order[k]
-    pivots = _pivots(lengths, n_max, docs)
-    mirror = off[(pivots[col] if pivots.ndim == 1 else pivots[t, col]) - t] + k
-    resets = restarts(docs)
-    if resets:
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        resets = {row: rank[cols] for row, cols in resets.items()}
-    rows, ends = off.tolist(), np.bincount(lengths - 1, minlength=n_max).tolist()
-    return t, col, mirror, list(zip(map(slice, rows, rows[1:]), ends, map(resets.get, range(n_max))))
+    return t, order[k], off[ranked[k] - 1 - t] + k, off
+
+
+def _previous(t: np.ndarray, batch: int) -> np.ndarray:
+    """The packed row one step back of each row after step 0: its rank's row at step s - 1."""
+    return np.arange(batch, len(t)) - np.bincount(t)[t[batch:] - 1]
 
 
 @dataclass
@@ -201,7 +142,7 @@ class ForwardCache:
     t: np.ndarray  # (N,)
     col: np.ndarray  # (N,)
     mirror: np.ndarray  # (N,), an involution
-    steps: list  # (rows, ends, resets) per step
+    steps: list  # (rows, ends) per step
     gates: np.ndarray | None  # (N, 2, 4h) activations of the (i, f, g, o) blocks
     c: np.ndarray | None  # (N, 2, h)
     h: np.ndarray | None  # (N, 2, h)
@@ -214,7 +155,7 @@ BLOCK_ROWS = 2048
 
 
 def encode_forward(
-    params: EncoderParams, token_ids, lengths, bounds=None, *, for_backward: bool = True
+    params: EncoderParams, token_ids, lengths, *, for_backward: bool = True
 ) -> tuple[np.ndarray, ForwardCache]:
     """Emission scores ``(n_max, B, num_labels)`` for a time-major batch.
 
@@ -223,10 +164,7 @@ def encode_forward(
     Both LSTM directions start from zero states at each document's own ends
     and run over real positions only; emission row t of column b is
     ``proj_W @ concat(h_fwd[t, b], h_bwd[t, b]) + proj_b``, summed as the two
-    directions' halves, and rows past a column's length are zero. With ``bounds``
-    (:func:`documents`), a decode's column holds several documents back to back: direction 1
-    reverses each within its own rows, and at each document's first row both directions' recurrent
-    products and carried cells are zero, as in a fresh column.
+    directions' halves, and rows past a column's length are zero.
 
     Each step gathers its input rows from a table ``(embed[tokens] @ Wx.T + b) * scale`` of the
     distinct tokens, both directions, and adds one batched ``(2, active, h) @ (2, h, 4h)`` product;
@@ -247,10 +185,10 @@ def encode_forward(
             f"token id out of range [0, {params.embed.shape[0]}): "
             f"{int(ids.min())}..{int(ids.max())}"
         )
-    if for_backward and bounds is not None and any(len(b) > 1 for b in bounds):
-        raise ValueError("only a decode (for_backward=False) lays several documents in a column")
     (n, batch), h = ids.shape, params.lstm_Wh.shape[2]
-    layout = t, col, mirror, steps = _pack(lengths, n, bounds)
+    t, col, mirror, off = _pack(lengths, n)
+    rows, ends = off.tolist(), np.bincount(lengths - 1, minlength=n).tolist()
+    steps = list(zip(map(slice, rows, rows[1:]), ends))
     tokens, inverse = np.unique(ids[t, col], return_inverse=True)
     idx = np.stack((2 * inverse, 2 * inverse[mirror] + 1), axis=1)  # table rows (token, direction)
     scale = np.repeat([0.5, 0.5, 1.0, 0.5], h)  # sigmoid blocks i, f, o; tanh block g
@@ -275,7 +213,7 @@ def encode_forward(
     recurrent = np.empty((batch, 2, 4 * h))  # the step's h_t @ WhT, rows [:active]
     done = held = 0  # packed rows projected, and unprojected rows held after them in hs
     full = len(hs) + 1 if for_backward else BLOCK_ROWS  # rows held when a decode projects a block
-    for rows, ends, resets in steps:
+    for rows, ends in steps:
         at = rows if for_backward else slice(rows.stop - rows.start)
         a, hw = gates[at], recurrent[: len(h_t)]
         table.take(idx[rows], axis=0, out=a, mode="clip")  # "raise" would buffer out
@@ -284,15 +222,11 @@ def encode_forward(
             project(hs[:BLOCK_ROWS], done)
             done, held = done + BLOCK_ROWS, held - BLOCK_ROWS
             hs[:held] = hs[BLOCK_ROWS : BLOCK_ROWS + held]
-        if resets is not None:  # documents start here, as in fresh columns
-            hw[resets] = 0.0
         a += hw
         np.tanh(a, out=a)
         a *= scale
         a += shift
         c_t = np.multiply(f[at], c_t, out=c[at])
-        if resets is not None:
-            c_t[resets] = 0.0
         c_t += i[at] * g[at]
         h_t = np.tanh(c_t, out=hs[held : held + len(c_t)])
         h_t *= o[at]
@@ -305,7 +239,7 @@ def encode_forward(
         gates = c = hs = h_t = table = None
     emissions = np.zeros((n, batch, params.proj_W.shape[0]))
     emissions[t, col] = scores[0] + scores[1][mirror] + params.proj_b
-    return emissions, ForwardCache(ids, lengths, *layout, gates, c, hs)
+    return emissions, ForwardCache(ids, lengths, t, col, mirror, steps, gates, c, hs)
 
 
 def encode_backward(
@@ -341,7 +275,7 @@ def encode_backward(
     dz, c, cache.gates, cache.c = cache.gates, cache.c, None, None  # they become workspace
     out = EncoderParams(*map(np.zeros_like, vars(params).values())) if out is None else out
     hs, mirror, h, batch = cache.h, cache.mirror, params.lstm_Wh.shape[2], len(cache.lengths)
-    prev = np.arange(batch, len(mirror)) - np.bincount(cache.t)[cache.t[batch:] - 1]  # row at s-1
+    prev = _previous(cache.t, batch)
     d_read = d_emissions[cache.t, cache.col]
     d_steps = np.stack((d_read, d_read[mirror]))
     d_proj_W = d_steps.transpose(0, 2, 1) @ hs.transpose(1, 0, 2)
@@ -366,7 +300,7 @@ def encode_backward(
     np.matmul(d_steps, proj_by_direction, out=d_h.transpose(1, 0, 2))
     dh_carry, dc_carry = np.zeros((batch, 2, h)), np.zeros((batch, 2, h))
     dz_scale = np.empty((batch, 2, 4, h))  # [dc, dc, dc, dh] per gate block
-    for rows, *_ in reversed(cache.steps):
+    for rows, _ in reversed(cache.steps):
         k = rows.stop - rows.start
         dh, dc, z, s = dh_carry[:k], dc_carry[:k], dz[rows], dz_scale[:k]
         dh += d_h[rows]

@@ -8,20 +8,22 @@ marginal-product confidences. Dataset-level scores are micro-averaged
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import LabeledDocument, Phrase, _fold, bio_to_phrases
 from .crf import marginals, viterbi
-from .encoder import encode_forward
+from .encoder import encode_forward, time_major
+from .errors import DataError
 from .model import Model
 
 # A pass holds a few hundred bytes per token besides one block of LSTM states
-# (encoder.BLOCK_ROWS) and its input table's 4 KB per distinct token at 64/64.
+# (encoder.BLOCK_ROWS), its input table's 4 KB per distinct token at 64/64, and
+# its time-major arrays' 40 bytes per padded slot (64 with marginals).
 PASS_TOKENS = 8192  # real tokens per decode pass; a longer document decodes alone
 DISTINCT_BUDGET = 768  # distinct token ids per decode pass; a document with more decodes alone
+PASS_SLOTS = 65536  # padded slots n_max × B per decode pass
 
 
 @dataclass
@@ -59,12 +61,14 @@ def dedup_predictions(preds) -> list[PhrasePrediction]:
 
 def _passes(encoded) -> list:
     """Document indices, longest first (a stable sort), in passes of at most ``PASS_TOKENS`` real
-    tokens and ``DISTINCT_BUDGET`` distinct ids; a document past either makes a pass alone."""
+    tokens, ``DISTINCT_BUDGET`` distinct ids and ``PASS_SLOTS`` padded slots, the first
+    document's length times their count; a document past any of them makes a pass alone."""
     passes, seen, tokens = [], set(), 0
     for i in sorted(range(len(encoded)), key=lambda i: -len(encoded[i])):
         words = set(encoded[i].tolist())
         tokens += len(encoded[i])
-        if not passes or tokens > PASS_TOKENS or len(seen) + len(words - seen) > DISTINCT_BUDGET:
+        wide = not passes or len(encoded[passes[-1][0]]) * (len(passes[-1]) + 1) > PASS_SLOTS
+        if wide or tokens > PASS_TOKENS or len(seen) + len(words - seen) > DISTINCT_BUDGET:
             passes.append([])
             seen, tokens = set(), len(encoded[i])
         passes[-1].append(i)
@@ -72,49 +76,20 @@ def _passes(encoded) -> list:
     return passes
 
 
-def _lanes(sizes) -> list:
-    """``sizes``, longest first, laid back to back in lanes no longer than the first: each next one
-    goes onto the currently shortest lane (the first on ties) if it fits there, else onto a new
-    lane. Per lane, the indices of its sizes in order."""
-    heap, lanes = [], []
-    for j, size in enumerate(sizes):
-        if heap and heap[0][0] + size <= sizes[0]:
-            filled, lane = heapq.heappop(heap)
-        else:
-            filled, lane = 0, len(lanes)
-            lanes.append([])
-        lanes[lane].append(j)
-        heapq.heappush(heap, (filled + size, lane))
-    return lanes
-
-
 def label_paths(model: Model, encoded, rank: bool = False) -> list:
     """The only Viterbi decode: each document's raw label path (an orphan I stays I), given its
     token ids, or with ``rank`` its path and ``(length, L)`` marginals. Each pass (``_passes``)
-    lays its documents back to back in lanes (``_lanes``) and decodes them in one
+    decodes as one time-major batch, one document per column, by one
     ``encode_forward(..., for_backward=False)``, so it takes as many serial steps as its longest
-    document; the recurrences restart at each document's first token."""
+    document."""
     out = [None] * len(encoded)
     for docs in _passes(encoded):
-        lanes = [[docs[j] for j in lane] for lane in _lanes([len(encoded[i]) for i in docs])]
-        bounds = [[len(encoded[i]) for i in lane] for lane in lanes]
-        lengths = np.array([sum(sizes) for sizes in bounds])
-        order = [i for lane in lanes for i in lane]  # the pass's documents, lane by lane
-        at = (  # (row, lane) of each of their tokens
-            np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths),
-            np.repeat(np.arange(len(lanes)), lengths),
-        )
-        ids = np.zeros((lengths.max(), len(lanes)), dtype=np.int64)
-        ids[at] = np.concatenate([encoded[i] for i in order])
-        emissions, _ = encode_forward(model.encoder, ids, lengths, bounds=bounds,
-                                      for_backward=False)
-        paths = viterbi(emissions, model.crf, lengths, bounds)[0][at].tolist()
-        marg = marginals(emissions, model.crf, lengths, bounds)[at] if rank else None
-        start = 0
-        for i in order:
-            rows = slice(start, start + len(encoded[i]))
-            out[i] = (paths[rows], marg[rows]) if rank else paths[rows]
-            start = rows.stop
+        ids, lengths = time_major([encoded[i] for i in docs])
+        emissions, _ = encode_forward(model.encoder, ids, lengths, for_backward=False)
+        paths, _ = viterbi(emissions, model.crf, lengths)
+        marg = marginals(emissions, model.crf, lengths) if rank else None
+        for b, (i, n) in enumerate(zip(docs, lengths.tolist())):
+            out[i] = (paths[:n, b].tolist(), marg[:n, b]) if rank else paths[:n, b].tolist()
     return out
 
 
@@ -167,10 +142,14 @@ def rank_phrases(model: Model, doc) -> list[PhrasePrediction]:
 
 def f1_at_k(ranked, gold: set, k: int) -> MetricReport:
     """Exact-match F1 of the top-k ranked predictions (all of them if fewer)."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_cutoff(k)
     top = {p.phrase for p in ranked[:k]}
     return exact_f1(top, gold)
+
+
+def _check_cutoff(k) -> None:
+    if type(k) is not int or k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
 
 
 def evaluate(model: Model, dataset, k: int | None = None) -> dict[str, MetricReport]:
@@ -178,9 +157,15 @@ def evaluate(model: Model, dataset, k: int | None = None) -> dict[str, MetricRep
     ``f1@k`` (micro) over confidence-ranked phrases when ``k`` is given.
 
     Documents are decoded once each by ``decode_batches``; marginals are
-    computed only for ``f1@k``.
+    computed only for ``f1@k``. A ``k`` that is not an int >= 1 is a ValueError and an unlabeled
+    document a DataError, both before any decode.
     """
     docs = list(dataset)
+    if k is not None:
+        _check_cutoff(k)
+    unlabeled = [d.id for d in docs if not isinstance(d, LabeledDocument)]
+    if unlabeled:
+        raise DataError(f"evaluation needs labeled documents; document {unlabeled[0]!r} has none")
     full, top = [], []
     for d, result in zip(docs, decode_batches(model, docs, rank=k is not None)):
         gold = gold_phrases(d)

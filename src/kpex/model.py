@@ -50,10 +50,10 @@ class Model:
 
     def __init__(self, dims: EncoderDims, vocab: Vocabulary, flat: np.ndarray | None = None):
         shapes = _shapes(dims)
-        bounds = [0, *accumulate(map(math.prod, shapes))]
+        offsets = [0, *accumulate(map(math.prod, shapes))]
         self.dims, self.vocab = dims, vocab
-        self.flat = np.zeros(bounds[-1]) if flat is None else flat
-        views = [self.flat[a:b].reshape(s) for a, b, s in zip(bounds, bounds[1:], shapes)]
+        self.flat = np.zeros(offsets[-1]) if flat is None else flat
+        views = [self.flat[a:b].reshape(s) for a, b, s in zip(offsets, offsets[1:], shapes)]
         *encoder, trans, start, end = views
         self.encoder, self.crf = EncoderParams(*encoder), CrfParams(trans, start, end)
 

@@ -78,6 +78,69 @@ def reduce_alphas(emissions, trans, first, shift=None, reduce=np.logaddexp.reduc
     return alpha
 
 
+def _padded_normalised(scores, real) -> np.ndarray:
+    labels = tuple(range(2, scores.ndim))
+    probs = np.exp(scores - scores.max(axis=labels, keepdims=True))
+    probs /= probs.sum(axis=labels, keepdims=True)
+    return np.where(np.expand_dims(real, labels), probs, 0.0)
+
+
+def padded_forward_backward(emissions, crf, lengths):
+    """``kpex.crf``'s forward-backward as it ran over the whole padded ``(n, B, L)`` batch, through
+    the textbook recursion: ``alpha`` and ``beta + emissions`` (each off by a constant per
+    position), ``log Z``, the real-position mask and the marginals, zero on padding. The betas are
+    the shifted alphas of each column reversed within its length."""
+    n, batch = emissions.shape[:2]
+    t = np.arange(n)[:, None]
+    real = t < lengths
+    rev = np.where(real, lengths - 1 - t, t), np.arange(batch)
+    shift = np.empty((n, 2, batch))
+    trans, first = np.stack((crf.trans, crf.trans.T))[:, None], np.stack((crf.start, crf.end))
+    both = reduce_alphas(np.stack((emissions, emissions[rev]), 1), trans, first[:, None], shift)
+    alpha, beta_e = both[:, 0], both[:, 1][rev]
+    log_z = np.where(real, shift[:, 0], 0.0).sum(axis=0)
+    log_z += np.logaddexp.reduce(alpha[lengths - 1, np.arange(batch)] + crf.end, axis=1)
+    return alpha, beta_e, log_z, real, _padded_normalised(alpha + beta_e - emissions, real)
+
+
+def padded_viterbi(emissions, crf, lengths):
+    """``kpex.crf.viterbi`` as it ran over the whole padded batch: the max-plus recursion, every
+    backpointer in one argmax, and a serial backtrack per column, lowest label on ties."""
+    n, batch = emissions.shape[:2]
+    delta = reduce_alphas(emissions, crf.trans, crf.start, reduce=np.maximum.reduce)
+    steps = (delta[:-1, :, None, :] + crf.trans.T).argmax(axis=3).tolist()
+    final = delta[lengths - 1, np.arange(batch)] + crf.end
+    best = np.argmax(final, axis=1)
+    path = np.zeros((n, batch), dtype=np.int64)
+    for b, (length, label) in enumerate(zip(lengths.tolist(), best.tolist())):
+        for t in range(length - 1, 0, -1):
+            path[t, b] = label
+            label = steps[t - 1][b][label]
+        path[0, b] = label
+    return path, final[np.arange(batch), best]
+
+
+def padded_nll_and_grad(emissions, crf, gold, lengths):
+    """``kpex.crf.nll_and_grad`` as it ran over the whole padded batch: losses ``log Z - S(gold)``
+    and the expected-minus-observed gradients, summed over (t, column) with zeros on padding."""
+    n, batch, num_labels = emissions.shape
+    cols, last = np.arange(batch), lengths - 1
+    alpha, beta_e, log_z, real, probs = padded_forward_backward(emissions, crf, lengths)
+    emitted = np.where(real, np.take_along_axis(emissions, gold[:, :, None], axis=2)[:, :, 0], 0.0)
+    moved = np.where(real[1:], crf.trans[gold[:-1], gold[1:]], 0.0)
+    score = crf.start[gold[0]] + emitted.sum(axis=0) + crf.end[gold[last, cols]] + moved.sum(axis=0)
+    d_start = probs[0].sum(axis=0) - np.bincount(gold[0], minlength=num_labels)
+    d_end = probs[last, cols].sum(axis=0) - np.bincount(gold[last, cols], minlength=num_labels)
+    t, b = np.nonzero(real)
+    d_emissions = probs
+    d_emissions[t, b, gold[t, b]] -= 1.0
+    moves = real[1:]
+    pair = alpha[:-1, :, :, None] + crf.trans + beta_e[1:, :, None, :]
+    d_trans = _padded_normalised(pair, moves).sum(axis=(0, 1))
+    np.add.at(d_trans, (gold[:-1][moves], gold[1:][moves]), -1.0)
+    return log_z - score, d_emissions, (d_trans, d_start, d_end)
+
+
 def central_difference_grad(f, arr, step: float = 1e-3) -> np.ndarray:
     """Elementwise central finite differences of scalar f() w.r.t. arr (mutated in place)."""
     grad = np.zeros_like(arr)

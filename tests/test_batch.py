@@ -2,8 +2,8 @@
 
 Every engine function takes a padded ``(n_max, B)`` batch; the single-
 document oracle tests call it with B = 1. These tests tie the two together
-on a batch of mixed lengths, a one-token document included, and on a decode's
-lanes, columns that hold several documents back to back.
+on a batch of mixed lengths, a one-token document included, and hold the CRF,
+which runs over packed rows, to the padded batch it replaced.
 """
 
 import numpy as np
@@ -32,7 +32,7 @@ from kpex.encoder import (
     time_major,
 )
 
-from oracles import relative_error
+from oracles import padded_forward_backward, padded_nll_and_grad, padded_viterbi, relative_error
 
 DIMS = EncoderDims(vocab_size=12, embed_dim=5, hidden_dim=4)
 LENGTHS = [5, 1, 9, 3, 9, 2]
@@ -245,85 +245,75 @@ def test_lengths_must_fit_the_batch(lengths):
         viterbi(np.zeros((2, 2, 3)), CrfParams.zeros(), lengths)
 
 
-# -- lanes: documents back to back in one column ------------------------------
+# -- packed rows: the columns still running, longest first ---------------------
 
-LANES = st.lists(st.lists(st.integers(1, 9), min_size=1, max_size=4), min_size=1, max_size=5)
+MIXES = st.lists(st.integers(1, 9), min_size=1, max_size=8)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
-@given(lanes=LANES)
-@example(lanes=[[1, 1, 5], [3, 1], [1]])
-def test_pack_mirrors_each_document_within_itself_and_resets_at_its_start(lanes):
-    lengths = np.array([sum(sizes) for sizes in lanes])
-    t, col, mirror, steps = _pack(lengths, lengths.max(), lanes)
+@given(lengths=MIXES)
+@example(lengths=[1, 5, 1, 3])
+def test_pack_mirrors_each_column_within_its_length(lengths):
+    lengths = np.array(lengths)
+    t, col, mirror, off = _pack(lengths, lengths.max())
     npt.assert_array_equal(mirror[mirror], np.arange(len(t)))  # an involution
-    starts = {}
-    for b, sizes in enumerate(lanes):
-        for a, n in zip(np.cumsum(sizes) - sizes, sizes):
-            starts.update({(int(a) + i, b): (int(a), n) for i in range(n)})
-    for row, (pos, b) in enumerate(zip(t.tolist(), col.tolist())):
-        a, n = starts[pos, b]
-        assert (t[mirror[row]], col[mirror[row]]) == (2 * a + n - 1 - pos, b)
-    resets = {
-        (s, int(col[rows.start + r])) for s, (rows, _, ranks) in enumerate(steps)
-        if ranks is not None for r in ranks
-    }
-    assert resets == {(a, b) for (pos, b), (a, _) in starts.items() if pos == a and a > 0}
+    npt.assert_array_equal(col[mirror], col)
+    npt.assert_array_equal(t[mirror], lengths[col] - 1 - t)
+    assert sorted(zip(t.tolist(), col.tolist())) == [
+        (pos, b) for pos in range(lengths.max()) for b in range(len(lengths)) if pos < lengths[b]
+    ]
+    for s, (start, stop) in enumerate(zip(off, off[1:])):  # step s: the first ranks of s - 1's
+        npt.assert_array_equal(t[start:stop], s)
+        if s:
+            npt.assert_array_equal(col[start:stop], col[off[s - 1] : off[s - 1] + stop - start])
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
-@given(lanes=LANES, seed=st.integers(0, 2**32 - 1))
-@example(lanes=[[1, 1, 5], [3, 1], [1]], seed=0)
-def test_lanes_decode_to_their_single_documents(lanes, seed):
+@given(
+    lengths=st.lists(st.integers(1, 30), min_size=1, max_size=40),
+    ties=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(lengths=[1], ties=False, seed=0)
+@example(lengths=[1, 1, 4, 1, 9, 1], ties=True, seed=1)
+def test_the_packed_crf_is_the_padded_crf_bit_for_bit(lengths, ties, seed):
+    """Paths, scores, marginals, log Z, losses and every gradient equal the padded batch's, with
+    junk in the padding rows, and with integer scores, whose ties make the argmax order show."""
     rng = np.random.default_rng(seed)
+    lengths = np.array(lengths)
+    emissions = rng.normal(size=(lengths.max(), len(lengths), 3))
     crf = _random_crf(rng)
-    lengths = np.array([sum(sizes) for sizes in lanes])
-    emissions = rng.normal(size=(lengths.max(), len(lanes), 3))
-    paths, scores = viterbi(emissions, crf, lengths, lanes)
-    probs = marginals(emissions, crf, lengths, lanes)
-    doc = 0
-    for b, sizes in enumerate(lanes):
-        for a, n in zip(np.cumsum(sizes) - sizes, sizes):
-            one = emissions[a : a + n, b]
-            path, score = one_doc.viterbi(one, crf)
-            npt.assert_array_equal(paths[a : a + n, b], path)
-            assert scores[doc] == score
-            npt.assert_allclose(probs[a : a + n, b], one_doc.marginals(one, crf), rtol=1e-12)
-            doc += 1
-        npt.assert_array_equal(paths[lengths[b] :, b], 0)
-        npt.assert_array_equal(probs[lengths[b] :, b], 0.0)
-    assert len(scores) == doc
+    if ties:
+        emissions, crf = np.round(emissions), CrfParams(*map(np.round, vars(crf).values()))
+    gold = rng.integers(0, 3, emissions.shape[:2])
+    paths, scores = viterbi(emissions, crf, lengths)
+    ref_paths, ref_scores = padded_viterbi(emissions, crf, lengths)
+    npt.assert_array_equal(paths, ref_paths)
+    npt.assert_array_equal(scores, ref_scores)
+    _, _, log_z, _, probs = padded_forward_backward(emissions, crf, lengths)
+    npt.assert_array_equal(marginals(emissions, crf, lengths), probs)
+    npt.assert_array_equal(log_partition(emissions, crf, lengths), log_z)
+    losses, d_emissions, d_crf = nll_and_grad(emissions, crf, gold, lengths)
+    ref_losses, ref_d_emissions, ref_d_crf = padded_nll_and_grad(emissions, crf, gold, lengths)
+    npt.assert_array_equal(losses, ref_losses)
+    npt.assert_array_equal(d_emissions, ref_d_emissions)
+    for got, want in zip((d_crf.trans, d_crf.start, d_crf.end), ref_d_crf):
+        npt.assert_array_equal(got, want)
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
-@given(lanes=LANES, seed=st.integers(0, 2**32 - 1))
-def test_lane_emissions_are_the_single_document_emissions(lanes, seed):
+@given(lengths=MIXES, seed=st.integers(0, 2**32 - 1))
+def test_decode_emissions_are_the_single_document_emissions(lengths, seed):
     """Also with blocks of 4 packed rows, so that the decode's ring of states wraps."""
     rng = np.random.default_rng(seed)
     params = init_params(DIMS, rng)
-    docs = [[rng.integers(1, DIMS.vocab_size, n) for n in sizes] for sizes in lanes]
-    ids, lengths = time_major([np.concatenate(lane) for lane in docs])
+    docs = [rng.integers(1, DIMS.vocab_size, n) for n in lengths]
+    ids, lengths = time_major(docs)
     for block in (encoder.BLOCK_ROWS, 4):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(encoder, "BLOCK_ROWS", block)
-            emissions, _ = encode_forward(params, ids, lengths, lanes, for_backward=False)
-        for b, lane in enumerate(docs):
-            a = 0
-            for doc in lane:
-                alone, _ = one_doc.encode_forward(params, doc)
-                npt.assert_allclose(emissions[a : a + len(doc), b], alone, rtol=1e-12, atol=1e-14)
-                a += len(doc)
-            npt.assert_array_equal(emissions[a:, b], 0.0)
-
-
-def test_only_a_decode_lays_documents_in_lanes():
-    ids, lengths = time_major([[2, 3, 4], [5, 6]])
-    params = init_params(DIMS, 0)
-    with pytest.raises(ValueError, match="for_backward=False"):
-        encode_forward(params, ids, lengths, [[1, 2], [2]])
-    encode_forward(params, ids, lengths, [[3], [2]])  # one document per column trains as ever
-    for bad in ([[1, 1], [2]], [[3]], [[3], [2], [1]], [[3, 0], [2]], [[3], []]):
-        with pytest.raises(ValueError, match="bounds"):
-            encode_forward(params, ids, lengths, bad, for_backward=False)
-        with pytest.raises(ValueError, match="bounds"):
-            viterbi(np.zeros((3, 2, 3)), CrfParams.zeros(), lengths, bad)
+            emissions, _ = encode_forward(params, ids, lengths, for_backward=False)
+        for b, doc in enumerate(docs):
+            alone, _ = one_doc.encode_forward(params, doc)
+            npt.assert_allclose(emissions[: len(doc), b], alone, rtol=1e-12, atol=1e-14)
+            npt.assert_array_equal(emissions[len(doc) :, b], 0.0)

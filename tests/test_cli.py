@@ -756,7 +756,7 @@ def test_failed_extract_keeps_the_previous_output(data_dir, tmp_path, monkeypatc
     forward = kpex.metrics.encode_forward
 
     def fail_on_second(params, token_ids, lengths, **kwargs):
-        assert kwargs.keys() == {"bounds", "for_backward"} and not kwargs["for_backward"]
+        assert kwargs == {"for_backward": False}
         batches.append(len(lengths))
         if len(batches) == 2:
             raise NumericError("non-finite emissions")
@@ -791,8 +791,8 @@ def test_one_forward_call_serves_several_extract_documents(data_dir, tmp_path, m
     forward = kpex.metrics.encode_forward
 
     def counting(params, token_ids, lengths, **kwargs):
-        assert kwargs.keys() == {"bounds", "for_backward"} and not kwargs["for_backward"]
-        batches.append(sum(map(len, kwargs["bounds"])))  # documents in the pass's lanes
+        assert kwargs == {"for_backward": False}
+        batches.append(len(lengths))  # documents in the pass, one per column
         return forward(params, token_ids, lengths, **kwargs)
 
     monkeypatch.setattr(kpex.metrics, "encode_forward", counting)

@@ -186,7 +186,7 @@ def test_extreme_scores_stay_finite(spread):
 def test_label_major_alphas_equal_the_textbook_recursion(batch, reduce, shifted, directions, ties):
     """Bit for bit, in both semirings, shifted or not, with the direction axis of the stacked
     forward-backward or without it, and with integer scores, whose ties make the reduce order
-    show."""
+    show. The columns are all 23 long, so the packed rows are the padded batch's, step by step."""
     rng = np.random.default_rng([batch, len(directions), ties])
 
     def draw(*shape):
@@ -194,17 +194,19 @@ def test_label_major_alphas_equal_the_textbook_recursion(batch, reduce, shifted,
 
     emissions = draw(23, *directions, batch, 3)
     trans, first = draw(*directions, 1, 3, 3), draw(*directions, 1, 3)  # broadcast over columns
-    shift, ref_shift = (np.empty(emissions.shape[:-1]), np.empty(emissions.shape[:-1]))
+    shift, ref_shift = np.empty((*directions, 23 * batch)), np.empty(emissions.shape[:-1])
     if not shifted:
         shift = ref_shift = None
     ref = reduce_alphas(emissions, trans, first, ref_shift, reduce)
+    packed = np.moveaxis(emissions, -2, 1).reshape(-1, *directions, 3)  # rows (t, column)
     got = batched._alphas(
-        emissions, np.moveaxis(trans, (-2, -1), (0, 1)), np.moveaxis(first, -1, 0), shift, reduce
+        packed, np.moveaxis(trans, (-2, -1), (0, 1)), np.moveaxis(first, -1, 0),
+        np.arange(24) * batch, shift, reduce,
     )
     assert got.flags.c_contiguous
-    npt.assert_array_equal(got, ref)
+    npt.assert_array_equal(got, np.moveaxis(ref, -2, 1).reshape(packed.shape))
     if shifted:
-        npt.assert_array_equal(shift, ref_shift)
+        npt.assert_array_equal(shift.T.reshape(23, batch, *directions), np.moveaxis(ref_shift, -1, 1))
 
 
 def test_log_partition_gradient_is_the_marginal_matrix():

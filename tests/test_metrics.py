@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 import kpex.metrics
 from kpex import (
+    DataError,
+    Dataset,
     Document,
     build_vocab,
     dataset_f1,
@@ -19,6 +21,7 @@ from kpex.corpus import bio_to_phrases
 from kpex.encoder import encode_forward, time_major
 from kpex.metrics import (
     DISTINCT_BUDGET,
+    PASS_SLOTS,
     PASS_TOKENS,
     MetricReport,
     PhrasePrediction,
@@ -223,13 +226,9 @@ def test_only_ranking_computes_marginals(trained_standard, monkeypatch):
         rank_phrases(model, test[0])
 
 
-def _lane_documents(token_ids, bounds) -> list:
-    """The token ids of each document that a lane pass holds, lane by lane."""
-    docs = []
-    for b, sizes in enumerate(bounds):
-        starts = np.cumsum(sizes) - sizes
-        docs.extend(tuple(token_ids[a : a + n, b].tolist()) for a, n in zip(starts, sizes))
-    return docs
+def _column_documents(token_ids, lengths) -> list:
+    """The token ids of each document that a pass holds, one per column."""
+    return [tuple(token_ids[:n, b].tolist()) for b, n in enumerate(lengths)]
 
 
 def test_evaluate_decodes_each_document_once(trained_standard, monkeypatch):
@@ -239,20 +238,21 @@ def test_evaluate_decodes_each_document_once(trained_standard, monkeypatch):
     forward = kpex.metrics.encode_forward
 
     def counting(params, token_ids, lengths, **kwargs):
-        assert kwargs.keys() == {"bounds", "for_backward"} and not kwargs["for_backward"]
-        docs = _lane_documents(token_ids, kwargs["bounds"])
+        assert kwargs == {"for_backward": False}
+        docs = _column_documents(token_ids, lengths)
         assert sum(lengths) <= PASS_TOKENS or len(docs) == 1
         assert len(set().union(*docs)) <= DISTINCT_BUDGET or len(docs) == 1
-        passes.append((len(token_ids), max(map(len, docs)), kwargs["bounds"]))
+        assert token_ids.size <= PASS_SLOTS or len(docs) == 1
+        passes.append((len(token_ids), max(map(len, docs)), len(docs)))
         documents.extend(docs)
         return forward(params, token_ids, lengths, **kwargs)
 
     monkeypatch.setattr(kpex.metrics, "encode_forward", counting)
     ranked = evaluate(model, test, k=5)
     assert sorted(documents) == sorted(tuple(model.vocab.encode(d.tokens).tolist()) for d in test)
-    # documents share lanes, and a pass takes fewer than twice its longest document's steps
-    assert any(len(sizes) > 1 for *_, bounds in passes for sizes in bounds)
-    assert all(steps < 2 * longest for steps, longest, _ in passes)
+    # documents share passes, and a pass takes as many serial steps as its longest document
+    assert any(held > 1 for *_, held in passes)
+    assert all(steps == longest for steps, longest, _ in passes)
     assert list(ranked) == ["f1", "f1_macro", "f1@5"]
     assert ranked["f1"] == plain["f1"] and ranked["f1_macro"] == plain["f1_macro"]
     assert ranked["f1@5"].n_pred <= ranked["f1"].n_pred
@@ -263,7 +263,7 @@ def test_evaluate_rejects_a_cutoff_below_one(trained_standard):
         evaluate(trained_standard.model, trained_standard.test, k=0)
 
 
-# -- lane passes under the token budgets ----------------------------------------
+# -- decode passes under the token budgets ----------------------------------------
 
 _CORPUS = gen_synthetic(5, 60, vocab_size=40)
 _VOCAB = build_vocab(_CORPUS)
@@ -311,7 +311,7 @@ def test_the_distinct_token_budget_splits_groups(monkeypatch):
     passes, forward = [], kpex.metrics.encode_forward
 
     def recording(params, token_ids, lengths, **kwargs):
-        held = _lane_documents(token_ids, kwargs["bounds"])
+        held = _column_documents(token_ids, lengths)
         passes.append((len(set().union(*held)), len(held)))
         return forward(params, token_ids, lengths, **kwargs)
 
@@ -326,6 +326,27 @@ def test_the_distinct_token_budget_splits_groups(monkeypatch):
         np.testing.assert_allclose(
             [p.confidence for p in got], [p.confidence for p in single], rtol=1e-11, atol=0
         )
+
+
+def test_the_slot_budget_splits_passes(monkeypatch):
+    """A pass's padded slots, its longest document's length times its document count, stay within
+    PASS_SLOTS, so short documents do not pad out to a long one's length; a document longer than
+    that decodes alone, and the results are those of one document at a time."""
+    model, rng = _random_model(7), np.random.default_rng(7)
+    words = list(_VOCAB.itos)
+    lengths = [30, 1, 1, 1, 8, 8, 70, 2]
+    docs = [Document(f"d{i}", tuple(rng.choice(words, n))) for i, n in enumerate(lengths)]
+    monkeypatch.setattr(kpex.metrics, "PASS_SLOTS", 64)
+    shapes, forward = [], kpex.metrics.encode_forward
+
+    def recording(params, token_ids, lengths, **kwargs):
+        shapes.append(token_ids.shape)
+        return forward(params, token_ids, lengths, **kwargs)
+
+    monkeypatch.setattr(kpex.metrics, "encode_forward", recording)
+    batched = decode_batches(model, docs)
+    assert shapes == [(70, 1), (30, 2), (8, 5)]
+    assert batched == [extract(model, d) for d in docs]
 
 
 @pytest.mark.parametrize("spread", [1e3, 1e10, 1e300])
@@ -376,3 +397,30 @@ def test_no_documents_decode_to_nothing(monkeypatch):
     model = _random_model(0)
     assert list(decode_batches(model, [])) == []
     assert list(decode_batches(model, [], rank=True)) == []
+
+
+def _no_decode(*args, **kwargs):
+    raise AssertionError("decoded before the arguments were checked")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda model: evaluate(model, Dataset("e", []), k=0),
+        lambda model: evaluate(model, _CORPUS, k=True),
+        lambda model: f1_at_k([pred(["a"], 0, 0.5)], {("a",)}, 2.5),
+    ],
+    ids=["zero_on_no_documents", "a_bool", "a_float"],
+)
+def test_a_cutoff_must_be_an_int_of_at_least_one_before_any_decode(call, monkeypatch):
+    monkeypatch.setattr(kpex.metrics, "encode_forward", _no_decode)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        call(_random_model(0))
+
+
+def test_evaluation_rejects_an_unlabeled_document_before_any_decode(monkeypatch):
+    mixed = Dataset("mixed", [*_CORPUS.documents[:3], Document("plain", ("w001", "w002"))])
+    monkeypatch.setattr(kpex.metrics, "encode_forward", _no_decode)
+    for score in (evaluate, dataset_f1):
+        with pytest.raises(DataError, match="'plain'"):
+            score(_random_model(0), mixed)

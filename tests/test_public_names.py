@@ -1,8 +1,11 @@
 """The package's top-level names are its entry points. The README's Python blocks, the demos
 and the benchmark read some of them, and the rest through their modules: every such read must
-resolve, so trimming what ``kpex`` re-exports cannot silently break the docs or the benchmark."""
+resolve, so trimming what ``kpex`` re-exports cannot silently break the docs or the benchmark.
+The README's prose names module members in backticks, and those must exist too, so that a
+deleted name does not linger in the docs."""
 
 import ast
+import pkgutil
 import re
 from pathlib import Path
 
@@ -11,6 +14,9 @@ import kpex.cli  # noqa: F401 (the benchmark reads kpex.cli.*)
 
 ROOT = Path(__file__).resolve().parents[1]
 DOTTED = re.compile(r"\bkpex(?:\.[A-Za-z_]\w*)+")
+MODULES = "|".join(m.name for m in pkgutil.iter_modules(kpex.__path__))
+PROSE = re.compile(rf"`(?:kpex\.)?((?:{MODULES})(?:\.[A-Za-z_]\w*)+)")  # a backticked member
+FILE_NAME = re.compile(r"\.(?:ckpt|jsonl?|md|py|toml)$")  # `model.ckpt` names a file
 
 
 def _sources():
@@ -51,3 +57,10 @@ def test_every_kpex_name_that_the_docs_demos_and_benchmark_read_exists():
         ("bench/spans.py", "kpex.model.model_tensors"),
     } <= reads
     assert sorted(f"{where}: {path}" for where, path in reads if not _resolves(path)) == []
+
+
+def test_every_module_member_that_the_readme_prose_names_exists():
+    prose = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(encoding="utf-8"), flags=re.S)
+    names = {name for name in PROSE.findall(prose) if not FILE_NAME.search(name)}
+    assert {"metrics.PASS_TOKENS", "encoder.BLOCK_ROWS", "crf.viterbi"} <= names
+    assert sorted(name for name in names if not _resolves(f"kpex.{name}")) == []
