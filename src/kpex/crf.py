@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import NUM_LABELS, _pack, _previous, check_lengths
+from .encoder import NUM_LABELS, _pack, _previous, check_integers, check_lengths
 from .errors import NumericError
 
 
@@ -131,7 +131,7 @@ def sequence_score(emissions, crf: CrfParams, labels, lengths) -> np.ndarray:
 
 def _path_score(emissions, crf: CrfParams, labels, lengths) -> np.ndarray:
     """``sequence_score`` of emissions and lengths that ``_check`` has passed."""
-    y = np.asarray(labels, dtype=np.int64)
+    y = check_integers(labels, "labels")
     if y.shape != emissions.shape[:2]:
         raise ValueError(f"labels of shape {y.shape} for emissions of shape {emissions.shape}")
     real = real_positions(lengths, y.shape[0])
@@ -190,7 +190,7 @@ def nll_and_grad(
     >= 0``.
     """
     emissions, lengths = _check(emissions, lengths)
-    y = np.asarray(gold, dtype=np.int64)
+    y = check_integers(gold, "gold labels")
     n, batch, num_labels = emissions.shape
     layout, alpha, beta_e, shift, probs = _forward_backward(emissions, lengths, crf)
     log_z = _log_z(layout, alpha, shift, (n, batch), crf)

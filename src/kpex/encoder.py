@@ -105,9 +105,17 @@ def time_major(seqs) -> tuple[np.ndarray, np.ndarray]:
     return out, lengths
 
 
+def check_integers(values, what: str) -> np.ndarray:
+    """``values`` as an int64 array; floats and bools are a ValueError, never truncated."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers, got {values.dtype}")
+    return values.astype(np.int64, copy=False)
+
+
 def check_lengths(lengths, n_max: int, batch: int) -> np.ndarray:
-    """The ``(B,)`` lengths of a batch of ``n_max`` rows, each in [1, n_max]."""
-    lengths = np.asarray(lengths, dtype=np.int64)
+    """The ``(B,)`` lengths of a batch of ``n_max`` rows, each an integer in [1, n_max]."""
+    lengths = check_integers(lengths, "lengths")
     if lengths.shape != (batch,) or batch < 1 or not np.all((lengths >= 1) & (lengths <= n_max)):
         raise ValueError(f"need {batch} >= 1 lengths in [1, {n_max}], got {lengths.tolist()}")
     return lengths
@@ -176,7 +184,7 @@ def encode_forward(
     keeps them all for the backward, a decode only the unprojected ones, at most a block and a
     step, so both project the same blocks and agree bit for bit.
     """
-    ids = np.asarray(token_ids, dtype=np.int64)
+    ids = check_integers(token_ids, "token ids")
     if ids.ndim != 2:
         raise ValueError(f"token_ids must be (n_max, B), got shape {ids.shape}")
     lengths = check_lengths(lengths, *ids.shape)
@@ -330,16 +338,21 @@ def encode_backward(
 # ---------------------------------------------------------------------------
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+# Elements per Adam block: a step makes each of its passes over one block of the flat buffers
+# before the next block, so its work buffers and finiteness mask are one block long and a
+# block's passes run in cache.
+ADAM_BLOCK = 16384
 
 
 @dataclass
 class OptimizerState:
     """Adam moments plus the two-group learning rates.
 
-    ``m`` and ``v`` are flat, in the layout of :class:`kpex.model.Model`'s parameter buffer,
-    and made on the first step with the step's two work buffers, so that a step allocates no
-    buffer of that size. Its leading ``embed`` slice belongs to the lower group; every
-    other parameter (LSTM, projection, CRF scores) uses ``lr_upper``.
+    ``m`` and ``v`` are flat, in the layout of :class:`kpex.model.Model`'s parameter buffer, and
+    made on the first step with the step's two work buffers, each ``ADAM_BLOCK`` elements long
+    (the buffer's size if smaller), so that a step allocates nothing of the buffer's size. Its
+    leading ``embed`` slice belongs to the lower group; every other parameter (LSTM, projection,
+    CRF scores) uses ``lr_upper``.
     """
 
     lr_lower: float
@@ -347,34 +360,42 @@ class OptimizerState:
     step: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
-    m_hat: np.ndarray | None = None  # the step's work buffers, made with m and v
+    m_hat: np.ndarray | None = None  # the step's work buffers, one block each
     scratch: np.ndarray | None = None
 
 
 def adam_step(model, grad, opt: OptimizerState) -> None:
     """One bias-corrected Adam update, in place, of ``model``'s parameter buffer by ``grad``'s:
-    two :class:`kpex.model.Model` of one layout. A non-finite gradient raises NumericError
-    naming its tensor."""
+    two :class:`kpex.model.Model` of one layout. The buffers are updated one ``ADAM_BLOCK`` at a
+    time, each element by the same operations in the same order as a whole-buffer update, the
+    lower-rate boundary split inside its block. A non-finite gradient, checked block by block
+    before any update, raises NumericError naming its tensor, with no parameter moved."""
     opt.step += 1
     t, g = opt.step, grad.flat
-    if not np.isfinite(g).all():
+    blocks = [slice(a, a + ADAM_BLOCK) for a in range(0, g.size, ADAM_BLOCK)]
+    if not all(np.isfinite(g[b]).all() for b in blocks):
         from .model import model_tensors  # kpex.model imports this module
 
         name = next(k for k, a in model_tensors(grad).items() if not np.isfinite(a).all())
         raise NumericError(f"non-finite gradient for tensor '{name}' at step {t}")
     if opt.m is None:
-        opt.m, opt.v, opt.m_hat, opt.scratch = (np.zeros_like(g) for _ in range(4))
-    m, v, m_hat, scratch = opt.m, opt.v, opt.m_hat, opt.scratch
-    m *= BETA1
-    m += np.multiply(1.0 - BETA1, g, out=scratch)
-    v *= BETA2
-    v += np.multiply(np.multiply(1.0 - BETA2, g, out=scratch), g, out=scratch)
-    denom = np.divide(v, 1.0 - BETA2**t, out=scratch)  # v_hat, then its root + EPS
-    np.sqrt(denom, out=denom)
-    denom += EPS
-    np.divide(m, 1.0 - BETA1**t, out=m_hat)
+        opt.m, opt.v = np.zeros_like(g), np.zeros_like(g)
+        n = min(g.size, ADAM_BLOCK)
+        opt.m_hat, opt.scratch = np.empty(n), np.empty(n)
     lower = model.encoder.embed.size  # the buffer's leading slice
-    m_hat[:lower] *= opt.lr_lower
-    m_hat[lower:] *= opt.lr_upper
-    m_hat /= denom
-    model.flat -= m_hat
+    for b in blocks:
+        m, v, gb, p = opt.m[b], opt.v[b], g[b], model.flat[b]
+        m_hat, scratch = opt.m_hat[: len(gb)], opt.scratch[: len(gb)]
+        m *= BETA1
+        m += np.multiply(1.0 - BETA1, gb, out=scratch)
+        v *= BETA2
+        v += np.multiply(np.multiply(1.0 - BETA2, gb, out=scratch), gb, out=scratch)
+        denom = np.divide(v, 1.0 - BETA2**t, out=scratch)  # v_hat, then its root + EPS
+        np.sqrt(denom, out=denom)
+        denom += EPS
+        np.divide(m, 1.0 - BETA1**t, out=m_hat)
+        split = max(lower - b.start, 0)  # slicing clamps it to the block
+        m_hat[:split] *= opt.lr_lower
+        m_hat[split:] *= opt.lr_upper
+        m_hat /= denom
+        p -= m_hat

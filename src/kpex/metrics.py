@@ -14,7 +14,7 @@ import numpy as np
 
 from .corpus import LabeledDocument, Phrase, _fold, bio_to_phrases
 from .crf import marginals, viterbi
-from .encoder import encode_forward, time_major
+from .encoder import BLOCK_ROWS, encode_forward, time_major
 from .errors import DataError
 from .model import Model
 
@@ -24,6 +24,10 @@ from .model import Model
 PASS_TOKENS = 8192  # real tokens per decode pass; a longer document decodes alone
 DISTINCT_BUDGET = 768  # distinct token ids per decode pass; a document with more decodes alone
 PASS_SLOTS = 65536  # padded slots n_max × B per decode pass
+# A decode's step buffers hold 12 state rows per document (4 each of gates and recurrent
+# products, its cell, two zero carries and its ring slot), so this many documents hold about
+# one ring of BLOCK_ROWS states, whatever the dims.
+PASS_DOCS = BLOCK_ROWS // 12
 
 
 @dataclass
@@ -60,14 +64,16 @@ def dedup_predictions(preds) -> list[PhrasePrediction]:
 
 
 def _passes(encoded) -> list:
-    """Document indices, longest first (a stable sort), in passes of at most ``PASS_TOKENS`` real
-    tokens, ``DISTINCT_BUDGET`` distinct ids and ``PASS_SLOTS`` padded slots, the first
-    document's length times their count; a document past any of them makes a pass alone."""
+    """Document indices, longest first (a stable sort), in passes of at most ``PASS_DOCS``
+    documents, ``PASS_TOKENS`` real tokens, ``DISTINCT_BUDGET`` distinct ids and ``PASS_SLOTS``
+    padded slots, the first document's length times their count; a document past any of them
+    makes a pass alone."""
     passes, seen, tokens = [], set(), 0
     for i in sorted(range(len(encoded)), key=lambda i: -len(encoded[i])):
         words = set(encoded[i].tolist())
         tokens += len(encoded[i])
-        wide = not passes or len(encoded[passes[-1][0]]) * (len(passes[-1]) + 1) > PASS_SLOTS
+        full = not passes or len(passes[-1]) >= PASS_DOCS
+        wide = full or len(encoded[passes[-1][0]]) * (len(passes[-1]) + 1) > PASS_SLOTS
         if wide or tokens > PASS_TOKENS or len(seen) + len(words - seen) > DISTINCT_BUDGET:
             passes.append([])
             seen, tokens = set(), len(encoded[i])

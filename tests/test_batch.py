@@ -21,6 +21,7 @@ from kpex.crf import (
     marginals,
     nll_and_grad,
     real_positions,
+    sequence_score,
     viterbi,
 )
 from kpex.encoder import (
@@ -243,6 +244,29 @@ def test_lengths_must_fit_the_batch(lengths):
         encode_forward(init_params(DIMS, 0), np.ones((2, 2), dtype=np.int64), lengths)
     with pytest.raises(ValueError, match="length"):
         viterbi(np.zeros((2, 2, 3)), CrfParams.zeros(), lengths)
+
+
+_IDS, _SCORES = np.array([[1], [2]]), np.zeros((3, 1, 3))
+
+
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (lambda p: encode_forward(p, np.array([[1.7], [2.2]]), [2]), "token ids"),
+        (lambda p: encode_forward(p, np.array([[True], [False]]), [2]), "token ids"),
+        (lambda p: encode_forward(p, _IDS, [1.9]), "lengths"),
+        (lambda p: encode_forward(p, _IDS, [True]), "lengths"),
+        (lambda p: viterbi(_SCORES, CrfParams.zeros(), lengths=[2.5]), "lengths"),
+        (lambda p: nll_and_grad(_SCORES, CrfParams.zeros(), [[0.9], [1.2], [2.7]], [3]), "gold"),
+        (lambda p: nll_and_grad(_SCORES, CrfParams.zeros(), np.ones((3, 1), bool), [3]), "gold"),
+        (lambda p: sequence_score(_SCORES, CrfParams.zeros(), [[0.0], [1.0], [2.0]], [3]), "labels"),
+    ],
+    ids=["float_ids", "bool_ids", "float_length", "bool_length", "viterbi_float_length",
+         "float_gold", "bool_gold", "float_labels"],
+)
+def test_ids_lengths_and_labels_must_be_integers_not_truncated(call, what):
+    with pytest.raises(ValueError, match=f"{what}.* must be integers"):
+        call(init_params(DIMS, 0))
 
 
 # -- packed rows: the columns still running, longest first ---------------------

@@ -261,17 +261,34 @@ def test_learning_rate_groups_are_separate():
     assert np.all(model.crf.trans < before.crf.trans)
 
 
-def test_nonfinite_gradient_names_the_tensor():
+def _assert_nonfinite_gradient_names_the_tensor() -> list:
+    """The block of each NaN, which names its tensor and moves nothing."""
+    blocks = []
     for name, where in [("embed", (1, 2)), ("lstm_bwd.Wh", (3, 1)), ("crf.end", (0,))]:
         model, grad = _models()
         before = model.flat.copy()
         model_tensors(grad)[name][where] = np.nan
-        with pytest.raises(NumericError, match=f"'{name}'"):
-            adam_step(model, grad, OptimizerState(lr_lower=0.1, lr_upper=0.1))
+        blocks.append(int(np.flatnonzero(np.isnan(grad.flat))[0]) // encoder.ADAM_BLOCK)
+        opt = OptimizerState(lr_lower=0.1, lr_upper=0.1)
+        with pytest.raises(NumericError, match=f"'{name}' at step 1"):
+            adam_step(model, grad, opt)
         npt.assert_array_equal(model.flat, before)  # nothing moved
+        assert opt.step == 1 and opt.m is None
+    return blocks
 
 
-def test_flat_adam_matches_the_per_tensor_reference():
+def test_nonfinite_gradient_names_the_tensor():
+    _assert_nonfinite_gradient_names_the_tensor()
+
+
+def test_nonfinite_gradient_names_the_tensor_in_small_blocks(monkeypatch):
+    """A NaN in a later block stops the step before the earlier blocks move."""
+    monkeypatch.setattr(encoder, "ADAM_BLOCK", 16)  # DIMS' 36-element embed ends in the third
+    blocks = _assert_nonfinite_gradient_names_the_tensor()
+    assert blocks[0] == 0 and min(blocks[1:]) > 2
+
+
+def _assert_flat_adam_matches_the_per_tensor_reference():
     vocab = build_vocab(gen_synthetic(2, 20, vocab_size=30))
     model = init_model(vocab, 6, 5, seed=1)
     reference, grad, moments = model.copy(), Model(model.dims, vocab), {}
@@ -284,22 +301,38 @@ def test_flat_adam_matches_the_per_tensor_reference():
             model_tensors(reference), model_tensors(grad), moments, step, 3e-3, 2e-2
         )
         npt.assert_array_equal(model.flat, reference.flat)
+    assert len(opt.m_hat) == len(opt.scratch) == min(encoder.ADAM_BLOCK, model.flat.size)
+    return model
 
 
-def test_an_adam_step_allocates_no_buffer_of_the_parameters_size():
+def test_flat_adam_matches_the_per_tensor_reference():
+    _assert_flat_adam_matches_the_per_tensor_reference()
+
+
+def test_blocked_adam_matches_the_per_tensor_reference(monkeypatch):
+    monkeypatch.setattr(encoder, "ADAM_BLOCK", 100)
+    model = _assert_flat_adam_matches_the_per_tensor_reference()
+    # several blocks, the last one partial, and embed's end inside one
+    assert model.flat.size > 2 * 100 and model.flat.size % 100 and model.encoder.embed.size % 100
+
+
+def test_an_adam_step_allocates_no_buffer_of_the_parameters_size(monkeypatch):
+    monkeypatch.setattr(encoder, "ADAM_BLOCK", 1024)
     vocab = build_vocab(gen_synthetic(2, 20, vocab_size=30))
     model = init_model(vocab, 16, 16, seed=1)
     grad = Model(model.dims, vocab)
     grad.flat[:] = np.random.default_rng(0).normal(size=grad.flat.size)
+    assert grad.flat.size > 4 * 1024
     opt = OptimizerState(lr_lower=1e-3, lr_upper=1e-2)
-    adam_step(model, grad, opt)  # makes the moments and the work buffers
+    adam_step(model, grad, opt)  # makes the moments and the one-block work buffers
+    assert opt.m_hat.shape == opt.scratch.shape == (1024,)
     tracemalloc.start()
     try:
         adam_step(model, grad, opt)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < grad.flat.nbytes // 4  # the finiteness mask is an eighth
+    assert peak < 1024 * grad.flat.itemsize  # a block's finiteness mask, an eighth of this
 
 
 def test_pad_row_stays_zero_through_training_steps():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +23,7 @@ from kpex.corpus import bio_to_phrases
 from kpex.encoder import encode_forward, time_major
 from kpex.metrics import (
     DISTINCT_BUDGET,
+    PASS_DOCS,
     PASS_SLOTS,
     PASS_TOKENS,
     MetricReport,
@@ -240,6 +243,7 @@ def test_evaluate_decodes_each_document_once(trained_standard, monkeypatch):
     def counting(params, token_ids, lengths, **kwargs):
         assert kwargs == {"for_backward": False}
         docs = _column_documents(token_ids, lengths)
+        assert len(docs) <= PASS_DOCS
         assert sum(lengths) <= PASS_TOKENS or len(docs) == 1
         assert len(set().union(*docs)) <= DISTINCT_BUDGET or len(docs) == 1
         assert token_ids.size <= PASS_SLOTS or len(docs) == 1
@@ -347,6 +351,23 @@ def test_the_slot_budget_splits_passes(monkeypatch):
     batched = decode_batches(model, docs)
     assert shapes == [(70, 1), (30, 2), (8, 5)]
     assert batched == [extract(model, d) for d in docs]
+
+
+def test_many_short_documents_decode_in_bounded_memory():
+    """A pass's step buffers grow with its documents, so PASS_DOCS caps them: 8,192 one-token
+    documents at 64/64 make passes of at most PASS_DOCS columns, not one pass of 8,192."""
+    model = init_model(_VOCAB, 64, 64, seed=1)
+    ids = np.random.default_rng(1).integers(1, len(_VOCAB), 8192)
+    tracemalloc.start()
+    try:
+        paths = kpex.metrics.label_paths(model, [ids[i : i + 1] for i in range(len(ids))])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    # a one-token document's path depends on its token alone
+    alone = {i: kpex.metrics.label_paths(model, [np.array([i])])[0] for i in set(ids.tolist())}
+    assert paths == [alone[i] for i in ids.tolist()]
 
 
 @pytest.mark.parametrize("spread", [1e3, 1e10, 1e300])
