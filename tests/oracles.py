@@ -141,6 +141,70 @@ def padded_nll_and_grad(emissions, crf, gold, lengths):
     return log_z - score, d_emissions, (d_trans, d_start, d_end)
 
 
+def _sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def bilstm_forward(params, ids):
+    """One document's ``(n, L)`` emissions from the textbook BiLSTM, and what
+    ``bilstm_backward`` needs: per direction, per step, its input, the previous state and cell,
+    the gates (input, forget, cell, output) and the new cell and state. Direction 1 reads
+    ``x[::-1]``; the projection sees the two directions' states side by side in reading order."""
+    x = params.embed[np.asarray(ids)]
+    h = params.lstm_Wh.shape[2]
+    steps = []
+    for d, xs in enumerate((x, x[::-1])):
+        h_t, c_t, trace = np.zeros(h), np.zeros(h), []
+        for x_t in xs:
+            z = params.lstm_Wx[d] @ x_t + params.lstm_Wh[d] @ h_t + params.lstm_b[d]
+            i, f = _sigmoid(z[:h]), _sigmoid(z[h : 2 * h])
+            g, o = np.tanh(z[2 * h : 3 * h]), _sigmoid(z[3 * h :])
+            c_new = f * c_t + i * g
+            h_new = o * np.tanh(c_new)
+            trace.append((x_t, h_t, c_t, i, f, g, o, c_new))
+            h_t, c_t = h_new, c_new
+        steps.append(trace)
+    states = [np.array([o * np.tanh(c) for *_, o, c in trace]) for trace in steps]
+    both = np.concatenate([states[0], states[1][::-1]], axis=1)
+    return both @ params.proj_W.T + params.proj_b, (np.asarray(ids), steps, both)
+
+
+def bilstm_backward(params, memo, d_emissions) -> dict:
+    """Plain backpropagation through time of ``bilstm_forward``: the gradient of
+    ``sum(d_emissions * emissions)`` w.r.t. every encoder tensor, by its canonical name. The
+    padding row 0 of the embedding is frozen and gets none."""
+    ids, steps, both = memo
+    h = params.lstm_Wh.shape[2]
+    d_both = d_emissions @ params.proj_W
+    grads = {"embed": np.zeros_like(params.embed)}
+    for d, name in enumerate(("lstm_fwd", "lstm_bwd")):
+        d_states = d_both[:, :h] if d == 0 else d_both[::-1, h:]  # in the direction's step order
+        Wx, Wh = params.lstm_Wx[d], params.lstm_Wh[d]
+        dWx, dWh, db = np.zeros_like(Wx), np.zeros_like(Wh), np.zeros(4 * h)
+        dx = np.zeros((len(ids), Wx.shape[1]))
+        dh_next, dc_next = np.zeros(h), np.zeros(h)
+        for s in reversed(range(len(ids))):
+            x_t, h_prev, c_prev, i, f, g, o, c = steps[d][s]
+            dh = d_states[s] + dh_next
+            tc = np.tanh(c)
+            dc = dc_next + dh * o * (1.0 - tc**2)
+            dz = np.concatenate([
+                dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
+                dc * i * (1.0 - g**2), dh * tc * o * (1.0 - o),
+            ])
+            dWx += np.outer(dz, x_t)
+            dWh += np.outer(dz, h_prev)
+            db += dz
+            dx[s] = Wx.T @ dz
+            dh_next, dc_next = Wh.T @ dz, dc * f
+        grads.update({f"{name}.Wx": dWx, f"{name}.Wh": dWh, f"{name}.b": db})
+        np.add.at(grads["embed"], ids, dx if d == 0 else dx[::-1])
+    grads["embed"][0] = 0.0
+    grads["proj.W"] = d_emissions.T @ both
+    grads["proj.b"] = d_emissions.sum(axis=0)
+    return grads
+
+
 def central_difference_grad(f, arr, step: float = 1e-3) -> np.ndarray:
     """Elementwise central finite differences of scalar f() w.r.t. arr (mutated in place)."""
     grad = np.zeros_like(arr)

@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kpex import NumericError, build_vocab, encoder, gen_synthetic
 from kpex.corpus import PAD_INDEX
@@ -11,7 +13,13 @@ from kpex.encoder import EncoderDims, OptimizerState, adam_step, encoder_tensors
 from kpex.model import Model, init_model, model_tensors
 
 from one_doc import encode_backward, encode_forward
-from oracles import central_difference_grad, per_tensor_adam_step, relative_error
+from oracles import (
+    bilstm_backward,
+    bilstm_forward,
+    central_difference_grad,
+    per_tensor_adam_step,
+    relative_error,
+)
 
 DIMS = EncoderDims(vocab_size=9, embed_dim=4, hidden_dim=3)
 
@@ -196,6 +204,45 @@ def test_gradients_match_finite_differences(n):
         if name == "embed":
             numeric[PAD_INDEX] = 0.0  # frozen row
         assert relative_error(grads[name], numeric) <= 1e-4, name
+
+
+# over 300 draws of up to 6 documents of 1-30 tokens the worst was 1.7e-15 on emissions and
+# 4.4e-14 on gradients
+TEXTBOOK_RTOL = 1e-12
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    lengths=st.lists(st.integers(1, 20), min_size=1, max_size=6),
+    embed=st.integers(1, 6),
+    hidden=st.integers(1, 6),
+    scale=st.sampled_from([0.5, 1.0, 3.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(lengths=[1], embed=1, hidden=1, scale=1.0, seed=0)
+@example(lengths=[1, 7, 1, 3], embed=4, hidden=5, scale=3.0, seed=1)
+def test_the_batch_is_the_textbook_bilstm(lengths, embed, hidden, scale, seed):
+    """Emissions and every gradient equal a per-document BiLSTM with separate sigmoid and tanh
+    gates, the reverse direction read as ``x[::-1]`` and plain backpropagation through time,
+    with the weights scaled away from their initialization."""
+    rng = np.random.default_rng(seed)
+    params = init_params(EncoderDims(vocab_size=9, embed_dim=embed, hidden_dim=hidden), rng)
+    for arr in encoder_tensors(params).values():
+        arr *= scale
+    params.lstm_b[...] += rng.normal(size=params.lstm_b.shape)
+    docs = [rng.integers(0, 9, n) for n in lengths]
+    ids, lengths = encoder.time_major(docs)
+    emissions, cache = encoder.encode_forward(params, ids, lengths)
+    d_emissions = rng.normal(size=emissions.shape)
+    grads = encoder.encode_backward(params, cache, d_emissions)
+    want = {name: np.zeros_like(g) for name, g in grads.items()}
+    for b, doc in enumerate(docs):
+        alone, memo = bilstm_forward(params, doc)
+        assert relative_error(emissions[: len(doc), b], alone) <= TEXTBOOK_RTOL
+        for name, g in bilstm_backward(params, memo, d_emissions[: len(doc), b]).items():
+            want[name] += g
+    for name, g in grads.items():
+        assert relative_error(g, want[name]) <= TEXTBOOK_RTOL, name
 
 
 def test_repeated_token_accumulates_both_positions():
