@@ -15,6 +15,7 @@ import itertools
 import numpy as np
 
 from kpex.crf import CrfParams, log_partition, marginals, viterbi
+from kpex.encoder import pack
 
 LABELS = "OBI"
 
@@ -48,8 +49,8 @@ def main():
     values = np.array(list(scores.values()))
 
     print("\n-- log partition function --")
-    batch, lengths = emissions[:, None], [n]  # one document: a batch of one column
-    log_z = log_partition(batch, crf, lengths)[0]
+    layout = pack([n])  # one document: a batch whose packed rows are its own, in order
+    log_z = log_partition(emissions, crf, layout)[0]
     shift = values.max()
     brute = shift + np.log(np.exp(values - shift).sum())
     print(f"forward recursion: {log_z:.12f}")
@@ -57,15 +58,15 @@ def main():
     print(f"difference:        {abs(log_z - brute):.2e}")
 
     print("\n-- Viterbi decoding --")
-    paths, scores_ = viterbi(batch, crf, lengths)
-    path, score = paths[:, 0], scores_[0]
+    path, scores_ = viterbi(emissions, crf, layout)
+    score = scores_[0]
     best = max(scores, key=scores.get)
     print(f"decoded:    {''.join(LABELS[l] for l in path)}  score {score:.6f}")
     print(f"enumerated: {''.join(LABELS[l] for l in best)}  score {scores[best]:.6f}")
     print(f"probability of the best sequence: {np.exp(score - log_z):.4f}")
 
     print("\n-- posterior marginals --")
-    probs = marginals(batch, crf, lengths)[:, 0]
+    probs = marginals(emissions, crf, layout)
     brute_probs = np.zeros((n, 3))
     for p, s in scores.items():
         for t, lab in enumerate(p):

@@ -1,7 +1,7 @@
 """Finite-difference verification of the full analytic backward pass.
 
 The training loss is the CRF negative log-likelihood of gold label
-sequences, summed over a padded batch of two documents, differentiated
+sequences, summed over a packed batch of two documents, differentiated
 through the CRF, the dense projection, both LSTM directions, and the
 embedding table. This script perturbs every parameter
 coordinate and compares central differences against the analytic gradient,
@@ -15,7 +15,9 @@ Run with::
 import numpy as np
 
 from kpex.crf import CrfParams, nll_and_grad
-from kpex.encoder import EncoderDims, encode_backward, encode_forward, encoder_tensors, init_params
+from kpex.encoder import (
+    EncoderDims, encode_backward, encode_forward, encoder_tensors, init_params, pack,
+)
 
 
 def central_differences(f, arr, step=1e-3):
@@ -42,17 +44,17 @@ def main():
         start=rng.normal(size=3) * 0.3,
         end=rng.normal(size=3) * 0.3,
     )
-    # a time-major batch of two documents, 5 and 3 tokens; the second is padded
-    lengths = np.array([5, 3])
-    token_ids = rng.integers(1, dims.vocab_size, (5, 2))
-    gold = rng.integers(0, 3, (5, 2))
+    # two documents of 5 and 3 tokens, laid out once as one packed batch of 8 rows
+    layout = pack([5, 3])
+    token_ids = layout.rows([rng.integers(1, dims.vocab_size, n) for n in (5, 3)])
+    gold = layout.rows([rng.integers(0, 3, n) for n in (5, 3)])
 
     def loss():
-        emissions, _ = encode_forward(encoder, token_ids, lengths)
-        return nll_and_grad(emissions, crf, gold, lengths)[0].sum()
+        emissions, _ = encode_forward(encoder, token_ids, layout)
+        return nll_and_grad(emissions, crf, gold, layout)[0].sum()
 
-    emissions, cache = encode_forward(encoder, token_ids, lengths)
-    losses, d_emissions, d_crf = nll_and_grad(emissions, crf, gold, lengths)
+    emissions, cache = encode_forward(encoder, token_ids, layout)
+    losses, d_emissions, d_crf = nll_and_grad(emissions, crf, gold, layout)
     value = losses.sum()
     analytic = encode_backward(encoder, cache, d_emissions)
     analytic.update({"crf.trans": d_crf.trans, "crf.start": d_crf.start, "crf.end": d_crf.end})
@@ -62,7 +64,7 @@ def main():
     }
 
     print("=" * 64)
-    print(f"loss = {value:.6f} summed over documents of {lengths.tolist()} tokens "
+    print(f"loss = {value:.6f} summed over documents of {layout.lengths.tolist()} tokens "
           f"({sum(a.size for a in tensors.values())} parameters)")
     print("=" * 64)
     print(f"{'tensor':<14} {'shape':<10} {'|analytic|':>12} {'max diff':>12} {'rel err':>10}")

@@ -8,12 +8,13 @@ and all inference is one forward recursion run in two semirings: log-sum-exp
 for the partition function, marginals and likelihood gradients, max-plus for
 Viterbi. The log-sum-exp recursion subtracts each step's label-0 score, so its
 scores stay at one step's scale however long the document, and marginals are
-normalised position by position. Every function takes a time-major batch:
-emissions ``(n_max, B, L)``, one document per column, and the ``(B,)`` lengths.
-The recursion runs over the encoder's packed rows (:func:`kpex.encoder._pack`):
-step s holds the columns still inside their documents, a prefix of step s - 1's
-in the same ranks, so padding is never computed. No transition is forbidden;
-O->I decodes are repaired by :mod:`kpex.corpus`.
+normalised position by position. Every function takes the packed rows of a
+batch, as the encoder returns them: emissions ``(N, L)``, labels ``(N,)`` and
+the batch's :class:`kpex.encoder.Layout`, in which step s holds the documents
+still inside their lengths, a prefix of step s - 1's in the same ranks. Per-row
+results (paths, marginals, ``d_emissions``) are packed rows too, and per-document
+ones ``(B,)`` in column order. No transition is forbidden; O->I decodes are
+repaired by :mod:`kpex.corpus`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import NUM_LABELS, _pack, _previous, check_integers, check_lengths
+from .encoder import NUM_LABELS, Layout, check_integers
 from .errors import NumericError
 
 
@@ -41,19 +42,25 @@ def crf_tensors(crf: CrfParams) -> dict:
     return {"crf.trans": crf.trans, "crf.start": crf.start, "crf.end": crf.end}
 
 
-def real_positions(lengths: np.ndarray, n_max: int) -> np.ndarray:
-    """``(n_max, B)`` mask, true where row t lies inside column b."""
-    return np.arange(n_max)[:, None] < lengths
-
-
-def _check(emissions, lengths) -> tuple[np.ndarray, np.ndarray]:
+def _check(emissions, layout: Layout) -> np.ndarray:
     emissions = np.asarray(emissions, dtype=np.float64)
-    if emissions.ndim != 3:
-        raise ValueError(f"emissions must be (n_max, B, L), got shape {emissions.shape}")
-    lengths = check_lengths(lengths, *emissions.shape[:2])
+    if emissions.ndim != 2 or len(emissions) != len(layout.t):
+        raise ValueError(f"emissions must be ({len(layout.t)}, L) for lengths summing to "
+                         f"{len(layout.t)}, got shape {emissions.shape}")
     if not np.all(np.isfinite(emissions)):
         raise NumericError("non-finite emission score")
-    return emissions, lengths
+    return emissions
+
+
+def _labels(labels, layout: Layout, what: str, num_labels: int) -> np.ndarray:
+    """Packed ``labels`` of ``layout``, each an integer in [0, ``num_labels``)."""
+    y = check_integers(labels, what)
+    if y.shape != layout.t.shape:
+        raise ValueError(f"{what} of shape {y.shape} for {len(layout.t)} packed rows")
+    if y.min() < 0 or y.max() >= num_labels:
+        bad = np.unique(y[(y < 0) | (y >= num_labels)]).tolist()
+        raise ValueError(f"{what} must be in [0, {num_labels}), got {bad}")
+    return y
 
 
 def _alphas(emissions, trans, first, off, shift=None, reduce=np.logaddexp.reduce) -> np.ndarray:
@@ -85,130 +92,103 @@ def _normalised(scores) -> np.ndarray:
     return probs
 
 
-def _padded(packed, t, col, shape) -> np.ndarray:
-    """Packed rows laid out at their ``(t, col)`` positions of a zero array of ``shape``."""
-    out = np.zeros(shape, dtype=packed.dtype)
-    out[t, col] = packed
-    return out
-
-
-def _forward_backward(emissions, lengths, crf: CrfParams):
-    """The packed layout, and per packed row ``alpha`` and ``beta + emissions``, each off by a
-    constant per row, the forward shifts and the posterior marginals. One shifted recursion runs both directions on axis 1: the betas are the alphas of
-    direction 1, which reads each column reversed at the ``mirror`` rows, with transitions
-    transposed and the end scores as the start."""
-    layout = t, col, mirror, off = _pack(lengths, len(emissions))
-    e, shift = emissions[t, col], np.empty((2, len(t)))
+def _forward_backward(e, layout: Layout, crf: CrfParams):
+    """Per packed row ``alpha`` and ``beta + emissions``, each off by a constant per row, the
+    forward shifts and the posterior marginals. One shifted recursion runs both directions on
+    axis 1: the betas are the alphas of direction 1, which reads each column reversed at the
+    ``mirror`` rows, with transitions transposed and the end scores as the start."""
+    shift = np.empty((2, len(e)))
     ends = np.stack((crf.start, crf.end), axis=-1)[..., None]  # label-major, (L, 2, 1)
     trans = np.stack((crf.trans, crf.trans.T), axis=-1)[..., None]  # (L, L, 2, 1)
-    both = _alphas(np.stack((e, e[mirror]), 1), trans, ends, off, shift)
-    alpha, beta_e = both[:, 0], both[:, 1][mirror]
-    return layout, alpha, beta_e, shift[0], _normalised(alpha + beta_e - e)
+    both = _alphas(np.stack((e, e[layout.mirror]), 1), trans, ends, layout.off, shift)
+    alpha, beta_e = both[:, 0], both[:, 1][layout.mirror]
+    return alpha, beta_e, shift[0], _normalised(alpha + beta_e - e)
 
 
-def _log_z(layout, alpha, shift, shape, crf: CrfParams) -> np.ndarray:
-    """``log Z`` per column: the forward shifts of its rows, summed down the zero-padded
-    ``(n_max, B)`` array so that each column sums in the same order at any batch size, plus its
-    last row's log-sum-exp. A column's last row is the mirror of its first, at its rank."""
-    t, col, mirror, _ = layout
-    log_z = _padded(shift, t, col, shape).sum(axis=0)
-    log_z += np.logaddexp.reduce(alpha[mirror[np.argsort(col[: shape[1]])]] + crf.end, axis=1)
-    return log_z
+def _log_z(layout: Layout, alpha, shift, crf: CrfParams) -> np.ndarray:
+    """``log Z`` per column: the forward shifts of its rows, summed in the padded batch's order,
+    plus its last row's log-sum-exp."""
+    return layout.column_sums(shift) + np.logaddexp.reduce(alpha[layout.last] + crf.end, axis=1)
 
 
-def log_partition(emissions, crf: CrfParams, lengths) -> np.ndarray:
+def log_partition(emissions, crf: CrfParams, layout: Layout) -> np.ndarray:
     """log of the summed exponentiated scores over all label sequences, per column."""
-    emissions, lengths = _check(emissions, lengths)
-    layout, alpha, _, shift, _ = _forward_backward(emissions, lengths, crf)
-    return _log_z(layout, alpha, shift, emissions.shape[:2], crf)
+    alpha, _, shift, _ = _forward_backward(_check(emissions, layout), layout, crf)
+    return _log_z(layout, alpha, shift, crf)
 
 
-def sequence_score(emissions, crf: CrfParams, labels, lengths) -> np.ndarray:
-    """S(labels) under the score decomposition above, per column of ``labels`` (n_max, B)."""
-    emissions, lengths = _check(emissions, lengths)
-    return _path_score(emissions, crf, labels, lengths)
+def sequence_score(emissions, crf: CrfParams, labels, layout: Layout) -> np.ndarray:
+    """S(labels) under the score decomposition above, per column, of packed ``labels``."""
+    emissions = _check(emissions, layout)
+    return _path_score(emissions, crf, _labels(labels, layout, "labels", len(crf.start)), layout)
 
 
-def _path_score(emissions, crf: CrfParams, labels, lengths) -> np.ndarray:
-    """``sequence_score`` of emissions and lengths that ``_check`` has passed."""
-    y = check_integers(labels, "labels")
-    if y.shape != emissions.shape[:2]:
-        raise ValueError(f"labels of shape {y.shape} for emissions of shape {emissions.shape}")
-    real = real_positions(lengths, y.shape[0])
-    emitted = np.where(real, np.take_along_axis(emissions, y[:, :, None], axis=2)[:, :, 0], 0.0)
-    moved = np.where(real[1:], crf.trans[y[:-1], y[1:]], 0.0)
-    last = y[lengths - 1, np.arange(len(lengths))]
-    return crf.start[y[0]] + emitted.sum(axis=0) + crf.end[last] + moved.sum(axis=0)
+def _path_score(emissions, crf: CrfParams, y, layout: Layout) -> np.ndarray:
+    """``sequence_score`` of checked emissions and labels; each column's emitted and transition
+    scores are summed in the padded batch's order."""
+    emitted = layout.column_sums(emissions[np.arange(len(y)), y])
+    moved = layout.column_sums(crf.trans[y[layout.prev], y[len(layout.lengths) :]], skip=1)
+    return crf.start[y[layout.first]] + emitted + crf.end[y[layout.last]] + moved
 
 
-def viterbi(emissions, crf: CrfParams, lengths) -> tuple[np.ndarray, np.ndarray]:
-    """Best-scoring label sequence of every column, ``(n_max, B)`` with O past
-    each length, and the ``(B,)`` best scores: the max-plus ``_alphas``, then
-    every backpointer in one argmax after the loop. Ties are broken toward the
-    lowest label index at every backtracking step, so all-zero scores decode to all-O.
+def viterbi(emissions, crf: CrfParams, layout: Layout) -> tuple[np.ndarray, np.ndarray]:
+    """Best-scoring label sequence of every column, as ``(N,)`` packed rows, and the ``(B,)``
+    best scores: the max-plus ``_alphas``, then every backpointer in one argmax after the loop.
+    Ties are broken toward the lowest label index at every backtracking step, so all-zero scores
+    decode to all-O.
     """
-    emissions, lengths = _check(emissions, lengths)
-    n, batch = emissions.shape[:2]
-    t, col, mirror, off = _pack(lengths, n)
-    delta = _alphas(emissions[t, col], crf.trans[..., None], crf.start[:, None], off,
+    emissions, batch = _check(emissions, layout), len(layout.lengths)
+    delta = _alphas(emissions, crf.trans[..., None], crf.start[:, None], layout.off,
                     reduce=np.maximum.reduce)
     # backpointers (row, to) of the rows after step 0, from their rows one step back, as lists
     # for the serial backtrack
-    prev = _previous(t, batch)
-    back = (delta[prev, None, :] + crf.trans.T).argmax(axis=2).tolist()
-    last = mirror[np.argsort(col[:batch])]  # each column's last row
-    final = delta[last] + crf.end
+    back = (delta[layout.prev, None, :] + crf.trans.T).argmax(axis=2).tolist()
+    final = delta[layout.last] + crf.end
     best = np.argmax(final, axis=1)
-    path, prev = [0] * len(t), prev.tolist()
-    for row, label in zip(last.tolist(), best.tolist()):
+    path, prev = [0] * len(delta), layout.prev.tolist()
+    for row, label in zip(layout.last.tolist(), best.tolist()):
         while row >= batch:
             path[row] = label
             label = back[row - batch][label]
             row = prev[row - batch]
         path[row] = label
-    return _padded(np.array(path), t, col, (n, batch)), final[np.arange(batch), best]
+    return np.array(path), final[np.arange(batch), best]
 
 
-def marginals(emissions, crf: CrfParams, lengths) -> np.ndarray:
-    """Posterior P(y_t = label) for every real position, rows summing to one;
-    padding rows are zero."""
-    emissions, lengths = _check(emissions, lengths)
-    (t, col, _, _), *_, probs = _forward_backward(emissions, lengths, crf)
-    return _padded(probs, t, col, emissions.shape)
+def marginals(emissions, crf: CrfParams, layout: Layout) -> np.ndarray:
+    """Posterior P(y_t = label) of every packed row, ``(N, L)``, rows summing to one."""
+    return _forward_backward(_check(emissions, layout), layout, crf)[-1]
 
 
 def nll_and_grad(
-    emissions, crf: CrfParams, gold, lengths
+    emissions, crf: CrfParams, gold, layout: Layout
 ) -> tuple[np.ndarray, np.ndarray, CrfParams]:
-    """Negative log-likelihood of each column of ``gold`` plus exact gradients
+    """Negative log-likelihood of each column of packed ``gold`` labels plus exact gradients
     of their sum.
 
     Returns ``(losses, d_emissions, d_crf)`` where the gradients are the
-    usual expected-minus-observed sufficient statistics: ``d_emissions[t, b,
-    l] = P(y_t = l) - [gold_t = l]`` (zero on padding) and likewise for
-    transition and boundary counts. Each loss is ``log_partition - S(gold)
-    >= 0``.
+    usual expected-minus-observed sufficient statistics: packed ``d_emissions[r,
+    l] = P(y_r = l) - [gold_r = l]`` and likewise for transition and boundary
+    counts. Each loss is ``log_partition - S(gold) >= 0``.
     """
-    emissions, lengths = _check(emissions, lengths)
-    y = check_integers(gold, "gold labels")
-    n, batch, num_labels = emissions.shape
-    layout, alpha, beta_e, shift, probs = _forward_backward(emissions, lengths, crf)
-    log_z = _log_z(layout, alpha, shift, (n, batch), crf)
-    losses = log_z - _path_score(emissions, crf, y, lengths)  # checks the shape of y
-    t, col, _, _ = layout
+    emissions, num_labels = _check(emissions, layout), len(crf.start)
+    y = _labels(gold, layout, "gold labels", num_labels)
+    t, col, batch = layout.t, layout.col, len(layout.lengths)
+    alpha, beta_e, shift, probs = _forward_backward(emissions, layout, crf)
+    losses = _log_z(layout, alpha, shift, crf) - _path_score(emissions, crf, y, layout)
 
-    d_emissions = _padded(probs, t, col, emissions.shape)
-    cols, last = np.arange(batch), lengths - 1
-    d_start = d_emissions[0].sum(axis=0) - np.bincount(y[0], minlength=num_labels)
-    d_end = d_emissions[last, cols].sum(axis=0) - np.bincount(y[last, cols], minlength=num_labels)
-    labels = y[t, col]
-    d_emissions[t, col, labels] -= 1.0
+    # the boundary rows are summed in column order, as the padded batch's rows were
+    first, last = layout.first, layout.last
+    d_start = probs[first].sum(axis=0) - np.bincount(y[first], minlength=num_labels)
+    d_end = probs[last].sum(axis=0) - np.bincount(y[last], minlength=num_labels)
+    d_emissions = probs
+    d_emissions[np.arange(len(y)), y] -= 1.0
 
     # expected transition counts: P(y_t = i, y_{t+1} = j) summed over t and columns, in that
     # order, which the padded batch's sum takes
     order = np.argsort(t[batch:] * batch + col[batch:])
-    moves, before = batch + order, _previous(t, batch)[order]
+    moves, before = batch + order, layout.prev[order]
     pair = alpha[before, :, None] + crf.trans + beta_e[moves, None, :]
     d_trans = _normalised(pair).sum(axis=0)
-    np.add.at(d_trans, (labels[before], labels[moves]), -1.0)
+    np.add.at(d_trans, (y[before], y[moves]), -1.0)
     return losses, d_emissions, CrfParams(trans=d_trans, start=d_start, end=d_end)

@@ -1,19 +1,20 @@
 """Token encoder: trainable embeddings, a single-layer BiLSTM, and a dense
 projection onto the three label scores, with an exact analytic backward pass.
 
-Everything runs in float64. Batches are time-major: token ids are
-``(n_max, B)``, one document per column with its padding at the tail, and an
-explicit ``lengths`` vector says where each column ends. The LSTM runs on
-packed sequences: columns are ranked longest first, and packed step s holds
-those still inside their documents as one contiguous block of rows of
-``(N, 2, ...)`` arrays, N = ``lengths.sum()``; padding is never computed.
-Axis 1 is the direction: direction 0 reads each column left to right,
-direction 1 reads it reversed within its length, so both share each step's
-columns and run as one recurrence. They meet only at the projection: each
-direction's states meet its own half of ``proj_W``, direction 1's label scores
-are gathered back into reading order and the emission gradient into its step
-order. Gate blocks are ordered (input, forget, cell, output). The padding
-embedding row (index 0) is kept at zero and receives no gradient.
+Everything runs in float64. A batch is packed (:func:`pack`): its documents
+are ranked longest first, and packed step s holds those still inside their
+documents as one contiguous block of rows of ``(N, ...)`` arrays, N the
+batch's real tokens, so there is no padding anywhere. Token ids, emissions
+and their gradient are packed rows; :meth:`Layout.rows` and
+:meth:`Layout.columns` convert from and to per-document arrays, and a single
+document's packed rows are its own, in reading order. Axis 1 of the LSTM
+arrays is the direction: direction 0 reads each document left to right,
+direction 1 reads it reversed, at the ``mirror`` rows, so both share each
+step's documents and run as one recurrence. They meet only at the
+projection: each direction's states meet its own half of ``proj_W`` and
+direction 1's label scores are gathered back into reading order. Gate blocks
+are ordered (input, forget, cell, output). The padding embedding row (index
+0) is kept at zero and receives no gradient.
 """
 
 from __future__ import annotations
@@ -95,16 +96,6 @@ def init_params(dims: EncoderDims, seed, out: EncoderParams | None = None) -> En
     return params
 
 
-def time_major(seqs) -> tuple[np.ndarray, np.ndarray]:
-    """Stack integer sequences as the columns of an ``(n_max, B)`` array,
-    zero past each sequence's end, and return it with their lengths."""
-    lengths = np.array([len(s) for s in seqs], dtype=np.int64)
-    out = np.zeros((lengths.max(), len(seqs)), dtype=np.int64)
-    for b, s in enumerate(seqs):
-        out[: len(s), b] = s
-    return out, lengths
-
-
 def check_integers(values, what: str) -> np.ndarray:
     """``values`` as an int64 array; floats and bools are a ValueError, never truncated."""
     values = np.asarray(values)
@@ -113,44 +104,84 @@ def check_integers(values, what: str) -> np.ndarray:
     return values.astype(np.int64, copy=False)
 
 
-def check_lengths(lengths, n_max: int, batch: int) -> np.ndarray:
-    """The ``(B,)`` lengths of a batch of ``n_max`` rows, each an integer in [1, n_max]."""
+def check_lengths(lengths) -> np.ndarray:
+    """The ``(B,)`` lengths of a batch of B >= 1 documents, each an integer >= 1."""
     lengths = check_integers(lengths, "lengths")
-    if lengths.shape != (batch,) or batch < 1 or not np.all((lengths >= 1) & (lengths <= n_max)):
-        raise ValueError(f"need {batch} >= 1 lengths in [1, {n_max}], got {lengths.tolist()}")
+    if lengths.ndim != 1 or len(lengths) < 1 or not np.all(lengths >= 1):
+        raise ValueError(f"need one or more lengths, each >= 1, got {lengths.tolist()}")
     return lengths
 
 
-def _pack(lengths: np.ndarray, n_max: int):
-    """The packed layout: per packed row, the position direction 0 reads, its column and the row
-    at which direction 1 reads that position; then each step's first row, and N. Columns are
-    ranked longest first (a stable sort), so the columns of step s are the first ranks of step
-    s - 1's, each at the same rank."""
+@dataclass(frozen=True, eq=False)  # compared by identity: its fields are arrays
+class Layout:
+    """The packed layout of a batch, built once by :func:`pack` and shared by every engine call
+    on it. Documents are ranked longest first (a stable sort); step s's rows
+    ``off[s]:off[s + 1]`` are the documents still inside their lengths, the first ranks of step
+    s - 1's at the same ranks, and a document's column is its place in the batch."""
+
+    lengths: np.ndarray  # (B,)
+    t: np.ndarray  # (N,) the position each row holds, as direction 0 reads it
+    col: np.ndarray  # (N,) its column
+    mirror: np.ndarray  # (N,) the row at which direction 1 reads that position, an involution
+    off: np.ndarray  # (n_max + 1,) each step's first row, then N
+    prev: np.ndarray  # (N - B,) each row after step 0's rank's row one step back
+    first: np.ndarray  # (B,) each column's first row, in column order
+    last: np.ndarray  # (B,) each column's last row, in column order
+    steps: list  # (rows, ends) per step: its rows, and how many columns take their last step
+    reading: np.ndarray  # (N,) each row's place in the documents laid end to end
+
+    def rows(self, seqs) -> np.ndarray:
+        """The packed rows of one sequence (ids, labels, emissions) per column, in column
+        order, each as long as its document."""
+        if [len(s) for s in seqs] != self.lengths.tolist():
+            raise ValueError(f"sequences of lengths {[len(s) for s in seqs]} for a batch of "
+                             f"lengths {self.lengths.tolist()}")
+        return np.concatenate(seqs)[self.reading]
+
+    def columns(self, packed) -> list:
+        """Each column's rows of ``packed``, in reading order: the inverse of :meth:`rows`."""
+        out = np.empty_like(packed)
+        out[self.reading] = packed
+        return np.split(out, np.cumsum(self.lengths)[:-1])
+
+    def column_sums(self, values, skip: int = 0) -> np.ndarray:
+        """Per column, the sum of ``values`` of its rows from step ``skip`` on, summed down a
+        zero-padded ``(n_max - skip, B)`` array, row t - skip holding position t: numpy sums
+        one column pairwise and several column by column, and this is the order of both."""
+        out = np.zeros((len(self.off) - 1 - skip, len(self.lengths)))
+        rows = slice(self.off[skip], None)
+        out[self.t[rows] - skip, self.col[rows]] = values
+        return out.sum(axis=0)
+
+
+def pack(lengths) -> Layout:
+    """The packed layout of a batch of documents of ``lengths``, which are checked here once."""
+    lengths = check_lengths(lengths)
     order = np.argsort(-lengths, kind="stable")
     ranked = lengths[order]
-    t, k = np.nonzero(np.arange(n_max)[:, None] < ranked)  # step-major, by rank inside
-    off = np.searchsorted(t, np.arange(n_max + 1))  # each step's first row, then N
-    return t, order[k], off[ranked[k] - 1 - t] + k, off
-
-
-def _previous(t: np.ndarray, batch: int) -> np.ndarray:
-    """The packed row one step back of each row after step 0: its rank's row at step s - 1."""
-    return np.arange(batch, len(t)) - np.bincount(t)[t[batch:] - 1]
+    ends = np.bincount(ranked - 1)  # per step, the columns that take their last step at it
+    active = len(lengths) - np.cumsum(ends) + ends
+    off = np.concatenate(([0], np.cumsum(active)))
+    t = np.repeat(np.arange(len(active)), active)  # step-major, by rank inside
+    k = np.arange(len(t)) - off[t]
+    mirror = off[ranked[k] - 1 - t] + k
+    prev = np.arange(len(lengths), len(t)) - active[t[len(lengths) :] - 1]
+    first = np.argsort(order)  # a column's rank is its row at step 0
+    rows, starts = off.tolist(), np.cumsum(lengths) - lengths
+    steps = list(zip(map(slice, rows, rows[1:]), ends.tolist()))
+    col = order[k]
+    return Layout(lengths, t, col, mirror, off, prev, first, mirror[first], steps, starts[col] + t)
 
 
 @dataclass
 class ForwardCache:
-    """What the backward pass needs: the batch, its packed layout (``_pack``) and per direction,
-    on axis 1, the gates, cells and states of its packed rows in the order it stepped. A forward
-    with ``for_backward=False`` keeps the layout only. One backward pass consumes the cache: the
-    gate and cell arrays become its workspace and are released."""
+    """What the backward pass needs: the packed token ids, their layout and per direction, on
+    axis 1, the gates, cells and states of the packed rows in the order it stepped. A forward with
+    ``for_backward=False`` keeps the ids and the layout only. One backward pass consumes the
+    cache: the gate and cell arrays become its workspace and are released."""
 
-    token_ids: np.ndarray  # (n_max, B)
-    lengths: np.ndarray  # (B,)
-    t: np.ndarray  # (N,)
-    col: np.ndarray  # (N,)
-    mirror: np.ndarray  # (N,), an involution
-    steps: list  # (rows, ends) per step
+    token_ids: np.ndarray  # (N,)
+    layout: Layout
     gates: np.ndarray | None  # (N, 2, 4h) activations of the (i, f, g, o) blocks
     c: np.ndarray | None  # (N, 2, h)
     h: np.ndarray | None  # (N, 2, h)
@@ -163,16 +194,12 @@ BLOCK_ROWS = 2048
 
 
 def encode_forward(
-    params: EncoderParams, token_ids, lengths, *, for_backward: bool = True
+    params: EncoderParams, token_ids, layout: Layout, *, for_backward: bool = True
 ) -> tuple[np.ndarray, ForwardCache]:
-    """Emission scores ``(n_max, B, num_labels)`` for a time-major batch.
-
-    ``token_ids`` is ``(n_max, B)``; column b holds a document in its first
-    ``lengths[b]`` rows and padding, which may hold any valid id, after them.
-    Both LSTM directions start from zero states at each document's own ends
-    and run over real positions only; emission row t of column b is
-    ``proj_W @ concat(h_fwd[t, b], h_bwd[t, b]) + proj_b``, summed as the two
-    directions' halves, and rows past a column's length are zero.
+    """Emission scores ``(N, num_labels)`` of a packed batch: ``token_ids`` are the ``(N,)``
+    packed rows of ``layout``. Both LSTM directions start from zero states at each document's own
+    ends; the emission row of position t is ``proj_W @ concat(h_fwd[t], h_bwd[t]) + proj_b``,
+    summed as the two directions' halves.
 
     Each step gathers its input rows from a table ``(embed[tokens] @ Wx.T + b) * scale`` of the
     distinct tokens, both directions, and adds one batched ``(2, active, h) @ (2, h, 4h)`` product;
@@ -185,19 +212,16 @@ def encode_forward(
     step, so both project the same blocks and agree bit for bit.
     """
     ids = check_integers(token_ids, "token ids")
-    if ids.ndim != 2:
-        raise ValueError(f"token_ids must be (n_max, B), got shape {ids.shape}")
-    lengths = check_lengths(lengths, *ids.shape)
+    if ids.shape != layout.t.shape:
+        raise ValueError(f"need {len(layout.t)} packed token ids for lengths summing to "
+                         f"{len(layout.t)}, got shape {ids.shape}")
     if ids.min() < 0 or ids.max() >= params.embed.shape[0]:
         raise ValueError(
             f"token id out of range [0, {params.embed.shape[0]}): "
             f"{int(ids.min())}..{int(ids.max())}"
         )
-    (n, batch), h = ids.shape, params.lstm_Wh.shape[2]
-    t, col, mirror, off = _pack(lengths, n)
-    rows, ends = off.tolist(), np.bincount(lengths - 1, minlength=n).tolist()
-    steps = list(zip(map(slice, rows, rows[1:]), ends))
-    tokens, inverse = np.unique(ids[t, col], return_inverse=True)
+    batch, h, n, mirror = len(layout.lengths), params.lstm_Wh.shape[2], len(ids), layout.mirror
+    tokens, inverse = np.unique(ids, return_inverse=True)
     idx = np.stack((2 * inverse, 2 * inverse[mirror] + 1), axis=1)  # table rows (token, direction)
     scale = np.repeat([0.5, 0.5, 1.0, 0.5], h)  # sigmoid blocks i, f, o; tanh block g
     shift = 1.0 - scale
@@ -208,20 +232,20 @@ def encode_forward(
     table = table.reshape(-1, 4 * h)
     WhT = np.multiply(params.lstm_Wh.swapaxes(1, 2), scale, order="C")
     proj = params.proj_W.reshape(-1, 2, h).transpose(1, 2, 0)  # (2, h, L), by direction
-    scores = np.empty((2, len(t), proj.shape[2]))
+    scores = np.empty((2, n, proj.shape[2]))
 
     def project(states, first):  # the label scores of packed rows first, first + 1, ...
         np.matmul(states.transpose(1, 0, 2), proj, out=scores[:, first : first + len(states)])
 
-    kept = len(t) if for_backward else batch
+    kept = n if for_backward else batch
     gates, c = np.empty((kept, 2, 4 * h)), np.empty((kept, 2, h))
-    hs = np.empty((len(t) if for_backward else min(len(t), BLOCK_ROWS + batch), 2, h))
+    hs = np.empty((n if for_backward else min(n, BLOCK_ROWS + batch), 2, h))
     i, f, g, o = gates.reshape(-1, 2, 4, h).transpose(2, 0, 1, 3)  # views of the blocks
     h_t = c_t = np.zeros((batch, 2, h))
     recurrent = np.empty((batch, 2, 4 * h))  # the step's h_t @ WhT, rows [:active]
     done = held = 0  # packed rows projected, and unprojected rows held after them in hs
     full = len(hs) + 1 if for_backward else BLOCK_ROWS  # rows held when a decode projects a block
-    for rows, ends in steps:
+    for rows, ends in layout.steps:
         at = rows if for_backward else slice(rows.stop - rows.start)
         a, hw = gates[at], recurrent[: len(h_t)]
         table.take(idx[rows], axis=0, out=a, mode="clip")  # "raise" would buffer out
@@ -245,9 +269,8 @@ def encode_forward(
         project(hs[first : min(first + BLOCK_ROWS, held)], done + first)
     if not for_backward:  # the decode's states are projected: drop them before the scores meet
         gates = c = hs = h_t = table = None
-    emissions = np.zeros((n, batch, params.proj_W.shape[0]))
-    emissions[t, col] = scores[0] + scores[1][mirror] + params.proj_b
-    return emissions, ForwardCache(ids, lengths, t, col, mirror, steps, gates, c, hs)
+    emissions = scores[0] + scores[1][mirror] + params.proj_b
+    return emissions, ForwardCache(ids, layout, gates, c, hs)
 
 
 def encode_backward(
@@ -257,9 +280,9 @@ def encode_backward(
     """Exact gradients of a scalar loss w.r.t. every encoder tensor, written into ``out`` (new
     tensors by default) and returned as its named views (:func:`encoder_tensors`).
 
-    ``d_emissions`` is the loss gradient at the emission tensor produced by
-    the matching :func:`encode_forward` call, with the same ``params``; its
-    padding rows are ignored. The gradients are summed over the batch.
+    ``d_emissions`` is the loss gradient at the ``(N, num_labels)`` emissions of
+    the matching :func:`encode_forward` call, with the same ``params``, in its
+    packed rows. The gradients are summed over the batch.
     Embedding gradients accumulate over repeated token occurrences; the PAD
     row gradient is forced to zero. A cache serves one backward pass.
 
@@ -272,19 +295,16 @@ def encode_backward(
     buffers, so a column's are zero until its last step. The weight and
     input gradients are one batched matrix product each, over real rows only.
     """
-    d_emissions = np.asarray(d_emissions, dtype=np.float64)
-    shape = cache.token_ids.shape + (params.proj_W.shape[0],)
-    if d_emissions.shape != shape:
-        raise ValueError(
-            f"d_emissions shape {d_emissions.shape} does not match emissions shape {shape}"
-        )
+    d_read = np.asarray(d_emissions, dtype=np.float64)
+    if d_read.shape != (len(cache.token_ids), params.proj_W.shape[0]):
+        raise ValueError(f"d_emissions shape {d_read.shape} does not match the emissions' "
+                         f"{(len(cache.token_ids), params.proj_W.shape[0])}")
     if cache.gates is None:
         raise ValueError("the cache holds no gates: built with for_backward=False, or consumed")
     dz, c, cache.gates, cache.c = cache.gates, cache.c, None, None  # they become workspace
     out = EncoderParams(*map(np.zeros_like, vars(params).values())) if out is None else out
-    hs, mirror, h, batch = cache.h, cache.mirror, params.lstm_Wh.shape[2], len(cache.lengths)
-    prev = _previous(cache.t, batch)
-    d_read = d_emissions[cache.t, cache.col]
+    layout, hs, h = cache.layout, cache.h, params.lstm_Wh.shape[2]
+    mirror, prev, batch = layout.mirror, layout.prev, len(layout.lengths)
     d_steps = np.stack((d_read, d_read[mirror]))
     d_proj_W = d_steps.transpose(0, 2, 1) @ hs.transpose(1, 0, 2)
     out.proj_W[...] = d_proj_W.transpose(1, 0, 2).reshape(-1, 2 * h)
@@ -308,7 +328,7 @@ def encode_backward(
     np.matmul(d_steps, proj_by_direction, out=d_h.transpose(1, 0, 2))
     dh_carry, dc_carry = np.zeros((batch, 2, h)), np.zeros((batch, 2, h))
     dz_scale = np.empty((batch, 2, 4, h))  # [dc, dc, dc, dh] per gate block
-    for rows, _ in reversed(cache.steps):
+    for rows, _ in reversed(layout.steps):
         k = rows.stop - rows.start
         dh, dc, z, s = dh_carry[:k], dc_carry[:k], dz[rows], dz_scale[:k]
         dh += d_h[rows]
@@ -320,7 +340,7 @@ def encode_backward(
         dc *= f_gate[rows]
     del f_gate, dc_dh, d_h
 
-    read = cache.token_ids[cache.t, cache.col]  # direction 1 reads them at the mirror rows
+    read = cache.token_ids  # direction 1 reads them at the mirror rows
     np.matmul(dz.transpose(1, 2, 0), params.embed[np.stack((read, read[mirror]))], out=out.lstm_Wx)
     # the state before step 0 is 0
     np.matmul(dz[batch:].transpose(1, 2, 0), hs[prev].transpose(1, 0, 2), out=out.lstm_Wh)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .corpus import Dataset, build_vocab, sample_batch
 from .crf import nll_and_grad, viterbi  # noqa: F401 (bench traces jlsd.viterbi)
-from .encoder import OptimizerState, adam_step, encode_backward, encode_forward, time_major
+from .encoder import OptimizerState, adam_step, encode_backward, encode_forward, pack
 from .errors import ConfigError, DataError
 from .metrics import encoded_f1, gold_phrases, label_paths
 from .model import Model, init_model
@@ -168,12 +168,12 @@ class _Run:
 
 def _batch_gradients(model: Model, gold: list, pseudo: list, grad: Model):
     """Mean NLLs (gold, pseudo or 0.0 for none, all) over ``gold`` then ``pseudo`` rows as one
-    padded time-major batch; its gradient fills ``grad``, a buffer of ``model``'s layout."""
+    packed batch, laid out once; its gradient fills ``grad``, a buffer of ``model``'s layout."""
     batch = gold + pseudo
-    ids, lengths = time_major([ids for ids, _ in batch])
-    labels, _ = time_major([labels for _, labels in batch])
-    emissions, cache = encode_forward(model.encoder, ids, lengths)
-    losses, d_emissions, d_crf = nll_and_grad(emissions, model.crf, labels, lengths)
+    layout = pack([len(ids) for ids, _ in batch])
+    ids, labels = layout.rows([ids for ids, _ in batch]), layout.rows([y for _, y in batch])
+    emissions, cache = encode_forward(model.encoder, ids, layout)
+    losses, d_emissions, d_crf = nll_and_grad(emissions, model.crf, labels, layout)
     encode_backward(model.encoder, cache, d_emissions, out=grad.encoder)
     out = grad.crf
     out.trans[...], out.start[...], out.end[...] = d_crf.trans, d_crf.start, d_crf.end

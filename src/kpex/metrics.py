@@ -14,16 +14,14 @@ import numpy as np
 
 from .corpus import LabeledDocument, Phrase, _fold, bio_to_phrases
 from .crf import marginals, viterbi
-from .encoder import BLOCK_ROWS, encode_forward, time_major
+from .encoder import BLOCK_ROWS, encode_forward, pack
 from .errors import DataError
 from .model import Model
 
 # A pass holds a few hundred bytes per token besides one block of LSTM states
-# (encoder.BLOCK_ROWS), its input table's 4 KB per distinct token at 64/64, and
-# its time-major arrays' 40 bytes per padded slot (64 with marginals).
+# (encoder.BLOCK_ROWS) and its input table's 4 KB per distinct token at 64/64.
 PASS_TOKENS = 8192  # real tokens per decode pass; a longer document decodes alone
 DISTINCT_BUDGET = 768  # distinct token ids per decode pass; a document with more decodes alone
-PASS_SLOTS = 65536  # padded slots n_max × B per decode pass
 # A decode's step buffers hold 12 state rows per document (4 each of gates and recurrent
 # products, its cell, two zero carries and its ring slot), so this many documents hold about
 # one ring of BLOCK_ROWS states, whatever the dims.
@@ -65,16 +63,14 @@ def dedup_predictions(preds) -> list[PhrasePrediction]:
 
 def _passes(encoded) -> list:
     """Document indices, longest first (a stable sort), in passes of at most ``PASS_DOCS``
-    documents, ``PASS_TOKENS`` real tokens, ``DISTINCT_BUDGET`` distinct ids and ``PASS_SLOTS``
-    padded slots, the first document's length times their count; a document past any of them
-    makes a pass alone."""
+    documents, ``PASS_TOKENS`` real tokens and ``DISTINCT_BUDGET`` distinct ids; a document past
+    either budget makes a pass alone."""
     passes, seen, tokens = [], set(), 0
     for i in sorted(range(len(encoded)), key=lambda i: -len(encoded[i])):
         words = set(encoded[i].tolist())
         tokens += len(encoded[i])
         full = not passes or len(passes[-1]) >= PASS_DOCS
-        wide = full or len(encoded[passes[-1][0]]) * (len(passes[-1]) + 1) > PASS_SLOTS
-        if wide or tokens > PASS_TOKENS or len(seen) + len(words - seen) > DISTINCT_BUDGET:
+        if full or tokens > PASS_TOKENS or len(seen) + len(words - seen) > DISTINCT_BUDGET:
             passes.append([])
             seen, tokens = set(), len(encoded[i])
         passes[-1].append(i)
@@ -85,17 +81,18 @@ def _passes(encoded) -> list:
 def label_paths(model: Model, encoded, rank: bool = False) -> list:
     """The only Viterbi decode: each document's raw label path (an orphan I stays I), given its
     token ids, or with ``rank`` its path and ``(length, L)`` marginals. Each pass (``_passes``)
-    decodes as one time-major batch, one document per column, by one
-    ``encode_forward(..., for_backward=False)``, so it takes as many serial steps as its longest
-    document."""
+    decodes as one packed batch, laid out once, by one ``encode_forward(..., for_backward=False)``,
+    so it takes as many serial steps as its longest document."""
     out = [None] * len(encoded)
     for docs in _passes(encoded):
-        ids, lengths = time_major([encoded[i] for i in docs])
-        emissions, _ = encode_forward(model.encoder, ids, lengths, for_backward=False)
-        paths, _ = viterbi(emissions, model.crf, lengths)
-        marg = marginals(emissions, model.crf, lengths) if rank else None
-        for b, (i, n) in enumerate(zip(docs, lengths.tolist())):
-            out[i] = (paths[:n, b].tolist(), marg[:n, b]) if rank else paths[:n, b].tolist()
+        layout = pack([len(encoded[i]) for i in docs])
+        ids = layout.rows([encoded[i] for i in docs])
+        emissions, _ = encode_forward(model.encoder, ids, layout, for_backward=False)
+        decoded = [p.tolist() for p in layout.columns(viterbi(emissions, model.crf, layout)[0])]
+        if rank:
+            decoded = zip(decoded, layout.columns(marginals(emissions, model.crf, layout)))
+        for i, result in zip(docs, decoded):
+            out[i] = result
     return out
 
 

@@ -1,48 +1,39 @@
-"""One document as the B = 1 call of the time-major engine.
+"""One document as the B = 1 call of the packed engine.
 
-Each helper puts a single document's ``(n,)`` token ids, ``(n, L)``
-emissions or ``(n,)`` labels into a one-column batch, calls the batched
-function, and takes the column back out, so the oracle tests check the
-only engine there is.
+A single document's packed rows are its own rows in reading order, so each
+helper only lays out its one length, calls the batched function and takes
+the one column's scalars out: the oracle tests check the only engine there is.
 """
-
-import numpy as np
 
 from kpex import crf, encoder
 
 
-def column(a) -> np.ndarray:
-    return np.asarray(a)[:, None]
-
-
 def encode_forward(params, ids):
-    emissions, cache = encoder.encode_forward(params, column(ids), [len(ids)])
-    return emissions[:, 0], cache
+    return encoder.encode_forward(params, ids, encoder.pack([len(ids)]))
 
 
-def encode_backward(params, cache, d_emissions, out=None):
-    return encoder.encode_backward(params, cache, column(d_emissions), out)
+encode_backward = encoder.encode_backward
 
 
 def log_partition(emissions, params) -> float:
-    return float(crf.log_partition(column(emissions), params, [len(emissions)])[0])
+    return float(crf.log_partition(emissions, params, encoder.pack([len(emissions)]))[0])
 
 
 def sequence_score(emissions, params, labels) -> float:
-    return float(crf.sequence_score(column(emissions), params, column(labels), [len(emissions)])[0])
+    return float(crf.sequence_score(emissions, params, labels, encoder.pack([len(emissions)]))[0])
 
 
 def viterbi(emissions, params):
-    path, score = crf.viterbi(column(emissions), params, [len(emissions)])
-    return path[:, 0], float(score[0])
+    path, score = crf.viterbi(emissions, params, encoder.pack([len(emissions)]))
+    return path, float(score[0])
 
 
-def marginals(emissions, params) -> np.ndarray:
-    return crf.marginals(column(emissions), params, [len(emissions)])[:, 0]
+def marginals(emissions, params):
+    return crf.marginals(emissions, params, encoder.pack([len(emissions)]))
 
 
 def nll_and_grad(emissions, params, gold):
     loss, d_emissions, d_crf = crf.nll_and_grad(
-        column(emissions), params, column(gold), [len(emissions)]
+        emissions, params, gold, encoder.pack([len(emissions)])
     )
-    return float(loss[0]), d_emissions[:, 0], d_crf
+    return float(loss[0]), d_emissions, d_crf

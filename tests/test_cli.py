@@ -755,12 +755,12 @@ def test_failed_extract_keeps_the_previous_output(data_dir, tmp_path, monkeypatc
     batches = []
     forward = kpex.metrics.encode_forward
 
-    def fail_on_second(params, token_ids, lengths, **kwargs):
+    def fail_on_second(params, token_ids, layout, **kwargs):
         assert kwargs == {"for_backward": False}
-        batches.append(len(lengths))
+        batches.append(len(layout.lengths))
         if len(batches) == 2:
             raise NumericError("non-finite emissions")
-        return forward(params, token_ids, lengths, **kwargs)
+        return forward(params, token_ids, layout, **kwargs)
 
     monkeypatch.setattr(kpex.metrics, "encode_forward", fail_on_second)
     monkeypatch.setattr(kpex.metrics, "PASS_TOKENS", 1024)  # the 60 documents make two passes
@@ -790,10 +790,10 @@ def test_one_forward_call_serves_several_extract_documents(data_dir, tmp_path, m
     batches = []
     forward = kpex.metrics.encode_forward
 
-    def counting(params, token_ids, lengths, **kwargs):
+    def counting(params, token_ids, layout, **kwargs):
         assert kwargs == {"for_backward": False}
-        batches.append(len(lengths))  # documents in the pass, one per column
-        return forward(params, token_ids, lengths, **kwargs)
+        batches.append(len(layout.lengths))  # documents in the pass, one per column
+        return forward(params, token_ids, layout, **kwargs)
 
     monkeypatch.setattr(kpex.metrics, "encode_forward", counting)
     rc = main([

@@ -6,7 +6,8 @@ import pytest
 
 from kpex import NumericError
 from kpex import crf as batched
-from kpex.crf import CrfParams, crf_tensors, real_positions
+from kpex.crf import CrfParams, crf_tensors
+from kpex.encoder import pack
 
 from one_doc import log_partition, marginals, nll_and_grad, sequence_score, viterbi
 from oracles import (
@@ -105,17 +106,17 @@ def test_viterbi_ties_break_to_the_lowest_label_at_every_backtracking_step():
     ties = 0
     for _ in range(30):
         crf = CrfParams(*(rng.integers(-1, 2, size=s).astype(float) for s in [(3, 3), 3, 3]))
-        lengths = rng.integers(1, 7, size=10)
-        emissions = rng.integers(-1, 2, size=(6, 10, 3)).astype(float)  # padding included
-        paths, scores = batched.viterbi(emissions, crf, lengths)
-        for b, n in enumerate(lengths):
-            ref = brute_force_crf(emissions[:n, b], crf.trans, crf.start, crf.end)
+        layout = pack(rng.integers(1, 7, size=10))
+        docs = [rng.integers(-1, 2, size=(n, 3)).astype(float) for n in layout.lengths]
+        paths, scores = batched.viterbi(layout.rows(docs), crf, layout)
+        for b, (doc, batched_path) in enumerate(zip(docs, layout.columns(paths))):
+            ref = brute_force_crf(doc, crf.trans, crf.start, crf.end)
             best = [p for p, s in zip(ref["paths"], ref["scores"]) if s == ref["max_score"]]
             ties += len(best) > 1
-            path, score = viterbi(emissions[:n, b], crf)
+            path, score = viterbi(doc, crf)
             assert score == ref["max_score"] == scores[b]  # integer sums, bit-exact
             assert tuple(path) == min(best, key=lambda p: p[::-1])
-            npt.assert_array_equal(paths[:, b], np.pad(path, (0, 6 - n)))
+            npt.assert_array_equal(batched_path, path)
     assert ties >= 100
 
 
@@ -151,29 +152,27 @@ def test_long_columns_match_an_extended_precision_reference(batch, seed):
     """The error of the marginals does not grow with length: columns of 300-450 tokens at
     emission scale 3-5 stay within 1e-13 of an unshifted long-double forward-backward."""
     rng = np.random.default_rng(seed)
-    lengths = rng.integers(300, 451, batch)
-    emissions = rng.normal(scale=rng.uniform(3, 5), size=(lengths.max(), batch, 3))
+    layout = pack(rng.integers(300, 451, batch))
+    emissions = rng.normal(scale=rng.uniform(3, 5), size=(len(layout.t), 3))
     _, crf = random_instance(rng, 1)
-    probs = batched.marginals(emissions, crf, lengths)
-    log_z = batched.log_partition(emissions, crf, lengths)
-    for b, n in enumerate(lengths):
-        ref_z, ref = longdouble_forward_backward(emissions[:n, b], crf.trans, crf.start, crf.end)
-        npt.assert_allclose(probs[:n, b], ref.astype(np.float64), rtol=1e-13, atol=0)
+    probs = layout.columns(batched.marginals(emissions, crf, layout))
+    log_z = batched.log_partition(emissions, crf, layout)
+    for b, doc in enumerate(layout.columns(emissions)):
+        ref_z, ref = longdouble_forward_backward(doc, crf.trans, crf.start, crf.end)
+        npt.assert_allclose(probs[b], ref.astype(np.float64), rtol=1e-13, atol=0)
         npt.assert_allclose(log_z[b], float(ref_z), rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("spread", [1e3, 1e10, 1e300])
 def test_extreme_scores_stay_finite(spread):
     rng = np.random.default_rng(10)
-    lengths = np.array([1, 6, 12])
-    emissions = 1e3 * rng.uniform(-1, 1, (12, 3, 3))
+    layout = pack([1, 6, 12])
+    emissions = 1e3 * rng.uniform(-1, 1, (19, 3))
     crf = CrfParams(*(spread * rng.uniform(-1, 1, shape) for shape in ((3, 3), 3, 3)))
-    probs = batched.marginals(emissions, crf, lengths)
+    probs = batched.marginals(emissions, crf, layout)
     assert np.all(np.isfinite(probs))
-    npt.assert_allclose(probs.sum(axis=2)[real_positions(lengths, 12)], 1.0, rtol=0, atol=1e-12)
-    losses, d_emissions, d_crf = batched.nll_and_grad(
-        emissions, crf, rng.integers(0, 3, (12, 3)), lengths
-    )
+    npt.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    losses, d_emissions, d_crf = batched.nll_and_grad(emissions, crf, rng.integers(0, 3, 19), layout)
     for arr in (losses, d_emissions, *crf_tensors(d_crf).values()):
         assert np.all(np.isfinite(arr))
 

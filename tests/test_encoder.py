@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from kpex import NumericError, build_vocab, encoder, gen_synthetic
 from kpex.corpus import PAD_INDEX
-from kpex.encoder import EncoderDims, OptimizerState, adam_step, encoder_tensors, init_params
+from kpex.encoder import EncoderDims, OptimizerState, adam_step, encoder_tensors, init_params, pack
 from kpex.model import Model, init_model, model_tensors
 
 from one_doc import encode_backward, encode_forward
@@ -117,38 +117,38 @@ def test_emissions_depend_on_the_whole_sequence():
     assert abs(e1[0] - e2[0]).max() > 0  # bidirectionality reaches row 0
 
 
-def _forward_peak_per_real_token(vocab_size, ids, lengths, **kwargs) -> float:
+LAYOUT = pack([370, 300, 200, 130])
+
+
+def _forward_peak_per_real_token(vocab_size, ids, **kwargs) -> float:
     params = init_params(EncoderDims(vocab_size=vocab_size, embed_dim=64, hidden_dim=64), 0)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        encoder.encode_forward(params, ids, lengths, **kwargs)
+        encoder.encode_forward(params, ids, LAYOUT, **kwargs)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    return peak / lengths.sum()
-
-
-LENGTHS = np.array([370, 300, 200, 130])
+    return peak / len(ids)
 
 
 def test_forward_memory_per_real_token():
     """At embed/hidden 64 the gate, cell and state caches are 6 KB per real token; the
     projection adds little to the peak of one forward pass. The input table's 4 KB per distinct
     token sit beside the caches until the forward returns, all of them at worst."""
-    ids = np.random.default_rng(0).integers(1, 50, (370, 4))
-    assert _forward_peak_per_real_token(50, ids, LENGTHS) <= 7.0 * 1024
-    distinct = np.arange(1, 1 + 370 * 4).reshape(370, 4)
-    assert _forward_peak_per_real_token(1500, distinct, LENGTHS) <= 11.0 * 1024
+    ids = np.random.default_rng(0).integers(1, 50, len(LAYOUT.t))
+    assert _forward_peak_per_real_token(50, ids) <= 7.0 * 1024
+    distinct = np.arange(1, 1 + len(LAYOUT.t))
+    assert _forward_peak_per_real_token(1500, distinct) <= 11.0 * 1024
 
 
 def test_forward_without_cache_memory_per_real_token():
     """Without the backward cache the states (1 KB per real token at hidden 64) dominate when
     tokens repeat; the input table adds 4 KB per distinct token, all of them at worst."""
-    repeated = np.random.default_rng(0).integers(1, 50, (370, 4))
-    assert _forward_peak_per_real_token(50, repeated, LENGTHS, for_backward=False) <= 2.0 * 1024
-    distinct = np.arange(1, 1 + 370 * 4).reshape(370, 4)
-    assert _forward_peak_per_real_token(1500, distinct, LENGTHS, for_backward=False) <= 6.0 * 1024
+    repeated = np.random.default_rng(0).integers(1, 50, len(LAYOUT.t))
+    assert _forward_peak_per_real_token(50, repeated, for_backward=False) <= 2.0 * 1024
+    distinct = np.arange(1, 1 + len(LAYOUT.t))
+    assert _forward_peak_per_real_token(1500, distinct, for_backward=False) <= 6.0 * 1024
 
 
 # -- backward ----------------------------------------------------------------
@@ -164,25 +164,13 @@ def test_zero_upstream_gradient_gives_zero_gradients():
 
 def test_a_cache_without_gates_is_rejected():
     p = small_params(5)
-    _, cache = encoder.encode_forward(p, [[2], [3], [4]], [3], for_backward=False)
+    _, cache = encoder.encode_forward(p, [2, 3, 4], pack([3]), for_backward=False)
     with pytest.raises(ValueError, match="for_backward=False"):
         encode_backward(p, cache, np.zeros((3, 3)))
     _, cache = encode_forward(p, [2, 3, 4])
     encode_backward(p, cache, np.zeros((3, 3)))
     with pytest.raises(ValueError, match="consumed"):  # a second backward on the same cache
         encode_backward(p, cache, np.zeros((3, 3)))
-
-
-def test_gradient_shape_mismatch_rejected():
-    p = small_params(5)
-    _, cache = encode_forward(p, [2, 3, 4])
-    with pytest.raises(ValueError, match="shape"):
-        encode_backward(p, cache, np.zeros((4, 3)))
-    _, cache = encoder.encode_forward(p, [[2, 5], [3, 6], [4, 7]], [3, 3])
-    for bad in [(3, 2, 2), (3, 1, 3), (2, 2, 3)]:  # the check runs before the cache is consumed
-        message = f"d_emissions shape {bad} does not match emissions shape (3, 2, 3)"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            encoder.encode_backward(p, cache, np.zeros(bad))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
@@ -231,18 +219,27 @@ def test_the_batch_is_the_textbook_bilstm(lengths, embed, hidden, scale, seed):
         arr *= scale
     params.lstm_b[...] += rng.normal(size=params.lstm_b.shape)
     docs = [rng.integers(0, 9, n) for n in lengths]
-    ids, lengths = encoder.time_major(docs)
-    emissions, cache = encoder.encode_forward(params, ids, lengths)
+    layout = pack(lengths)
+    emissions, cache = encoder.encode_forward(params, layout.rows(docs), layout)
     d_emissions = rng.normal(size=emissions.shape)
     grads = encoder.encode_backward(params, cache, d_emissions)
     want = {name: np.zeros_like(g) for name, g in grads.items()}
-    for b, doc in enumerate(docs):
+    for doc, column, d_column in zip(docs, layout.columns(emissions), layout.columns(d_emissions)):
         alone, memo = bilstm_forward(params, doc)
-        assert relative_error(emissions[: len(doc), b], alone) <= TEXTBOOK_RTOL
-        for name, g in bilstm_backward(params, memo, d_emissions[: len(doc), b]).items():
+        assert relative_error(column, alone) <= TEXTBOOK_RTOL
+        for name, g in bilstm_backward(params, memo, d_column).items():
             want[name] += g
     for name, g in grads.items():
         assert relative_error(g, want[name]) <= TEXTBOOK_RTOL, name
+
+
+def test_gradient_shape_mismatch_rejected():
+    p = small_params(5)
+    _, cache = encoder.encode_forward(p, [2, 5, 3, 6, 4, 7], pack([3, 3]))
+    for bad in [(5, 3), (6, 2), (6, 1, 3), (3, 2, 3)]:  # the check runs before the cache is consumed
+        with pytest.raises(ValueError, match=re.escape(f"d_emissions shape {bad} does not match")):
+            encoder.encode_backward(p, cache, np.zeros(bad))
+    encoder.encode_backward(p, cache, np.zeros((6, 3)))
 
 
 def test_repeated_token_accumulates_both_positions():

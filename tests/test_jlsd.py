@@ -239,6 +239,35 @@ def test_a_run_encodes_and_folds_each_dev_document_once(tiny_corpus, monkeypatch
     assert [encoded[id(d.tokens)] for d in [*labeled, *dev]] == [1] * (len(labeled) + len(dev))
 
 
+def test_a_training_step_lays_its_batch_out_once(tiny_corpus, monkeypatch):
+    """Each step's gold and pseudo-labelled batch is laid out and its lengths checked once, and
+    the forward, the CRF and the backward all take that one layout."""
+    labeled, unlabeled, dev = tiny_corpus
+    checks, layouts, steps = [], [], []
+    check_lengths = kpex.encoder.check_lengths
+    monkeypatch.setattr(kpex.encoder, "check_lengths", lambda *a: checks.append(a) or check_lengths(*a))
+    for name, pick in [("encode_forward", lambda args: args[2]),
+                       ("nll_and_grad", lambda args: args[3]),
+                       ("encode_backward", lambda args: args[1].layout)]:
+        def spy(*args, fn=getattr(kpex.jlsd, name), pick=pick, **kwargs):
+            layouts.append(pick(args))
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(kpex.jlsd, name, spy)
+    batch_gradients = kpex.jlsd._batch_gradients
+
+    def step(*args):
+        checks.clear()
+        layouts.clear()
+        out = batch_gradients(*args)
+        steps.append((len(checks), len(layouts), len({id(layout) for layout in layouts})))
+        return out
+
+    monkeypatch.setattr(kpex.jlsd, "_batch_gradients", step)
+    jlsd_train(labeled, unlabeled, dev, tiny_config(T=4, teacher_T=3))
+    assert steps == [(1, 3, 1)] * 7
+
+
 def test_iteration_losses_are_in_order_sums_of_the_document_losses(tiny_corpus, monkeypatch):
     labeled, unlabeled, dev = tiny_corpus
     per_step = []

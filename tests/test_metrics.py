@@ -20,11 +20,10 @@ from kpex import (
     rank_phrases,
 )
 from kpex.corpus import bio_to_phrases
-from kpex.encoder import encode_forward, time_major
+from kpex.encoder import encode_forward, pack
 from kpex.metrics import (
     DISTINCT_BUDGET,
     PASS_DOCS,
-    PASS_SLOTS,
     PASS_TOKENS,
     MetricReport,
     PhrasePrediction,
@@ -229,9 +228,9 @@ def test_only_ranking_computes_marginals(trained_standard, monkeypatch):
         rank_phrases(model, test[0])
 
 
-def _column_documents(token_ids, lengths) -> list:
+def _column_documents(token_ids, layout) -> list:
     """The token ids of each document that a pass holds, one per column."""
-    return [tuple(token_ids[:n, b].tolist()) for b, n in enumerate(lengths)]
+    return [tuple(column.tolist()) for column in layout.columns(token_ids)]
 
 
 def test_evaluate_decodes_each_document_once(trained_standard, monkeypatch):
@@ -240,16 +239,15 @@ def test_evaluate_decodes_each_document_once(trained_standard, monkeypatch):
     passes, documents = [], []
     forward = kpex.metrics.encode_forward
 
-    def counting(params, token_ids, lengths, **kwargs):
+    def counting(params, token_ids, layout, **kwargs):
         assert kwargs == {"for_backward": False}
-        docs = _column_documents(token_ids, lengths)
+        docs = _column_documents(token_ids, layout)
         assert len(docs) <= PASS_DOCS
-        assert sum(lengths) <= PASS_TOKENS or len(docs) == 1
+        assert len(token_ids) <= PASS_TOKENS or len(docs) == 1
         assert len(set().union(*docs)) <= DISTINCT_BUDGET or len(docs) == 1
-        assert token_ids.size <= PASS_SLOTS or len(docs) == 1
-        passes.append((len(token_ids), max(map(len, docs)), len(docs)))
+        passes.append((len(layout.steps), max(map(len, docs)), len(docs)))
         documents.extend(docs)
-        return forward(params, token_ids, lengths, **kwargs)
+        return forward(params, token_ids, layout, **kwargs)
 
     monkeypatch.setattr(kpex.metrics, "encode_forward", counting)
     ranked = evaluate(model, test, k=5)
@@ -314,10 +312,10 @@ def test_the_distinct_token_budget_splits_groups(monkeypatch):
     monkeypatch.setattr(kpex.metrics, "DISTINCT_BUDGET", 12)
     passes, forward = [], kpex.metrics.encode_forward
 
-    def recording(params, token_ids, lengths, **kwargs):
-        held = _column_documents(token_ids, lengths)
+    def recording(params, token_ids, layout, **kwargs):
+        held = _column_documents(token_ids, layout)
         passes.append((len(set().union(*held)), len(held)))
-        return forward(params, token_ids, lengths, **kwargs)
+        return forward(params, token_ids, layout, **kwargs)
 
     monkeypatch.setattr(kpex.metrics, "encode_forward", recording)
     batched = decode_batches(model, docs, rank=True)
@@ -332,25 +330,59 @@ def test_the_distinct_token_budget_splits_groups(monkeypatch):
         )
 
 
-def test_the_slot_budget_splits_passes(monkeypatch):
-    """A pass's padded slots, its longest document's length times its document count, stay within
-    PASS_SLOTS, so short documents do not pad out to a long one's length; a document longer than
-    that decodes alone, and the results are those of one document at a time."""
-    model, rng = _random_model(7), np.random.default_rng(7)
-    words = list(_VOCAB.itos)
-    lengths = [30, 1, 1, 1, 8, 8, 70, 2]
-    docs = [Document(f"d{i}", tuple(rng.choice(words, n))) for i, n in enumerate(lengths)]
-    monkeypatch.setattr(kpex.metrics, "PASS_SLOTS", 64)
-    shapes, forward = [], kpex.metrics.encode_forward
+def _peak_and_paths(model, encoded) -> tuple[int, list]:
+    """The tracemalloc peak of ``label_paths`` over ``encoded``, and its paths."""
+    tracemalloc.start()
+    try:
+        paths = kpex.metrics.label_paths(model, encoded)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, paths
 
-    def recording(params, token_ids, lengths, **kwargs):
-        shapes.append(token_ids.shape)
-        return forward(params, token_ids, lengths, **kwargs)
 
-    monkeypatch.setattr(kpex.metrics, "encode_forward", recording)
-    batched = decode_batches(model, docs)
-    assert shapes == [(70, 1), (30, 2), (8, 5)]
-    assert batched == [extract(model, d) for d in docs]
+def test_a_long_document_beside_many_one_token_documents_decodes_in_bounded_memory():
+    """A pass holds packed rows only, never a padded (n_max, B) array: one 4,000-token document
+    beside 4,000 one-token documents at 64/64 shares a pass with 169 of them within 10 MB."""
+    model = init_model(_VOCAB, 64, 64, seed=1)
+    rng = np.random.default_rng(2)
+    long = rng.integers(1, len(_VOCAB), 4000)
+    ids = rng.integers(1, len(_VOCAB), 4000)
+    peak, paths = _peak_and_paths(model, [long, *(ids[i : i + 1] for i in range(len(ids)))])
+    assert peak < 10 * 2**20
+    alone = {i: kpex.metrics.label_paths(model, [np.array([i])])[0] for i in set(ids.tolist())}
+    assert paths == kpex.metrics.label_paths(model, [long]) + [alone[i] for i in ids.tolist()]
+
+
+def test_a_decode_pass_lays_its_documents_out_once(monkeypatch):
+    """Per pass, one layout with one lengths check serves the forward, Viterbi and marginals, and
+    every array passed to or returned from them has a row per real token or per document, never
+    the (n_max, B) shape of a padded batch."""
+    model, rng = _random_model(4), np.random.default_rng(4)
+    encoded = [rng.integers(1, len(_VOCAB), n) for n in (7, 1, 12, 3, 12, 5)]
+    monkeypatch.setattr(kpex.metrics, "PASS_DOCS", 4)  # passes of 12, 12, 7, 5 and of 3, 1
+    checks, calls = [], []
+    check_lengths = kpex.encoder.check_lengths
+    monkeypatch.setattr(kpex.encoder, "check_lengths",
+                        lambda *a: checks.append(len(calls)) or check_lengths(*a))
+    for name in ("encode_forward", "viterbi", "marginals"):
+        def spy(*args, fn=getattr(kpex.metrics, name), **kwargs):
+            out = fn(*args, **kwargs)
+            returned = out if isinstance(out, tuple) else (out,)
+            calls.append((args[2], [a for a in (*args, *returned) if isinstance(a, np.ndarray)]))
+            return out
+
+        monkeypatch.setattr(kpex.metrics, name, spy)
+    paths = kpex.metrics.label_paths(model, encoded, rank=True)
+    assert [len(path) for path, _ in paths] == [7, 1, 12, 3, 12, 5]
+    assert checks == [0, 3] and len(calls) == 6  # forward, Viterbi, marginals; twice
+    for first in (0, 3):
+        assert len({id(layout) for layout, _ in calls[first : first + 3]}) == 1
+    for layout, arrays in calls:
+        padded = (max(layout.lengths), len(layout.lengths))
+        assert padded[0] != len(layout.t) and padded[1] > 1  # the shapes can be told apart
+        for a in arrays:
+            assert len(a) in (len(layout.t), len(layout.lengths)) and a.shape[:2] != padded
 
 
 def test_many_short_documents_decode_in_bounded_memory():
@@ -358,12 +390,7 @@ def test_many_short_documents_decode_in_bounded_memory():
     documents at 64/64 make passes of at most PASS_DOCS columns, not one pass of 8,192."""
     model = init_model(_VOCAB, 64, 64, seed=1)
     ids = np.random.default_rng(1).integers(1, len(_VOCAB), 8192)
-    tracemalloc.start()
-    try:
-        paths = kpex.metrics.label_paths(model, [ids[i : i + 1] for i in range(len(ids))])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, paths = _peak_and_paths(model, [ids[i : i + 1] for i in range(len(ids))])
     assert peak < 10 * 2**20
     # a one-token document's path depends on its token alone
     alone = {i: kpex.metrics.label_paths(model, [np.array([i])])[0] for i in set(ids.tolist())}
@@ -395,8 +422,8 @@ def test_ranked_confidences_are_brute_force_marginal_products():
         docs = [Document(f"d{n}", tuple(rng.choice(words, n))) for n in (6, 1, 4, 2, 5, 3)]
         batched = decode_batches(model, docs, rank=True)
         for doc, ranked in [*zip(docs, batched), *((d, rank_phrases(model, d)) for d in docs)]:
-            ids, lengths = time_major([model.vocab.encode(doc.tokens)])
-            emissions = encode_forward(model.encoder, ids, lengths)[0][:, 0]
+            ids = model.vocab.encode(doc.tokens)
+            emissions = encode_forward(model.encoder, ids, pack([len(ids)]))[0]
             oracle = brute_force_crf(emissions, model.crf.trans, model.crf.start, model.crf.end)
             labels = np.array(oracle["best_path"])
             spans = {span for span, _ in bio_to_phrases(doc.tokens, labels)}
