@@ -12,9 +12,7 @@ from .corpus import (
     save_jsonl,
     split_dataset,
 )
-from .encoder import (
-    encode_forward,  # bench/test_bench.py pins kpex.encode_forward as an import site
-)
+from .encoder import encode_forward  # bench/test_bench.py pins kpex.encode_forward as imported
 from .errors import ConfigError, DataError, KpexError, NumericError
 from .jlsd import (
     JlsdConfig,
@@ -23,13 +21,7 @@ from .jlsd import (
     train_simple_pretrain,
     train_supervised,
 )
-from .metrics import (
-    dataset_f1,
-    evaluate,
-    extract,
-    gold_phrases,
-    rank_phrases,
-)
+from .metrics import dataset_f1, evaluate, extract, gold_phrases, rank_phrases
 from .model import init_model, load_checkpoint, save_checkpoint
 
 __version__ = "0.1.0"

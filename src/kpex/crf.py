@@ -137,19 +137,19 @@ def viterbi(emissions, crf: CrfParams, layout: Layout) -> tuple[np.ndarray, np.n
     Ties are broken toward the lowest label index at every backtracking step, so all-zero scores
     decode to all-O.
     """
-    emissions, batch = _check(emissions, layout), len(layout.lengths)
+    emissions, batch, num_labels = _check(emissions, layout), len(layout.lengths), len(crf.start)
     delta = _alphas(emissions, crf.trans[..., None], crf.start[:, None], layout.off,
                     reduce=np.maximum.reduce)
-    # backpointers (row, to) of the rows after step 0, from their rows one step back, as lists
-    # for the serial backtrack
-    back = (delta[layout.prev, None, :] + crf.trans.T).argmax(axis=2).tolist()
+    # the backpointer to label l of row r after step 0, from its row one step back, is flat entry
+    # L * (r - B) + l of one list, for the serial backtrack
+    back = (delta[layout.prev, None, :] + crf.trans.T).argmax(axis=2).ravel().tolist()
     final = delta[layout.last] + crf.end
     best = np.argmax(final, axis=1)
     path, prev = [0] * len(delta), layout.prev.tolist()
     for row, label in zip(layout.last.tolist(), best.tolist()):
         while row >= batch:
             path[row] = label
-            label = back[row - batch][label]
+            label = back[num_labels * (row - batch) + label]
             row = prev[row - batch]
         path[row] = label
     return np.array(path), final[np.arange(batch), best]

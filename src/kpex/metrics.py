@@ -18,14 +18,9 @@ from .encoder import BLOCK_ROWS, encode_forward, pack
 from .errors import DataError
 from .model import Model
 
-# A pass holds a few hundred bytes per token besides one block of LSTM states
-# (encoder.BLOCK_ROWS) and its input table's 4 KB per distinct token at 64/64.
-PASS_TOKENS = 8192  # real tokens per decode pass; a longer document decodes alone
-DISTINCT_BUDGET = 768  # distinct token ids per decode pass; a document with more decodes alone
-# A decode's step buffers hold 12 state rows per document (4 each of gates and recurrent
-# products, its cell, two zero carries and its ring slot), so this many documents hold about
-# one ring of BLOCK_ROWS states, whatever the dims.
-PASS_DOCS = BLOCK_ROWS // 12
+# The bytes a decode pass may hold at its peak, as ``_pass_bytes`` counts them from the dims:
+# at 64/64 this keeps ``extract``'s 100 documents in one pass and the worst cases within 10 MB.
+PASS_BYTES = 8 * 2**20
 
 
 @dataclass
@@ -61,18 +56,26 @@ def dedup_predictions(preds) -> list[PhrasePrediction]:
     return sorted(best.values(), key=lambda p: p.span[0])
 
 
-def _passes(encoded) -> list:
-    """Document indices, longest first (a stable sort), in passes of at most ``PASS_DOCS``
-    documents, ``PASS_TOKENS`` real tokens and ``DISTINCT_BUDGET`` distinct ids; a document past
-    either budget makes a pass alone."""
-    passes, seen, tokens = [], set(), 0
+def _pass_bytes(dims, rows: int, distinct: int, docs: int) -> int:
+    """The bytes a decode pass of ``docs`` documents, ``rows`` real tokens and ``distinct``
+    distinct ids holds at its peak, ``rank`` included, in words of 8 B: per packed row its ring
+    slot, 2h (the ring holds at most ``BLOCK_ROWS``), and 8 words of ids, layout and path plus 16
+    per label of label scores, emissions, CRF arrays and backpointers; per distinct token its
+    input-table row, 2 x 4h; per document its ``(B, 2, .)`` step buffers, 24h."""
+    return 8 * (dims.hidden_dim * (2 * min(rows, BLOCK_ROWS) + 8 * distinct + 24 * docs)
+                + (8 + 16 * dims.num_labels) * rows)
+
+
+def _passes(dims, encoded) -> list:
+    """Document indices, longest first (a stable sort), in passes whose ``_pass_bytes`` stay
+    within ``PASS_BYTES``; a document over it by itself decodes alone."""
+    passes, seen, rows = [], set(), 0
     for i in sorted(range(len(encoded)), key=lambda i: -len(encoded[i])):
         words = set(encoded[i].tolist())
-        tokens += len(encoded[i])
-        full = not passes or len(passes[-1]) >= PASS_DOCS
-        if full or tokens > PASS_TOKENS or len(seen) + len(words - seen) > DISTINCT_BUDGET:
+        distinct, rows = len(seen) + len(words - seen), rows + len(encoded[i])
+        if not passes or _pass_bytes(dims, rows, distinct, len(passes[-1]) + 1) > PASS_BYTES:
             passes.append([])
-            seen, tokens = set(), len(encoded[i])
+            seen, rows = set(), len(encoded[i])
         passes[-1].append(i)
         seen |= words
     return passes
@@ -84,7 +87,7 @@ def label_paths(model: Model, encoded, rank: bool = False) -> list:
     decodes as one packed batch, laid out once, by one ``encode_forward(..., for_backward=False)``,
     so it takes as many serial steps as its longest document."""
     out = [None] * len(encoded)
-    for docs in _passes(encoded):
+    for docs in _passes(model.dims, encoded):
         layout = pack([len(encoded[i]) for i in docs])
         ids = layout.rows([encoded[i] for i in docs])
         emissions, _ = encode_forward(model.encoder, ids, layout, for_backward=False)

@@ -235,6 +235,30 @@ def per_tensor_adam_step(params, grads, moments, step, lr_lower, lr_upper) -> No
         p -= m / (1.0 - 0.9**step) * (lr_lower if name == "embed" else lr_upper) / denom
 
 
+def reference_training_step(model, tensors, rows, n_gold, moments, step, lr_lower, lr_upper):
+    """One training step composed of the references above: each row's emissions from
+    ``bilstm_forward``, the batch's CRF losses and gradients from ``padded_nll_and_grad``, each
+    row's emission gradient through ``bilstm_backward``, the gradients summed over the rows and
+    divided by their count, then ``per_tensor_adam_step`` on ``tensors``, ``model``'s parameters
+    by name. ``rows`` are (token ids, labels), the first ``n_gold`` gold and the rest pseudo.
+    Returns the mean losses (gold, pseudo, all; 0.0 for none) and the gradients by name."""
+    forwards = [bilstm_forward(model.encoder, ids) for ids, _ in rows]
+    lengths = np.array([len(ids) for ids, _ in rows])
+    emissions = np.zeros((lengths.max(), len(rows), model.crf.start.size))
+    gold = np.zeros(emissions.shape[:2], dtype=np.int64)
+    for b, ((ids, labels), (e, _)) in enumerate(zip(rows, forwards)):
+        emissions[: len(ids), b], gold[: len(ids), b] = e, labels
+    losses, d_emissions, d_crf = padded_nll_and_grad(emissions, model.crf, gold, lengths)
+    grads = dict(zip(("crf.trans", "crf.start", "crf.end"), d_crf))
+    for b, (_, memo) in enumerate(forwards):
+        for name, g in bilstm_backward(model.encoder, memo, d_emissions[: lengths[b], b]).items():
+            grads[name] = grads[name] + g if name in grads else g
+    grads = {name: g / len(rows) for name, g in grads.items()}
+    per_tensor_adam_step(tensors, grads, moments, step, lr_lower, lr_upper)
+    parts = losses[:n_gold], losses[n_gold:]
+    return [part.mean() if len(part) else 0.0 for part in parts] + [losses.mean()], grads
+
+
 def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     diff = np.max(np.abs(analytic - numeric))
     scale = max(np.max(np.abs(analytic)), np.max(np.abs(numeric)), 1e-8)

@@ -763,7 +763,7 @@ def test_failed_extract_keeps_the_previous_output(data_dir, tmp_path, monkeypatc
         return forward(params, token_ids, layout, **kwargs)
 
     monkeypatch.setattr(kpex.metrics, "encode_forward", fail_on_second)
-    monkeypatch.setattr(kpex.metrics, "PASS_TOKENS", 1024)  # the 60 documents make two passes
+    monkeypatch.setattr(kpex.metrics, "PASS_BYTES", 2**19)  # the 60 documents make two passes
     rc = main([
         "extract", "--ckpt", str(ckpt),
         "--test", str(data_dir / "unlabeled.jsonl"), "--out", str(out),

@@ -5,9 +5,9 @@ multi-threaded BLAS to split, so the criterion-7 configuration is rerun in
 fresh processes, twice with ``OPENBLAS_NUM_THREADS=1`` and twice with the
 thread count left to the library. Each run trains in all four modes and hashes
 every trained model's checkpoint, event log, ranked dev-set confidences and
-extracted dev-set phrases, spans and label paths. The ``train`` and ``extract``
-subcommands, at the same shape, also write the same files under one and under
-two BLAS threads; ``jlsd`` does not yet.
+extracted dev-set phrases, spans and label paths. The ``train``, ``extract``,
+``rank`` and ``eval --k 5`` subcommands, at the same shape, also write the same
+files under one and under two BLAS threads; ``jlsd`` does not yet.
 """
 
 import json
@@ -84,8 +84,11 @@ from kpex.cli import main
 data, out = sys.argv[1:]
 assert main(["train", "--train", f"{data}/labeled.jsonl", "--dev", f"{data}/dev.jsonl",
              "--config", f"{data}/config.json", "--out", out]) == 0
-assert main(["extract", "--ckpt", f"{out}/model.ckpt", "--test", f"{data}/dev.jsonl",
-             "--out", f"{out}/extract.jsonl"]) == 0
+for mode in ("extract", "rank"):
+    assert main([mode, "--ckpt", f"{out}/model.ckpt", "--test", f"{data}/dev.jsonl",
+                 "--out", f"{out}/{mode}.jsonl"]) == 0
+assert main(["eval", "--ckpt", f"{out}/model.ckpt", "--test", f"{data}/dev.jsonl", "--k", "5",
+             "--out", f"{out}/eval.jsonl"]) == 0
 """
 
 
@@ -97,7 +100,7 @@ def test_train_and_extract_write_the_same_bytes_under_one_and_two_blas_threads(t
     config = {"T": 30, "eval_every": 10, "batch_size": 4, "seed": 13, "embed_dim": 8,
               "hidden_dim": 8}
     (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
-    files = ("model.ckpt", "events.jsonl", "extract.jsonl")
+    files = ("model.ckpt", "events.jsonl", "extract.jsonl", "rank.jsonl", "eval.jsonl")
     written = []
     for threads in ("1", "2"):  # never more: the point is a second thread, not a large pool
         out = tmp_path / f"threads{threads}"

@@ -27,10 +27,12 @@ from kpex import (
 )
 from kpex.corpus import LabeledDocument, bio_to_phrases, sample_batch
 from kpex.crf import nll_and_grad
-from kpex.encoder import encoder_tensors
+from kpex.encoder import OptimizerState, adam_step, encoder_tensors
 from kpex.jlsd import pseudo_label
 from kpex.metrics import MetricReport, dataset_f1, encoded_f1, gold_phrases
-from kpex.model import Model, checkpoint_bytes
+from kpex.model import Model, checkpoint_bytes, model_tensors
+
+from oracles import reference_training_step, relative_error
 
 
 def tiny_config(**overrides):
@@ -118,6 +120,33 @@ def test_a_reused_gradient_buffer_gives_the_same_bits(tiny_corpus):
         fresh = Model(model.dims, model.vocab)
         assert losses == kpex.jlsd._batch_gradients(model, gold, pseudo, fresh)
         npt.assert_array_equal(grad.flat, fresh.flat)
+
+
+REFERENCE_STEP_RTOL = 1e-12
+
+
+def test_training_steps_are_the_composed_reference_step(tiny_corpus):
+    """Three steps of ``_batch_gradients`` and ``adam_step`` on gold and pseudo rows match the
+    textbook BiLSTM, the padded CRF and the per-tensor Adam composed into one step: the mean
+    losses, every gradient and every parameter after each step."""
+    labeled, unlabeled, _ = tiny_corpus
+    model = init_model(build_vocab(list(labeled) + list(unlabeled)), 6, 5, seed=2)
+    teacher, reference, grad = model.copy(), model.copy(), Model(model.dims, model.vocab)
+    teacher.encoder.proj_W *= 20  # so that the pseudo-labels hold phrases
+    rows, moments = kpex.jlsd._Run(model.vocab, labeled[:1]).rows, {}
+    opt = OptimizerState(lr_lower=3e-3, lr_upper=2e-2)
+    for step, (gold, pseudo) in enumerate([(labeled[:4], unlabeled[:4]), (labeled[4:9], []),
+                                           (labeled[9:11], unlabeled[4:10])], start=1):
+        gold, pseudo = rows(gold), pseudo_label(teacher, pseudo)
+        losses = kpex.jlsd._batch_gradients(model, gold, pseudo, grad)
+        adam_step(model, grad, opt)
+        want, grads = reference_training_step(reference, model_tensors(reference), gold + pseudo,
+                                              len(gold), moments, step, 3e-3, 2e-2)
+        assert relative_error(np.array(losses), np.array(want)) <= REFERENCE_STEP_RTOL
+        for name, g in model_tensors(grad).items():
+            assert relative_error(g, grads[name]) <= REFERENCE_STEP_RTOL, name
+        assert relative_error(model.flat, reference.flat) <= REFERENCE_STEP_RTOL
+    assert any(1 in path for _, path in pseudo)
 
 
 def test_supervised_rejects_bad_datasets(tiny_corpus):

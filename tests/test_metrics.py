@@ -19,14 +19,12 @@ from kpex import (
     init_model,
     rank_phrases,
 )
-from kpex.corpus import bio_to_phrases
+from kpex.corpus import PAD_TOKEN, UNK_TOKEN, Vocabulary, bio_to_phrases
 from kpex.encoder import encode_forward, pack
 from kpex.metrics import (
-    DISTINCT_BUDGET,
-    PASS_DOCS,
-    PASS_TOKENS,
     MetricReport,
     PhrasePrediction,
+    _pass_bytes,
     decode_batches,
     dedup_predictions,
     exact_f1,
@@ -242,9 +240,8 @@ def test_evaluate_decodes_each_document_once(trained_standard, monkeypatch):
     def counting(params, token_ids, layout, **kwargs):
         assert kwargs == {"for_backward": False}
         docs = _column_documents(token_ids, layout)
-        assert len(docs) <= PASS_DOCS
-        assert len(token_ids) <= PASS_TOKENS or len(docs) == 1
-        assert len(set().union(*docs)) <= DISTINCT_BUDGET or len(docs) == 1
+        held = _pass_bytes(model.dims, len(token_ids), len(set().union(*docs)), len(docs))
+        assert held <= kpex.metrics.PASS_BYTES or len(docs) == 1
         passes.append((len(layout.steps), max(map(len, docs)), len(docs)))
         documents.extend(docs)
         return forward(params, token_ids, layout, **kwargs)
@@ -303,25 +300,30 @@ def test_batched_decode_returns_the_single_document_results(lengths, seed):
         )
 
 
-def test_the_distinct_token_budget_splits_groups(monkeypatch):
-    """Each pass's distinct token ids stay within DISTINCT_BUDGET, a document with more decodes
-    alone, and the results are those of one document at a time."""
+def test_the_byte_budget_splits_passes(monkeypatch):
+    """A pass closes when its next document would take its modelled bytes over PASS_BYTES, a
+    document over it by itself decodes alone, and the results are those of one document at a
+    time."""
     model, rng = _random_model(7), np.random.default_rng(7)
     words = list(_VOCAB.itos)
     docs = [Document(f"d{i}", tuple(rng.choice(words, n))) for i, n in enumerate([3, 5, 9, 30, 8])]
-    monkeypatch.setattr(kpex.metrics, "DISTINCT_BUDGET", 12)
+    monkeypatch.setattr(kpex.metrics, "PASS_BYTES", 13_000)
     passes, forward = [], kpex.metrics.encode_forward
 
     def recording(params, token_ids, layout, **kwargs):
-        held = _column_documents(token_ids, layout)
-        passes.append((len(set().union(*held)), len(held)))
+        passes.append(_column_documents(token_ids, layout))
         return forward(params, token_ids, layout, **kwargs)
+
+    def held(documents):
+        return _pass_bytes(model.dims, sum(map(len, documents)), len(set().union(*documents)),
+                           len(documents))
 
     monkeypatch.setattr(kpex.metrics, "encode_forward", recording)
     batched = decode_batches(model, docs, rank=True)
-    assert len(passes) >= 3 and passes[0][0] > 12  # the longest document comes first, alone
-    assert all(distinct <= 12 or held == 1 for distinct, held in passes)
-    assert sum(held for _, held in passes) == len(docs)
+    assert [len(p) for p in passes] == [1, 2, 2]  # 30 alone; 9 and 8; 5 and 3
+    assert held(passes[0]) > 13_000  # the longest document comes first, alone
+    assert all(held(p) <= 13_000 for p in passes[1:])
+    assert all(held(p + q[:1]) > 13_000 for p, q in zip(passes, passes[1:]))
     for got, d in zip(batched, docs):
         single = rank_phrases(model, d)
         assert [(p.phrase, p.span) for p in got] == [(p.phrase, p.span) for p in single]
@@ -343,7 +345,7 @@ def _peak_and_paths(model, encoded) -> tuple[int, list]:
 
 def test_a_long_document_beside_many_one_token_documents_decodes_in_bounded_memory():
     """A pass holds packed rows only, never a padded (n_max, B) array: one 4,000-token document
-    beside 4,000 one-token documents at 64/64 shares a pass with 169 of them within 10 MB."""
+    beside 4,000 one-token documents at 64/64 shares a pass with 340 of them within 10 MB."""
     model = init_model(_VOCAB, 64, 64, seed=1)
     rng = np.random.default_rng(2)
     long = rng.integers(1, len(_VOCAB), 4000)
@@ -360,7 +362,9 @@ def test_a_decode_pass_lays_its_documents_out_once(monkeypatch):
     the (n_max, B) shape of a padded batch."""
     model, rng = _random_model(4), np.random.default_rng(4)
     encoded = [rng.integers(1, len(_VOCAB), n) for n in (7, 1, 12, 3, 12, 5)]
-    monkeypatch.setattr(kpex.metrics, "PASS_DOCS", 4)  # passes of 12, 12, 7, 5 and of 3, 1
+    longest = np.concatenate([encoded[i] for i in (2, 4, 0, 5)])
+    budget = _pass_bytes(model.dims, len(longest), len(set(longest.tolist())), 4)
+    monkeypatch.setattr(kpex.metrics, "PASS_BYTES", budget)  # passes of 12, 12, 7, 5 and of 3, 1
     checks, calls = [], []
     check_lengths = kpex.encoder.check_lengths
     monkeypatch.setattr(kpex.encoder, "check_lengths",
@@ -386,8 +390,8 @@ def test_a_decode_pass_lays_its_documents_out_once(monkeypatch):
 
 
 def test_many_short_documents_decode_in_bounded_memory():
-    """A pass's step buffers grow with its documents, so PASS_DOCS caps them: 8,192 one-token
-    documents at 64/64 make passes of at most PASS_DOCS columns, not one pass of 8,192."""
+    """A pass's step buffers grow with its documents, so the byte budget counts them: 8,192
+    one-token documents at 64/64 make passes of 598 columns, not one pass of 8,192."""
     model = init_model(_VOCAB, 64, 64, seed=1)
     ids = np.random.default_rng(1).integers(1, len(_VOCAB), 8192)
     peak, paths = _peak_and_paths(model, [ids[i : i + 1] for i in range(len(ids))])
@@ -395,6 +399,18 @@ def test_many_short_documents_decode_in_bounded_memory():
     # a one-token document's path depends on its token alone
     alone = {i: kpex.metrics.label_paths(model, [np.array([i])])[0] for i in set(ids.tolist())}
     assert paths == [alone[i] for i in ids.tolist()]
+
+
+def test_documents_of_distinct_tokens_decode_in_bounded_memory():
+    """The input table's 2 x 4h words per distinct token count toward the byte budget: 80
+    documents of 100 tokens, all 8,000 distinct, at 64/64 would hold 31 MB of table rows in one
+    pass, and decode in passes within 10 MB."""
+    vocab = Vocabulary((PAD_TOKEN, UNK_TOKEN, *(f"t{i}" for i in range(8000))))
+    model = init_model(vocab, 64, 64, seed=1)
+    encoded = np.split(np.random.default_rng(3).permutation(np.arange(2, len(vocab))), 80)
+    peak, paths = _peak_and_paths(model, encoded)
+    assert peak < 10 * 2**20
+    assert paths == [kpex.metrics.label_paths(model, [ids])[0] for ids in encoded]
 
 
 @pytest.mark.parametrize("spread", [1e3, 1e10, 1e300])

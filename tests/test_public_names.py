@@ -62,5 +62,5 @@ def test_every_kpex_name_that_the_docs_demos_and_benchmark_read_exists():
 def test_every_module_member_that_the_readme_prose_names_exists():
     prose = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(encoding="utf-8"), flags=re.S)
     names = {name for name in PROSE.findall(prose) if not FILE_NAME.search(name)}
-    assert {"metrics.PASS_TOKENS", "encoder.BLOCK_ROWS", "crf.viterbi"} <= names
+    assert {"metrics.PASS_BYTES", "encoder.BLOCK_ROWS", "crf.viterbi"} <= names
     assert sorted(name for name in names if not _resolves(f"kpex.{name}")) == []
