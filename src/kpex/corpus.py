@@ -140,6 +140,7 @@ class Vocabulary:
     itos: tuple[str, ...]
     min_count: int = 1
     stoi: dict = field(init=False, repr=False)
+    sha256: str = field(init=False, repr=False)
 
     def __post_init__(self):
         self.itos = tuple(self.itos)
@@ -152,6 +153,12 @@ class Vocabulary:
                 raise DataError(
                     f"vocabulary token {tok!r} is not a case-folded string, so lookup misses it"
                 )
+        try:  # a checkpoint header names the vocabulary by this hash
+            self.sha256 = hashlib.sha256("\n".join(self.itos).encode("utf-8")).hexdigest()
+        except UnicodeEncodeError as exc:
+            tok = next(t for t in self.itos if exc.object[exc.start] in t)
+            raise DataError(f"vocabulary token {tok!r} holds a lone surrogate, which UTF-8 "
+                            "cannot encode") from None
         self.stoi = {tok: i for i, tok in enumerate(self.itos)}
         if len(self.stoi) != len(self.itos):
             raise DataError("vocabulary tokens must be unique")
@@ -163,10 +170,6 @@ class Vocabulary:
     def encode(self, tokens: Sequence[str]) -> np.ndarray:
         get = self.stoi.get
         return np.array([get(t.casefold(), UNK_INDEX) for t in tokens], dtype=np.int64)
-
-    @property
-    def sha256(self) -> str:
-        return hashlib.sha256("\n".join(self.itos).encode("utf-8")).hexdigest()
 
 
 def keyphrases_to_bio(tokens: Sequence[str], keyphrases: Iterable[Phrase]) -> list[int]:

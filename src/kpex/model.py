@@ -7,16 +7,13 @@ dimensions as ``embed`` ``(V, e)``, ``lstm_Wx`` ``(2, 4h, e)``, ``lstm_Wh`` ``(2
 C-contiguous views into it, the LSTM ones stacked by direction on axis 0. A gradient, the
 Adam moments and a snapshot are buffers of the same layout.
 
-Checkpoint layout: the 8-byte magic ``KFCKPT01``, a little-endian u32 JSON
-header length, the JSON header, then the raw little-endian float64 payload.
-The header maps each tensor name to dtype/shape/offset/length and records
-the vocabulary (tokens and sha256), dimensions, and the label-index map; one
-function, ``_header``, builds it from a model, and a file's header must equal,
-as JSON, the one that its vocabulary and dims give (its vocabulary tokens are compared as
-the list of strings they are). The payload holds the
-tensors in :func:`model_tensors` order, where each LSTM direction's ``Wx``,
-``Wh`` and ``b`` follow one another (``lstm_fwd.*``, then ``lstm_bwd.*``): the
-offsets of ``_header`` are the only place this order lives.
+Checkpoint layout: the 8-byte magic ``KFCKPT02``, a little-endian u32 header length, the
+header as UTF-8 JSON (keys sorted, no spaces) holding ``dims``, ``labels`` (the label-index
+map), ``vocab_min_count``, ``vocab_sha256`` and ``vocab_tokens``, then ``Model.flat`` as
+little-endian float64, so the dims give the payload's length and every tensor's place in
+it. One function, ``_header``, builds the header, and a file's header must equal, as JSON,
+the one that its vocabulary and dims give (its vocabulary tokens are compared as the list
+of strings they are).
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ from .crf import CrfParams, crf_tensors
 from .encoder import EncoderDims, EncoderParams, encoder_tensors, init_params
 from .errors import DataError
 
-CHECKPOINT_MAGIC = b"KFCKPT01"
+CHECKPOINT_MAGIC = b"KFCKPT02"
 
 
 def _shapes(dims: EncoderDims) -> list[tuple[int, ...]]:
@@ -69,34 +66,27 @@ def init_model(vocab: Vocabulary, embed_dim: int, hidden_dim: int, seed) -> Mode
 
 
 def model_tensors(model: Model) -> dict:
-    """Canonical name -> array view over all trainable tensors, in checkpoint order."""
+    """Canonical name -> array view over all trainable tensors, each LSTM direction under its
+    own name (``lstm_fwd.*``, then ``lstm_bwd.*``)."""
     return {**encoder_tensors(model.encoder), **crf_tensors(model.crf)}
 
 
-def _header(model: Model, tensors: dict) -> dict:
-    """The checkpoint header of ``model``, whose :func:`model_tensors` are ``tensors``: each
-    tensor's dtype, shape, payload offset and byte length, the vocabulary, the dims and the
-    label-index map. The writer writes it; the reader requires a file's header to equal it."""
-    entries, offset = {}, 0
-    for name, arr in tensors.items():
-        entries[name] = {"dtype": "f64", "shape": list(arr.shape), "offset": offset,
-                         "length": 8 * arr.size}
-        offset += 8 * arr.size
-    vocab = model.vocab
-    return {"tensors": entries, "vocab_sha256": vocab.sha256, "vocab_tokens": list(vocab.itos),
-            "vocab_min_count": vocab.min_count, "dims": asdict(model.dims), "labels": LABEL_INDEX}
+def _header(dims: EncoderDims, vocab: Vocabulary) -> dict:
+    """The checkpoint header of a model of these dims and vocabulary. The writer writes it;
+    the reader requires a file's header to equal it."""
+    return {"dims": asdict(dims), "labels": LABEL_INDEX, "vocab_min_count": vocab.min_count,
+            "vocab_sha256": vocab.sha256, "vocab_tokens": list(vocab.itos)}
 
 
 def _text(value) -> str:
-    """``value`` as a header is written: JSON, keys sorted, no spaces. Unlike ``==``, the text
-    tells ``1.0`` and ``true`` from ``1``."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    """``value`` as a header is written: JSON, keys sorted, no spaces, non-ASCII text raw.
+    Unlike ``==``, the text tells ``1.0`` and ``true`` from ``1``."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
 def checkpoint_bytes(model: Model) -> bytes:
-    tensors = model_tensors(model)
-    head = _text(_header(model, tensors)).encode("utf-8")
-    payload = b"".join(np.ascontiguousarray(t, dtype="<f8").tobytes() for t in tensors.values())
+    head = _text(_header(model.dims, model.vocab)).encode("utf-8")
+    payload = model.flat.astype("<f8", copy=False).tobytes()
     return CHECKPOINT_MAGIC + struct.pack("<I", len(head)) + head + payload
 
 
@@ -125,7 +115,7 @@ def load_checkpoint(path) -> Model:
 
 def _model_from(header: dict, payload: bytes, path) -> Model:
     dims = header["dims"]
-    vocab = Vocabulary(tuple(header["vocab_tokens"]), header.setdefault("vocab_min_count", 1))
+    vocab = Vocabulary(tuple(header["vocab_tokens"]), header["vocab_min_count"])
     if not all(type(dims[k]) is int and dims[k] >= 1 for k in ("embed_dim", "hidden_dim")):
         raise DataError(f"{path}: dims {dims} need embed_dim and hidden_dim as integers >= 1")
     sizes = EncoderDims(len(vocab), dims["embed_dim"], dims["hidden_dim"])
@@ -133,34 +123,26 @@ def _model_from(header: dict, payload: bytes, path) -> Model:
     if len(payload) != expected:
         raise DataError(f"{path}: payload holds {len(payload)} bytes, its dims {expected}")
 
-    model = Model(sizes, vocab)
-    tensors = model_tensors(model)
-    want = _header(model, tensors)
+    want = _header(sizes, vocab)
     # the tokens are the strings Vocabulary has checked, so == is exact and writes no JSON
     rest = [{k: v for k, v in h.items() if k != "vocab_tokens"} for h in (header, want)]
     if header["vocab_tokens"] != want["vocab_tokens"] or _text(rest[0]) != _text(rest[1]):
         raise DataError(f"{path}: header {_differing(header, want)} is not what its vocabulary "
                         "and dims give")
-    for arr, entry in zip(tensors.values(), want["tensors"].values()):
-        arr[...] = np.frombuffer(payload, "<f8", arr.size, entry["offset"]).reshape(arr.shape)
-    if not np.isfinite(model.flat).all():
+    flat = np.frombuffer(payload, "<f8").astype(np.float64)
+    if not np.isfinite(flat).all():
         raise DataError(f"{path}: checkpoint holds non-finite tensor values")
-    return model
+    return Model(sizes, vocab, flat)
 
 
 # what a mismatch message calls each header key
 _HEADER_KEYS = {"dims": "the model dimensions", "labels": "the label-index map",
-                "tensors": "the tensor table", "vocab_min_count": "the vocabulary's min_count",
+                "vocab_min_count": "the vocabulary's min_count",
                 "vocab_sha256": "the vocabulary hash", "vocab_tokens": "the vocabulary tokens"}
 
 
 def _differing(found: dict, want: dict) -> str:
-    """Where two unequal headers first differ, in sorted key order: a tensor's entry or a key."""
-    def first(a: dict, b: dict) -> str:
-        return next(k for k in sorted(a.keys() | b.keys())
-                    if k not in a or k not in b or _text(a[k]) != _text(b[k]))
-
-    key = first(found, want)
-    if key == "tensors" and isinstance(found[key], dict):
-        return f"entry of tensor {first(found[key], want[key])}"
+    """The first key, in sorted order, where two unequal headers differ."""
+    key = next(k for k in sorted(found.keys() | want.keys())
+               if k not in found or k not in want or _text(found[k]) != _text(want[k]))
     return f"key {key} ({_HEADER_KEYS.get(key, 'not one the writer writes')})"

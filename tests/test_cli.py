@@ -27,7 +27,7 @@ from kpex import (
 from kpex.cli import main
 from kpex.corpus import parse_json
 from kpex.encoder import EncoderDims
-from kpex.model import Model
+from kpex.model import CHECKPOINT_MAGIC, Model
 
 
 @pytest.fixture(scope="module")
@@ -351,12 +351,12 @@ def test_checkpoint_with_shapes_not_matching_dims_is_a_data_error(data_dir, tmp_
     blob = ckpt.read_bytes()
     (head_len,) = struct.unpack("<I", blob[8:12])
     header = json.loads(blob[12 : 12 + head_len])
-    header["tensors"]["proj.W"]["shape"].reverse()  # [3, 8] -> [8, 3], same length
+    header["dims"]["hidden_dim"] = 5  # the payload holds a model of hidden_dim 4
     head = json.dumps(header).encode("utf-8")
     ckpt.write_bytes(blob[:8] + struct.pack("<I", len(head)) + head + blob[12 + head_len :])
     rc = main(["eval", "--ckpt", str(ckpt), "--test", str(data_dir / "dev.jsonl")])
     assert rc == 3
-    assert "proj.W" in capsys.readouterr().err
+    assert "payload holds" in capsys.readouterr().err
 
 
 def test_truncated_checkpoint_is_a_data_error(data_dir, tmp_path, capsys):
@@ -444,7 +444,7 @@ def test_unreadable_input_exits_with_its_error_class(
     nested = b"[" * 10**5  # deeper than json's recursion limit: a RecursionError, not a decode error
     (tmp_path / "nested.jsonl").write_bytes(b'{"id":"a","tokens":["x"],"labels":["O"]}\n' + nested)
     (tmp_path / "nested.json").write_bytes(nested)
-    (tmp_path / "nested.ckpt").write_bytes(b"KFCKPT01" + struct.pack("<I", len(nested)) + nested)
+    (tmp_path / "nested.ckpt").write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(nested)) + nested)
     huge = "1" * 5000  # past Python's int-string limit: a ValueError, not a decode error
     (tmp_path / "huge-int.jsonl").write_text(
         '{"id":"a","tokens":["x"],"labels":["O"]}\n' f'{{"id":{huge},"tokens":["x"]}}\n'

@@ -4,8 +4,8 @@ Batched training and decoding run matrix products large enough for a
 multi-threaded BLAS to split, so the criterion-7 configuration is rerun in
 fresh processes, twice with ``OPENBLAS_NUM_THREADS=1`` and twice with the
 thread count left to the library. Each run trains in all four modes and hashes
-every trained model's checkpoint, event log, ranked dev-set confidences and
-extracted dev-set phrases, spans and label paths. The ``train``, ``extract``,
+every trained model's parameter buffer, checkpoint, event log, ranked dev-set
+confidences and extracted dev-set phrases, spans and label paths. The ``train``, ``extract``,
 ``rank`` and ``eval --k 5`` subcommands, at the same shape, also write the same
 files under one and under two BLAS threads; ``jlsd`` does not yet.
 """
@@ -44,6 +44,7 @@ runs = (
     train_simple_joint(unlabeled, labeled, dev, cfg),
 )
 for model, report in runs:
+    print(hashlib.sha256(model.flat.tobytes()).hexdigest())
     print(hashlib.sha256(checkpoint_bytes(model)).hexdigest())
     print(hashlib.sha256(report.to_jsonl().encode("utf-8")).hexdigest())
     ranked = decode_batches(model, dev, rank=True)
@@ -73,7 +74,7 @@ def _python(code: str, threads: str | None, *args) -> str:
 @pytest.mark.parametrize("threads", ["1", None], ids=["one_thread", "library_default"])
 def test_reruns_are_byte_identical_under_a_blas_setting(threads):
     first = _python(RUN, threads)
-    assert len(first.split()) == 16
+    assert len(first.split()) == 20
     assert _python(RUN, threads) == first
 
 
