@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import NUM_LABELS, Layout, check_integers
+from .encoder import NUM_LABELS, Layout, Workspace, check_integers
 from .errors import NumericError
 
 
@@ -63,46 +63,65 @@ def _labels(labels, layout: Layout, what: str, num_labels: int) -> np.ndarray:
     return y
 
 
-def _alphas(emissions, trans, first, off, shift=None, reduce=np.logaddexp.reduce) -> np.ndarray:
+def _alphas(emissions, trans, first, off, shift=None, reduce=np.logaddexp.reduce,
+            work: Workspace | None = None) -> np.ndarray:
     """Forward scores ``(N, ..., L)`` of packed rows, C-contiguous, from a label-major loop: step
     s's rows ``off[s]:off[s + 1]`` reduce the first rows of step s - 1's plus ``trans`` over the
     leading previous-label axis, so ``trans`` is ``(L, L, ...)`` and ``first`` ``(L, ...)``,
     broadcast over the axes between. With ``shift``, shaped ``(..., N)``, each row's label-0 score
-    moves into it."""
-    e, off = np.ascontiguousarray(emissions.T), off.tolist()
-    alpha = np.empty(e.shape)
-    np.add(first, e[..., : off[1]], out=alpha[..., : off[1]])
-    for s, (start, stop) in enumerate(zip(off, off[1:])):
-        a = alpha[..., start:stop]
-        if s:
-            prev = alpha[..., off[s - 1] : off[s - 1] + stop - start]
-            reduce(prev[:, None] + trans, axis=0, out=a)
-            a += e[..., start:stop]
-        if shift is not None:
-            shift[..., start:stop] = a[0]
-            a -= shift[..., start:stop]
-    return np.ascontiguousarray(alpha.T)
+    moves into it. The scores and the loop's arrays are taken from ``work``."""
+    work = Workspace() if work is None else work
+    out, off = work.take(emissions.shape), off.tolist()
+    with work.scope():
+        e = work.take(emissions.shape[::-1])
+        e[...] = emissions.T
+        alpha = work.take(e.shape)
+        np.add(first, e[..., : off[1]], out=alpha[..., : off[1]])
+        for s, (start, stop) in enumerate(zip(off, off[1:])):
+            a = alpha[..., start:stop]
+            if s:
+                prev = alpha[..., off[s - 1] : off[s - 1] + stop - start]
+                reduce(prev[:, None] + trans, axis=0, out=a)
+                a += e[..., start:stop]
+            if shift is not None:
+                shift[..., start:stop] = a[0]
+                a -= shift[..., start:stop]
+        out[...] = alpha.T
+    return out
 
 
-def _normalised(scores) -> np.ndarray:
-    """``exp(scores)`` normalised over all axes after the first, row by row."""
+def _normalised(scores, work: Workspace) -> np.ndarray:
+    """``exp(scores)`` normalised over all axes after the first, row by row, in place."""
     labels = tuple(range(1, scores.ndim))
-    probs = np.exp(scores - scores.max(axis=labels, keepdims=True))
-    probs /= probs.sum(axis=labels, keepdims=True)
-    return probs
+    with work.scope():
+        most = work.take((len(scores),) + (1,) * len(labels))
+        scores -= np.max(scores, axis=labels, keepdims=True, out=most)
+        np.exp(scores, out=scores)
+        scores /= np.sum(scores, axis=labels, keepdims=True, out=most)
+    return scores
 
 
-def _forward_backward(e, layout: Layout, crf: CrfParams):
+def _forward_backward(e, layout: Layout, crf: CrfParams, work: Workspace):
     """Per packed row ``alpha`` and ``beta + emissions``, each off by a constant per row, the
-    forward shifts and the posterior marginals. One shifted recursion runs both directions on
-    axis 1: the betas are the alphas of direction 1, which reads each column reversed at the
-    ``mirror`` rows, with transitions transposed and the end scores as the start."""
-    shift = np.empty((2, len(e)))
+    forward shifts and the posterior marginals, all taken from ``work``. One shifted recursion
+    runs both directions on axis 1: the betas are the alphas of direction 1, which reads each
+    column reversed at the ``mirror`` rows, with transitions transposed and the end scores as the
+    start."""
+    n, num_labels = e.shape
+    shift, alpha, beta_e = work.take((2, n)), work.take(e.shape), work.take(e.shape)
     ends = np.stack((crf.start, crf.end), axis=-1)[..., None]  # label-major, (L, 2, 1)
     trans = np.stack((crf.trans, crf.trans.T), axis=-1)[..., None]  # (L, L, 2, 1)
-    both = _alphas(np.stack((e, e[layout.mirror]), 1), trans, ends, layout.off, shift)
-    alpha, beta_e = both[:, 0], both[:, 1][layout.mirror]
-    return alpha, beta_e, shift[0], _normalised(alpha + beta_e - e)
+    with work.scope():
+        both = work.take((n, 2, num_labels))
+        both[:, 0] = e
+        both[:, 1] = np.take(e, layout.mirror, axis=0, out=work.take(e.shape), mode="clip")
+        both = _alphas(both, trans, ends, layout.off, shift, work=work)
+        alpha[...] = both[:, 0]
+        np.take(both.reshape(-1, num_labels), 2 * layout.mirror + 1, axis=0, out=beta_e,
+                mode="clip")
+    probs = np.add(alpha, beta_e, out=work.take(e.shape))
+    probs -= e
+    return alpha, beta_e, shift[0], _normalised(probs, work)
 
 
 def _log_z(layout: Layout, alpha, shift, crf: CrfParams) -> np.ndarray:
@@ -113,7 +132,7 @@ def _log_z(layout: Layout, alpha, shift, crf: CrfParams) -> np.ndarray:
 
 def log_partition(emissions, crf: CrfParams, layout: Layout) -> np.ndarray:
     """log of the summed exponentiated scores over all label sequences, per column."""
-    alpha, _, shift, _ = _forward_backward(_check(emissions, layout), layout, crf)
+    alpha, _, shift, _ = _forward_backward(_check(emissions, layout), layout, crf, Workspace())
     return _log_z(layout, alpha, shift, crf)
 
 
@@ -131,37 +150,47 @@ def _path_score(emissions, crf: CrfParams, y, layout: Layout) -> np.ndarray:
     return crf.start[y[layout.first]] + emitted + crf.end[y[layout.last]] + moved
 
 
-def viterbi(emissions, crf: CrfParams, layout: Layout) -> tuple[np.ndarray, np.ndarray]:
+def viterbi(emissions, crf: CrfParams, layout: Layout, work: Workspace | None = None
+            ) -> tuple[np.ndarray, np.ndarray]:
     """Best-scoring label sequence of every column, as ``(N,)`` packed rows, and the ``(B,)``
-    best scores: the max-plus ``_alphas``, then every backpointer in one argmax after the loop.
-    Ties are broken toward the lowest label index at every backtracking step, so all-zero scores
-    decode to all-O.
+    best scores: the max-plus ``_alphas``, then every backpointer in one argmax after the loop,
+    their work arrays taken from ``work``. Ties are broken toward the lowest label index at every
+    backtracking step, so all-zero scores decode to all-O.
     """
     emissions, batch, num_labels = _check(emissions, layout), len(layout.lengths), len(crf.start)
-    delta = _alphas(emissions, crf.trans[..., None], crf.start[:, None], layout.off,
-                    reduce=np.maximum.reduce)
-    # the backpointer to label l of row r after step 0, from its row one step back, is flat entry
-    # L * (r - B) + l of one list, for the serial backtrack
-    back = (delta[layout.prev, None, :] + crf.trans.T).argmax(axis=2).ravel().tolist()
-    final = delta[layout.last] + crf.end
+    work = Workspace() if work is None else work
+    moved = (len(layout.prev), num_labels)
+    with work.scope():
+        delta = _alphas(emissions, crf.trans[..., None], crf.start[:, None], layout.off,
+                        reduce=np.maximum.reduce, work=work)
+        # the backpointer to label l of row r after step 0, from its row one step back, is byte
+        # L * (r - B) + l of one string, for the serial backtrack
+        before = np.take(delta, layout.prev, axis=0, out=work.take(moved), mode="clip")
+        scored = np.add(before[:, None, :], crf.trans.T, out=work.take((*moved, num_labels)))
+        back = np.argmax(scored, axis=2, out=work.take(moved, np.intp)).astype(np.uint8).tobytes()
+        final = delta[layout.last] + crf.end
     best = np.argmax(final, axis=1)
-    path, prev = [0] * len(delta), layout.prev.tolist()
-    for row, label in zip(layout.last.tolist(), best.tolist()):
-        while row >= batch:
+    # a column of rank k holds row off[s] + k at step s
+    path, off = bytearray(len(emissions)), layout.off.tolist()
+    for k, length, label in zip(layout.first.tolist(), layout.lengths.tolist(), best.tolist()):
+        for s in range(length - 1, 0, -1):
+            row = off[s] + k
             path[row] = label
             label = back[num_labels * (row - batch) + label]
-            row = prev[row - batch]
-        path[row] = label
-    return np.array(path), final[np.arange(batch), best]
+        path[k] = label
+    return np.frombuffer(path, np.uint8).astype(np.int64), final[np.arange(batch), best]
 
 
-def marginals(emissions, crf: CrfParams, layout: Layout) -> np.ndarray:
-    """Posterior P(y_t = label) of every packed row, ``(N, L)``, rows summing to one."""
-    return _forward_backward(_check(emissions, layout), layout, crf)[-1]
+def marginals(emissions, crf: CrfParams, layout: Layout, work: Workspace | None = None
+              ) -> np.ndarray:
+    """Posterior P(y_t = label) of every packed row, ``(N, L)``, rows summing to one; with
+    ``work``, a view of it."""
+    work = Workspace() if work is None else work
+    return _forward_backward(_check(emissions, layout), layout, crf, work)[-1]
 
 
 def nll_and_grad(
-    emissions, crf: CrfParams, gold, layout: Layout
+    emissions, crf: CrfParams, gold, layout: Layout, work: Workspace | None = None
 ) -> tuple[np.ndarray, np.ndarray, CrfParams]:
     """Negative log-likelihood of each column of packed ``gold`` labels plus exact gradients
     of their sum.
@@ -169,12 +198,14 @@ def nll_and_grad(
     Returns ``(losses, d_emissions, d_crf)`` where the gradients are the
     usual expected-minus-observed sufficient statistics: packed ``d_emissions[r,
     l] = P(y_r = l) - [gold_r = l]`` and likewise for transition and boundary
-    counts. Each loss is ``log_partition - S(gold) >= 0``.
+    counts. Each loss is ``log_partition - S(gold) >= 0``. The arrays are taken from ``work`` (a
+    fresh :class:`kpex.encoder.Workspace` by default); ``d_emissions`` is its view.
     """
     emissions, num_labels = _check(emissions, layout), len(crf.start)
     y = _labels(gold, layout, "gold labels", num_labels)
+    work = Workspace() if work is None else work
     t, col, batch = layout.t, layout.col, len(layout.lengths)
-    alpha, beta_e, shift, probs = _forward_backward(emissions, layout, crf)
+    alpha, beta_e, shift, probs = _forward_backward(emissions, layout, crf, work)
     losses = _log_z(layout, alpha, shift, crf) - _path_score(emissions, crf, y, layout)
 
     # the boundary rows are summed in column order, as the padded batch's rows were
@@ -188,7 +219,11 @@ def nll_and_grad(
     # order, which the padded batch's sum takes
     order = np.argsort(t[batch:] * batch + col[batch:])
     moves, before = batch + order, layout.prev[order]
-    pair = alpha[before, :, None] + crf.trans + beta_e[moves, None, :]
-    d_trans = _normalised(pair).sum(axis=0)
+    with work.scope():
+        moved = (len(order), num_labels)
+        pair = np.add(np.take(alpha, before, axis=0, out=work.take(moved), mode="clip")[..., None],
+                      crf.trans, out=work.take((*moved, num_labels)))
+        pair += np.take(beta_e, moves, axis=0, out=work.take(moved), mode="clip")[:, None, :]
+        d_trans = _normalised(pair, work).sum(axis=0)
     np.add.at(d_trans, (y[before], y[moves]), -1.0)
     return losses, d_emissions, CrfParams(trans=d_trans, start=d_start, end=d_end)

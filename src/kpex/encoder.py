@@ -20,6 +20,8 @@ are ordered (input, forget, cell, output). The padding embedding row (index
 from __future__ import annotations
 
 import math
+import mmap
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,6 +114,52 @@ def check_lengths(lengths) -> np.ndarray:
     return lengths
 
 
+class Workspace:
+    """The work buffers of a training run or a decode: every array an engine call makes is
+    taken from one byte buffer, stacked in the order taken, and handed back when the
+    :meth:`scope` it was taken in closes, so arrays whose lifetimes do not overlap share bytes.
+    A take that does not fit is a fresh array; an outermost scope that opens after one grows the
+    buffer to the most bytes held at once so far. A run whose shapes recur allocates nothing
+    after its first step, and a call without a workspace makes fresh arrays, as a fresh
+    workspace does. Arrays that a call returns are views, valid until its caller's scope closes.
+    The buffer is a private anonymous mapping of its own, so its pages leave the process when it
+    grows or is dropped, whatever the heap allocator's thresholds.
+    """
+
+    def __init__(self):
+        self.buffer = np.empty(0, np.uint8)
+        self.used = self.spilled = self.most = 0  # bytes taken in the buffer and beside it
+
+    def take(self, shape, dtype=np.float64) -> np.ndarray:
+        """An uninitialised array of ``shape`` and ``dtype``, in the buffer if it fits."""
+        dtype = np.dtype(dtype)
+        size = math.prod(shape) * dtype.itemsize
+        padded = -(-size // 64) * 64  # each array starts on a cache line
+        self.most = max(self.most, self.used + self.spilled + padded)
+        if self.used + padded > len(self.buffer):
+            self.spilled += padded
+            return np.empty(shape, dtype)
+        start, self.used = self.used, self.used + padded
+        return self.buffer[start : start + size].view(dtype).reshape(shape)
+
+    def zeros(self, shape) -> np.ndarray:
+        out = self.take(shape)
+        out[...] = 0.0
+        return out
+
+    @contextmanager
+    def scope(self):
+        """Hands back on exit every array taken inside."""
+        mark = self.used, self.spilled
+        if mark == (0, 0) and self.most > len(self.buffer):
+            self.buffer = np.empty(0, np.uint8)  # the old buffer goes before the new one comes
+            self.buffer = np.frombuffer(mmap.mmap(-1, self.most, mmap.MAP_PRIVATE), np.uint8)
+        try:
+            yield
+        finally:
+            self.used, self.spilled = mark
+
+
 @dataclass(frozen=True, eq=False)  # compared by identity: its fields are arrays
 class Layout:
     """The packed layout of a batch, built once by :func:`pack` and shared by every engine call
@@ -178,7 +226,7 @@ class ForwardCache:
     """What the backward pass needs: the packed token ids, their layout and per direction, on
     axis 1, the gates, cells and states of the packed rows in the order it stepped. A forward with
     ``for_backward=False`` keeps the ids and the layout only. One backward pass consumes the
-    cache: the gate and cell arrays become its workspace and are released."""
+    cache: it overwrites the gate and cell arrays and releases them."""
 
     token_ids: np.ndarray  # (N,)
     layout: Layout
@@ -187,14 +235,42 @@ class ForwardCache:
     h: np.ndarray | None  # (N, 2, h)
 
 
-# Packed rows per projection block; a decode holds the states of one block and one step. At
-# hidden 64 that ring is 2 MB, and freeing it raises glibc's mmap threshold above a training
-# step's temporaries, which smaller blocks leave to fault in fresh pages (see the README).
-BLOCK_ROWS = 2048
+# Packed rows per projection block; a decode holds the states of one block and one step, a
+# ring of 0.6 MB at hidden 64 and 100 columns.
+BLOCK_ROWS = 512
+
+
+def _input_table(params: EncoderParams, ids, mirror, scale, work: Workspace):
+    """The input table ``(embed[tokens] @ Wx.T + b) * scale`` of the distinct ``tokens`` of
+    ``ids``, ``(2U, 4h)`` with rows (token, direction), and the ``(N, 2)`` table rows each packed
+    row reads, direction 1 at the ``mirror`` rows; both taken from ``work``, and nothing else
+    outlives the call."""
+    vocab_size, embed_dim = params.embed.shape
+    with work.scope():  # the distinct tokens, np.unique's first result
+        seen = work.take((vocab_size,), bool)
+        seen[...] = False
+        seen[ids] = True
+        tokens = np.flatnonzero(seen)
+    table, idx = work.take((len(tokens), 2, len(scale))), work.take((len(ids), 2), np.intp)
+    with work.scope():
+        place = work.take((vocab_size,), np.intp)
+        place[tokens] = np.arange(len(tokens))
+        inverse = np.take(place, ids, out=work.take(ids.shape, np.intp), mode="clip")
+        np.multiply(inverse, 2, out=idx[:, 0])
+        np.multiply(np.take(inverse, mirror, out=work.take(ids.shape, np.intp), mode="clip"), 2,
+                    out=idx[:, 1])
+        idx[:, 1] += 1
+        embedded = np.take(params.embed, tokens, axis=0, out=work.take((len(tokens), embed_dim)),
+                           mode="clip")
+        np.matmul(embedded, params.lstm_Wx.swapaxes(1, 2), out=table.swapaxes(0, 1))
+    table += params.lstm_b
+    table *= scale
+    return table.reshape(-1, len(scale)), idx
 
 
 def encode_forward(
-    params: EncoderParams, token_ids, layout: Layout, *, for_backward: bool = True
+    params: EncoderParams, token_ids, layout: Layout, *, for_backward: bool = True,
+    work: Workspace | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
     """Emission scores ``(N, num_labels)`` of a packed batch: ``token_ids`` are the ``(N,)``
     packed rows of ``layout``. Both LSTM directions start from zero states at each document's own
@@ -209,7 +285,8 @@ def encode_forward(
     step s's rows of ``(N, 2, ·)`` caches, or (``for_backward=False``) one ``(B, 2, ·)`` block.
     Finished states meet ``proj_W`` in blocks of ``BLOCK_ROWS`` packed rows; a training forward
     keeps them all for the backward, a decode only the unprojected ones, at most a block and a
-    step, so both project the same blocks and agree bit for bit.
+    step, so both project the same blocks and agree bit for bit. Every array is taken from
+    ``work`` (a fresh :class:`Workspace` by default); the emissions and the cache are its views.
     """
     ids = check_integers(token_ids, "token ids")
     if ids.shape != layout.t.shape:
@@ -220,62 +297,113 @@ def encode_forward(
             f"token id out of range [0, {params.embed.shape[0]}): "
             f"{int(ids.min())}..{int(ids.max())}"
         )
+    work = Workspace() if work is None else work
     batch, h, n, mirror = len(layout.lengths), params.lstm_Wh.shape[2], len(ids), layout.mirror
-    tokens, inverse = np.unique(ids, return_inverse=True)
-    idx = np.stack((2 * inverse, 2 * inverse[mirror] + 1), axis=1)  # table rows (token, direction)
-    scale = np.repeat([0.5, 0.5, 1.0, 0.5], h)  # sigmoid blocks i, f, o; tanh block g
-    shift = 1.0 - scale
-    table = np.empty((len(tokens), 2, 4 * h))
-    np.matmul(params.embed[tokens], params.lstm_Wx.swapaxes(1, 2), out=table.swapaxes(0, 1))
-    table += params.lstm_b
-    table *= scale
-    table = table.reshape(-1, 4 * h)
-    WhT = np.multiply(params.lstm_Wh.swapaxes(1, 2), scale, order="C")
-    proj = params.proj_W.reshape(-1, 2, h).transpose(1, 2, 0)  # (2, h, L), by direction
-    scores = np.empty((2, n, proj.shape[2]))
-
-    def project(states, first):  # the label scores of packed rows first, first + 1, ...
-        np.matmul(states.transpose(1, 0, 2), proj, out=scores[:, first : first + len(states)])
-
     kept = n if for_backward else batch
-    gates, c = np.empty((kept, 2, 4 * h)), np.empty((kept, 2, h))
-    hs = np.empty((n if for_backward else min(n, BLOCK_ROWS + batch), 2, h))
-    i, f, g, o = gates.reshape(-1, 2, 4, h).transpose(2, 0, 1, 3)  # views of the blocks
-    h_t = c_t = np.zeros((batch, 2, h))
-    recurrent = np.empty((batch, 2, 4 * h))  # the step's h_t @ WhT, rows [:active]
-    done = held = 0  # packed rows projected, and unprojected rows held after them in hs
-    full = len(hs) + 1 if for_backward else BLOCK_ROWS  # rows held when a decode projects a block
-    for rows, ends in layout.steps:
-        at = rows if for_backward else slice(rows.stop - rows.start)
-        a, hw = gates[at], recurrent[: len(h_t)]
-        table.take(idx[rows], axis=0, out=a, mode="clip")  # "raise" would buffer out
-        np.matmul(h_t.transpose(1, 0, 2), WhT, out=hw.transpose(1, 0, 2))
-        while held >= full:  # h_t is read: project a whole block
-            project(hs[:BLOCK_ROWS], done)
-            done, held = done + BLOCK_ROWS, held - BLOCK_ROWS
-            hs[:held] = hs[BLOCK_ROWS : BLOCK_ROWS + held]
-        a += hw
-        np.tanh(a, out=a)
-        a *= scale
-        a += shift
-        c_t = np.multiply(f[at], c_t, out=c[at])
-        c_t += i[at] * g[at]
-        h_t = np.tanh(c_t, out=hs[held : held + len(c_t)])
-        h_t *= o[at]
-        held += len(h_t)
-        if ends:  # the columns that took their last step drop out, ranked last
-            h_t, c_t = h_t[:-ends], c_t[:-ends]
-    for first in range(0, held, BLOCK_ROWS):
-        project(hs[first : min(first + BLOCK_ROWS, held)], done + first)
-    if not for_backward:  # the decode's states are projected: drop them before the scores meet
-        gates = c = hs = h_t = table = None
-    emissions = scores[0] + scores[1][mirror] + params.proj_b
-    return emissions, ForwardCache(ids, layout, gates, c, hs)
+    ring = n if for_backward else min(n, BLOCK_ROWS + batch)  # rows of states held at once
+    shapes = (kept, 2, 4 * h), (kept, 2, h), (ring, 2, h)
+    emissions = work.take((n, params.proj_W.shape[0]))
+    cached = [work.take(s) for s in shapes] if for_backward else None
+    with work.scope():  # a decode's states, the input table and the step buffers
+        gates, c, hs = cached or [work.take(s) for s in shapes]
+        scale = np.repeat([0.5, 0.5, 1.0, 0.5], h)  # sigmoid blocks i, f, o; tanh block g
+        shift = 1.0 - scale
+        table, idx = _input_table(params, ids, mirror, scale, work)
+        WhT = np.multiply(params.lstm_Wh.swapaxes(1, 2), scale, out=work.take((2, h, 4 * h)))
+        proj = params.proj_W.reshape(-1, 2, h).transpose(1, 2, 0)  # (2, h, L), by direction
+        scores = work.take((2, n, proj.shape[2]))
+
+        def project(states, first):  # the label scores of packed rows first, first + 1, ...
+            np.matmul(states.transpose(1, 0, 2), proj, out=scores[:, first : first + len(states)])
+
+        i, f, g, o = gates.reshape(-1, 2, 4, h).transpose(2, 0, 1, 3)  # views of the blocks
+        h_t = c_t = work.zeros((batch, 2, h))
+        recurrent = work.take((batch, 2, 4 * h))  # the step's h_t @ WhT, rows [:active]
+        ig = work.take((batch, 2, h))  # the step's i * g
+        done = held = 0  # packed rows projected, and unprojected rows held after them in hs
+        full = len(hs) + 1 if for_backward else BLOCK_ROWS  # rows held when a decode projects
+        for rows, ends in layout.steps:
+            at = rows if for_backward else slice(rows.stop - rows.start)
+            a, hw = gates[at], recurrent[: len(h_t)]
+            table.take(idx[rows], axis=0, out=a, mode="clip")  # "raise" would buffer out
+            np.matmul(h_t.transpose(1, 0, 2), WhT, out=hw.transpose(1, 0, 2))
+            while held >= full:  # h_t is read: project a whole block
+                project(hs[:BLOCK_ROWS], done)
+                done, held = done + BLOCK_ROWS, held - BLOCK_ROWS
+                hs[:held] = hs[BLOCK_ROWS : BLOCK_ROWS + held]
+            a += hw
+            np.tanh(a, out=a)
+            a *= scale
+            a += shift
+            c_t = np.multiply(f[at], c_t, out=c[at])
+            c_t += np.multiply(i[at], g[at], out=ig[: len(c_t)])
+            h_t = np.tanh(c_t, out=hs[held : held + len(c_t)])
+            h_t *= o[at]
+            held += len(h_t)
+            if ends:  # the columns that took their last step drop out, ranked last
+                h_t, c_t = h_t[:-ends], c_t[:-ends]
+        for first in range(0, held, BLOCK_ROWS):
+            project(hs[first : min(first + BLOCK_ROWS, held)], done + first)
+        np.take(scores[1], mirror, axis=0, out=emissions, mode="clip")
+        emissions += scores[0]
+        emissions += params.proj_b
+    return emissions, ForwardCache(ids, layout, *(cached or (None, None, None)))
+
+
+def _gate_gradients(params: EncoderParams, layout: Layout, dz, c, hs, d_read, out, work):
+    """``encode_backward``'s projection gradients, into ``out``, and its gate gradients: the gate
+    activations ``dz`` become the gradient at the gate pre-activations, and the cell states ``c``
+    their tanh. The step loop's arrays are taken from ``work`` and die with the call."""
+    h, batch, n = hs.shape[2], len(layout.lengths), len(dz)
+    mirror, prev = layout.mirror, layout.prev
+    i, f, g, o = dz.reshape(-1, 2, 4, h).transpose(2, 0, 1, 3)
+    with work.scope():  # what the step loop reads
+        d_steps = work.take((2, *d_read.shape))
+        d_steps[0] = d_read
+        np.take(d_read, mirror, axis=0, out=d_steps[1], mode="clip")
+        d_proj_W = d_steps.transpose(0, 2, 1) @ hs.transpose(1, 0, 2)
+        out.proj_W[...] = d_proj_W.transpose(1, 0, 2).reshape(-1, 2 * h)
+        np.sum(d_read, axis=0, out=out.proj_b)
+
+        f_gate, dc_dh = work.take((n, 2, h)), work.take((n, 2, h))
+        f_gate[...] = f
+        with work.scope():  # each gate's coefficient, as (1 - f) * c_prev then f * that
+            t, u = work.take((n, 2, h)), work.take((n, 2, h))
+            u[:batch] = 0.0
+            np.take(c, prev, axis=0, out=u[batch:], mode="clip")
+            f *= np.multiply(np.subtract(1.0, f, out=t), u, out=t)
+            tc = np.tanh(c, out=c)  # the cell states are not read after this
+            np.multiply(tc, tc, out=dc_dh)
+            np.subtract(1.0, dc_dh, out=dc_dh)
+            dc_dh *= o
+            o *= np.multiply(np.subtract(1.0, o, out=t), tc, out=t)
+            g_coef = np.multiply(np.subtract(1.0, np.multiply(g, g, out=t), out=t), i, out=t)
+            i *= np.multiply(np.subtract(1.0, i, out=u), g, out=u)
+            g[...] = g_coef
+        del t, u, g_coef  # their bytes are taken again below
+
+        # each direction's columns of proj_W, applied in that direction's step order
+        d_h = work.take((n, 2, h))
+        proj_by_direction = params.proj_W.reshape(-1, 2, h).transpose(1, 0, 2)
+        np.matmul(d_steps, proj_by_direction, out=d_h.transpose(1, 0, 2))
+        dh_carry, dc_carry = work.zeros((batch, 2, h)), work.zeros((batch, 2, h))
+        dz_scale = work.take((batch, 2, 4, h))  # [dc, dc, dc, dh] per gate block
+        dh_dc = work.take((batch, 2, h))
+        for rows, _ in reversed(layout.steps):
+            k = rows.stop - rows.start
+            dh, dc, z, s = dh_carry[:k], dc_carry[:k], dz[rows], dz_scale[:k]
+            dh += d_h[rows]
+            dc += np.multiply(dh, dc_dh[rows], out=dh_dc[:k])
+            s[:, :, :3] = dc[:, :, None]
+            s[:, :, 3] = dh
+            z *= s.reshape(k, 2, 4 * h)
+            np.matmul(z.transpose(1, 0, 2), params.lstm_Wh, out=dh.transpose(1, 0, 2))
+            dc *= f_gate[rows]
 
 
 def encode_backward(
     params: EncoderParams, cache: ForwardCache, d_emissions: np.ndarray,
-    out: EncoderParams | None = None,
+    out: EncoderParams | None = None, *, work: Workspace | None = None,
 ) -> dict:
     """Exact gradients of a scalar loss w.r.t. every encoder tensor, written into ``out`` (new
     tensors by default) and returned as its named views (:func:`encoder_tensors`).
@@ -294,6 +422,8 @@ def encode_backward(
     ``[dc, dc, dc, dh]``. The carries are the first rows of two ``(B, 2, h)``
     buffers, so a column's are zero until its last step. The weight and
     input gradients are one batched matrix product each, over real rows only.
+    Every other array is taken from ``work`` (a fresh :class:`Workspace` by default) and handed
+    back before the call returns.
     """
     d_read = np.asarray(d_emissions, dtype=np.float64)
     if d_read.shape != (len(cache.token_ids), params.proj_W.shape[0]):
@@ -301,54 +431,28 @@ def encode_backward(
                          f"{(len(cache.token_ids), params.proj_W.shape[0])}")
     if cache.gates is None:
         raise ValueError("the cache holds no gates: built with for_backward=False, or consumed")
-    dz, c, cache.gates, cache.c = cache.gates, cache.c, None, None  # they become workspace
+    dz, c, cache.gates, cache.c = cache.gates, cache.c, None, None  # overwritten below
     out = EncoderParams(*map(np.zeros_like, vars(params).values())) if out is None else out
+    work = Workspace() if work is None else work
     layout, hs, h = cache.layout, cache.h, params.lstm_Wh.shape[2]
-    mirror, prev, batch = layout.mirror, layout.prev, len(layout.lengths)
-    d_steps = np.stack((d_read, d_read[mirror]))
-    d_proj_W = d_steps.transpose(0, 2, 1) @ hs.transpose(1, 0, 2)
-    out.proj_W[...] = d_proj_W.transpose(1, 0, 2).reshape(-1, 2 * h)
-    np.sum(d_read, axis=0, out=out.proj_b)
-
-    i, f, g, o = dz.reshape(-1, 2, 4, h).transpose(2, 0, 1, 3)
-    f_gate = f.copy()
-    f *= (1.0 - f) * np.concatenate([np.zeros_like(c[:batch]), c[prev]])
-    tc = np.tanh(c, out=c)  # the cell states are not read after this
-    dc_dh = o * (1.0 - tc * tc)
-    o *= (1.0 - o) * tc
-    del tc, c
-    g_coef = i * (1.0 - g * g)
-    i *= (1.0 - i) * g
-    g[...] = g_coef
-    del g_coef, i, f, g, o
-
-    # each direction's columns of proj_W, applied in that direction's step order
-    d_h = np.empty_like(hs)
-    proj_by_direction = params.proj_W.reshape(-1, 2, h).transpose(1, 0, 2)
-    np.matmul(d_steps, proj_by_direction, out=d_h.transpose(1, 0, 2))
-    dh_carry, dc_carry = np.zeros((batch, 2, h)), np.zeros((batch, 2, h))
-    dz_scale = np.empty((batch, 2, 4, h))  # [dc, dc, dc, dh] per gate block
-    for rows, _ in reversed(layout.steps):
-        k = rows.stop - rows.start
-        dh, dc, z, s = dh_carry[:k], dc_carry[:k], dz[rows], dz_scale[:k]
-        dh += d_h[rows]
-        dc += dh * dc_dh[rows]
-        s[:, :, :3] = dc[:, :, None]
-        s[:, :, 3] = dh
-        z *= s.reshape(k, 2, 4 * h)
-        np.matmul(z.transpose(1, 0, 2), params.lstm_Wh, out=dh.transpose(1, 0, 2))
-        dc *= f_gate[rows]
-    del f_gate, dc_dh, d_h
+    mirror, prev, batch, n = layout.mirror, layout.prev, len(layout.lengths), len(dz)
+    _gate_gradients(params, layout, dz, c, hs, d_read, out, work)
 
     read = cache.token_ids  # direction 1 reads them at the mirror rows
-    np.matmul(dz.transpose(1, 2, 0), params.embed[np.stack((read, read[mirror]))], out=out.lstm_Wx)
-    # the state before step 0 is 0
-    np.matmul(dz[batch:].transpose(1, 2, 0), hs[prev].transpose(1, 0, 2), out=out.lstm_Wh)
-    np.sum(dz, axis=0, out=out.lstm_b)
-    dx = dz.transpose(1, 0, 2) @ params.lstm_Wx
-    del dz
-    out.embed[...] = 0.0
-    np.add.at(out.embed, read, dx[0] + dx[1][mirror])  # both directions read each position
+    with work.scope():  # the weight and input gradients' operands
+        x = work.take((2, n, params.embed.shape[1]))
+        np.take(params.embed, read, axis=0, out=x[0], mode="clip")
+        np.take(params.embed, read[mirror], axis=0, out=x[1], mode="clip")
+        np.matmul(dz.transpose(1, 2, 0), x, out=out.lstm_Wx)
+        # the state before step 0 is 0
+        before = np.take(hs, prev, axis=0, out=work.take((n - batch, 2, h)), mode="clip")
+        np.matmul(dz[batch:].transpose(1, 2, 0), before.transpose(1, 0, 2), out=out.lstm_Wh)
+        np.sum(dz, axis=0, out=out.lstm_b)
+        dx = np.matmul(dz.transpose(1, 0, 2), params.lstm_Wx, out=x)
+        both = np.take(dx[1], mirror, axis=0, out=work.take(dx.shape[1:]), mode="clip")
+        both += dx[0]  # both directions read each position
+        out.embed[...] = 0.0
+        np.add.at(out.embed, read, both)
     out.embed[PAD_INDEX] = 0.0
     return encoder_tensors(out)
 

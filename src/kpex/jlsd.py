@@ -31,7 +31,7 @@ import numpy as np
 
 from .corpus import Dataset, build_vocab, sample_batch
 from .crf import nll_and_grad, viterbi  # noqa: F401 (bench traces jlsd.viterbi)
-from .encoder import OptimizerState, adam_step, encode_backward, encode_forward, pack
+from .encoder import OptimizerState, Workspace, adam_step, encode_backward, encode_forward, pack
 from .errors import ConfigError, DataError
 from .metrics import encoded_f1, gold_phrases, label_paths
 from .model import Model, init_model
@@ -155,10 +155,12 @@ def _require_labeled(dataset: Dataset, role: str) -> None:
 
 class _Run:
     """What a training run works out once from its data and drops when it ends: the rows of its
-    labeled sets, and its dev set's documents, token ids and folded gold phrase sets."""
+    labeled sets, its dev set's documents, token ids and folded gold phrase sets, and the
+    workspace in which each phase's steps, dev decodes and pseudo-label decodes make their
+    arrays."""
 
     def __init__(self, vocab, dev: Dataset):
-        self.vocab, docs = vocab, list(dev)
+        self.vocab, self.work, docs = vocab, Workspace(), list(dev)
         self.dev = docs, [vocab.encode(d.tokens) for d in docs], [gold_phrases(d) for d in docs]
 
     def rows(self, dataset) -> list:
@@ -166,15 +168,18 @@ class _Run:
         return [(self.vocab.encode(d.tokens), d.labels) for d in dataset]
 
 
-def _batch_gradients(model: Model, gold: list, pseudo: list, grad: Model):
+def _batch_gradients(model: Model, gold: list, pseudo: list, grad: Model, work=None):
     """Mean NLLs (gold, pseudo or 0.0 for none, all) over ``gold`` then ``pseudo`` rows as one
-    packed batch, laid out once; its gradient fills ``grad``, a buffer of ``model``'s layout."""
+    packed batch, laid out once; its gradient fills ``grad``, a buffer of ``model``'s layout.
+    The step's arrays are taken from ``work``, a fresh workspace by default."""
+    work = Workspace() if work is None else work
     batch = gold + pseudo
-    layout = pack([len(ids) for ids, _ in batch])
-    ids, labels = layout.rows([ids for ids, _ in batch]), layout.rows([y for _, y in batch])
-    emissions, cache = encode_forward(model.encoder, ids, layout)
-    losses, d_emissions, d_crf = nll_and_grad(emissions, model.crf, labels, layout)
-    encode_backward(model.encoder, cache, d_emissions, out=grad.encoder)
+    with work.scope():
+        layout = pack([len(ids) for ids, _ in batch])
+        ids, labels = layout.rows([ids for ids, _ in batch]), layout.rows([y for _, y in batch])
+        emissions, cache = encode_forward(model.encoder, ids, layout, work=work)
+        losses, d_emissions, d_crf = nll_and_grad(emissions, model.crf, labels, layout, work)
+        encode_backward(model.encoder, cache, d_emissions, out=grad.encoder, work=work)
     out = grad.crf
     out.trans[...], out.start[...], out.end[...] = d_crf.trans, d_crf.start, d_crf.end
     n = len(batch)
@@ -218,7 +223,7 @@ def _train_loop(
     grad = Model(model.dims, model.vocab)
     events: list = []
 
-    best_score = encoded_f1(model, *run.dev).f1 if prior is None else prior.best_score
+    best_score = encoded_f1(model, *run.dev, run.work).f1 if prior is None else prior.best_score
     best_model = model.copy()
     best_iteration = 0
     events.append({"event": "eval", "iteration": 0, "dev_f1": best_score, "improved": True})
@@ -226,12 +231,12 @@ def _train_loop(
     stale = 0
     for it in range(1, config.T + 1):
         gold, pseudo = make_batch(it, data_rng, best_model, events)
-        loss_labeled, loss_pseudo, loss = _batch_gradients(model, gold, pseudo, grad)
+        loss_labeled, loss_pseudo, loss = _batch_gradients(model, gold, pseudo, grad, run.work)
         adam_step(model, grad, opt)
         events.append({"event": "iteration", "iteration": it, "loss": loss,
                        "loss_labeled": loss_labeled, "loss_pseudo": loss_pseudo})
         if it == _next_eval(it, config):
-            score = encoded_f1(model, *run.dev).f1
+            score = encoded_f1(model, *run.dev, run.work).f1
             improved = score > best_score
             events.append({"event": "eval", "iteration": it, "dev_f1": score, "improved": improved})
             if improved:
@@ -281,11 +286,12 @@ def _supervised(rows: list, run: _Run, config: JlsdConfig, start=None):
     return _train_loop(model, run, config, make_batch, prior)
 
 
-def pseudo_label(teacher: Model, docs) -> list[tuple[np.ndarray, list[int]]]:
+def pseudo_label(teacher: Model, docs, work=None) -> list[tuple[np.ndarray, list[int]]]:
     """Hard pseudo-labels as training rows: each document's ``tokens`` as the teacher's token ids
-    (unknown tokens map to UNK) and the teacher's raw Viterbi path from ``metrics.label_paths``."""
+    (unknown tokens map to UNK) and the teacher's raw Viterbi path from ``metrics.label_paths``,
+    decoded in the workspace ``work``."""
     encoded = [teacher.vocab.encode(d.tokens) for d in docs]
-    return list(zip(encoded, label_paths(teacher, encoded)))
+    return list(zip(encoded, label_paths(teacher, encoded, work=work)))
 
 
 def jlsd_train(
@@ -330,7 +336,7 @@ def jlsd_train(
                  sample_batch(unlabeled, k, rng) if k > 0 else [])
                 for _ in range(it, min(_next_eval(it, config), it + window - 1) + 1)
             ]
-            pseudo = iter(pseudo_label(teacher, [d for _, drawn in draws for d in drawn]))
+            pseudo = iter(pseudo_label(teacher, [d for _, drawn in draws for d in drawn], run.work))
             queue.extend((gold, [next(pseudo) for _ in drawn]) for gold, drawn in draws)
         return queue.popleft()
 

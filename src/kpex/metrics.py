@@ -14,7 +14,7 @@ import numpy as np
 
 from .corpus import LabeledDocument, Phrase, _fold, bio_to_phrases
 from .crf import marginals, viterbi
-from .encoder import BLOCK_ROWS, encode_forward, pack
+from .encoder import BLOCK_ROWS, Workspace, encode_forward, pack
 from .errors import DataError
 from .model import Model
 
@@ -58,10 +58,11 @@ def dedup_predictions(preds) -> list[PhrasePrediction]:
 
 def _pass_bytes(dims, rows: int, distinct: int, docs: int) -> int:
     """The bytes a decode pass of ``docs`` documents, ``rows`` real tokens and ``distinct``
-    distinct ids holds at its peak, ``rank`` included, in words of 8 B: per packed row its ring
-    slot, 2h (the ring holds at most ``BLOCK_ROWS``), and 8 words of ids, layout and path plus 16
-    per label of label scores, emissions, CRF arrays and backpointers; per distinct token its
-    input-table row, 2 x 4h; per document its ``(B, 2, .)`` step buffers, 24h."""
+    distinct ids holds at its peak, ``rank`` included, and so about the most its workspace grows
+    to, in words of 8 B: per packed row its ring slot, 2h (the ring holds at most
+    ``BLOCK_ROWS``), and 8 words of ids, layout and path plus 16 per label of label scores,
+    emissions, CRF arrays and backpointers; per distinct token its input-table row, 2 x 4h; per
+    document its ``(B, 2, .)`` step buffers, 24h."""
     return 8 * (dims.hidden_dim * (2 * min(rows, BLOCK_ROWS) + 8 * distinct + 24 * docs)
                 + (8 + 16 * dims.num_labels) * rows)
 
@@ -81,22 +82,31 @@ def _passes(dims, encoded) -> list:
     return passes
 
 
-def label_paths(model: Model, encoded, rank: bool = False) -> list:
+def label_paths(model: Model, encoded, rank: bool = False, work: Workspace | None = None) -> list:
     """The only Viterbi decode: each document's raw label path (an orphan I stays I), given its
     token ids, or with ``rank`` its path and ``(length, L)`` marginals. Each pass (``_passes``)
     decodes as one packed batch, laid out once, by one ``encode_forward(..., for_backward=False)``,
-    so it takes as many serial steps as its longest document."""
+    so it takes as many serial steps as its longest document. The passes take their arrays from
+    ``work``, a fresh :class:`kpex.encoder.Workspace` by default, which the first pass sizes."""
+    work = Workspace() if work is None else work
     out = [None] * len(encoded)
     for docs in _passes(model.dims, encoded):
-        layout = pack([len(encoded[i]) for i in docs])
-        ids = layout.rows([encoded[i] for i in docs])
-        emissions, _ = encode_forward(model.encoder, ids, layout, for_backward=False)
-        decoded = [p.tolist() for p in layout.columns(viterbi(emissions, model.crf, layout)[0])]
-        if rank:
-            decoded = zip(decoded, layout.columns(marginals(emissions, model.crf, layout)))
-        for i, result in zip(docs, decoded):
+        for i, result in zip(docs, _decode_pass(model, [encoded[i] for i in docs], rank, work)):
             out[i] = result
     return out
+
+
+def _decode_pass(model: Model, encoded, rank: bool, work: Workspace) -> list:
+    """``label_paths`` of the documents of one pass, decoded in one scope of ``work``."""
+    with work.scope():
+        layout = pack([len(ids) for ids in encoded])
+        emissions, _ = encode_forward(model.encoder, layout.rows(encoded), layout,
+                                      for_backward=False, work=work)
+        paths = viterbi(emissions, model.crf, layout, work)[0]
+        decoded = [p.tolist() for p in layout.columns(paths)]
+        if rank:
+            return list(zip(decoded, layout.columns(marginals(emissions, model.crf, layout, work))))
+        return decoded
 
 
 def decode_batches(model: Model, docs, rank: bool = False) -> list:
@@ -189,10 +199,12 @@ def dataset_f1(model: Model, dataset) -> MetricReport:
     return evaluate(model, dataset)["f1"]
 
 
-def encoded_f1(model: Model, docs, encoded, gold) -> MetricReport:
+def encoded_f1(model: Model, docs, encoded, gold, work: Workspace | None = None) -> MetricReport:
     """``dataset_f1`` of labeled ``docs`` given with their token ids ``encoded`` and their folded
-    gold phrase sets ``gold``, so that a training run encodes and folds its dev set only once."""
-    spans = (bio_to_phrases(d.tokens, path) for d, path in zip(docs, label_paths(model, encoded)))
+    gold phrase sets ``gold``, so that a training run encodes and folds its dev set only once and
+    decodes it in its own workspace ``work``."""
+    paths = label_paths(model, encoded, work=work)
+    spans = (bio_to_phrases(d.tokens, path) for d, path in zip(docs, paths))
     return _micro([_counted({_fold(p) for _, p in s}, g) for s, g in zip(spans, gold)])
 
 

@@ -756,7 +756,7 @@ def test_failed_extract_keeps_the_previous_output(data_dir, tmp_path, monkeypatc
     forward = kpex.metrics.encode_forward
 
     def fail_on_second(params, token_ids, layout, **kwargs):
-        assert kwargs == {"for_backward": False}
+        assert kwargs["for_backward"] is False and set(kwargs) == {"for_backward", "work"}
         batches.append(len(layout.lengths))
         if len(batches) == 2:
             raise NumericError("non-finite emissions")
@@ -791,7 +791,7 @@ def test_one_forward_call_serves_several_extract_documents(data_dir, tmp_path, m
     forward = kpex.metrics.encode_forward
 
     def counting(params, token_ids, layout, **kwargs):
-        assert kwargs == {"for_backward": False}
+        assert kwargs["for_backward"] is False and set(kwargs) == {"for_backward", "work"}
         batches.append(len(layout.lengths))  # documents in the pass, one per column
         return forward(params, token_ids, layout, **kwargs)
 

@@ -33,8 +33,10 @@ from kpex.model import checkpoint_bytes
 
 ds = gen_synthetic(8, 260, vocab_size=60, keyword_fraction=0.25)
 labeled, unlabeled, dev = split_dataset(ds, [40, 180, 40])
+# lr 2e-2 lets dev F1 rise after step 0 in every mode, so the digests cover Adam steps
 cfg = JlsdConfig(
     T=30, teacher_T=20, eval_every=10, batch_size=4, seed=13, embed_dim=8, hidden_dim=8,
+    lr_lower=2e-2, lr_upper=2e-2,
 )
 runs = (
     train_supervised(labeled, dev, cfg),

@@ -151,6 +151,23 @@ def test_forward_without_cache_memory_per_real_token():
     assert _forward_peak_per_real_token(1500, distinct, for_backward=False) <= 6.0 * 1024
 
 
+def test_a_decode_pass_holds_one_block_of_states():
+    """A decode of 4,000 packed rows in 20 columns at 64/64 holds one ``BLOCK_ROWS`` block and one
+    step of states, (512 + 20) x 2h words or 0.5 MB, beside about 1.0 MB of label scores, table
+    indices, recurrent weights and step buffers: 1.59 MB in all, and 3.08 MB with 2,048-row
+    blocks, whose states alone take 2.1 MB."""
+    layout = pack([200] * 20)
+    params = init_params(EncoderDims(vocab_size=50, embed_dim=64, hidden_dim=64), 0)
+    ids = np.random.default_rng(5).integers(1, 50, len(layout.t))
+    tracemalloc.start()
+    try:
+        encoder.encode_forward(params, ids, layout, for_backward=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.0 * 2**20
+
+
 # -- backward ----------------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -28,7 +29,7 @@ from kpex import (
 from kpex.corpus import LabeledDocument, bio_to_phrases, sample_batch
 from kpex.crf import nll_and_grad
 from kpex.encoder import OptimizerState, adam_step, encoder_tensors
-from kpex.jlsd import pseudo_label
+from kpex.jlsd import _batch_gradients, _Run, pseudo_label
 from kpex.metrics import MetricReport, dataset_f1, encoded_f1, gold_phrases
 from kpex.model import Model, checkpoint_bytes, model_tensors
 
@@ -326,6 +327,57 @@ def test_iteration_losses_are_in_order_sums_of_the_document_losses(tiny_corpus, 
         assert e["loss"] == (gold + pseudo) / len(losses)
 
 
+def _traced_peak(call) -> int:
+    """tracemalloc's peak over ``call()``, with numpy's ufunc buffer at its smallest: at the
+    default size a ufunc over strided or broadcast operands holds up to 64 KB per operand for the
+    length of the call, whoever made the operands."""
+    size = np.getbufsize()
+    np.setbufsize(16)
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        np.setbufsize(size)
+
+
+@pytest.mark.parametrize("vocab_size, dim, pseudo", [(120, 64, 0), (1200, 32, 8)],
+                         ids=["supervised", "jlsd"])
+def test_a_step_and_a_dev_decode_allocate_nothing_once_the_run_has_met_their_shapes(
+    vocab_size, dim, pseudo
+):
+    """At the benchmark's shapes (8 gold documents at 64/64, or 8 gold and 8 pseudo-labeled at
+    32/32) a training step's and a dev decode's arrays are views of the run's workspace once it
+    has grown to them. A repeated step (forward, CRF, backward and Adam; 184 and 403 tokens)
+    then allocates under 64 KB, against 1.9 and 2.1 MB when each step made its arrays, and so
+    does a dev eval of 20 documents (about 500 tokens, 1.5 and 1.3 MB), whose layout and paths
+    are still made per pass, about 75 B a token."""
+    corpus = gen_synthetic(1, 520, vocab_size=vocab_size, keyword_fraction=0.25)
+    train, dev = split_dataset(corpus, [500, 20])
+    run = _Run(build_vocab(train), dev)
+    model = init_model(run.vocab, dim, dim, seed=1)
+    grad = Model(model.dims, run.vocab)
+    rows, rng = run.rows(train), np.random.default_rng(0)
+    gold, drawn = sample_batch(rows, 8, rng), sample_batch(rows, pseudo, rng) if pseudo else []
+    opt = OptimizerState(lr_lower=1e-3, lr_upper=1e-3)
+
+    def step():
+        _batch_gradients(model, gold, drawn, grad, run.work)
+        adam_step(model, grad, opt)
+
+    def dev_eval():
+        encoded_f1(model, *run.dev, run.work)
+
+    step()
+    dev_eval()
+    step()  # the workspace grows to the first step's and decode's arrays as this step begins
+    buffer = run.work.buffer
+    assert _traced_peak(step) < 64 * 1024
+    assert _traced_peak(dev_eval) < 64 * 1024
+    assert run.work.buffer is buffer
+
+
 def test_pseudo_labels_are_deterministic(tiny_corpus):
     labeled, _, dev = tiny_corpus
     teacher, _ = train_supervised(labeled, dev, tiny_config())
@@ -405,9 +457,9 @@ def test_the_teacher_is_always_the_best_checkpoint(tiny_corpus, monkeypatch):
         evaluated.append(checkpoint_bytes(model))
         return MetricReport(0, 0, next(scripted), 0, 0, 0)
 
-    def spy(teacher, docs):
+    def spy(teacher, docs, *work):
         teachers.append((checkpoint_bytes(teacher), len(docs)))
-        return pseudo_label(teacher, docs)
+        return pseudo_label(teacher, docs, *work)
 
     monkeypatch.setattr(kpex.jlsd, "encoded_f1", fake_f1)
     monkeypatch.setattr(kpex.jlsd, "pseudo_label", spy)
@@ -469,10 +521,10 @@ def _spy_pseudo_label(monkeypatch, split=None):
     every ``split`` documents in a call of their own."""
     calls = []
 
-    def spy(teacher, docs):
+    def spy(teacher, docs, *work):
         calls.append([d.id for d in docs])
         chunks = [docs[i : i + split] for i in range(0, len(docs), split)] if split else [docs]
-        return [ld for chunk in chunks for ld in pseudo_label(teacher, chunk)]
+        return [ld for chunk in chunks for ld in pseudo_label(teacher, chunk, *work)]
 
     monkeypatch.setattr(kpex.jlsd, "pseudo_label", spy)
     return calls

@@ -238,7 +238,7 @@ def test_evaluate_decodes_each_document_once(trained_standard, monkeypatch):
     forward = kpex.metrics.encode_forward
 
     def counting(params, token_ids, layout, **kwargs):
-        assert kwargs == {"for_backward": False}
+        assert kwargs["for_backward"] is False and set(kwargs) == {"for_backward", "work"}
         docs = _column_documents(token_ids, layout)
         held = _pass_bytes(model.dims, len(token_ids), len(set().union(*docs)), len(docs))
         assert held <= kpex.metrics.PASS_BYTES or len(docs) == 1
