@@ -63,14 +63,13 @@ def _labels(labels, layout: Layout, what: str, num_labels: int) -> np.ndarray:
     return y
 
 
-def _alphas(emissions, trans, first, off, shift=None, reduce=np.logaddexp.reduce,
-            work: Workspace | None = None) -> np.ndarray:
+def _alphas(emissions, trans, first, off, shift=None, reduce=np.logaddexp.reduce, *,
+            work: Workspace) -> np.ndarray:
     """Forward scores ``(N, ..., L)`` of packed rows, C-contiguous, from a label-major loop: step
     s's rows ``off[s]:off[s + 1]`` reduce the first rows of step s - 1's plus ``trans`` over the
     leading previous-label axis, so ``trans`` is ``(L, L, ...)`` and ``first`` ``(L, ...)``,
     broadcast over the axes between. With ``shift``, shaped ``(..., N)``, each row's label-0 score
     moves into it. The scores and the loop's arrays are taken from ``work``."""
-    work = Workspace() if work is None else work
     out, off = work.take(emissions.shape), off.tolist()
     with work.scope():
         e = work.take(emissions.shape[::-1])

@@ -118,28 +118,27 @@ class Workspace:
     """The work buffers of a training run or a decode: every array an engine call makes is
     taken from one byte buffer, stacked in the order taken, and handed back when the
     :meth:`scope` it was taken in closes, so arrays whose lifetimes do not overlap share bytes.
-    A take that does not fit is a fresh array; an outermost scope that opens after one grows the
-    buffer to the most bytes held at once so far. A run whose shapes recur allocates nothing
-    after its first step, and a call without a workspace makes fresh arrays, as a fresh
-    workspace does. Arrays that a call returns are views, valid until its caller's scope closes.
-    The buffer is a private anonymous mapping of its own, so its pages leave the process when it
-    grows or is dropped, whatever the heap allocator's thresholds.
+    A take past the end maps a new buffer of ``max(used, 2 * len(buffer))`` bytes and puts the
+    array at the same offset; earlier arrays keep the old buffer alive until they die. A run
+    whose shapes recur allocates nothing after its first step, and a call without a workspace
+    takes from a fresh one. Arrays that a call returns are views, valid until its caller's scope
+    closes. Each buffer is a private anonymous mapping of its own, so pages never touched are not
+    resident and a buffer's pages leave the process when its last array dies, whatever the heap
+    allocator's thresholds.
     """
 
     def __init__(self):
         self.buffer = np.empty(0, np.uint8)
-        self.used = self.spilled = self.most = 0  # bytes taken in the buffer and beside it
+        self.used = 0  # bytes taken
 
     def take(self, shape, dtype=np.float64) -> np.ndarray:
-        """An uninitialised array of ``shape`` and ``dtype``, in the buffer if it fits."""
+        """An uninitialised array of ``shape`` and ``dtype``, each starting on a cache line."""
         dtype = np.dtype(dtype)
-        size = math.prod(shape) * dtype.itemsize
-        padded = -(-size // 64) * 64  # each array starts on a cache line
-        self.most = max(self.most, self.used + self.spilled + padded)
-        if self.used + padded > len(self.buffer):
-            self.spilled += padded
-            return np.empty(shape, dtype)
-        start, self.used = self.used, self.used + padded
+        size, start = math.prod(shape) * dtype.itemsize, self.used
+        self.used += -(-size // 64) * 64
+        if self.used > len(self.buffer):
+            self.buffer = np.frombuffer(
+                mmap.mmap(-1, max(self.used, 2 * len(self.buffer)), mmap.MAP_PRIVATE), np.uint8)
         return self.buffer[start : start + size].view(dtype).reshape(shape)
 
     def zeros(self, shape) -> np.ndarray:
@@ -150,14 +149,11 @@ class Workspace:
     @contextmanager
     def scope(self):
         """Hands back on exit every array taken inside."""
-        mark = self.used, self.spilled
-        if mark == (0, 0) and self.most > len(self.buffer):
-            self.buffer = np.empty(0, np.uint8)  # the old buffer goes before the new one comes
-            self.buffer = np.frombuffer(mmap.mmap(-1, self.most, mmap.MAP_PRIVATE), np.uint8)
+        used = self.used
         try:
             yield
         finally:
-            self.used, self.spilled = mark
+            self.used = used
 
 
 @dataclass(frozen=True, eq=False)  # compared by identity: its fields are arrays
@@ -473,10 +469,8 @@ class OptimizerState:
     """Adam moments plus the two-group learning rates.
 
     ``m`` and ``v`` are flat, in the layout of :class:`kpex.model.Model`'s parameter buffer, and
-    made on the first step with the step's two work buffers, each ``ADAM_BLOCK`` elements long
-    (the buffer's size if smaller), so that a step allocates nothing of the buffer's size. Its
-    leading ``embed`` slice belongs to the lower group; every other parameter (LSTM, projection,
-    CRF scores) uses ``lr_upper``.
+    made on the first step. Its leading ``embed`` slice belongs to the lower group; every other
+    parameter (LSTM, projection, CRF scores) uses ``lr_upper``.
     """
 
     lr_lower: float
@@ -484,16 +478,15 @@ class OptimizerState:
     step: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
-    m_hat: np.ndarray | None = None  # the step's work buffers, one block each
-    scratch: np.ndarray | None = None
 
 
-def adam_step(model, grad, opt: OptimizerState) -> None:
+def adam_step(model, grad, opt: OptimizerState, work: Workspace | None = None) -> None:
     """One bias-corrected Adam update, in place, of ``model``'s parameter buffer by ``grad``'s:
     two :class:`kpex.model.Model` of one layout. The buffers are updated one ``ADAM_BLOCK`` at a
     time, each element by the same operations in the same order as a whole-buffer update, the
-    lower-rate boundary split inside its block. A non-finite gradient, checked block by block
-    before any update, raises NumericError naming its tensor, with no parameter moved."""
+    lower-rate boundary split inside its block, with two blocks of work arrays taken from
+    ``work`` (a fresh :class:`Workspace` by default). A non-finite gradient, checked block by
+    block before any update, raises NumericError naming its tensor, with no parameter moved."""
     opt.step += 1
     t, g = opt.step, grad.flat
     blocks = [slice(a, a + ADAM_BLOCK) for a in range(0, g.size, ADAM_BLOCK)]
@@ -504,22 +497,23 @@ def adam_step(model, grad, opt: OptimizerState) -> None:
         raise NumericError(f"non-finite gradient for tensor '{name}' at step {t}")
     if opt.m is None:
         opt.m, opt.v = np.zeros_like(g), np.zeros_like(g)
-        n = min(g.size, ADAM_BLOCK)
-        opt.m_hat, opt.scratch = np.empty(n), np.empty(n)
     lower = model.encoder.embed.size  # the buffer's leading slice
-    for b in blocks:
-        m, v, gb, p = opt.m[b], opt.v[b], g[b], model.flat[b]
-        m_hat, scratch = opt.m_hat[: len(gb)], opt.scratch[: len(gb)]
-        m *= BETA1
-        m += np.multiply(1.0 - BETA1, gb, out=scratch)
-        v *= BETA2
-        v += np.multiply(np.multiply(1.0 - BETA2, gb, out=scratch), gb, out=scratch)
-        denom = np.divide(v, 1.0 - BETA2**t, out=scratch)  # v_hat, then its root + EPS
-        np.sqrt(denom, out=denom)
-        denom += EPS
-        np.divide(m, 1.0 - BETA1**t, out=m_hat)
-        split = max(lower - b.start, 0)  # slicing clamps it to the block
-        m_hat[:split] *= opt.lr_lower
-        m_hat[split:] *= opt.lr_upper
-        m_hat /= denom
-        p -= m_hat
+    work = Workspace() if work is None else work
+    with work.scope():
+        pair = work.take((2, min(g.size, ADAM_BLOCK)))
+        for b in blocks:
+            m, v, gb, p = opt.m[b], opt.v[b], g[b], model.flat[b]
+            m_hat, scratch = pair[:, : len(gb)]
+            m *= BETA1
+            m += np.multiply(1.0 - BETA1, gb, out=scratch)
+            v *= BETA2
+            v += np.multiply(np.multiply(1.0 - BETA2, gb, out=scratch), gb, out=scratch)
+            denom = np.divide(v, 1.0 - BETA2**t, out=scratch)  # v_hat, then its root + EPS
+            np.sqrt(denom, out=denom)
+            denom += EPS
+            np.divide(m, 1.0 - BETA1**t, out=m_hat)
+            split = max(lower - b.start, 0)  # slicing clamps it to the block
+            m_hat[:split] *= opt.lr_lower
+            m_hat[split:] *= opt.lr_upper
+            m_hat /= denom
+            p -= m_hat

@@ -232,7 +232,7 @@ def _train_loop(
     for it in range(1, config.T + 1):
         gold, pseudo = make_batch(it, data_rng, best_model, events)
         loss_labeled, loss_pseudo, loss = _batch_gradients(model, gold, pseudo, grad, run.work)
-        adam_step(model, grad, opt)
+        adam_step(model, grad, opt, run.work)
         events.append({"event": "iteration", "iteration": it, "loss": loss,
                        "loss_labeled": loss_labeled, "loss_pseudo": loss_pseudo})
         if it == _next_eval(it, config):

@@ -58,13 +58,15 @@ def dedup_predictions(preds) -> list[PhrasePrediction]:
 
 def _pass_bytes(dims, rows: int, distinct: int, docs: int) -> int:
     """The bytes a decode pass of ``docs`` documents, ``rows`` real tokens and ``distinct``
-    distinct ids holds at its peak, ``rank`` included, and so about the most its workspace grows
-    to, in words of 8 B: per packed row its ring slot, 2h (the ring holds at most
-    ``BLOCK_ROWS``), and 8 words of ids, layout and path plus 16 per label of label scores,
-    emissions, CRF arrays and backpointers; per distinct token its input-table row, 2 x 4h; per
-    document its ``(B, 2, .)`` step buffers, 24h."""
-    return 8 * (dims.hidden_dim * (2 * min(rows, BLOCK_ROWS) + 8 * distinct + 24 * docs)
-                + (8 + 16 * dims.num_labels) * rows)
+    distinct ids holds at its peak, ``rank`` included, in words of 8 B: per packed row its ring
+    slot, 2h (the ring holds at most ``BLOCK_ROWS``), and 8 words of its fresh ids, layout and
+    path plus 16 per label of label scores, emissions, CRF arrays and backpointers; per distinct
+    token its input-table row, 2 x 4h, and its gathered embedding row, e; per document its
+    ``(B, 2, .)`` step buffers, 24h; and per pass the recurrent weights, 8h², and a word per
+    vocabulary entry for the distinct-token marks."""
+    h = dims.hidden_dim
+    return 8 * (h * (2 * min(rows, BLOCK_ROWS) + 8 * distinct + 24 * docs + 8 * h)
+                + dims.embed_dim * distinct + dims.vocab_size + (8 + 16 * dims.num_labels) * rows)
 
 
 def _passes(dims, encoded) -> list:
@@ -87,7 +89,7 @@ def label_paths(model: Model, encoded, rank: bool = False, work: Workspace | Non
     token ids, or with ``rank`` its path and ``(length, L)`` marginals. Each pass (``_passes``)
     decodes as one packed batch, laid out once, by one ``encode_forward(..., for_backward=False)``,
     so it takes as many serial steps as its longest document. The passes take their arrays from
-    ``work``, a fresh :class:`kpex.encoder.Workspace` by default, which the first pass sizes."""
+    ``work``, a fresh :class:`kpex.encoder.Workspace` by default."""
     work = Workspace() if work is None else work
     out = [None] * len(encoded)
     for docs in _passes(model.dims, encoded):

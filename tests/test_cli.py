@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import kpex.cli
+import kpex.metrics
 from kpex import (
     ConfigError,
     DataError,
@@ -28,6 +29,8 @@ from kpex.cli import main
 from kpex.corpus import parse_json
 from kpex.encoder import EncoderDims
 from kpex.model import CHECKPOINT_MAGIC, Model
+
+from peak_workspace import PeakWorkspace
 
 
 @pytest.fixture(scope="module")
@@ -804,13 +807,16 @@ def test_one_forward_call_serves_several_extract_documents(data_dir, tmp_path, m
     assert sum(batches) == 60 and max(batches) > 1
 
 
-def test_repeated_in_process_extracts_hold_no_memory(data_dir, tmp_path, capsys):
-    """No cache outlives a run: 20 extract calls end within 64 KB of the first one's reading."""
+def test_repeated_in_process_extracts_hold_no_memory(data_dir, tmp_path, capsys, monkeypatch):
+    """No cache outlives a run: 20 extract calls end within 64 KB of the first one's reading, and
+    no workspace buffer outlives the call that mapped it."""
     ckpt = _train_tiny(data_dir, tmp_path / "run")
     argv = [
         "extract", "--ckpt", str(ckpt),
         "--test", str(data_dir / "dev.jsonl"), "--out", str(tmp_path / "phrases.jsonl"),
     ]
+    mapped = []
+    monkeypatch.setattr(kpex.metrics, "Workspace", lambda: PeakWorkspace(mapped))
     tracemalloc.start()
     try:
         readings = []
@@ -819,6 +825,8 @@ def test_repeated_in_process_extracts_hold_no_memory(data_dir, tmp_path, capsys)
             capsys.readouterr()
             gc.collect()
             readings.append(tracemalloc.get_traced_memory()[0])
+            assert mapped and not any(buffer() for buffer in mapped)
+            mapped.clear()
     finally:
         tracemalloc.stop()
     assert readings[-1] - readings[0] <= 64 * 1024

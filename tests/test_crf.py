@@ -7,7 +7,7 @@ import pytest
 from kpex import NumericError
 from kpex import crf as batched
 from kpex.crf import CrfParams, crf_tensors
-from kpex.encoder import pack
+from kpex.encoder import Workspace, pack
 
 from one_doc import log_partition, marginals, nll_and_grad, sequence_score, viterbi
 from oracles import (
@@ -200,7 +200,7 @@ def test_label_major_alphas_equal_the_textbook_recursion(batch, reduce, shifted,
     packed = np.moveaxis(emissions, -2, 1).reshape(-1, *directions, 3)  # rows (t, column)
     got = batched._alphas(
         packed, np.moveaxis(trans, (-2, -1), (0, 1)), np.moveaxis(first, -1, 0),
-        np.arange(24) * batch, shift, reduce,
+        np.arange(24) * batch, shift, reduce, work=Workspace(),
     )
     assert got.flags.c_contiguous
     npt.assert_array_equal(got, np.moveaxis(ref, -2, 1).reshape(packed.shape))

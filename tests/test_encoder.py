@@ -1,5 +1,5 @@
+import mmap
 import re
-import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from kpex import NumericError, build_vocab, encoder, gen_synthetic
 from kpex.corpus import PAD_INDEX
-from kpex.encoder import EncoderDims, OptimizerState, adam_step, encoder_tensors, init_params, pack
+from kpex.encoder import (
+    EncoderDims, OptimizerState, Workspace, adam_step, encoder_tensors, init_params, pack,
+)
 from kpex.model import Model, init_model, model_tensors
 
 from one_doc import encode_backward, encode_forward
@@ -20,6 +22,7 @@ from oracles import (
     per_tensor_adam_step,
     relative_error,
 )
+from peak_workspace import PeakWorkspace
 
 DIMS = EncoderDims(vocab_size=9, embed_dim=4, hidden_dim=3)
 
@@ -121,15 +124,11 @@ LAYOUT = pack([370, 300, 200, 130])
 
 
 def _forward_peak_per_real_token(vocab_size, ids, **kwargs) -> float:
+    """The tracemalloc peak plus the workspace's of one forward, per real token."""
     params = init_params(EncoderDims(vocab_size=vocab_size, embed_dim=64, hidden_dim=64), 0)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        encoder.encode_forward(params, ids, LAYOUT, **kwargs)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    return peak / len(ids)
+    work = PeakWorkspace()
+    traced, _ = work.traced(lambda: encoder.encode_forward(params, ids, LAYOUT, work=work, **kwargs))
+    return (traced + work.peak) / len(ids)
 
 
 def test_forward_memory_per_real_token():
@@ -159,13 +158,78 @@ def test_a_decode_pass_holds_one_block_of_states():
     layout = pack([200] * 20)
     params = init_params(EncoderDims(vocab_size=50, embed_dim=64, hidden_dim=64), 0)
     ids = np.random.default_rng(5).integers(1, 50, len(layout.t))
-    tracemalloc.start()
-    try:
-        encoder.encode_forward(params, ids, layout, for_backward=False)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2.0 * 2**20
+    work = PeakWorkspace()
+    traced, _ = work.traced(
+        lambda: encoder.encode_forward(params, ids, layout, for_backward=False, work=work))
+    assert traced + work.peak < 2.0 * 2**20
+
+
+# -- workspace ---------------------------------------------------------------
+
+
+def test_earlier_arrays_keep_their_values_after_a_take_past_the_end():
+    work = Workspace()
+    first = work.take((10,))
+    first[...] = np.arange(10)
+    buffer = work.buffer
+    second = work.take((100, 3), np.intp)
+    second[...] = 7
+    # 80 and 2,400 bytes, each padded to a whole cache line
+    assert work.buffer is not buffer and len(work.buffer) == work.used == 128 + 2432
+    third = work.take((100,), bool)  # past the end again: the buffer doubles
+    third[...] = True
+    assert len(work.buffer) == 2 * (128 + 2432)
+    npt.assert_array_equal(first, np.arange(10))
+    npt.assert_array_equal(second, 7)
+    assert third.all()
+
+
+def test_a_closed_scope_hands_its_bytes_back():
+    work = Workspace()
+    with work.scope():
+        work.take((2000,))
+    kept = work.take((5,))
+    with work.scope():
+        inside = work.take((40,))
+        with work.scope():
+            work.take((1000,))
+        assert work.used == 64 + 320
+    assert work.used == 64
+    assert work.take((40,)).ctypes.data == inside.ctypes.data == kept.ctypes.data + 64
+
+
+def test_a_zero_size_take_works():
+    work = Workspace()
+    for shape in [(0,), (0, 3), (4, 0)]:
+        assert work.take(shape).shape == shape
+    work.take((3,))
+    assert work.take((0, 2), np.intp).shape == (0, 2) and work.used == 64
+
+
+def _base(a: np.ndarray):
+    """The object at the end of ``a``'s chain of bases and exported buffers."""
+    while isinstance(a, (np.ndarray, memoryview)):
+        a = a.base if isinstance(a, np.ndarray) else a.obj
+    return a
+
+
+def test_every_array_is_a_view_of_a_mapping_and_the_buffer_stays_within_twice_the_peak():
+    work, rng, arrays = PeakWorkspace(), np.random.default_rng(7), []
+
+    def takes(depth):
+        for _ in range(4):
+            shape = tuple(rng.integers(1, 60, rng.integers(1, 3)))
+            arrays.append(work.take(shape, rng.choice([np.float64, np.intp, bool])))
+            assert isinstance(_base(arrays[-1]), mmap.mmap)
+            assert work.peak <= len(work.buffer) <= 2 * work.peak
+            if depth and rng.random() < 0.5:
+                with work.scope():
+                    takes(depth - 1)
+
+    for _ in range(20):
+        with work.scope():
+            takes(3)
+    assert len(work.mapped) > 3
 
 
 # -- backward ----------------------------------------------------------------
@@ -353,16 +417,18 @@ def _assert_flat_adam_matches_the_per_tensor_reference():
     vocab = build_vocab(gen_synthetic(2, 20, vocab_size=30))
     model = init_model(vocab, 6, 5, seed=1)
     reference, grad, moments = model.copy(), Model(model.dims, vocab), {}
-    opt = OptimizerState(lr_lower=3e-3, lr_upper=2e-2)
+    opt, work = OptimizerState(lr_lower=3e-3, lr_upper=2e-2), PeakWorkspace()
     rng = np.random.default_rng(4)
     for step in range(1, 7):
         grad.flat[:] = rng.normal(scale=10.0 ** rng.integers(-3, 2), size=grad.flat.size)
-        adam_step(model, grad, opt)
+        adam_step(model, grad, opt, work)
         per_tensor_adam_step(
             model_tensors(reference), model_tensors(grad), moments, step, 3e-3, 2e-2
         )
         npt.assert_array_equal(model.flat, reference.flat)
-    assert len(opt.m_hat) == len(opt.scratch) == min(encoder.ADAM_BLOCK, model.flat.size)
+    # the step's two work blocks came from the workspace and went back to it
+    blocks = 16 * min(encoder.ADAM_BLOCK, model.flat.size)
+    assert work.used == 0 and blocks <= work.peak < blocks + 64
     return model
 
 
@@ -378,22 +444,20 @@ def test_blocked_adam_matches_the_per_tensor_reference(monkeypatch):
 
 
 def test_an_adam_step_allocates_no_buffer_of_the_parameters_size(monkeypatch):
+    """Once a run's workspace holds a step's two one-block work arrays, a step maps nothing and
+    allocates under a block of floats beside them: the block's finiteness mask, an eighth."""
     monkeypatch.setattr(encoder, "ADAM_BLOCK", 1024)
     vocab = build_vocab(gen_synthetic(2, 20, vocab_size=30))
     model = init_model(vocab, 16, 16, seed=1)
     grad = Model(model.dims, vocab)
     grad.flat[:] = np.random.default_rng(0).normal(size=grad.flat.size)
     assert grad.flat.size > 4 * 1024
-    opt = OptimizerState(lr_lower=1e-3, lr_upper=1e-2)
-    adam_step(model, grad, opt)  # makes the moments and the one-block work buffers
-    assert opt.m_hat.shape == opt.scratch.shape == (1024,)
-    tracemalloc.start()
-    try:
-        adam_step(model, grad, opt)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1024 * grad.flat.itemsize  # a block's finiteness mask, an eighth of this
+    opt, work = OptimizerState(lr_lower=1e-3, lr_upper=1e-2), PeakWorkspace()
+    adam_step(model, grad, opt, work)  # makes the moments and maps the work blocks
+    buffer = work.buffer
+    traced, _ = work.traced(lambda: adam_step(model, grad, opt, work))
+    assert work.peak == 2 * 1024 * grad.flat.itemsize and work.buffer is buffer
+    assert traced < 1024 * grad.flat.itemsize
 
 
 def test_pad_row_stays_zero_through_training_steps():

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -34,6 +33,7 @@ from kpex.metrics import MetricReport, dataset_f1, encoded_f1, gold_phrases
 from kpex.model import Model, checkpoint_bytes, model_tensors
 
 from oracles import reference_training_step, relative_error
+from peak_workspace import PeakWorkspace
 
 
 def tiny_config(**overrides):
@@ -327,35 +327,23 @@ def test_iteration_losses_are_in_order_sums_of_the_document_losses(tiny_corpus, 
         assert e["loss"] == (gold + pseudo) / len(losses)
 
 
-def _traced_peak(call) -> int:
-    """tracemalloc's peak over ``call()``, with numpy's ufunc buffer at its smallest: at the
-    default size a ufunc over strided or broadcast operands holds up to 64 KB per operand for the
-    length of the call, whoever made the operands."""
-    size = np.getbufsize()
-    np.setbufsize(16)
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-        np.setbufsize(size)
-
-
 @pytest.mark.parametrize("vocab_size, dim, pseudo", [(120, 64, 0), (1200, 32, 8)],
                          ids=["supervised", "jlsd"])
 def test_a_step_and_a_dev_decode_allocate_nothing_once_the_run_has_met_their_shapes(
     vocab_size, dim, pseudo
 ):
     """At the benchmark's shapes (8 gold documents at 64/64, or 8 gold and 8 pseudo-labeled at
-    32/32) a training step's and a dev decode's arrays are views of the run's workspace once it
-    has grown to them. A repeated step (forward, CRF, backward and Adam; 184 and 403 tokens)
-    then allocates under 64 KB, against 1.9 and 2.1 MB when each step made its arrays, and so
-    does a dev eval of 20 documents (about 500 tokens, 1.5 and 1.3 MB), whose layout and paths
-    are still made per pass, about 75 B a token."""
+    32/32) a training step's and a dev decode's arrays are views of the run's workspace, which
+    grows to them the first time it meets them. A repeated step (forward, CRF, backward and Adam;
+    184 and 403 tokens) then maps nothing and allocates under 64 KB, against 1.9 and 2.1 MB when
+    each step made its arrays, and so does a dev eval of 20 documents (about 500 tokens, 1.5 and
+    1.3 MB), whose layout and paths are still made per pass, about 75 B a token. numpy's ufunc
+    buffer is at its smallest: at the default size a ufunc over strided or broadcast operands
+    holds up to 64 KB per operand for the length of the call, whoever made the operands."""
     corpus = gen_synthetic(1, 520, vocab_size=vocab_size, keyword_fraction=0.25)
     train, dev = split_dataset(corpus, [500, 20])
     run = _Run(build_vocab(train), dev)
+    run.work = PeakWorkspace()
     model = init_model(run.vocab, dim, dim, seed=1)
     grad = Model(model.dims, run.vocab)
     rows, rng = run.rows(train), np.random.default_rng(0)
@@ -364,17 +352,16 @@ def test_a_step_and_a_dev_decode_allocate_nothing_once_the_run_has_met_their_sha
 
     def step():
         _batch_gradients(model, gold, drawn, grad, run.work)
-        adam_step(model, grad, opt)
+        adam_step(model, grad, opt, run.work)
 
     def dev_eval():
         encoded_f1(model, *run.dev, run.work)
 
     step()
     dev_eval()
-    step()  # the workspace grows to the first step's and decode's arrays as this step begins
     buffer = run.work.buffer
-    assert _traced_peak(step) < 64 * 1024
-    assert _traced_peak(dev_eval) < 64 * 1024
+    assert run.work.traced(step, bufsize=16)[0] < 64 * 1024
+    assert run.work.traced(dev_eval, bufsize=16)[0] < 64 * 1024
     assert run.work.buffer is buffer
 
 
